@@ -27,12 +27,10 @@ from .gaussian_filter import (
     sigma_to_fwhm_mm,
 )
 from .conv3d import (
-    ConvPlan,
     convolve,
     convolve_backward_filter,
     convolve_backward_input,
     convolve_separable,
-    smooth,
 )
 from .params_net import (
     LAPLACIAN_KERNEL,
@@ -42,7 +40,7 @@ from .params_net import (
     map_to_sigma_backward,
     noise_feature,
 )
-from .classifier import BatchStats, ClassifierWeights, bce_loss, l2_penalty
+from .classifier import ClassifierWeights, bce_loss, l2_penalty
 from .trainer import TrainConfig, TrainReport, evaluate, grid_search, train
 from .phantom import PhantomSpec, generate
 from .errors import AdaptSmoothError, DataError, NumericalError, UsageError

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import classifier, params_net, phantom, trainer
-from .conv3d import ConvPlan, smooth
+from .conv3d import convolve_separable
 from .errors import DataError, NumericalError, UsageError
 from .gaussian_filter import (
     build_filter,
@@ -21,7 +21,7 @@ from .gaussian_filter import (
     fwhm_mm_to_sigma,
     sigma_to_fwhm_mm,
 )
-from .volume_io import Volume, add_gaussian_noise, read_volume, write_volume
+from .volume_io import Volume, add_gaussian_noise, read_config, read_volume, write_volume
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,36 +33,8 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _parse_phantom_spec(path) -> phantom.PhantomSpec:
-    spec = phantom.PhantomSpec()
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                if key in ("dims", "split_counts"):
-                    setattr(spec, key, tuple(int(x) for x in value.split(",")))
-                elif key == "noise_levels":
-                    spec.noise_levels = tuple(float(x) for x in value.split(","))
-                elif key in ("n_subjects", "volumes_per_subject_per_class",
-                             "center_offset_x", "jitter_voxels"):
-                    setattr(spec, key, int(value))
-                elif key in ("amplitude", "blob_radius", "voxel_size_mm"):
-                    setattr(spec, key, float(value))
-                else:
-                    raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return spec
-
-
 def _cmd_gen_phantom(args):
-    spec = _parse_phantom_spec(args.spec) if args.spec else phantom.PhantomSpec()
+    spec = read_config(args.spec, phantom.PhantomSpec) if args.spec else phantom.PhantomSpec()
     _log(f"gen-phantom: spec={spec} seed={args.seed} out={args.out}")
     manifest = phantom.generate(spec, args.out, args.seed)
     snr = spec.amplitude / min(n for n in spec.noise_levels if n > 0) \
@@ -96,13 +68,14 @@ def _cmd_smooth(args):
         else fwhm_mm_to_sigma(args.fwhm_mm, voxel)
     _log(f"smooth: sigma_f={sigma:.6g} t={args.t}")
     filt = build_filter(sigma, args.t)
-    z = smooth(v.data, filt, ConvPlan(filt.radius, args.strategy))
+    z = convolve_separable(v.data, filt.profile_1d)
     write_volume(Volume(z, v.voxel_size_mm), args.out)
     return 0
 
 
 def _load_train_inputs(args):
-    cfg = trainer.parse_config(args.config) if args.config else trainer.TrainConfig()
+    cfg = read_config(args.config, trainer.TrainConfig) if args.config \
+        else trainer.TrainConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     manifest = Path(args.data) / "manifest.csv"
@@ -156,17 +129,8 @@ def _cmd_evaluate(args):
         fixed_sigma = fwhm_mm_to_sigma(args.fixed_fwhm_mm, voxel)
     _log(f"evaluate: split={args.split} fixed_fwhm_mm={args.fixed_fwhm_mm}")
     res = trainer.evaluate(pnw, cw, batches, args.split, fixed_sigma=fixed_sigma)
-    if args.fixed_fwhm_mm is not None:
-        print(f"noise     accuracy   (FWHM {args.fixed_fwhm_mm:g} mm fixed)")
-        for noise in sorted(res["per_noise"]):
-            row = res["per_noise"][noise]
-            print(f"{noise:<9g} {row['accuracy']:.3f}")
-    else:
-        print("noise     accuracy   mean sigma_f   mean FWHM (mm)")
-        for noise in sorted(res["per_noise"]):
-            row = res["per_noise"][noise]
-            print(f"{noise:<9g} {row['accuracy']:<10.3f} "
-                  f"{row['mean_sigma']:<14.4f} ({row['mean_fwhm_mm']:.1f})")
+    fixed = None if args.fixed_fwhm_mm is None else f"FWHM {args.fixed_fwhm_mm:g} mm"
+    print("\n".join(trainer.noise_table(res["per_noise"], fixed)))
     print(f"overall accuracy: {res['accuracy']:.3f}")
     return 0
 
@@ -207,7 +171,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fwhm-mm", type=float)
     p.add_argument("--voxel-mm", type=float)
     p.add_argument("--t", type=float, default=4.0)
-    p.add_argument("--strategy", choices=("direct", "separable"), default="separable")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_smooth)
 

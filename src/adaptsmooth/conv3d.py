@@ -1,46 +1,21 @@
 """Same-size 3D convolution with zero padding, forward and backward.
 
-Two forward strategies are provided: a direct triple-loop over filter taps
-(the reference path and the oracle in tests) and a separable fast path for
-rank-1 kernels built from a 1D profile.  Both kernels used in this package
-(the Gaussian and the Laplacian) are exact outer products, and both are
-symmetric, so correlation equals convolution throughout.
+The separable path for rank-1 kernels built from a 1D profile is the one the
+package runs.  The direct loop over filter taps and its adjoints are the
+reference implementation that tests and benchmark checks compare against.
+Both kernels used in this package (the Gaussian and the Laplacian) are exact
+outer products, and both are symmetric, so correlation equals convolution
+throughout.
 
 All accumulation is in double precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.ndimage import correlate1d
 
 from .errors import DataError
-
-
-@dataclass(frozen=True)
-class ConvPlan:
-    """How to run a same-size convolution: zero padding of width `radius`
-    on every face, and either the direct tap loop or the separable path."""
-
-    radius: int
-    strategy: str = "separable"  # "direct" or "separable"
-
-    def __post_init__(self):
-        if self.strategy not in ("direct", "separable"):
-            raise DataError(f"unknown strategy {self.strategy!r}")
-        if self.radius < 0:
-            raise DataError("radius must be non-negative")
-
-
-def smooth(x: np.ndarray, filt, plan: ConvPlan | None = None) -> np.ndarray:
-    """Convolve a volume array with a GaussianFilter under the given plan."""
-    if plan is None:
-        plan = ConvPlan(filt.radius)
-    if plan.strategy == "direct":
-        return convolve(x, filt.weights)
-    return convolve_separable(x, filt.profile_1d)
 
 
 def _check_cube(q: np.ndarray, dims):

@@ -1,23 +1,28 @@
 """Truncated, renormalized discrete 3D Gaussian filters.
 
 The filter is isotropic, sampled on an integer grid of radius
-``r = floor((t * sigma_f + 0.5) / 2)`` and renormalized to sum 1.  Because
-the raw sample at (x, y, z) depends only on the integer squared radius
-x^2 + y^2 + z^2, weights are built through a lookup over squared radii: all
-48 octant/permutation symmetries then hold to the exact floating-point value.
+``r = floor((t * sigma_f + 0.5) / 2)`` and renormalized to sum 1.  It is the
+outer product of a renormalized 1D profile, which is all that separable
+smoothing reads, so a filter is built as that profile and its analytic
+derivative with respect to sigma_f at fixed support, which is what
+backpropagation into the width-predicting network consumes.
 
-Each filter also carries the analytic derivative of its weights with respect
-to sigma_f at fixed support, which is what backpropagation into the
-width-predicting network consumes.  At radius 0 the filter degenerates to the
-identity cell [1.0]; renormalization cancels sigma_f there, so the derivative
-is identically zero and gradient flow is restored only by the stochastic
-width bump during training.
+The 3D weight cube and its derivative are built on first read.  Because the
+raw sample at (x, y, z) depends only on the integer squared radius
+x^2 + y^2 + z^2, they are built through a lookup over squared radii: all 48
+octant/permutation symmetries then hold to the exact floating-point value.
+
+At radius 0 the filter degenerates to the identity cell [1.0];
+renormalization cancels sigma_f there, so the derivative is identically zero
+and gradient flow is restored only by the stochastic width bump during
+training.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,14 +38,36 @@ class GaussianFilter:
     sigma_f: float
     truncation_t: float
     radius: int
-    weights: np.ndarray          # (2r+1, 2r+1, 2r+1), sums to 1
-    d_weights_d_sigma: np.ndarray  # same shape, sums to 0
     profile_1d: np.ndarray       # (2r+1,) renormalized 1D profile
     d_profile_1d: np.ndarray     # (2r+1,) its sigma_f derivative
 
     @property
     def side(self) -> int:
         return 2 * self.radius + 1
+
+    def _raw_cube(self):
+        """Raw samples and their sigma_f derivative, keyed by integer squared
+        radius so symmetric cells share the exact same float.  The
+        1/(sqrt(2pi) sigma)^3 prefactor cancels in the renormalization and in
+        the quotient-rule derivative."""
+        r, sigma_f = self.radius, self.sigma_f
+        sq = np.arange(-r, r + 1) ** 2
+        s3 = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
+        g = np.exp(-np.arange(3 * r * r + 1) * (1.0 / (2.0 * sigma_f * sigma_f)))[s3]
+        return g, g * (s3 / sigma_f ** 3)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(2r+1, 2r+1, 2r+1) cube, sums to 1."""
+        g, _ = self._raw_cube()
+        return g / g.sum()
+
+    @cached_property
+    def d_weights_d_sigma(self) -> np.ndarray:
+        """d(weights)/d(sigma_f), same shape, sums to 0."""
+        g, gp = self._raw_cube()
+        total = g.sum()
+        return (gp * total - g * gp.sum()) / (total * total)
 
 
 def filter_radius(sigma_f: float, t: float) -> int:
@@ -53,38 +80,14 @@ def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION) -> GaussianFilte
     if t <= 0:
         raise DataError(f"truncation t must be positive, got {t}")
     r = filter_radius(sigma_f, t)
-    if r == 0:
-        one = np.ones((1, 1, 1))
-        zero = np.zeros((1, 1, 1))
-        return GaussianFilter(sigma_f, t, 0, one, zero,
-                              np.ones(1), np.zeros(1))
-
-    coords = np.arange(-r, r + 1)
-    sq = coords ** 2
-    s3 = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
-
-    # Raw samples keyed by integer squared radius, so symmetric cells share
-    # the exact same float.  The 1/(sqrt(2pi) sigma)^3 prefactor cancels in
-    # the renormalization and in the quotient-rule derivative.
-    inv2s2 = 1.0 / (2.0 * sigma_f * sigma_f)
-    max_s = 3 * r * r
-    g_by_s = np.exp(-np.arange(max_s + 1) * inv2s2)
-    g = g_by_s[s3]
-    gp = g * (s3 / sigma_f ** 3)  # d raw/d sigma_f, prefactor dropped
-
-    total = g.sum()
-    total_p = gp.sum()
-    weights = g / total
-    d_weights = (gp * total - g * total_p) / (total * total)
-
-    g1 = np.exp(-sq * inv2s2)
+    sq = np.arange(-r, r + 1) ** 2
+    g1 = np.exp(-sq * (1.0 / (2.0 * sigma_f * sigma_f)))
     g1p = g1 * (sq / sigma_f ** 3)
     s1 = g1.sum()
     s1p = g1p.sum()
     profile = g1 / s1
     d_profile = (g1p * s1 - g1 * s1p) / (s1 * s1)
-
-    return GaussianFilter(sigma_f, t, r, weights, d_weights, profile, d_profile)
+    return GaussianFilter(sigma_f, t, r, profile, d_profile)
 
 
 def derivative_of_normalized_gaussian(f: GaussianFilter) -> np.ndarray:

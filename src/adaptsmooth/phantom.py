@@ -45,6 +45,10 @@ class PhantomSpec:
         return 1.5 * self.blob_radius
 
     def validate(self):
+        if len(self.dims) != 3 or len(self.split_counts) != 3:
+            raise DataError("dims and split_counts need 3 values each")
+        if self.jitter_voxels < 0:
+            raise DataError("jitter_voxels must be >= 0")
         h, w, d = self.dims
         mid = w / 2.0
         reach = self.support_radius + self.jitter_voxels

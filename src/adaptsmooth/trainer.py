@@ -47,8 +47,19 @@ class TrainConfig:
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
 
     def validate(self):
-        if self.learning_rate < 0 or self.lambda_l2 < 0:
-            raise DataError("learning rate and lambda must be >= 0")
+        # the comparisons are false for NaN, so NaN fails every range check
+        if not all(0 <= x < math.inf for x in (self.learning_rate, self.lambda_l2)):
+            raise DataError("learning rate and lambda must be finite and >= 0")
+        if min(self.max_epochs, self.patience, self.width_m) < 1:
+            raise DataError("max_epochs, patience and width_m must be >= 1")
+        if not 0 < self.truncation < math.inf:
+            raise DataError("truncation must be finite and > 0")
+        if not 0.0 <= self.bump_probability <= 1.0:
+            raise DataError("bump probability must be in [0, 1]")
+        if self.fixed_sigma is not None and not 0 < self.fixed_sigma < math.inf:
+            raise DataError("fixed_sigma must be finite and > 0")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         if not self.lr_grid or not self.lambda_grid:
             raise DataError("search grids must be non-empty")
 
@@ -93,17 +104,28 @@ class TrainReport:
         lines.append(f"bump events: {self.bump_events}  preactivation clamps: "
                      f"{self.clamp_events}  width-fit clamps: {self.fit_clamp_events}")
         lines.append("")
-        lines.append("noise     accuracy   mean sigma_f   mean FWHM (mm)")
-        for noise in sorted(self.per_noise):
-            m = self.per_noise[noise]
-            if "mean_sigma" in m:
-                lines.append(f"{noise:<9g} {m['accuracy']:<10.3f} "
-                             f"{m['mean_sigma']:<14.4f} ({m['mean_fwhm_mm']:.1f})")
-            else:
-                lines.append(f"{noise:<9g} {m['accuracy']:<10.3f} -              -")
+        fixed = self.config.fixed_sigma if self.config else None
+        lines.extend(noise_table(self.per_noise, None if fixed is None
+                                 else f"sigma_f {fixed:.4g}"))
         lines.append("")
         lines.append(f"overall test accuracy: {self.test_accuracy:.3f}")
         return "\n".join(lines) + "\n"
+
+
+def noise_table(per_noise: dict, fixed: str | None = None) -> list[str]:
+    """Lines of the per-noise accuracy table of `evaluate`'s ``per_noise``:
+    with the mean width and FWHM per noise level, or, when `fixed` names
+    the fixed width, accuracy alone."""
+    lines = ["noise     accuracy   " + (f"({fixed} fixed)" if fixed
+                                      else "mean sigma_f   mean FWHM (mm)")]
+    for noise in sorted(per_noise):
+        m = per_noise[noise]
+        if fixed:
+            lines.append(f"{noise:<9g} {m['accuracy']:.3f}")
+        else:
+            lines.append(f"{noise:<9g} {m['accuracy']:<10.3f} "
+                         f"{m['mean_sigma']:<14.4f} ({m['mean_fwhm_mm']:.1f})")
+    return lines
 
 
 def load_dataset(manifest_path, data_dir=None) -> list[MiniBatch]:
@@ -377,9 +399,11 @@ def grid_search(cfg: TrainConfig, batches: list[MiniBatch]):
             cell_cfg = replace(cfg, learning_rate=lr, lambda_l2=lam)
             row = {"learning_rate": lr, "lambda_l2": lam}
             try:
-                pnw, cw, report = train(cell_cfg, batches)
-                val = _evaluate_split(batches, pnw, cw, cell_cfg, "validation")
-                row.update({"val_accuracy": val["accuracy"], "val_loss": val["loss"],
+                _, _, report = train(cell_cfg, batches)
+                # the row of the weights train returns: the best epoch's, or
+                # the last epoch's (best_epoch -1) when no validation loss was finite
+                val = report.epochs[max(report.best_epoch, 0) - 1]
+                row.update({"val_accuracy": val["val_accuracy"], "val_loss": val["val_loss"],
                             "test_accuracy": report.test_accuracy, "error": ""})
             except (DataError, NumericalError) as exc:
                 row.update({"val_accuracy": float("nan"), "val_loss": float("nan"),
@@ -390,30 +414,3 @@ def grid_search(cfg: TrainConfig, batches: list[MiniBatch]):
         raise NumericalError("every grid cell failed")
     best = min(ok, key=lambda r: (-r["val_accuracy"], r["val_loss"], r["learning_rate"]))
     return (best["learning_rate"], best["lambda_l2"]), results
-
-
-def parse_config(path) -> TrainConfig:
-    """Line-based `key = value` config file; '#' starts a comment."""
-    cfg = TrainConfig()
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                if key in ("learning_rate", "lambda_l2", "bump_probability",
-                           "truncation", "fixed_sigma"):
-                    setattr(cfg, key, float(value))
-                elif key in ("max_epochs", "patience", "seed", "width_m"):
-                    setattr(cfg, key, int(value))
-                elif key in ("lr_grid", "lambda_grid"):
-                    setattr(cfg, key, tuple(float(x) for x in value.split(",")))
-                else:
-                    raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return cfg

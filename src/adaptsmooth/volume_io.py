@@ -1,4 +1,5 @@
-"""Volume data type, file formats, dataset manifests, normalization and noise.
+"""Volume data type, file formats, dataset manifests, config files,
+normalization and noise.
 
 Voxel ordering convention: the in-memory array is indexed ``data[h, w, d]``
 (height, width, depth).  On disk and in any flattened view the order is
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,9 +78,6 @@ class DatasetManifest:
         for sid, sp in self.split.items():
             if sp not in ("train", "validation", "test"):
                 raise DataError(f"unknown split {sp!r} for subject {sid}")
-
-    def subjects(self, split_name: str) -> list[str]:
-        return sorted(s for s, sp in self.split.items() if sp == split_name)
 
 
 def normalize_subject(volumes: list[Volume]) -> list[Volume]:
@@ -254,3 +252,36 @@ def read_manifest(path) -> DatasetManifest:
             manifest.entries.append(ManifestEntry(vpath, label, sid, noise))
     manifest.validate()
     return manifest
+
+
+def read_config(path, cls):
+    """A `cls` dataclass instance with the fields set by a `key = value` file.
+
+    '#' starts a comment.  Each value takes the type of its field's default:
+    a tuple default reads a comma-separated list of its first element's type,
+    and a None default reads as float.  Range checks are left to the
+    dataclass's own `validate`.
+    """
+    config = cls()
+    defaults = {fd.name: getattr(config, fd.name) for fd in fields(cls)}
+    with open(path) as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise DataError(f"{path}:{lineno}: expected `key = value`")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in defaults:
+                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+            default = defaults[key]
+            try:
+                if isinstance(default, tuple):
+                    parsed = tuple(type(default[0])(x) for x in value.split(","))
+                else:
+                    parsed = (float if default is None else type(default))(value)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            setattr(config, key, parsed)
+    return config

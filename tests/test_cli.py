@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+from adaptsmooth import trainer
 from adaptsmooth.cli import run
 from adaptsmooth.gaussian_filter import build_filter
 from adaptsmooth.volume_io import Volume, read_volume, write_volume
+
+SMALL_SPEC = ("dims = 16,16,16\n"
+              "n_subjects = 4\n"
+              "volumes_per_subject_per_class = 3\n"
+              "center_offset_x = 3\n"
+              "blob_radius = 1.3\n"
+              "noise_levels = 0.0,0.2\n"
+              "split_counts = 2,1,1\n")
 
 
 @pytest.fixture()
@@ -21,13 +30,7 @@ def trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
     data = root / "data"
     spec = root / "phantom.cfg"
-    spec.write_text("dims = 16,16,16\n"
-                    "n_subjects = 4\n"
-                    "volumes_per_subject_per_class = 3\n"
-                    "center_offset_x = 3\n"
-                    "blob_radius = 1.3\n"
-                    "noise_levels = 0.0,0.2\n"
-                    "split_counts = 2,1,1\n")
+    spec.write_text(SMALL_SPEC)
     assert run(["gen-phantom", "--spec", str(spec), "--out", str(data),
                 "--seed", "3"]) == 0
     cfg = root / "train.cfg"
@@ -166,6 +169,15 @@ class TestTrainEvaluate:
         assert lines[0].startswith("learning_rate,lambda_l2,")
         assert len(lines) == 3
         assert "best: learning_rate=" in capsys.readouterr().out
+        # the validation columns are those of each cell's best epoch
+        batches = trainer.load_dataset(data / "manifest.csv")
+        for line, lr in zip(lines[1:], (0.01, 0.1)):
+            cfg = trainer.TrainConfig(learning_rate=lr, max_epochs=3, width_m=8, seed=1)
+            _, _, report = trainer.train(cfg, batches)
+            best = report.epochs[report.best_epoch - 1]
+            assert best["epoch"] == report.best_epoch
+            assert line.split(",")[2:4] == [f"{best['val_accuracy']:.6g}",
+                                            f"{best['val_loss']:.6g}"]
 
 
 class TestParsing:
@@ -182,3 +194,30 @@ class TestParsing:
         assert run(["gen-phantom", "--spec", str(spec),
                     "--out", str(tmp_path / "d")]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line", [
+        ("train", "max_epochs = 0"),
+        ("train", "patience = 0"),
+        ("train", "truncation = 0"),
+        ("train", "truncation = nan"),
+        ("train", "learning_rate = nan"),
+        ("train", "lambda_l2 = inf"),
+        ("train", "fixed_sigma = 1.0\nbump_probability = 1.5"),
+        ("train", "fixed_sigma = nan"),
+        ("train", "seed = -1"),
+        ("gen-phantom", "dims = 16,16"),
+        ("gen-phantom", "split_counts = 2,1,1,0"),
+        ("gen-phantom", "jitter_voxels = -1"),
+    ])
+    def test_bad_config_value_is_data_error(self, trained, tmp_path, capsys,
+                                            command, line):
+        data, _ = trained
+        cfg = tmp_path / "bad.cfg"
+        if command == "train":
+            cfg.write_text(f"max_epochs = 2\nwidth_m = 8\n{line}\n")
+            argv = ["train", "--config", str(cfg), "--data", str(data)]
+        else:
+            cfg.write_text(f"{SMALL_SPEC}{line}\n")
+            argv = ["gen-phantom", "--spec", str(cfg)]
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "ERROR 2" in capsys.readouterr().err

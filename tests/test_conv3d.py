@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from adaptsmooth.conv3d import (
-    ConvPlan,
     convolve,
     convolve_backward_filter,
     convolve_backward_input,
     convolve_separable,
-    smooth,
 )
 from adaptsmooth.errors import DataError
 from adaptsmooth.gaussian_filter import build_filter
@@ -135,18 +133,6 @@ class TestValidation:
             convolve(np.zeros((4, 4, 4)), np.zeros((5, 5, 5)))
         with pytest.raises(DataError):
             convolve_separable(np.zeros((4, 4, 4)), np.ones(5))
-
-    def test_bad_plan(self):
-        with pytest.raises(DataError):
-            ConvPlan(2, "fft")
-
-
-def test_smooth_dispatch():
-    f = build_filter(1.0, 4.0)
-    x = np.random.default_rng(8).normal(size=(10, 10, 10))
-    z1 = smooth(x, f, ConvPlan(f.radius, "direct"))
-    z2 = smooth(x, f, ConvPlan(f.radius, "separable"))
-    assert np.max(np.abs(z1 - z2)) < 1e-5
 
 
 def test_separable_faster_than_direct():

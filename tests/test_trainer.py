@@ -5,6 +5,7 @@ import pytest
 
 from adaptsmooth import classifier, params_net, phantom, trainer
 from adaptsmooth.errors import DataError, NumericalError
+from adaptsmooth.phantom import PhantomSpec
 from adaptsmooth.trainer import (
     MiniBatch,
     TrainConfig,
@@ -13,9 +14,9 @@ from adaptsmooth.trainer import (
     grid_search,
     load_dataset,
     make_batches,
-    parse_config,
     train,
 )
+from adaptsmooth.volume_io import read_config
 
 
 def _make_group(sid, noise, split, n, dims=(4, 4, 4), seed=0):
@@ -230,12 +231,14 @@ class TestConfigFile:
                      "lambda_l2 = 1e-4  # comment\n"
                      "max_epochs = 30\n"
                      "seed = 7\n"
+                     "fixed_sigma = 2\n"
                      "lr_grid = 0.01,0.1\n")
-        cfg = parse_config(p)
+        cfg = read_config(p, TrainConfig)
         assert cfg.learning_rate == 0.05
         assert cfg.lambda_l2 == 1e-4
         assert cfg.max_epochs == 30
         assert cfg.seed == 7
+        assert cfg.fixed_sigma == 2.0 and type(cfg.fixed_sigma) is float
         assert cfg.lr_grid == (0.01, 0.1)
         assert cfg.patience == 10  # untouched default
 
@@ -243,4 +246,33 @@ class TestConfigFile:
         p = tmp_path / "c.cfg"
         p.write_text("momentum = 0.9\n")
         with pytest.raises(DataError, match="unknown key"):
-            parse_config(p)
+            read_config(p, TrainConfig)
+
+    def test_phantom_spec_types(self, tmp_path):
+        p = tmp_path / "s.cfg"
+        p.write_text("# phantom spec\n"
+                     "\n"
+                     "dims = 16, 16, 20  # h, w, d\n"
+                     "noise_levels = 0,0.25\n"
+                     "n_subjects = 4\n"
+                     "blob_radius = 2\n")
+        spec = read_config(p, PhantomSpec)
+        assert spec.dims == (16, 16, 20) and all(type(x) is int for x in spec.dims)
+        assert spec.noise_levels == (0.0, 0.25)
+        assert all(type(x) is float for x in spec.noise_levels)
+        assert spec.n_subjects == 4
+        assert spec.blob_radius == 2.0 and type(spec.blob_radius) is float
+        assert spec.split_counts == (6, 1, 1)  # untouched default
+
+    @pytest.mark.parametrize("cls, text, match", [
+        (TrainConfig, "seed = 7\nmax_epochs = 2.5\n", r"c\.cfg:2: "),
+        (TrainConfig, "lr_grid = 0.1,x\n", r"c\.cfg:1: "),
+        (PhantomSpec, "# dims\ndims = 16,16,1.5\n", r"c\.cfg:2: "),
+        (PhantomSpec, "amplitude 0.1\n", r"c\.cfg:1: expected `key = value`"),
+        (PhantomSpec, "seed = 3\n", r"c\.cfg:1: unknown key 'seed'"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, cls, text, match):
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        with pytest.raises(DataError, match=match):
+            read_config(p, cls)
