@@ -47,6 +47,9 @@ def xavier_init(dims, seed: int = 0) -> ClassifierWeights:
 
 
 def _as_matrix(batch) -> np.ndarray:
+    if isinstance(batch, np.ndarray) and batch.ndim > 1:
+        # one volume per leading index: flatten as a view, not a copy
+        return np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
     rows = [b.data.ravel() if isinstance(b, Volume) else np.asarray(b, dtype=np.float64).ravel()
             for b in batch]
     return np.stack(rows)

@@ -29,6 +29,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def _log(msg):
     print(msg, file=sys.stderr)
 
@@ -151,13 +161,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-phantom", help="generate a synthetic dataset")
     p.add_argument("--spec", help="phantom spec file (key = value lines)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_gen_phantom)
 
     p = sub.add_parser("add-noise", help="add iid Gaussian noise to a volume")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_add_noise)
 

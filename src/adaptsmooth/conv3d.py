@@ -46,6 +46,19 @@ def convolve(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return z
 
 
+def _pass(x: np.ndarray, p, axis: int) -> np.ndarray:
+    """One zero-padded correlation of `x` with the odd-length profile `p`
+    along `axis`; a 1-tap profile is a scale."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.size % 2 == 0:
+        raise DataError(f"profile length must be odd, got {p.size}")
+    if p.size > x.shape[axis]:
+        raise DataError(f"profile length {p.size} exceeds dim {x.shape[axis]}")
+    if p.size == 1:
+        return x * p[0]
+    return correlate1d(x, p, axis=axis, mode="constant", cval=0.0)
+
+
 def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
     """Fast path for rank-1 kernels.
 
@@ -58,16 +71,32 @@ def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
         profiles = (profiles, profiles, profiles)
     out = x
     for axis, p in enumerate(profiles):
-        p = np.asarray(p, dtype=np.float64)
-        if p.size % 2 == 0:
-            raise DataError(f"profile length must be odd, got {p.size}")
-        if p.size > x.shape[axis]:
-            raise DataError(f"profile length {p.size} exceeds dim {x.shape[axis]}")
-        if p.size == 1:
-            out = out * p[0]
-        else:
-            out = correlate1d(out, p, axis=axis, mode="constant", cval=0.0)
+        out = _pass(out, p, axis)
     return out
+
+
+def smooth_with_dsigma(x: np.ndarray, p, dp):
+    """Smoothing of `x` by the rank-1 kernel p(x)p(y)p(z) and its derivative
+    with respect to the width, in one pass chain of 9 passes.
+
+    With P and D the passes of `p` and `dp` along each axis (h, w, d) and the
+    shared intermediates a = P_h x and b = P_w a, returns
+
+        z  = P_d b
+        dz = P_d P_w D_h x  +  P_d D_w a  +  D_d b
+
+    which equal `convolve_separable(x, p)` and the three-term product-rule
+    sum of `convolve_separable` calls bit for bit: each pass and the order
+    of the sums are the same.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    a = _pass(x, p, 0)
+    b = _pass(a, p, 1)
+    z = _pass(b, p, 2)
+    dz = (_pass(_pass(_pass(x, dp, 0), p, 1), p, 2)
+          + _pass(_pass(a, dp, 1), p, 2)
+          + _pass(b, dp, 2))
+    return z, dz
 
 
 def convolve_backward_filter(upstream: np.ndarray, x: np.ndarray, radius: int) -> np.ndarray:

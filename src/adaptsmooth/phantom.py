@@ -9,6 +9,7 @@ apart that over-smoothing does not mix the two.  Volumes are normalized to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +50,11 @@ class PhantomSpec:
             raise DataError("dims and split_counts need 3 values each")
         if self.jitter_voxels < 0:
             raise DataError("jitter_voxels must be >= 0")
+        # the comparisons are false for NaN, so NaN fails both checks
+        if not 0 < self.blob_radius < math.inf:
+            raise DataError("blob_radius must be finite and > 0")
+        if not -math.inf < self.amplitude < math.inf:
+            raise DataError("amplitude must be finite")
         h, w, d = self.dims
         mid = w / 2.0
         reach = self.support_radius + self.jitter_voxels

@@ -3,9 +3,13 @@
 Each mini-batch holds all volumes of one (subject, noise level) group.  The
 forward pass per volume is: cached noise feature -> predicted width ->
 filter -> separable smoothing; the batch then goes through the standardized
-sigmoid classifier.  Backward runs the exact chain rule down to the
-width-predicting weights, with plain SGD updates, validation-based early
-stopping, and an optional logarithmic grid search over (lr, lambda).
+sigmoid classifier.  A training volume whose width carries a gradient is
+smoothed and differentiated with respect to its width in one pass chain
+(`conv3d.smooth_with_dsigma`), so backward only contracts the stored
+derivative with the upstream gradient.  Backward runs the exact chain rule
+down to the width-predicting weights, with plain SGD updates,
+validation-based early stopping, and an optional logarithmic grid search
+over (lr, lambda).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifier, params_net
-from .conv3d import convolve_separable
+from .conv3d import convolve_separable, smooth_with_dsigma
 from .errors import DataError, NumericalError
 from .gaussian_filter import (
     apply_degenerate_policy,
@@ -141,10 +145,14 @@ def group_batches(manifest: DatasetManifest, base_dir) -> list[MiniBatch]:
     for e in manifest.entries:
         groups.setdefault((e.subject_id, e.noise_level), []).append(e)
     batches = []
+    dims = None
     for (sid, noise), entries in sorted(groups.items()):
         vols, labels, feats = [], [], []
         for e in entries:
             v = read_volume(Path(base_dir) / e.path)
+            dims = dims or v.dims
+            if v.dims != dims:
+                raise DataError(f"{e.path}: dims {v.dims} differ from the dataset's {dims}")
             vols.append(v.data)
             labels.append(e.label)
             feats.append(params_net.noise_feature(v.data))
@@ -181,46 +189,49 @@ class _Counters:
 
 
 def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, training: bool,
-                   rng, counters: _Counters):
+                   rng, counters: _Counters, dsigma: bool = False):
     """Smooth every volume with its own predicted (or fixed) width, then
-    classify the batch.  Returns everything backward needs."""
-    sigmas, filters, smoothed = [], [], []
-    max_sigma = _max_sigma_for(batch.volumes[0].shape, cfg.truncation)
-    for x, feat in zip(batch.volumes, batch.features):
+    classify the batch.  With `dsigma`, each volume whose width carries a
+    gradient is also convolved with the width derivative of its filter, in
+    the same pass chain.  Returns everything backward needs."""
+    dims = batch.volumes[0].shape
+    smoothed = np.empty((batch.size, *dims))
+    sigmas = []
+    dz = [None] * batch.size if dsigma else None
+    max_sigma = _max_sigma_for(dims, cfg.truncation)
+    if cfg.fixed_sigma is not None:
+        fixed_profile = build_filter(cfg.fixed_sigma, cfg.truncation).profile_1d
+    for i, (x, feat) in enumerate(zip(batch.volumes, batch.features)):
         if cfg.fixed_sigma is not None:
-            sigma = cfg.fixed_sigma
-            fit_clamped = False
-        else:
-            sigma = params_net.map_to_sigma(float(feat), pnw, counters.clamp)
-            bumped = apply_degenerate_policy(sigma, cfg.truncation,
-                                             cfg.bump_probability, training, rng)
-            if bumped != sigma:
-                counters.bumps += 1
-            sigma = bumped
-            fit_clamped = sigma > max_sigma
-            if fit_clamped:
-                counters.fit_clamps += 1
-                sigma = max_sigma
+            sigmas.append((cfg.fixed_sigma, False))
+            smoothed[i] = convolve_separable(x, fixed_profile)
+            continue
+        sigma = params_net.map_to_sigma(float(feat), pnw, counters.clamp)
+        bumped = apply_degenerate_policy(sigma, cfg.truncation,
+                                         cfg.bump_probability, training, rng)
+        if bumped != sigma:
+            counters.bumps += 1
+        sigma = bumped
+        fit_clamped = sigma > max_sigma
+        if fit_clamped:
+            counters.fit_clamps += 1
+            sigma = max_sigma
         filt = build_filter(sigma, cfg.truncation)
         sigmas.append((sigma, fit_clamped))
-        filters.append(filt)
-        smoothed.append(convolve_separable(x, filt.profile_1d))
+        # a clamped width and a single-cell filter carry no gradient
+        if dsigma and not fit_clamped and filt.radius > 0:
+            smoothed[i], dz[i] = smooth_with_dsigma(x, filt.profile_1d,
+                                                    filt.d_profile_1d)
+        else:
+            smoothed[i] = convolve_separable(x, filt.profile_1d)
     probs, stats, cache = classifier.forward(smoothed, cw)
     data_loss = classifier.bce_loss(probs, batch.labels)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
     return {
-        "sigmas": sigmas, "filters": filters, "smoothed": smoothed,
+        "sigmas": sigmas, "smoothed": smoothed, "dz": dz,
         "probs": probs, "cache": cache, "loss": data_loss + penalty,
         "data_loss": data_loss, "pen_grad": pen_grad,
     }
-
-
-def _conv_with_filter_derivative(x, filt):
-    """convolve(x, dQ/dsigma) using the product-rule separable decomposition."""
-    p, dp = filt.profile_1d, filt.d_profile_1d
-    return (convolve_separable(x, (dp, p, p))
-            + convolve_separable(x, (p, dp, p))
-            + convolve_separable(x, (p, p, dp)))
 
 
 def _backward_batch(batch: MiniBatch, fwd, pnw, cw, cfg: TrainConfig):
@@ -234,13 +245,12 @@ def _backward_batch(batch: MiniBatch, fwd, pnw, cw, cfg: TrainConfig):
         dv = np.zeros(pnw.m)
         dc = 0.0
         dims = batch.volumes[0].shape
-        for i, (x, feat) in enumerate(zip(batch.volumes, batch.features)):
-            sigma, fit_clamped = fwd["sigmas"][i]
-            filt = fwd["filters"][i]
-            if fit_clamped or filt.radius == 0:
-                continue  # clamped width and single-cell filter carry no gradient
+        for i, feat in enumerate(batch.features):
+            dz = fwd["dz"][i]
+            if dz is None:
+                continue  # this volume's width carries no gradient
             up = dl_dz[i].reshape(dims)
-            dl_dsigma = float(np.sum(up * _conv_with_filter_derivative(x, filt)))
+            dl_dsigma = float(np.sum(up * dz))
             # the stochastic bump is pass-through: d(sigma+1)/dsigma = 1
             gi = params_net.map_to_sigma_backward(float(feat), pnw, dl_dsigma)
             da += gi[0]
@@ -259,7 +269,8 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig,
         rng = np.random.default_rng(cfg.seed)
     if counters is None:
         counters = _Counters()
-    fwd = _forward_batch(batch, pnw, cw, cfg, training, rng, counters)
+    fwd = _forward_batch(batch, pnw, cw, cfg, training, rng, counters,
+                         dsigma=True)
     grads = _backward_batch(batch, fwd, pnw, cw, cfg)
     return fwd["loss"], grads, fwd
 
@@ -340,7 +351,8 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     for epoch in range(1, cfg.max_epochs + 1):
         epoch_loss, n_seen = 0.0, 0
         for batch in make_batches(batches, cfg.seed + epoch):
-            fwd = _forward_batch(batch, pnw, cw, cfg, True, bump_rng, counters)
+            fwd = _forward_batch(batch, pnw, cw, cfg, True, bump_rng, counters,
+                                 dsigma=True)
             if not math.isfinite(fwd["loss"]):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} "

@@ -10,6 +10,7 @@ flat index of voxel (h, w, d) is ``w + W * (h + H * d)``.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -106,8 +107,8 @@ def add_gaussian_noise(v: Volume, sigma: float, seed: int) -> Volume:
     The result is intentionally not re-clipped to [0, 1]: clipping would bias
     downstream noise estimation.
     """
-    if sigma < 0:
-        raise DataError(f"noise sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise DataError(f"noise sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return Volume(v.data.copy(), v.voxel_size_mm)
     rng = np.random.default_rng(seed)
@@ -121,6 +122,11 @@ def write_volume(v: Volume, path):
         f.write(VOL1_MAGIC)
         f.write(struct.pack("<IIIf", h, w, d, v.voxel_size_mm))
         f.write(v.flat_x_fastest().astype("<f4").tobytes())
+
+
+def _check_finite(voxels: np.ndarray, path):
+    if not np.isfinite(voxels).all():
+        raise DataError(f"{path}: non-finite voxel values")
 
 
 def _read_vol1(path) -> Volume:
@@ -140,6 +146,7 @@ def _read_vol1(path) -> Volume:
             f"{path}: truncated payload, expected {n} voxels, got {len(payload) // 4}"
         )
     flat = np.frombuffer(payload, dtype="<f4")
+    _check_finite(flat, path)
     return Volume.from_flat_x_fastest(flat, (h, w, d), voxel)
 
 
@@ -193,6 +200,7 @@ def read_nifti(path) -> list[Volume]:
     raw = np.frombuffer(payload[: n * dtype.itemsize], dtype=dtype).astype(np.float64)
     if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
         raw = raw * slope + inter
+    _check_finite(raw, path)
     voxel = float(pixdim[1]) if pixdim[1] > 0 else 3.0
     # NIfTI stores x fastest, then y, then z, then t.
     vols = []

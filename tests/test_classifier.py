@@ -189,6 +189,17 @@ def test_accuracy_ties_count_as_incorrect():
     assert accuracy(probs, labels) == pytest.approx(2 / 3)
 
 
+def test_array_batch_is_flattened_as_a_view():
+    rng = np.random.default_rng(3)
+    vols = rng.normal(size=(4, 3, 2, 5))
+    w = xavier_init((3, 2, 5), 1)
+    probs, _, cache = forward(vols, w)
+    assert np.shares_memory(cache["x"], vols)
+    probs_list, _, cache_list = forward(list(vols), w)
+    np.testing.assert_array_equal(cache["x"], cache_list["x"])
+    np.testing.assert_array_equal(probs, probs_list)
+
+
 def test_checkpoint_round_trip(tmp_path):
     w = xavier_init((3, 4, 5), seed=1)
     w.bias = -0.25

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,31 @@ class TestNoiseCommands:
                         "--seed", "9", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("command", ["gen-phantom", "add-noise"])
+    def test_negative_seed_is_usage_error(self, sample_volume, tmp_path, capsys,
+                                          command):
+        argv = [command, "--seed", "-1", "--out", str(tmp_path / "out")]
+        if command == "add-noise":
+            argv += ["--in", str(sample_volume), "--sigma", "0.1"]
+        assert run(argv) == 1
+        assert "ERROR 1: argument --seed" in capsys.readouterr().err
+
+    def test_non_finite_noise_sigma_is_data_error(self, sample_volume, tmp_path,
+                                                  capsys):
+        out = tmp_path / "noisy.vol"
+        assert run(["add-noise", "--in", str(sample_volume), "--sigma", "nan",
+                    "--out", str(out)]) == 2
+        assert "ERROR 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_voxels_are_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.vol"
+        data = np.full((4, 4, 4), 0.5)
+        data[1, 2, 3] = np.nan
+        write_volume(Volume(data, 3.0), path)
+        assert run(["estimate-noise", "--in", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_smoothing_reduces_estimated_noise(self, sample_volume, tmp_path, capsys):
         noisy = tmp_path / "noisy.vol"
         smoothed = tmp_path / "smoothed.vol"
@@ -156,6 +183,15 @@ class TestTrainEvaluate:
         data, _ = trained
         assert run(["evaluate", "--weights", str(tmp_path), "--data",
                     str(data)]) == 2
+
+    def test_evaluate_mixed_dims_is_data_error(self, trained, tmp_path, capsys):
+        data, model = trained
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        first = sorted(copy.glob("*.vol"))[0]
+        write_volume(Volume(np.full((16, 16, 15), 0.5), 3.0), first)
+        assert run(["evaluate", "--weights", str(model), "--data", str(copy)]) == 2
+        assert "differ from the dataset's" in capsys.readouterr().err
 
     def test_grid_search_writes_results(self, trained, tmp_path, capsys):
         data, _ = trained
@@ -208,6 +244,8 @@ class TestParsing:
         ("gen-phantom", "dims = 16,16"),
         ("gen-phantom", "split_counts = 2,1,1,0"),
         ("gen-phantom", "jitter_voxels = -1"),
+        ("gen-phantom", "blob_radius = 0"),
+        ("gen-phantom", "amplitude = nan"),
     ])
     def test_bad_config_value_is_data_error(self, trained, tmp_path, capsys,
                                             command, line):

@@ -8,6 +8,7 @@ from adaptsmooth.conv3d import (
     convolve_backward_filter,
     convolve_backward_input,
     convolve_separable,
+    smooth_with_dsigma,
 )
 from adaptsmooth.errors import DataError
 from adaptsmooth.gaussian_filter import build_filter
@@ -133,6 +134,30 @@ class TestValidation:
             convolve(np.zeros((4, 4, 4)), np.zeros((5, 5, 5)))
         with pytest.raises(DataError):
             convolve_separable(np.zeros((4, 4, 4)), np.ones(5))
+
+
+class TestSmoothWithDsigma:
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (9, 11, 7)])
+    @pytest.mark.parametrize("sigma, radius", [(0.6, 1), (1.1, 2), (1.6, 3)])
+    def test_bitwise_equal_to_separate_convolutions(self, sigma, radius, dims):
+        x = np.random.default_rng(radius).normal(size=dims)
+        f = build_filter(sigma, 4.0)
+        assert f.radius == radius
+        p, dp = f.profile_1d, f.d_profile_1d
+        z, dz = smooth_with_dsigma(x, p, dp)
+        np.testing.assert_array_equal(z, convolve_separable(x, p))
+        three_terms = (convolve_separable(x, (dp, p, p))
+                       + convolve_separable(x, (p, dp, p))
+                       + convolve_separable(x, (p, p, dp)))
+        np.testing.assert_array_equal(dz, three_terms)
+        assert np.max(np.abs(dz - convolve(x, f.d_weights_d_sigma))) < 1e-12
+
+    def test_bad_profiles_rejected(self):
+        x = np.zeros((4, 4, 4))
+        with pytest.raises(DataError, match="odd"):
+            smooth_with_dsigma(x, np.ones(2), np.ones(2))
+        with pytest.raises(DataError, match="exceeds"):
+            smooth_with_dsigma(x, np.ones(5), np.ones(5))
 
 
 def test_separable_faster_than_direct():

@@ -42,6 +42,15 @@ class TestSpecValidation:
         with pytest.raises(DataError, match="overlap"):
             spec.validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("blob_radius", 0.0), ("blob_radius", -1.0), ("blob_radius", float("nan")),
+        ("blob_radius", float("inf")), ("amplitude", float("nan")),
+        ("amplitude", float("inf")),
+    ])
+    def test_blob_radius_and_amplitude_ranges(self, field, value):
+        with pytest.raises(DataError, match=field):
+            PhantomSpec(**{field: value}).validate()
+
     def test_split_counts_must_sum(self):
         spec = PhantomSpec(n_subjects=5)
         with pytest.raises(DataError, match="sum"):

@@ -121,6 +121,64 @@ class TestGradients:
             assert loss1 < loss0
 
 
+class TestJointPassChain:
+    """Only volumes whose width carries a gradient take the joint
+    smoothing/dσ pass chain; evaluation never does."""
+
+    @pytest.fixture()
+    def joint_calls(self, monkeypatch):
+        calls = []
+        joint = trainer.smooth_with_dsigma
+
+        def counted(*args):
+            calls.append(args)
+            return joint(*args)
+
+        monkeypatch.setattr(trainer, "smooth_with_dsigma", counted)
+        return calls
+
+    def test_evaluation_never_takes_joint_path(self, tiny_dataset, joint_calls):
+        pnw = params_net.init_weights(8, 0)
+        cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
+        for split in ("validation", "test"):
+            evaluate(pnw, cw, tiny_dataset, split)
+            trainer._evaluate_split(tiny_dataset, pnw, cw, TrainConfig(), split)
+        assert joint_calls == []
+
+    def test_one_call_per_gradient_carrying_volume(self, joint_calls, monkeypatch):
+        batch, pnw, cw, cfg = TestGradients()._setup()
+        _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, training=False)
+        assert all(not clamped for _, clamped in fwd["sigmas"])
+        assert len(joint_calls) == batch.size
+        # a single-cell width (sigma 0.1) and a fit-clamped one carry no gradient
+        widths = iter([1.0, 0.1, 100.0, 1.2])
+        monkeypatch.setattr(params_net, "map_to_sigma",
+                            lambda *args: next(widths))
+        joint_calls.clear()
+        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, training=False)
+        assert [clamped for _, clamped in fwd["sigmas"]] == [False, False, True, False]
+        assert len(joint_calls) == 2
+        assert [dz is None for dz in fwd["dz"]] == [False, True, True, False]
+        assert np.isfinite(grads["a"]).all()
+
+    def test_fixed_width_filter_built_once_per_batch(self, tiny_dataset, monkeypatch):
+        builds = []
+        build = trainer.build_filter
+        monkeypatch.setattr(trainer, "build_filter",
+                            lambda *args: builds.append(args) or build(*args))
+        pnw = params_net.init_weights(8, 0)
+        cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
+        evaluate(pnw, cw, tiny_dataset, "test", fixed_sigma=1.13)
+        test_groups = [b for b in tiny_dataset if b.split == "test"]
+        assert len(builds) == len(test_groups)
+
+    def test_classifier_reads_smoothed_volumes_in_place(self):
+        batch, pnw, cw, cfg = TestGradients()._setup()
+        _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, training=False)
+        assert fwd["smoothed"].shape == (batch.size, 8, 8, 8)
+        assert np.shares_memory(fwd["cache"]["x"], fwd["smoothed"])
+
+
 class TestTrain:
     def test_zero_learning_rate_is_noop(self, tiny_dataset):
         cfg = TrainConfig(learning_rate=0.0, max_epochs=3, seed=4, width_m=8)

@@ -99,6 +99,11 @@ class TestAddGaussianNoise:
         with pytest.raises(DataError):
             add_gaussian_noise(Volume(np.zeros((2, 2, 2))), -0.1, 0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(DataError, match="finite"):
+            add_gaussian_noise(Volume(np.zeros((2, 2, 2))), sigma, 0)
+
 
 class TestVol1:
     def test_round_trip(self, tmp_path):
@@ -122,6 +127,14 @@ class TestVol1:
         p = tmp_path / "bad.vol"
         p.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(DataError, match="magic"):
+            read_volume(p)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_voxel_rejected(self, tmp_path, bad):
+        p = tmp_path / "bad.vol"
+        payload = np.array([0.5] * 7 + [bad], dtype="<f4").tobytes()
+        p.write_bytes(b"VOL1" + struct.pack("<IIIf", 2, 2, 2, 3.0) + payload)
+        with pytest.raises(DataError, match="non-finite"):
             read_volume(p)
 
 
@@ -178,6 +191,17 @@ class TestNifti:
         p.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="datatype"):
             read_volume(p)
+
+    def test_non_finite_voxel_rejected(self, tmp_path):
+        p = tmp_path / "e.nii"
+        data = np.zeros((3, 3, 3), dtype=np.float32)
+        data[1, 2, 0] = np.nan
+        _make_nifti(p, data, datatype=16)
+        with pytest.raises(DataError, match="non-finite"):
+            read_volume(p)
+        _make_nifti(p, data, datatype=16, nt=1)
+        with pytest.raises(DataError, match="non-finite"):
+            read_nifti(p)
 
     def test_4d_exposed_as_sequence(self, tmp_path):
         p = tmp_path / "d.nii"
