@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .volume_io import Volume
 
 EPSILON = 1e-5
 PROB_CLAMP = 1e-7
@@ -46,22 +45,14 @@ def xavier_init(dims, seed: int = 0) -> ClassifierWeights:
     return ClassifierWeights(rng.uniform(-limit, limit, fan_in), 0.0)
 
 
-def _as_matrix(batch) -> np.ndarray:
-    if isinstance(batch, np.ndarray) and batch.ndim > 1:
-        # one volume per leading index: flatten as a view, not a copy
-        return np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
-    rows = [b.data.ravel() if isinstance(b, Volume) else np.asarray(b, dtype=np.float64).ravel()
-            for b in batch]
-    return np.stack(rows)
-
-
 def forward(batch, weights: ClassifierWeights):
-    """Compute sigmoid probabilities for a batch of volumes.
+    """Compute sigmoid probabilities for a batch of volume arrays, one per
+    leading index (a float64 array is flattened as a view, not a copy).
 
     Returns (probabilities, BatchStats, cache); the cache feeds `backward`.
     Batches of size 1 are rejected: the standardization needs a variance.
     """
-    x = _as_matrix(batch)
+    x = np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
     if x.shape[0] < 2:
         raise DataError("batch size must be >= 2 for batch standardization")
     if x.shape[1] != weights.w.size:

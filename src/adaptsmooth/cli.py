@@ -63,7 +63,7 @@ def _cmd_add_noise(args):
 
 def _cmd_estimate_noise(args):
     v = read_volume(args.infile)
-    feat = params_net.noise_feature(v)
+    feat = params_net.noise_feature(v.data)
     print(f"raw feature: {feat:.6g}")
     print(f"calibrated noise sigma: {feat / params_net.NOISE_CALIBRATION:.6g}")
     return 0
@@ -147,9 +147,9 @@ def _cmd_evaluate(args):
 
 def _cmd_inspect_filter(args):
     filt = build_filter(args.sigma_f, args.t)
+    fwhm = sigma_to_fwhm_mm(args.sigma_f, args.voxel_mm)
     sys.stdout.write(dump_filter(filt))
-    print(f"FWHM: {sigma_to_fwhm_mm(args.sigma_f, args.voxel_mm):.4g} mm "
-          f"at {args.voxel_mm:g} mm voxels")
+    print(f"FWHM: {fwhm:.4g} mm at {args.voxel_mm:g} mm voxels")
     return 0
 
 
@@ -188,14 +188,14 @@ def build_parser() -> _Parser:
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("grid-search", help="logarithmic (lr, lambda) grid search")
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_grid_search)
 
     p = sub.add_parser("evaluate", help="evaluate saved weights on a split")

@@ -75,10 +75,13 @@ def filter_radius(sigma_f: float, t: float) -> int:
 
 
 def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION) -> GaussianFilter:
-    if sigma_f <= 0:
-        raise DataError(f"sigma_f must be positive, got {sigma_f}")
-    if t <= 0:
-        raise DataError(f"truncation t must be positive, got {t}")
+    # the comparisons are false for NaN, so NaN fails every range check
+    if not 0 < sigma_f < math.inf:
+        raise DataError(f"sigma_f must be finite and positive, got {sigma_f}")
+    if not 0 < t < math.inf:
+        raise DataError(f"truncation t must be finite and positive, got {t}")
+    if not t * sigma_f < math.inf:
+        raise DataError(f"filter extent t * sigma_f overflows: t={t}, sigma_f={sigma_f}")
     r = filter_radius(sigma_f, t)
     sq = np.arange(-r, r + 1) ** 2
     g1 = np.exp(-sq * (1.0 / (2.0 * sigma_f * sigma_f)))
@@ -122,14 +125,14 @@ def apply_degenerate_policy(sigma_f: float, t: float, p: float, training: bool,
 
 
 def sigma_to_fwhm_mm(sigma_f: float, voxel_size_mm: float) -> float:
-    if sigma_f <= 0 or voxel_size_mm <= 0:
-        raise DataError("sigma_f and voxel size must be positive")
+    if not (0 < sigma_f < math.inf and 0 < voxel_size_mm < math.inf):
+        raise DataError("sigma_f and voxel size must be finite and positive")
     return FWHM_PER_SIGMA * sigma_f * voxel_size_mm
 
 
 def fwhm_mm_to_sigma(fwhm_mm: float, voxel_size_mm: float) -> float:
-    if fwhm_mm <= 0 or voxel_size_mm <= 0:
-        raise DataError("FWHM and voxel size must be positive")
+    if not (0 < fwhm_mm < math.inf and 0 < voxel_size_mm < math.inf):
+        raise DataError("FWHM and voxel size must be finite and positive")
     return fwhm_mm / (FWHM_PER_SIGMA * voxel_size_mm)
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.ndimage import correlate1d
 
 from .errors import DataError
-from .volume_io import Volume
 
 LAPLACIAN_1D = np.array([1.0, -2.0, 1.0])
 
@@ -77,7 +76,7 @@ def noise_feature(x) -> float:
     are averaged, so edges inject no spurious response.  The raw feature is
     returned unscaled; the learned head absorbs calibration.
     """
-    data = x.data if isinstance(x, Volume) else np.asarray(x, dtype=np.float64)
+    data = np.asarray(x, dtype=np.float64)
     if min(data.shape) < 3:
         raise DataError(f"noise_feature needs every dim >= 3, got {data.shape}")
     resp = data
@@ -93,25 +92,20 @@ def calibrated_noise_estimate(x) -> float:
     return noise_feature(x) / NOISE_CALIBRATION
 
 
-@dataclass
-class ClampStats:
-    events: int = 0
-
-
 def _preactivation(feature: float, w: ParamsNetWeights):
     u = w.a * feature + w.b
     return u, float(np.dot(w.v, u) + w.c)
 
 
-def map_to_sigma(feature: float, w: ParamsNetWeights,
-                 clamp_stats: ClampStats | None = None) -> float:
-    """Map the noise feature to a strictly positive filter width."""
+def map_to_sigma(feature: float, w: ParamsNetWeights, events=None) -> float:
+    """Map the noise feature to a strictly positive filter width; a clamped
+    pre-activation adds one to the `events` counter's "clamp"."""
     if not math.isfinite(feature):
         raise DataError(f"non-finite feature {feature}")
     _, pre = _preactivation(feature, w)
     if pre < PREACT_MIN or pre > PREACT_MAX:
-        if clamp_stats is not None:
-            clamp_stats.events += 1
+        if events is not None:
+            events["clamp"] += 1
         pre = min(max(pre, PREACT_MIN), PREACT_MAX)
     return math.exp(pre)
 

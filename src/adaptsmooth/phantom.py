@@ -48,6 +48,8 @@ class PhantomSpec:
     def validate(self):
         if len(self.dims) != 3 or len(self.split_counts) != 3:
             raise DataError("dims and split_counts need 3 values each")
+        if min(self.dims) < 3 or min(self.split_counts) < 1:
+            raise DataError("every dim must be >= 3 and every split count >= 1")
         if self.jitter_voxels < 0:
             raise DataError("jitter_voxels must be >= 0")
         # the comparisons are false for NaN, so NaN fails both checks
@@ -55,6 +57,10 @@ class PhantomSpec:
             raise DataError("blob_radius must be finite and > 0")
         if not -math.inf < self.amplitude < math.inf:
             raise DataError("amplitude must be finite")
+        if not all(0 <= n < math.inf for n in self.noise_levels):
+            raise DataError("noise levels must be finite and >= 0")
+        if not 0 < self.voxel_size_mm < math.inf:
+            raise DataError("voxel_size_mm must be finite and > 0")
         h, w, d = self.dims
         mid = w / 2.0
         reach = self.support_radius + self.jitter_voxels

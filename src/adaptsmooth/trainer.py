@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -90,9 +91,8 @@ class TrainReport:
     stopped_epoch: int = -1
     test_accuracy: float = float("nan")
     per_noise: dict = field(default_factory=dict)  # noise -> dict of metrics
-    clamp_events: int = 0
-    fit_clamp_events: int = 0
-    bump_events: int = 0
+    # training-step counts: "clamp" (pre-activation), "bump", "fit_clamp"
+    events: Counter = field(default_factory=Counter)
     config: TrainConfig | None = None
 
     def epochs_csv(self) -> str:
@@ -105,8 +105,8 @@ class TrainReport:
     def summary_text(self) -> str:
         lines = []
         lines.append(f"best epoch: {self.best_epoch}  stopped after epoch: {self.stopped_epoch}")
-        lines.append(f"bump events: {self.bump_events}  preactivation clamps: "
-                     f"{self.clamp_events}  width-fit clamps: {self.fit_clamp_events}")
+        lines.append(f"bump events: {self.events['bump']}  preactivation clamps: "
+                     f"{self.events['clamp']}  width-fit clamps: {self.events['fit_clamp']}")
         lines.append("")
         fixed = self.config.fixed_sigma if self.config else None
         lines.extend(noise_table(self.per_noise, None if fixed is None
@@ -181,23 +181,20 @@ def _max_sigma_for(dims, t: float) -> float:
     return (2.0 * r_max + 1.4) / t
 
 
-@dataclass
-class _Counters:
-    clamp: params_net.ClampStats = field(default_factory=params_net.ClampStats)
-    fit_clamps: int = 0
-    bumps: int = 0
-
-
-def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, training: bool,
-                   rng, counters: _Counters, dsigma: bool = False):
+def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
+                   events: Counter | None = None):
     """Smooth every volume with its own predicted (or fixed) width, then
-    classify the batch.  With `dsigma`, each volume whose width carries a
+    classify the batch.  A call with the bump `rng` is a training step: a
+    degenerate width may be bumped, and each volume whose width carries a
     gradient is also convolved with the width derivative of its filter, in
-    the same pass chain.  Returns everything backward needs."""
+    the same pass chain.  A call without it evaluates.  Clamps and bumps
+    are added to `events`.  Returns everything backward needs."""
+    training = rng is not None
+    events = Counter() if events is None else events
     dims = batch.volumes[0].shape
     smoothed = np.empty((batch.size, *dims))
     sigmas = []
-    dz = [None] * batch.size if dsigma else None
+    dz = [None] * batch.size
     max_sigma = _max_sigma_for(dims, cfg.truncation)
     if cfg.fixed_sigma is not None:
         fixed_profile = build_filter(cfg.fixed_sigma, cfg.truncation).profile_1d
@@ -206,20 +203,20 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, training: bool,
             sigmas.append((cfg.fixed_sigma, False))
             smoothed[i] = convolve_separable(x, fixed_profile)
             continue
-        sigma = params_net.map_to_sigma(float(feat), pnw, counters.clamp)
+        sigma = params_net.map_to_sigma(float(feat), pnw, events)
         bumped = apply_degenerate_policy(sigma, cfg.truncation,
                                          cfg.bump_probability, training, rng)
         if bumped != sigma:
-            counters.bumps += 1
+            events["bump"] += 1
         sigma = bumped
         fit_clamped = sigma > max_sigma
         if fit_clamped:
-            counters.fit_clamps += 1
+            events["fit_clamp"] += 1
             sigma = max_sigma
         filt = build_filter(sigma, cfg.truncation)
         sigmas.append((sigma, fit_clamped))
         # a clamped width and a single-cell filter carry no gradient
-        if dsigma and not fit_clamped and filt.radius > 0:
+        if training and not fit_clamped and filt.radius > 0:
             smoothed[i], dz[i] = smooth_with_dsigma(x, filt.profile_1d,
                                                     filt.d_profile_1d)
         else:
@@ -261,16 +258,10 @@ def _backward_batch(batch: MiniBatch, fwd, pnw, cw, cfg: TrainConfig):
     return grads
 
 
-def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig,
-                         training: bool = True, rng=None,
-                         counters: _Counters | None = None):
-    """One forward/backward pass over a batch; the hook used by gradient tests."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    if counters is None:
-        counters = _Counters()
-    fwd = _forward_batch(batch, pnw, cw, cfg, training, rng, counters,
-                         dsigma=True)
+def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig):
+    """One training step's forward/backward pass over a batch, bumps drawn
+    from `cfg.seed`; the hook used by gradient tests."""
+    fwd = _forward_batch(batch, pnw, cw, cfg, np.random.default_rng(cfg.seed))
     grads = _backward_batch(batch, fwd, pnw, cw, cfg)
     return fwd["loss"], grads, fwd
 
@@ -280,8 +271,6 @@ def _evaluate_split(batches, pnw, cw, cfg, split, fixed_sigma=None):
     time as well (deliberate deviation from running-average batch norm)."""
     eval_cfg = replace(cfg, fixed_sigma=fixed_sigma if fixed_sigma is not None
                        else cfg.fixed_sigma)
-    counters = _Counters()
-    rng = np.random.default_rng(0)  # never consumed: no bump outside training
     per_noise = {}
     total_loss, total_correct, total_n = 0.0, 0.0, 0
     voxel_mm = 3.0
@@ -289,7 +278,7 @@ def _evaluate_split(batches, pnw, cw, cfg, split, fixed_sigma=None):
         if b.split != split:
             continue
         voxel_mm = b.voxel_size_mm
-        fwd = _forward_batch(b, pnw, cw, eval_cfg, False, rng, counters)
+        fwd = _forward_batch(b, pnw, cw, eval_cfg)
         acc = classifier.accuracy(fwd["probs"], b.labels)
         rec = per_noise.setdefault(b.noise_level, {"n": 0, "correct": 0.0,
                                                    "loss": 0.0, "sigma_sum": 0.0})
@@ -342,7 +331,6 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     pnw = params_net.init_weights(cfg.width_m, cfg.seed)
     cw = classifier.xavier_init(dims, cfg.seed + 1)
     bump_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
-    counters = _Counters()
     report = TrainReport(config=cfg)
 
     best = {"loss": math.inf, "epoch": -1, "pnw": None, "cw": None}
@@ -351,15 +339,14 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     for epoch in range(1, cfg.max_epochs + 1):
         epoch_loss, n_seen = 0.0, 0
         for batch in make_batches(batches, cfg.seed + epoch):
-            fwd = _forward_batch(batch, pnw, cw, cfg, True, bump_rng, counters,
-                                 dsigma=True)
+            fwd = _forward_batch(batch, pnw, cw, cfg, bump_rng, report.events)
             if not math.isfinite(fwd["loss"]):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} "
                     f"(subject {batch.subject_id}, noise {batch.noise_level}); "
                     f"last widths {[round(s, 4) for s, _ in fwd['sigmas']]}, "
-                    f"preactivation clamps {counters.clamp.events}, "
-                    f"width-fit clamps {counters.fit_clamps}")
+                    f"preactivation clamps {report.events['clamp']}, "
+                    f"width-fit clamps {report.events['fit_clamp']}")
             grads = _backward_batch(batch, fwd, pnw, cw, cfg)
             lr = cfg.learning_rate
             cw.w = cw.w - lr * grads["w"]
@@ -391,9 +378,6 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
         pnw, cw = best["pnw"], best["cw"]
     report.best_epoch = best["epoch"]
     report.stopped_epoch = report.epochs[-1]["epoch"]
-    report.clamp_events = counters.clamp.events
-    report.fit_clamp_events = counters.fit_clamps
-    report.bump_events = counters.bumps
 
     test = _evaluate_split(batches, pnw, cw, cfg, "test")
     report.test_accuracy = test["accuracy"]

@@ -37,8 +37,8 @@ class Volume:
             raise DataError(f"volume data must be 3D, got shape {self.data.shape}")
         if min(self.data.shape) < 1:
             raise DataError(f"volume dims must be positive, got {self.data.shape}")
-        if self.voxel_size_mm <= 0:
-            raise DataError(f"voxel size must be positive, got {self.voxel_size_mm}")
+        if not 0 < self.voxel_size_mm < math.inf:
+            raise DataError(f"voxel size must be finite and positive, got {self.voxel_size_mm}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -139,6 +139,8 @@ def _read_vol1(path) -> Volume:
     h, w, d, voxel = struct.unpack_from("<IIIf", blob, 4)
     if h < 1 or w < 1 or d < 1:
         raise DataError(f"{path}: non-positive dims ({h}, {w}, {d})")
+    if not 0 < voxel < math.inf:
+        raise DataError(f"{path}: voxel size must be finite and positive, got {voxel}")
     n = h * w * d
     payload = blob[20:]
     if len(payload) != 4 * n:

@@ -178,11 +178,11 @@ def test_criterion_4_gradient_suite():
                                           rng.normal(0, 0.05, 5), 0.1)
         cw8 = classifier.xavier_init((8, 8, 8), seed=3)
         cfg = TrainConfig(bump_probability=0.0)
-        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw8, cfg, training=False)
+        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw8, cfg)
         assert all(0.8 < s < 1.35 for s, _ in fwd["sigmas"])  # support-stable
 
         def e2e_loss(pn):
-            loss, _, _ = batch_loss_and_grads(batch, pn, cw8, cfg, training=False)
+            loss, _, _ = batch_loss_and_grads(batch, pn, cw8, cfg)
             return loss
 
         for name in ("a", "b", "v"):
@@ -283,7 +283,7 @@ def test_criterion_8_trainer_mechanics(tiny_dataset):
         pnw = params_net.init_weights(8, 5)
         cw = classifier.xavier_init(dims, 6)
         cfg = TrainConfig(bump_probability=0.0)
-        loss0, grads, _ = batch_loss_and_grads(batch, pnw, cw, cfg, training=False)
+        loss0, grads, _ = batch_loss_and_grads(batch, pnw, cw, cfg)
         lr = 1e-4
         cw.w = cw.w - lr * grads["w"]
         cw.bias = cw.bias - lr * grads["bias"]
@@ -291,7 +291,7 @@ def test_criterion_8_trainer_mechanics(tiny_dataset):
         pnw.b = pnw.b - lr * grads["b"]
         pnw.v = pnw.v - lr * grads["v"]
         pnw.c = pnw.c - lr * grads["c"]
-        loss1, _, _ = batch_loss_and_grads(batch, pnw, cw, cfg, training=False)
+        loss1, _, _ = batch_loss_and_grads(batch, pnw, cw, cfg)
         assert loss1 < loss0
 
         # early stopping hands back the weights of the best validation epoch

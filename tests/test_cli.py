@@ -1,4 +1,5 @@
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -80,6 +81,28 @@ class TestSmooth:
         assert code == 2
         assert "ERROR 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        "--sigma-f nan", "--sigma-f inf", "--fwhm-mm nan", "--fwhm-mm inf",
+        "--sigma-f 1 --t nan", "--fwhm-mm 8 --voxel-mm nan",
+    ])
+    def test_non_finite_width_is_data_error(self, sample_volume, tmp_path, capsys,
+                                            flags):
+        out = tmp_path / "o.vol"
+        assert run(["smooth", "--in", str(sample_volume), *flags.split(),
+                    "--out", str(out)]) == 2
+        assert "ERROR 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_header_voxel_size_is_data_error(self, sample_volume, tmp_path,
+                                                 capsys):
+        blob = bytearray(sample_volume.read_bytes())
+        blob[16:20] = struct.pack("<f", float("nan"))  # VOL1 voxel size field
+        bad = tmp_path / "bad.vol"
+        bad.write_bytes(bytes(blob))
+        assert run(["smooth", "--in", str(bad), "--fwhm-mm", "8",
+                    "--out", str(tmp_path / "o.vol")]) == 2
+        assert "voxel size" in capsys.readouterr().err
+
 
 class TestInspectFilter:
     def test_single_cell_filter(self, capsys):
@@ -97,6 +120,15 @@ class TestInspectFilter:
 
     def test_invalid_sigma(self, capsys):
         assert run(["inspect-filter", "--sigma-f", "-1.0"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        "--sigma-f nan", "--sigma-f inf", "--sigma-f 1e308",
+        "--sigma-f 1 --t nan", "--sigma-f 1 --t inf", "--sigma-f 1 --voxel-mm nan",
+    ])
+    def test_non_finite_input_is_data_error(self, capsys, flags):
+        assert run(["inspect-filter", *flags.split()]) == 2
+        out = capsys.readouterr()
+        assert "ERROR 2" in out.err and out.out == ""
 
 
 class TestNoiseCommands:
@@ -116,12 +148,15 @@ class TestNoiseCommands:
                         "--seed", "9", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("command", ["gen-phantom", "add-noise"])
+    @pytest.mark.parametrize("command", ["gen-phantom", "add-noise", "train",
+                                         "grid-search"])
     def test_negative_seed_is_usage_error(self, sample_volume, tmp_path, capsys,
                                           command):
         argv = [command, "--seed", "-1", "--out", str(tmp_path / "out")]
         if command == "add-noise":
             argv += ["--in", str(sample_volume), "--sigma", "0.1"]
+        if command in ("train", "grid-search"):
+            argv += ["--data", str(tmp_path)]
         assert run(argv) == 1
         assert "ERROR 1: argument --seed" in capsys.readouterr().err
 
@@ -178,6 +213,14 @@ class TestTrainEvaluate:
         out_text = capsys.readouterr().out
         assert "FWHM 8 mm fixed" in out_text
         assert "mean sigma_f" not in out_text
+
+    @pytest.mark.parametrize("fwhm", ["nan", "inf"])
+    def test_evaluate_non_finite_fixed_fwhm_is_data_error(self, trained, capsys,
+                                                          fwhm):
+        data, out = trained
+        assert run(["evaluate", "--weights", str(out), "--data", str(data),
+                    "--fixed-fwhm-mm", fwhm]) == 2
+        assert "ERROR 2" in capsys.readouterr().err
 
     def test_evaluate_missing_weights(self, trained, tmp_path, capsys):
         data, _ = trained
@@ -246,6 +289,11 @@ class TestParsing:
         ("gen-phantom", "jitter_voxels = -1"),
         ("gen-phantom", "blob_radius = 0"),
         ("gen-phantom", "amplitude = nan"),
+        ("gen-phantom", "noise_levels = 0,nan"),
+        ("gen-phantom", "dims = 16,16,2"),
+        ("gen-phantom", "split_counts = 3,1,0"),
+        ("gen-phantom", "voxel_size_mm = nan"),
+        ("gen-phantom", "voxel_size_mm = inf"),
     ])
     def test_bad_config_value_is_data_error(self, trained, tmp_path, capsys,
                                             command, line):

@@ -83,6 +83,11 @@ class TestBuildFilter:
             build_filter(0.0, 4.0)
         with pytest.raises(DataError):
             build_filter(1.0, -1.0)
+        # non-finite, or finite with t * sigma overflowing
+        for sigma, t in ((math.nan, 4.0), (math.inf, 4.0), (1.0, math.nan),
+                         (1.0, math.inf), (1e308, 4.0)):
+            with pytest.raises(DataError, match="finite|overflows"):
+                build_filter(sigma, t)
 
 
 class TestDerivative:
@@ -154,6 +159,10 @@ class TestFwhm:
             sigma_to_fwhm_mm(-1.0, 3.0)
         with pytest.raises(DataError):
             fwhm_mm_to_sigma(8.0, 0.0)
+        for a, b in ((math.nan, 3.0), (math.inf, 3.0), (1.0, math.nan), (1.0, math.inf)):
+            for convert in (sigma_to_fwhm_mm, fwhm_mm_to_sigma):
+                with pytest.raises(DataError, match="finite"):
+                    convert(a, b)
 
 
 def test_dump_format():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from adaptsmooth.errors import DataError
 from adaptsmooth.params_net import (
     LAPLACIAN_KERNEL,
     NOISE_CALIBRATION,
-    ClampStats,
     ParamsNetWeights,
     calibrated_noise_estimate,
     init_weights,
@@ -114,11 +114,11 @@ class TestMapToSigma:
     def test_clamp_counts_events(self):
         w = self._zero()
         w.c = 50.0
-        stats = ClampStats()
+        stats = Counter()
         assert map_to_sigma(0.0, w, stats) == pytest.approx(math.exp(6.0))
         w.c = -50.0
         assert map_to_sigma(0.0, w, stats) == pytest.approx(math.exp(-10.0))
-        assert stats.events == 2
+        assert stats["clamp"] == 2
 
     def test_non_finite_feature_rejected(self):
         with pytest.raises(DataError):

@@ -1,4 +1,6 @@
 import copy
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -85,12 +87,12 @@ class TestGradients:
 
     def test_end_to_end_vs_finite_differences(self):
         batch, pnw, cw, cfg = self._setup()
-        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, training=False)
+        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         # widths must sit in a support-stable region for the check to be fair
         assert all(0.9 < s < 1.3 for s, _ in fwd["sigmas"])
 
         def loss_of(pn):
-            l, _, _ = batch_loss_and_grads(batch, pn, cw, cfg, training=False)
+            l, _, _ = batch_loss_and_grads(batch, pn, cw, cfg)
             return l
 
         h = 1e-6
@@ -107,7 +109,7 @@ class TestGradients:
 
     def test_single_step_decreases_batch_loss(self):
         batch, pnw, cw, cfg = self._setup()
-        loss0, grads, _ = batch_loss_and_grads(batch, pnw, cw, cfg, training=False)
+        loss0, grads, _ = batch_loss_and_grads(batch, pnw, cw, cfg)
         for lr in (1e-4, 1e-5):
             pn2 = copy.deepcopy(pnw)
             cw2 = copy.deepcopy(cw)
@@ -117,7 +119,7 @@ class TestGradients:
             pn2.b = pn2.b - lr * grads["b"]
             pn2.v = pn2.v - lr * grads["v"]
             pn2.c = pn2.c - lr * grads["c"]
-            loss1, _, _ = batch_loss_and_grads(batch, pn2, cw2, cfg, training=False)
+            loss1, _, _ = batch_loss_and_grads(batch, pn2, cw2, cfg)
             assert loss1 < loss0
 
 
@@ -147,7 +149,7 @@ class TestJointPassChain:
 
     def test_one_call_per_gradient_carrying_volume(self, joint_calls, monkeypatch):
         batch, pnw, cw, cfg = TestGradients()._setup()
-        _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, training=False)
+        _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         assert all(not clamped for _, clamped in fwd["sigmas"])
         assert len(joint_calls) == batch.size
         # a single-cell width (sigma 0.1) and a fit-clamped one carry no gradient
@@ -155,7 +157,7 @@ class TestJointPassChain:
         monkeypatch.setattr(params_net, "map_to_sigma",
                             lambda *args: next(widths))
         joint_calls.clear()
-        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, training=False)
+        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         assert [clamped for _, clamped in fwd["sigmas"]] == [False, False, True, False]
         assert len(joint_calls) == 2
         assert [dz is None for dz in fwd["dz"]] == [False, True, True, False]
@@ -174,9 +176,53 @@ class TestJointPassChain:
 
     def test_classifier_reads_smoothed_volumes_in_place(self):
         batch, pnw, cw, cfg = TestGradients()._setup()
-        _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, training=False)
+        _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         assert fwd["smoothed"].shape == (batch.size, 8, 8, 8)
         assert np.shares_memory(fwd["cache"]["x"], fwd["smoothed"])
+
+
+class TestStepMode:
+    """A forward pass given the bump rng is a training step; one without it
+    evaluates.  The head's pre-activation clamps (c = -50), so every width
+    is e^-10, in the degenerate regime, and a training step bumps it (p = 1)."""
+
+    @staticmethod
+    def _clamped_head(m=5):
+        return params_net.ParamsNetWeights(np.zeros(m), np.zeros(m), np.zeros(m), -50.0)
+
+    def _setup(self):
+        batch, _, cw, _ = TestGradients()._setup()
+        return batch, self._clamped_head(), cw, TrainConfig(bump_probability=1.0)
+
+    def test_training_step_counts_a_clamp_and_a_bump_per_volume(self):
+        batch, pnw, cw, cfg = self._setup()
+        events = Counter()
+        fwd = trainer._forward_batch(batch, pnw, cw, cfg, np.random.default_rng(0),
+                                     events)
+        assert events == Counter(clamp=batch.size, bump=batch.size)
+        assert [s for s, _ in fwd["sigmas"]] == [math.exp(-10.0) + 1.0] * batch.size
+        assert all(dz is not None for dz in fwd["dz"])
+
+    def test_evaluation_bumps_nothing(self, monkeypatch):
+        batch, pnw, cw, cfg = self._setup()
+        monkeypatch.setattr(trainer, "smooth_with_dsigma", None)  # must not be called
+        events = Counter()
+        fwd = trainer._forward_batch(batch, pnw, cw, cfg, events=events)
+        assert events == Counter(clamp=batch.size)
+        assert [s for s, _ in fwd["sigmas"]] == [math.exp(-10.0)] * batch.size
+        assert fwd["dz"] == [None] * batch.size
+
+    def test_report_counts_training_steps_only(self, tiny_dataset, monkeypatch):
+        monkeypatch.setattr(params_net, "init_weights",
+                            lambda m, seed: self._clamped_head(m))
+        cfg = TrainConfig(bump_probability=1.0, max_epochs=2, width_m=8)
+        _, _, report = train(cfg, tiny_dataset)
+        # the clamped head gets no gradient, so every epoch clamps and bumps
+        # each training volume; validation and test passes add nothing
+        n = 2 * sum(b.size for b in tiny_dataset if b.split == "train")
+        assert report.events == Counter(clamp=n, bump=n)
+        assert (f"bump events: {n}  preactivation clamps: {n}  width-fit clamps: 0"
+                in report.summary_text())
 
 
 class TestTrain:

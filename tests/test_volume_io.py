@@ -18,6 +18,12 @@ from adaptsmooth.volume_io import (
 )
 
 
+@pytest.mark.parametrize("voxel", [float("nan"), float("inf")])
+def test_voxel_size_must_be_finite_and_positive(voxel):
+    with pytest.raises(DataError, match="voxel size"):
+        Volume(np.zeros((2, 2, 2)), voxel)
+
+
 def test_volume_flat_order_is_x_fastest():
     v = Volume(np.arange(24, dtype=float).reshape(2, 3, 4))
     flat = v.flat_x_fastest()
