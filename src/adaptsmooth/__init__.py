@@ -22,7 +22,6 @@ from .gaussian_filter import (
     GaussianFilter,
     apply_degenerate_policy,
     build_filter,
-    derivative_of_normalized_gaussian,
     fwhm_mm_to_sigma,
     sigma_to_fwhm_mm,
 )

@@ -30,13 +30,6 @@ class ClassifierWeights:
             raise DataError("non-finite classifier weight")
 
 
-@dataclass
-class BatchStats:
-    mean: float
-    std: float
-    epsilon: float = EPSILON
-
-
 def xavier_init(dims, seed: int = 0) -> ClassifierWeights:
     """Uniform Xavier init for fan_in = H*W*D inputs and one output."""
     fan_in = int(np.prod(dims))
@@ -49,7 +42,8 @@ def forward(batch, weights: ClassifierWeights):
     """Compute sigmoid probabilities for a batch of volume arrays, one per
     leading index (a float64 array is flattened as a view, not a copy).
 
-    Returns (probabilities, BatchStats, cache); the cache feeds `backward`.
+    Returns (probabilities, cache); the cache, which holds the batch's
+    logit `mean` and `std`, feeds `backward`.
     Batches of size 1 are rejected: the standardization needs a variance.
     """
     x = np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
@@ -62,10 +56,9 @@ def forward(batch, weights: ClassifierWeights):
     std = float(np.sqrt(np.mean((logits - mean) ** 2)))  # population std
     s = (logits - mean) / (std + EPSILON)
     probs = 1.0 / (1.0 + np.exp(-s))
-    stats = BatchStats(mean, std)
-    cache = {"x": x, "logits": logits, "s": s, "probs": probs, "stats": stats,
-             "w": weights.w}
-    return probs, stats, cache
+    cache = {"x": x, "logits": logits, "s": s, "probs": probs, "mean": mean,
+             "std": std, "w": weights.w}
+    return probs, cache
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -83,7 +76,7 @@ def backward(cache, labels):
     x = cache["x"]
     logits = cache["logits"]
     probs = cache["probs"]
-    stats = cache["stats"]
+    std = cache["std"]
     labels = np.asarray(labels, dtype=np.float64)
     n = logits.size
 
@@ -91,13 +84,13 @@ def backward(cache, labels):
     inside = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
     dl_ds = np.where(inside, (probs - labels) / n, 0.0)
 
-    denom = stats.std + stats.epsilon
-    centered = logits - stats.mean
+    denom = std + EPSILON
+    centered = logits - cache["mean"]
     # dL/dlogit = (u - mean(u))/denom - centered * <u, centered> / (n*std*denom^2)
     # with u = dL/ds; the std term is defined as zero for a degenerate batch.
     dl_dlogit = (dl_ds - dl_ds.mean()) / denom
-    if stats.std > 0.0:
-        dl_dlogit -= centered * float(np.dot(dl_ds, centered)) / (n * stats.std * denom * denom)
+    if std > 0.0:
+        dl_dlogit -= centered * float(np.dot(dl_ds, centered)) / (n * std * denom * denom)
 
     dl_dw = dl_dlogit @ x
     dl_dbias = float(dl_dlogit.sum())

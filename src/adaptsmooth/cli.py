@@ -21,7 +21,14 @@ from .gaussian_filter import (
     fwhm_mm_to_sigma,
     sigma_to_fwhm_mm,
 )
-from .volume_io import Volume, add_gaussian_noise, read_config, read_volume, write_volume
+from .volume_io import (
+    Volume,
+    add_gaussian_noise,
+    read_config,
+    read_volume,
+    write_config,
+    write_volume,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +105,7 @@ def _write_train_outputs(outdir, pnw, cw, report, dims):
     out.mkdir(parents=True, exist_ok=True)
     params_net.save_weights(pnw, out / "params_net.txt")
     classifier.save_weights(cw, dims, out / "classifier.txt")
+    write_config(report.config, out / "config.txt")
     (out / "report.csv").write_text(report.epochs_csv())
     (out / "summary.txt").write_text(report.summary_text())
 
@@ -132,14 +140,20 @@ def _cmd_evaluate(args):
     wdir = Path(args.weights)
     pnw = params_net.load_weights(wdir / "params_net.txt")
     cw, dims = classifier.load_weights(wdir / "classifier.txt")
+    # the training config, when saved beside the weights; defaults otherwise
+    cfg_path = wdir / "config.txt"
+    cfg = read_config(cfg_path, trainer.TrainConfig) if cfg_path.exists() \
+        else trainer.TrainConfig()
+    cfg.validate()
     batches = trainer.load_dataset(Path(args.data) / "manifest.csv")
     fixed_sigma = None
+    fixed = None if cfg.fixed_sigma is None else f"sigma_f {cfg.fixed_sigma:.4g}"
     if args.fixed_fwhm_mm is not None:
         voxel = batches[0].voxel_size_mm
         fixed_sigma = fwhm_mm_to_sigma(args.fixed_fwhm_mm, voxel)
-    _log(f"evaluate: split={args.split} fixed_fwhm_mm={args.fixed_fwhm_mm}")
-    res = trainer.evaluate(pnw, cw, batches, args.split, fixed_sigma=fixed_sigma)
-    fixed = None if args.fixed_fwhm_mm is None else f"FWHM {args.fixed_fwhm_mm:g} mm"
+        fixed = f"FWHM {args.fixed_fwhm_mm:g} mm"
+    _log(f"evaluate: split={args.split} fixed_fwhm_mm={args.fixed_fwhm_mm} config={cfg}")
+    res = trainer.evaluate(pnw, cw, batches, args.split, cfg, fixed_sigma)
     print("\n".join(trainer.noise_table(res["per_noise"], fixed)))
     print(f"overall accuracy: {res['accuracy']:.3f}")
     return 0

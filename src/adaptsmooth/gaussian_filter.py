@@ -93,33 +93,23 @@ def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION) -> GaussianFilte
     return GaussianFilter(sigma_f, t, r, profile, d_profile)
 
 
-def derivative_of_normalized_gaussian(f: GaussianFilter) -> np.ndarray:
-    """Per-cell d(weights)/d(sigma_f) at fixed support."""
-    if f.radius < 1:
-        raise DataError("derivative undefined for the degenerate single-cell filter")
-    return f.d_weights_d_sigma
-
-
 def single_cell_threshold(t: float) -> float:
-    """sigma_f below this value produces the degenerate 1x1x1 filter."""
+    """sigma_f below this value produces the degenerate 1x1x1 filter, up to
+    the rounding of the radius formula (`filter_radius` is exact)."""
     return 1.5 / t
 
 
-def apply_degenerate_policy(sigma_f: float, t: float, p: float, training: bool,
-                            rng) -> float:
-    """Stochastically bump sigma_f by 1.0 when it falls in the degenerate regime.
+def apply_degenerate_policy(sigma_f: float, t: float, p: float, rng=None) -> float:
+    """Stochastically bump sigma_f by 1.0 when its filter is the single cell.
 
-    Fires only in training mode and only when sigma_f < 1.5/t; the bump has
-    pass-through derivative 1 with respect to sigma_f.  Evaluation mode never
-    bumps, keeping inference deterministic.
+    A call with the Generator `rng` is a training step: with probability `p`
+    a width whose filter radius is 0 is bumped.  A call without one never
+    bumps, keeping inference deterministic.  The bump has pass-through
+    derivative 1 with respect to sigma_f.
     """
     if not 0.0 <= p <= 1.0:
         raise DataError(f"bump probability must be in [0, 1], got {p}")
-    if not training or sigma_f >= single_cell_threshold(t):
-        return sigma_f
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    if rng.random() < p:
+    if rng is not None and filter_radius(sigma_f, t) == 0 and rng.random() < p:
         return sigma_f + 1.0
     return sigma_f
 

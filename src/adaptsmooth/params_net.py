@@ -114,21 +114,20 @@ def map_to_sigma_backward(feature: float, w: ParamsNetWeights,
                           upstream_dl_dsigma: float):
     """Gradients of the feature-to-width map.
 
-    Returns (dL/da, dL/db, dL/dv, dL/dc, dL/dfeature).  A clamped
-    pre-activation has zero gradient.
+    Returns (dL/da, dL/db, dL/dv, dL/dc); the feature is a fixed Laplacian
+    response, so nothing upstream of it trains.  A clamped pre-activation
+    has zero gradient.
     """
     u, pre = _preactivation(feature, w)
     if pre < PREACT_MIN or pre > PREACT_MAX:
         z = np.zeros(w.m)
-        return z, z.copy(), z.copy(), 0.0, 0.0
+        return z, z.copy(), z.copy(), 0.0
     s = math.exp(pre)
     g = upstream_dl_dsigma * s
     dv = g * u
     db = g * w.v
     da = g * w.v * feature
-    dc = g
-    dfeature = g * float(np.dot(w.v, w.a))
-    return da, db, dv, dc, dfeature
+    return da, db, dv, g
 
 
 def save_weights(w: ParamsNetWeights, path):

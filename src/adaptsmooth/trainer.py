@@ -28,7 +28,6 @@ from .errors import DataError, NumericalError
 from .gaussian_filter import (
     apply_degenerate_policy,
     build_filter,
-    filter_radius,
     sigma_to_fwhm_mm,
 )
 from .volume_io import DatasetManifest, read_manifest, read_volume
@@ -132,12 +131,10 @@ def noise_table(per_noise: dict, fixed: str | None = None) -> list[str]:
     return lines
 
 
-def load_dataset(manifest_path, data_dir=None) -> list[MiniBatch]:
-    """Read a manifest and its volumes into per-(subject, noise) groups,
-    with the per-volume noise features precomputed."""
-    manifest = read_manifest(manifest_path)
-    base = Path(data_dir) if data_dir is not None else Path(manifest_path).parent
-    return group_batches(manifest, base)
+def load_dataset(manifest_path) -> list[MiniBatch]:
+    """Read a manifest and the volumes beside it into per-(subject, noise)
+    groups, with the per-volume noise features precomputed."""
+    return group_batches(read_manifest(manifest_path), Path(manifest_path).parent)
 
 
 def group_batches(manifest: DatasetManifest, base_dir) -> list[MiniBatch]:
@@ -162,10 +159,9 @@ def group_batches(manifest: DatasetManifest, base_dir) -> list[MiniBatch]:
     return batches
 
 
-def make_batches(batches: list[MiniBatch], seed: int,
-                 split: str = "train") -> list[MiniBatch]:
-    """Select one split's groups in a seed-shuffled order; membership is fixed."""
-    selected = [b for b in batches if b.split == split]
+def make_batches(batches: list[MiniBatch], seed: int) -> list[MiniBatch]:
+    """The training groups in a seed-shuffled order; membership is fixed."""
+    selected = [b for b in batches if b.split == "train"]
     for b in selected:
         if b.size < 2:
             raise DataError(
@@ -189,7 +185,6 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
     gradient is also convolved with the width derivative of its filter, in
     the same pass chain.  A call without it evaluates.  Clamps and bumps
     are added to `events`.  Returns everything backward needs."""
-    training = rng is not None
     events = Counter() if events is None else events
     dims = batch.volumes[0].shape
     smoothed = np.empty((batch.size, *dims))
@@ -200,12 +195,12 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
         fixed_profile = build_filter(cfg.fixed_sigma, cfg.truncation).profile_1d
     for i, (x, feat) in enumerate(zip(batch.volumes, batch.features)):
         if cfg.fixed_sigma is not None:
-            sigmas.append((cfg.fixed_sigma, False))
+            sigmas.append(cfg.fixed_sigma)
             smoothed[i] = convolve_separable(x, fixed_profile)
             continue
         sigma = params_net.map_to_sigma(float(feat), pnw, events)
         bumped = apply_degenerate_policy(sigma, cfg.truncation,
-                                         cfg.bump_probability, training, rng)
+                                         cfg.bump_probability, rng)
         if bumped != sigma:
             events["bump"] += 1
         sigma = bumped
@@ -214,14 +209,14 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
             events["fit_clamp"] += 1
             sigma = max_sigma
         filt = build_filter(sigma, cfg.truncation)
-        sigmas.append((sigma, fit_clamped))
+        sigmas.append(sigma)
         # a clamped width and a single-cell filter carry no gradient
-        if training and not fit_clamped and filt.radius > 0:
+        if rng is not None and not fit_clamped and filt.radius > 0:
             smoothed[i], dz[i] = smooth_with_dsigma(x, filt.profile_1d,
                                                     filt.d_profile_1d)
         else:
             smoothed[i] = convolve_separable(x, filt.profile_1d)
-    probs, stats, cache = classifier.forward(smoothed, cw)
+    probs, cache = classifier.forward(smoothed, cw)
     data_loss = classifier.bce_loss(probs, batch.labels)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
     return {
@@ -231,7 +226,7 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
     }
 
 
-def _backward_batch(batch: MiniBatch, fwd, pnw, cw, cfg: TrainConfig):
+def _backward_batch(batch: MiniBatch, fwd, pnw, cfg: TrainConfig):
     """Gradients of the batch loss with respect to all trainable weights."""
     dl_dw, dl_dbias, dl_dz = classifier.backward(fwd["cache"], batch.labels)
     dl_dw = dl_dw + fwd["pen_grad"]
@@ -262,7 +257,7 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig):
     """One training step's forward/backward pass over a batch, bumps drawn
     from `cfg.seed`; the hook used by gradient tests."""
     fwd = _forward_batch(batch, pnw, cw, cfg, np.random.default_rng(cfg.seed))
-    grads = _backward_batch(batch, fwd, pnw, cw, cfg)
+    grads = _backward_batch(batch, fwd, pnw, cfg)
     return fwd["loss"], grads, fwd
 
 
@@ -285,7 +280,7 @@ def _evaluate_split(batches, pnw, cw, cfg, split, fixed_sigma=None):
         rec["n"] += b.size
         rec["correct"] += acc * b.size
         rec["loss"] += fwd["data_loss"] * b.size
-        rec["sigma_sum"] += sum(s for s, _ in fwd["sigmas"])
+        rec["sigma_sum"] += sum(fwd["sigmas"])
         total_loss += fwd["data_loss"] * b.size
         total_correct += acc * b.size
         total_n += b.size
@@ -344,10 +339,10 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} "
                     f"(subject {batch.subject_id}, noise {batch.noise_level}); "
-                    f"last widths {[round(s, 4) for s, _ in fwd['sigmas']]}, "
+                    f"last widths {[round(s, 4) for s in fwd['sigmas']]}, "
                     f"preactivation clamps {report.events['clamp']}, "
                     f"width-fit clamps {report.events['fit_clamp']}")
-            grads = _backward_batch(batch, fwd, pnw, cw, cfg)
+            grads = _backward_batch(batch, fwd, pnw, cfg)
             lr = cfg.learning_rate
             cw.w = cw.w - lr * grads["w"]
             cw.bias = cw.bias - lr * grads["bias"]
@@ -366,8 +361,7 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
                               "val_accuracy": val["accuracy"]})
         if val["loss"] < best["loss"]:
             best = {"loss": val["loss"], "epoch": epoch,
-                    "pnw": copy.deepcopy(pnw), "cw": copy.deepcopy(cw),
-                    "val_accuracy": val["accuracy"]}
+                    "pnw": copy.deepcopy(pnw), "cw": copy.deepcopy(cw)}
             epochs_since_best = 0
         else:
             epochs_since_best += 1

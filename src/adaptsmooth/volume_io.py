@@ -19,6 +19,9 @@ import numpy as np
 from .errors import DataError
 
 VOL1_MAGIC = b"VOL1"
+# the float32 range as float64, so comparing with it casts nothing
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 
 _NIFTI_HEADER_SIZE = 348
 _NIFTI_DTYPES = {4: np.dtype("<i2"), 16: np.dtype("<f4")}
@@ -116,12 +119,21 @@ def add_gaussian_noise(v: Volume, sigma: float, seed: int) -> Volume:
 
 
 def write_volume(v: Volume, path):
-    """Write a volume in the native VOL1 format (float32 payload)."""
+    """Write a volume in the native VOL1 format (float32 header and payload).
+
+    A voxel size or voxel value that float32 cannot hold (finite and, for
+    the voxel size, nonzero) is rejected before the file is opened."""
     h, w, d = v.dims
+    if not _F32_TINY <= v.voxel_size_mm <= _F32_MAX:
+        raise DataError(f"{path}: voxel size {v.voxel_size_mm} does not fit float32")
+    flat = v.flat_x_fastest()
+    # the comparison is false for NaN, so NaN is rejected too
+    if not (np.abs(flat) <= _F32_MAX).all():
+        raise DataError(f"{path}: voxel values do not fit float32")
     with open(path, "wb") as f:
         f.write(VOL1_MAGIC)
         f.write(struct.pack("<IIIf", h, w, d, v.voxel_size_mm))
-        f.write(v.flat_x_fastest().astype("<f4").tobytes())
+        f.write(flat.astype("<f4").tobytes())
 
 
 def _check_finite(voxels: np.ndarray, path):
@@ -295,3 +307,15 @@ def read_config(path, cls):
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
             setattr(config, key, parsed)
     return config
+
+
+def write_config(config, path):
+    """Write a dataclass instance as the `key = value` file `read_config`
+    reads back: None fields are left out and tuples are comma-separated."""
+    with open(path, "w") as f:
+        for fd in fields(config):
+            value = getattr(config, fd.name)
+            if isinstance(value, tuple):
+                value = ",".join(str(x) for x in value)
+            if value is not None:
+                f.write(f"{fd.name} = {value}\n")

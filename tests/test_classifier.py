@@ -27,21 +27,21 @@ def _batch_from_logits(logits):
 class TestForward:
     def test_equal_logits_degenerate_batch(self):
         vols, w = _batch_from_logits([0.8, 0.8, 0.8])
-        probs, stats, _ = forward(vols, w)
-        assert stats.std < 1e-12
+        probs, cache = forward(vols, w)
+        assert cache["std"] < 1e-12
         np.testing.assert_allclose(probs, 0.5, atol=1e-9)
 
     def test_plus_minus_one_logits(self):
         vols, w = _batch_from_logits([-1.0, 1.0])
-        probs, stats, _ = forward(vols, w)
-        assert stats.std == pytest.approx(1.0)  # population std
+        probs, cache = forward(vols, w)
+        assert cache["std"] == pytest.approx(1.0)  # population std
         np.testing.assert_allclose(probs, [0.2689, 0.7311], atol=1e-4)
 
     def test_standardized_mean_zero(self):
         rng = np.random.default_rng(0)
         vols = [rng.normal(size=(3, 3, 3)) for _ in range(6)]
         w = ClassifierWeights(rng.normal(size=27), 0.3)
-        _, _, cache = forward(vols, w)
+        _, cache = forward(vols, w)
         assert abs(cache["s"].mean()) < 1e-9
 
     def test_shift_invariance(self):
@@ -49,8 +49,8 @@ class TestForward:
         vols = [rng.normal(size=(3, 3, 3)) for _ in range(5)]
         w1 = ClassifierWeights(rng.normal(size=27), 0.0)
         w2 = ClassifierWeights(w1.w.copy(), 7.3)
-        p1, _, _ = forward(vols, w1)
-        p2, _, _ = forward(vols, w2)
+        p1, _ = forward(vols, w1)
+        p2, _ = forward(vols, w2)
         np.testing.assert_allclose(p1, p2, rtol=1e-12)
 
     def test_scale_invariance(self):
@@ -58,14 +58,14 @@ class TestForward:
         vols = [rng.normal(size=(3, 3, 3)) for _ in range(5)]
         w1 = ClassifierWeights(rng.normal(size=27), 0.4)
         w2 = ClassifierWeights(3.0 * w1.w, 3.0 * w1.bias)
-        p1, _, _ = forward(vols, w1)
-        p2, _, _ = forward(vols, w2)
+        p1, _ = forward(vols, w1)
+        p2, _ = forward(vols, w2)
         np.testing.assert_allclose(p1, p2, atol=1e-4)  # epsilon breaks exactness
 
     def test_probabilities_in_open_interval(self):
         rng = np.random.default_rng(3)
         vols = [rng.normal(scale=50, size=(2, 2, 2)) for _ in range(4)]
-        probs, _, _ = forward(vols, ClassifierWeights(rng.normal(size=8), 0.0))
+        probs, _ = forward(vols, ClassifierWeights(rng.normal(size=8), 0.0))
         assert np.all(probs > 0) and np.all(probs < 1)
 
     def test_batch_of_one_rejected(self):
@@ -96,7 +96,7 @@ class TestBceLoss:
 class TestBackward:
     def test_symmetric_batch_zero_bias_gradient(self):
         vols, w = _batch_from_logits([-0.7, 0.7])
-        _, _, cache = forward(vols, w)
+        _, cache = forward(vols, w)
         _, dbias, _ = backward(cache, np.array([0, 1]))
         assert abs(dbias) < 1e-12
 
@@ -105,13 +105,13 @@ class TestBackward:
         vols = [rng.normal(0, 1, (4, 4, 4)) for _ in range(4)]
         labels = np.array([0, 1, 1, 0])
         w = xavier_init((4, 4, 4), seed=2)
-        _, _, cache = forward(vols, w)
+        _, cache = forward(vols, w)
         dw, dbias, dz = backward(cache, labels)
 
         h = 1e-6
 
         def loss_with(weights, batch=vols):
-            probs, _, _ = forward(batch, weights)
+            probs, _ = forward(batch, weights)
             return bce_loss(probs, labels)
 
         idxs = rng.choice(w.w.size, size=12, replace=False)
@@ -142,7 +142,7 @@ class TestBackward:
     def test_degenerate_batch_zero_weight_gradient(self):
         vols = [np.full((2, 2, 2), 0.3)] * 3
         w = ClassifierWeights(np.ones(8), 0.0)
-        _, _, cache = forward(vols, w)
+        _, cache = forward(vols, w)
         dw, _, _ = backward(cache, np.array([1, 1, 1]))
         np.testing.assert_allclose(dw, 0.0, atol=1e-15)
 
@@ -193,9 +193,9 @@ def test_array_batch_is_flattened_as_a_view():
     rng = np.random.default_rng(3)
     vols = rng.normal(size=(4, 3, 2, 5))
     w = xavier_init((3, 2, 5), 1)
-    probs, _, cache = forward(vols, w)
+    probs, cache = forward(vols, w)
     assert np.shares_memory(cache["x"], vols)
-    probs_list, _, cache_list = forward(list(vols), w)
+    probs_list, cache_list = forward(list(vols), w)
     np.testing.assert_array_equal(cache["x"], cache_list["x"])
     np.testing.assert_array_equal(probs, probs_list)
 

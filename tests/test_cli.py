@@ -4,10 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from adaptsmooth import trainer
+from adaptsmooth import classifier, params_net, trainer
 from adaptsmooth.cli import run
 from adaptsmooth.gaussian_filter import build_filter
-from adaptsmooth.volume_io import Volume, read_volume, write_volume
+from adaptsmooth.volume_io import Volume, read_config, read_volume, write_volume
 
 SMALL_SPEC = ("dims = 16,16,16\n"
               "n_subjects = 4\n"
@@ -168,11 +168,20 @@ class TestNoiseCommands:
         assert "ERROR 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_float32_overflowing_sigma_is_data_error(self, sample_volume, tmp_path,
+                                                     capsys):
+        out = tmp_path / "noisy.vol"
+        assert run(["add-noise", "--in", str(sample_volume), "--sigma", "1e300",
+                    "--out", str(out)]) == 2
+        assert "fit float32" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_voxels_are_data_error(self, tmp_path, capsys):
         path = tmp_path / "nan.vol"
-        data = np.full((4, 4, 4), 0.5)
-        data[1, 2, 3] = np.nan
-        write_volume(Volume(data, 3.0), path)
+        data = np.full(64, 0.5, dtype="<f4")
+        data[37] = np.nan
+        # written by hand: write_volume itself refuses a non-finite voxel
+        path.write_bytes(b"VOL1" + struct.pack("<IIIf", 4, 4, 4, 3.0) + data.tobytes())
         assert run(["estimate-noise", "--in", str(path)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
@@ -193,7 +202,8 @@ class TestNoiseCommands:
 class TestTrainEvaluate:
     def test_train_writes_artifacts(self, trained):
         _, out = trained
-        for name in ("params_net.txt", "classifier.txt", "report.csv", "summary.txt"):
+        for name in ("params_net.txt", "classifier.txt", "config.txt", "report.csv",
+                     "summary.txt"):
             assert (out / name).exists()
         header = (out / "report.csv").read_text().splitlines()[0]
         assert header == "epoch,train_loss,val_loss,val_accuracy"
@@ -259,6 +269,46 @@ class TestTrainEvaluate:
                                             f"{best['val_loss']:.6g}"]
 
 
+@pytest.fixture(scope="module", params=["fixed_sigma = 2.0", "truncation = 2.5"])
+def saved_model(request, trained, tmp_path_factory):
+    """A model trained by the CLI with a non-default config, and the same
+    training run in-process from the config read back from its files."""
+    data, _ = trained
+    root = tmp_path_factory.mktemp("saved")
+    cfg = root / "train.cfg"
+    cfg.write_text(f"max_epochs = 8\nwidth_m = 8\n{request.param}\n")
+    out = root / "model"
+    assert run(["train", "--config", str(cfg), "--data", str(data),
+                "--out", str(out), "--seed", "43"]) == 0
+    batches = trainer.load_dataset(data / "manifest.csv")
+    config = read_config(out / "config.txt", trainer.TrainConfig)
+    return data, out, batches, config, trainer.train(config, batches)
+
+
+class TestSavedConfig:
+    """`evaluate` reads the training config saved beside the weights."""
+
+    def test_evaluate_reproduces_summary(self, saved_model, capsys):
+        data, out, *_ = saved_model
+        capsys.readouterr()
+        assert run(["evaluate", "--weights", str(out), "--data", str(data)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        summary = (out / "summary.txt").read_text().splitlines()
+        # summary: two header lines, a blank, the table, a blank, the accuracy
+        assert printed[:-1] == summary[3:-2]
+        assert printed[-1].split(": ")[1] == summary[-1].split(": ")[1]
+
+    def test_library_evaluate_matches_report(self, saved_model):
+        _, out, batches, config, (pnw, cw, report) = saved_model
+        saved_pnw = params_net.load_weights(out / "params_net.txt")
+        saved_cw, _ = classifier.load_weights(out / "classifier.txt")
+        np.testing.assert_array_equal(saved_pnw.v, pnw.v)
+        np.testing.assert_array_equal(saved_cw.w, cw.w)
+        res = trainer.evaluate(saved_pnw, saved_cw, batches, "test", config)
+        assert res["per_noise"] == report.per_noise
+        assert res["accuracy"] == report.test_accuracy
+
+
 class TestParsing:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -294,6 +344,8 @@ class TestParsing:
         ("gen-phantom", "split_counts = 3,1,0"),
         ("gen-phantom", "voxel_size_mm = nan"),
         ("gen-phantom", "voxel_size_mm = inf"),
+        ("gen-phantom", "voxel_size_mm = 1e39"),
+        ("gen-phantom", "noise_levels = 0,1e300"),
     ])
     def test_bad_config_value_is_data_error(self, trained, tmp_path, capsys,
                                             command, line):

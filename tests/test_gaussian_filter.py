@@ -8,13 +8,16 @@ from adaptsmooth.errors import DataError
 from adaptsmooth.gaussian_filter import (
     apply_degenerate_policy,
     build_filter,
-    derivative_of_normalized_gaussian,
     dump_filter,
     filter_radius,
     fwhm_mm_to_sigma,
     sigma_to_fwhm_mm,
     single_cell_threshold,
 )
+
+
+def _rng(seed=0):
+    return np.random.default_rng(seed)
 
 
 def brute_force_weights(sigma, r):
@@ -105,7 +108,7 @@ class TestDerivative:
             qp = build_filter(sigma + h, 4.0).weights
             qm = build_filter(sigma - h, 4.0).weights
             fd = (qp - qm) / (2 * h)
-            an = derivative_of_normalized_gaussian(f)
+            an = f.d_weights_d_sigma
             denom = np.maximum(np.abs(fd), 1e-10)
             assert np.max(np.abs(fd - an) / denom) < 1e-5
             checked += 1
@@ -115,31 +118,39 @@ class TestDerivative:
         r = f.radius
         assert f.d_weights_d_sigma[r, r, r] < 0  # widening flattens the peak
 
-    def test_degenerate_radius_rejected(self):
-        with pytest.raises(DataError):
-            derivative_of_normalized_gaussian(build_filter(0.2, 4.0))
-
 
 class TestDegeneratePolicy:
     def test_forced_bump(self):
-        assert apply_degenerate_policy(0.2, 4.0, 1.0, True, 0) == pytest.approx(1.2)
+        assert apply_degenerate_policy(0.2, 4.0, 1.0, _rng()) == pytest.approx(1.2)
 
     def test_above_threshold_untouched(self):
-        assert apply_degenerate_policy(2.0, 4.0, 1.0, True, 0) == 2.0
+        assert apply_degenerate_policy(2.0, 4.0, 1.0, _rng()) == 2.0
 
     def test_eval_mode_never_bumps(self):
-        assert apply_degenerate_policy(0.2, 4.0, 1.0, False, 0) == 0.2
+        assert apply_degenerate_policy(0.2, 4.0, 1.0) == 0.2
 
     def test_p_zero_never_bumps(self):
-        assert apply_degenerate_policy(0.2, 4.0, 0.0, True, 0) == 0.2
+        assert apply_degenerate_policy(0.2, 4.0, 0.0, _rng()) == 0.2
 
     def test_deterministic_under_seed(self):
-        outs = {apply_degenerate_policy(0.2, 4.0, 0.5, True, 42) for _ in range(5)}
+        outs = {apply_degenerate_policy(0.2, 4.0, 0.5, _rng(42)) for _ in range(5)}
         assert len(outs) == 1
 
     def test_bad_probability(self):
         with pytest.raises(DataError):
-            apply_degenerate_policy(0.2, 4.0, 1.5, True, 0)
+            apply_degenerate_policy(0.2, 4.0, 1.5, _rng())
+
+    # "degenerate" is the radius-0 filter that gets no gradient, not the
+    # rounded threshold sigma_f < 1.5 / t, which disagrees with it here
+    def test_single_cell_filter_below_rounded_threshold_bumps(self):
+        sigma, t = 0.5555555555555555, 2.7
+        assert sigma >= single_cell_threshold(t) and filter_radius(sigma, t) == 0
+        assert apply_degenerate_policy(sigma, t, 1.0, _rng()) == sigma + 1.0
+
+    def test_three_tap_filter_above_rounded_threshold_untouched(self):
+        sigma, t = 0.23076923076923075, 6.5
+        assert sigma < single_cell_threshold(t) and filter_radius(sigma, t) == 1
+        assert apply_degenerate_policy(sigma, t, 1.0, _rng()) == sigma
 
 
 class TestFwhm:

@@ -89,7 +89,7 @@ class TestGradients:
         batch, pnw, cw, cfg = self._setup()
         _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         # widths must sit in a support-stable region for the check to be fair
-        assert all(0.9 < s < 1.3 for s, _ in fwd["sigmas"])
+        assert all(0.9 < s < 1.3 for s in fwd["sigmas"])
 
         def loss_of(pn):
             l, _, _ = batch_loss_and_grads(batch, pn, cw, cfg)
@@ -150,7 +150,8 @@ class TestJointPassChain:
     def test_one_call_per_gradient_carrying_volume(self, joint_calls, monkeypatch):
         batch, pnw, cw, cfg = TestGradients()._setup()
         _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
-        assert all(not clamped for _, clamped in fwd["sigmas"])
+        max_sigma = trainer._max_sigma_for((8, 8, 8), cfg.truncation)
+        assert max(fwd["sigmas"]) < max_sigma
         assert len(joint_calls) == batch.size
         # a single-cell width (sigma 0.1) and a fit-clamped one carry no gradient
         widths = iter([1.0, 0.1, 100.0, 1.2])
@@ -158,7 +159,7 @@ class TestJointPassChain:
                             lambda *args: next(widths))
         joint_calls.clear()
         _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
-        assert [clamped for _, clamped in fwd["sigmas"]] == [False, False, True, False]
+        assert fwd["sigmas"] == [1.0, 0.1, max_sigma, 1.2]
         assert len(joint_calls) == 2
         assert [dz is None for dz in fwd["dz"]] == [False, True, True, False]
         assert np.isfinite(grads["a"]).all()
@@ -200,7 +201,7 @@ class TestStepMode:
         fwd = trainer._forward_batch(batch, pnw, cw, cfg, np.random.default_rng(0),
                                      events)
         assert events == Counter(clamp=batch.size, bump=batch.size)
-        assert [s for s, _ in fwd["sigmas"]] == [math.exp(-10.0) + 1.0] * batch.size
+        assert fwd["sigmas"] == [math.exp(-10.0) + 1.0] * batch.size
         assert all(dz is not None for dz in fwd["dz"])
 
     def test_evaluation_bumps_nothing(self, monkeypatch):
@@ -209,7 +210,7 @@ class TestStepMode:
         events = Counter()
         fwd = trainer._forward_batch(batch, pnw, cw, cfg, events=events)
         assert events == Counter(clamp=batch.size)
-        assert [s for s, _ in fwd["sigmas"]] == [math.exp(-10.0)] * batch.size
+        assert fwd["sigmas"] == [math.exp(-10.0)] * batch.size
         assert fwd["dz"] == [None] * batch.size
 
     def test_report_counts_training_steps_only(self, tiny_dataset, monkeypatch):

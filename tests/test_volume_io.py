@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from adaptsmooth.errors import DataError
+from adaptsmooth.phantom import PhantomSpec
+from adaptsmooth.trainer import TrainConfig
 from adaptsmooth.volume_io import (
     DatasetManifest,
     ManifestEntry,
     Volume,
     add_gaussian_noise,
     normalize_subject,
+    read_config,
     read_manifest,
     read_nifti,
     read_volume,
+    write_config,
     write_manifest,
     write_volume,
 )
@@ -142,6 +146,29 @@ class TestVol1:
         p.write_bytes(b"VOL1" + struct.pack("<IIIf", 2, 2, 2, 3.0) + payload)
         with pytest.raises(DataError, match="non-finite"):
             read_volume(p)
+
+
+    @pytest.mark.parametrize("voxel, value", [
+        (1e39, 0.5), (1e-46, 0.5), (3.0, 1e39), (3.0, -np.inf), (3.0, np.nan)])
+    def test_write_rejects_what_float32_cannot_hold(self, tmp_path, voxel, value):
+        p = tmp_path / "v.vol"
+        with pytest.raises(DataError, match="fit float32"):
+            write_volume(Volume(np.full((2, 2, 2), value), voxel), p)
+        assert not p.exists()
+
+
+@pytest.mark.parametrize("config", [
+    TrainConfig(),
+    TrainConfig(learning_rate=0.37, lambda_l2=1e-3, max_epochs=7, truncation=2.5,
+                seed=43, fixed_sigma=1.1324296062514016, lr_grid=(0.5,),
+                lambda_grid=(0.0, 1e-05)),
+    PhantomSpec(dims=(16, 12, 20), noise_levels=(0.0, 0.2), split_counts=(6, 1, 1),
+                amplitude=0.05, voxel_size_mm=2.5),
+], ids=["train-default", "train-fixed-sigma", "phantom"])
+def test_config_round_trip(tmp_path, config):
+    p = tmp_path / "config.txt"
+    write_config(config, p)
+    assert read_config(p, type(config)) == config
 
 
 def _make_nifti(path, data, datatype, slope=1.0, inter=0.0, nt=None):
