@@ -70,8 +70,9 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 def backward(cache, labels):
     """Exact gradient of bce_loss(forward(...)) through the batch statistics.
 
-    Returns (dL/dw, dL/dbias, dL/dZ rows) where the dL/dZ matrix has one
-    flattened-volume gradient per batch member.
+    Returns (dL/dw, dL/dbias, dL/dlogit) with one logit gradient per batch
+    member; the gradient of the loss with respect to member i's flattened
+    input is ``dl_dlogit[i] * w``.
     """
     x = cache["x"]
     logits = cache["logits"]
@@ -94,8 +95,7 @@ def backward(cache, labels):
 
     dl_dw = dl_dlogit @ x
     dl_dbias = float(dl_dlogit.sum())
-    dl_dz = dl_dlogit[:, None] * cache["w"]
-    return dl_dw, dl_dbias, dl_dz
+    return dl_dw, dl_dbias, dl_dlogit
 
 
 def l2_penalty(weights: ClassifierWeights, lam: float):

@@ -9,6 +9,7 @@ apart that over-smoothing does not mix the two.  Volumes are normalized to
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,9 +100,12 @@ def _anatomy(dims):
 
 
 def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
-    """Write VOL1 volumes plus a manifest CSV; deterministic per seed."""
+    """Write VOL1 volumes plus a manifest CSV; deterministic per seed.  When
+    a write fails, the files this call added (and `out_dir`, if it made it)
+    are removed before the error propagates."""
     spec.validate()
     out = Path(out_dir)
+    made_dir = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     h, w, d = spec.dims
@@ -113,33 +117,46 @@ def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
     manifest = DatasetManifest()
     mid = w / 2.0
 
-    for si in range(spec.n_subjects):
-        sid = f"sub{si:02d}"
-        manifest.split[sid] = split_names[si]
-        jitter = rng.integers(-spec.jitter_voxels, spec.jitter_voxels + 1, size=3)
-        centers = {
-            0: (h / 2 + jitter[0], mid - spec.center_offset_x + jitter[1], d / 2 + jitter[2]),
-            1: (h / 2 + jitter[0], mid + spec.center_offset_x + jitter[1], d / 2 + jitter[2]),
-        }
-        masters, labels = [], []
-        for label in (0, 1):
-            signal = spec.amplitude * _blob(spec.dims, centers[label], spec.blob_radius,
-                                            spec.support_radius)
-            for k in range(spec.volumes_per_subject_per_class):
-                # small per-volume amplitude wobble so scans are not identical
-                scale = 1.0 + 0.1 * rng.standard_normal()
-                masters.append(Volume(anatomy + scale * signal, spec.voxel_size_mm))
-                labels.append(label)
-        masters = normalize_subject(masters)
-        for idx, (vol, label) in enumerate(zip(masters, labels)):
-            for noise in spec.noise_levels:
-                noise_seed = int(rng.integers(0, 2**31 - 1))
-                noisy = add_gaussian_noise(vol, noise, noise_seed) if noise > 0 else vol
-                name = f"{sid}_v{idx:03d}_n{noise:g}.vol"
-                write_volume(noisy, out / name)
-                manifest.entries.append(ManifestEntry(name, label, sid, noise))
+    found = {path.name for path in out.iterdir()}  # kept if this call fails
+    written = []
+    try:
+        for si in range(spec.n_subjects):
+            sid = f"sub{si:02d}"
+            manifest.split[sid] = split_names[si]
+            jitter = rng.integers(-spec.jitter_voxels, spec.jitter_voxels + 1, size=3)
+            centers = {
+                0: (h / 2 + jitter[0], mid - spec.center_offset_x + jitter[1], d / 2 + jitter[2]),
+                1: (h / 2 + jitter[0], mid + spec.center_offset_x + jitter[1], d / 2 + jitter[2]),
+            }
+            masters, labels = [], []
+            for label in (0, 1):
+                signal = spec.amplitude * _blob(spec.dims, centers[label], spec.blob_radius,
+                                                spec.support_radius)
+                for k in range(spec.volumes_per_subject_per_class):
+                    # small per-volume amplitude wobble so scans are not identical
+                    scale = 1.0 + 0.1 * rng.standard_normal()
+                    masters.append(Volume(anatomy + scale * signal, spec.voxel_size_mm))
+                    labels.append(label)
+            masters = normalize_subject(masters)
+            for idx, (vol, label) in enumerate(zip(masters, labels)):
+                for noise in spec.noise_levels:
+                    noise_seed = int(rng.integers(0, 2**31 - 1))
+                    noisy = add_gaussian_noise(vol, noise, noise_seed) if noise > 0 else vol
+                    name = f"{sid}_v{idx:03d}_n{noise:g}.vol"
+                    written.append(name)
+                    write_volume(noisy, out / name)
+                    manifest.entries.append(ManifestEntry(name, label, sid, noise))
 
-    write_manifest(manifest, out / "manifest.csv")
+        written.append("manifest.csv")
+        write_manifest(manifest, out / "manifest.csv")
+    except BaseException:
+        # leave `out` as it was found: remove only the files this call added
+        for name in set(written) - found:
+            (out / name).unlink(missing_ok=True)
+        if made_dir:
+            with contextlib.suppress(OSError):
+                out.rmdir()
+        raise
     return manifest
 
 

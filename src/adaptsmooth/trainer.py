@@ -6,10 +6,12 @@ filter -> separable smoothing; the batch then goes through the standardized
 sigmoid classifier.  A training volume whose width carries a gradient is
 smoothed and differentiated with respect to its width in one pass chain
 (`conv3d.smooth_with_dsigma`), so backward only contracts the stored
-derivative with the upstream gradient.  Backward runs the exact chain rule
-down to the width-predicting weights, with plain SGD updates,
-validation-based early stopping, and an optional logarithmic grid search
-over (lr, lambda).
+derivative with the upstream gradient.  A fixed width, shared by the whole
+batch, smooths the classifier weight once instead of every volume: the
+smoothing is a symmetric linear map, so forward and backward each need one
+smoothing per batch.  Backward runs the exact chain rule down to the
+width-predicting weights, with plain SGD updates, validation-based early
+stopping, and an optional logarithmic grid search over (lr, lambda).
 """
 
 from __future__ import annotations
@@ -179,69 +181,78 @@ def _max_sigma_for(dims, t: float) -> float:
 
 def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
                    events: Counter | None = None):
-    """Smooth every volume with its own predicted (or fixed) width, then
-    classify the batch.  A call with the bump `rng` is a training step: a
-    degenerate width may be bumped, and each volume whose width carries a
-    gradient is also convolved with the width derivative of its filter, in
-    the same pass chain.  A call without it evaluates.  Clamps and bumps
-    are added to `events`.  Returns everything backward needs."""
-    events = Counter() if events is None else events
+    """Smooth every volume with its own predicted width, then classify the
+    batch.  A call with the bump `rng` is a training step: a degenerate
+    width may be bumped, and each volume whose width carries a gradient is
+    also convolved with the width derivative of its filter, in the same
+    pass chain.  A call without it evaluates.  Clamps and bumps are added
+    to `events`.  A fixed width smooths the classifier weight instead of
+    the volumes.  Returns everything backward needs."""
     dims = batch.volumes[0].shape
-    smoothed = np.empty((batch.size, *dims))
-    sigmas = []
-    dz = [None] * batch.size
-    max_sigma = _max_sigma_for(dims, cfg.truncation)
     if cfg.fixed_sigma is not None:
-        fixed_profile = build_filter(cfg.fixed_sigma, cfg.truncation).profile_1d
-    for i, (x, feat) in enumerate(zip(batch.volumes, batch.features)):
-        if cfg.fixed_sigma is not None:
-            sigmas.append(cfg.fixed_sigma)
-            smoothed[i] = convolve_separable(x, fixed_profile)
-            continue
-        sigma = params_net.map_to_sigma(float(feat), pnw, events)
-        bumped = apply_degenerate_policy(sigma, cfg.truncation,
-                                         cfg.bump_probability, rng)
-        if bumped != sigma:
-            events["bump"] += 1
-        sigma = bumped
-        fit_clamped = sigma > max_sigma
-        if fit_clamped:
-            events["fit_clamp"] += 1
-            sigma = max_sigma
-        filt = build_filter(sigma, cfg.truncation)
-        sigmas.append(sigma)
-        # a clamped width and a single-cell filter carry no gradient
-        if rng is not None and not fit_clamped and filt.radius > 0:
-            smoothed[i], dz[i] = smooth_with_dsigma(x, filt.profile_1d,
-                                                    filt.d_profile_1d)
-        else:
-            smoothed[i] = convolve_separable(x, filt.profile_1d)
-    probs, cache = classifier.forward(smoothed, cw)
+        # zero-padded same-size smoothing K with a symmetric profile is a
+        # symmetric matrix, so w . (K x) = (K w) . x: the weight is smoothed
+        # once and the raw volumes are classified with it
+        profile = build_filter(cfg.fixed_sigma, cfg.truncation).profile_1d
+        smoothed_cw = copy.copy(cw)
+        smoothed_cw.w = convolve_separable(cw.w.reshape(dims), profile).ravel()
+        raw = np.stack(batch.volumes)
+        fwd = {"sigmas": [cfg.fixed_sigma] * batch.size, "raw": raw,
+               "profile": profile}
+        probs, cache = classifier.forward(raw, smoothed_cw)
+    else:
+        events = Counter() if events is None else events
+        smoothed = np.empty((batch.size, *dims))
+        sigmas = []
+        dz = [None] * batch.size
+        max_sigma = _max_sigma_for(dims, cfg.truncation)
+        for i, (x, feat) in enumerate(zip(batch.volumes, batch.features)):
+            sigma = params_net.map_to_sigma(float(feat), pnw, events)
+            bumped = apply_degenerate_policy(sigma, cfg.truncation,
+                                             cfg.bump_probability, rng)
+            if bumped != sigma:
+                events["bump"] += 1
+            sigma = bumped
+            fit_clamped = sigma > max_sigma
+            if fit_clamped:
+                events["fit_clamp"] += 1
+                sigma = max_sigma
+            filt = build_filter(sigma, cfg.truncation)
+            sigmas.append(sigma)
+            # a clamped width and a single-cell filter carry no gradient
+            if rng is not None and not fit_clamped and filt.radius > 0:
+                smoothed[i], dz[i] = smooth_with_dsigma(x, filt.profile_1d,
+                                                        filt.d_profile_1d)
+            else:
+                smoothed[i] = convolve_separable(x, filt.profile_1d)
+        fwd = {"sigmas": sigmas, "smoothed": smoothed, "dz": dz}
+        probs, cache = classifier.forward(smoothed, cw)
     data_loss = classifier.bce_loss(probs, batch.labels)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
-    return {
-        "sigmas": sigmas, "smoothed": smoothed, "dz": dz,
-        "probs": probs, "cache": cache, "loss": data_loss + penalty,
-        "data_loss": data_loss, "pen_grad": pen_grad,
-    }
+    fwd.update(probs=probs, cache=cache, loss=data_loss + penalty,
+               data_loss=data_loss, pen_grad=pen_grad)
+    return fwd
 
 
 def _backward_batch(batch: MiniBatch, fwd, pnw, cfg: TrainConfig):
     """Gradients of the batch loss with respect to all trainable weights."""
-    dl_dw, dl_dbias, dl_dz = classifier.backward(fwd["cache"], batch.labels)
-    dl_dw = dl_dw + fwd["pen_grad"]
-    grads = {"w": dl_dw, "bias": dl_dbias}
+    dl_dw, dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
+    dims = batch.volumes[0].shape
+    if cfg.fixed_sigma is not None:
+        # the logits are (K w) . x_i, so dL/dw = K (sum_i dl_i x_i)
+        dl_dw = convolve_separable(dl_dw.reshape(dims), fwd["profile"]).ravel()
+    grads = {"w": dl_dw + fwd["pen_grad"], "bias": dl_dbias}
     if cfg.fixed_sigma is None:
         da = np.zeros(pnw.m)
         db = np.zeros(pnw.m)
         dv = np.zeros(pnw.m)
         dc = 0.0
-        dims = batch.volumes[0].shape
+        w = fwd["cache"]["w"]
         for i, feat in enumerate(batch.features):
             dz = fwd["dz"][i]
             if dz is None:
                 continue  # this volume's width carries no gradient
-            up = dl_dz[i].reshape(dims)
+            up = (dl_dlogit[i] * w).reshape(dims)
             dl_dsigma = float(np.sum(up * dz))
             # the stochastic bump is pass-through: d(sigma+1)/dsigma = 1
             gi = params_net.map_to_sigma_backward(float(feat), pnw, dl_dsigma)

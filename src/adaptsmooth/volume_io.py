@@ -54,8 +54,9 @@ class Volume:
     @staticmethod
     def from_flat_x_fastest(flat, dims, voxel_size_mm=3.0) -> "Volume":
         h, w, d = dims
-        arr = np.asarray(flat, dtype=np.float64).reshape(d, h, w)
-        return Volume(np.transpose(arr, (1, 2, 0)), voxel_size_mm)
+        arr = np.transpose(np.asarray(flat).reshape(d, h, w), (1, 2, 0))
+        # one C-ordered float64 copy, so a stack of volumes flattens as a view
+        return Volume(arr.astype(np.float64, order="C"), voxel_size_mm)
 
 
 @dataclass

@@ -106,7 +106,7 @@ class TestBackward:
         labels = np.array([0, 1, 1, 0])
         w = xavier_init((4, 4, 4), seed=2)
         _, cache = forward(vols, w)
-        dw, dbias, dz = backward(cache, labels)
+        dw, dbias, dl_dlogit = backward(cache, labels)
 
         h = 1e-6
 
@@ -128,7 +128,8 @@ class TestBackward:
         fd = (loss_with(wp) - loss_with(wm)) / (2 * h)
         assert abs(fd - dbias) / max(abs(fd), 1e-10) < 1e-5
 
-        # per-volume input gradients, coupled through the batch statistics
+        # per-volume input gradients dl_dlogit[i] * w, coupled through the
+        # batch statistics
         for vi in (0, 2):
             flat = vols[vi].ravel()
             for j in rng.choice(flat.size, size=5, replace=False):
@@ -137,7 +138,8 @@ class TestBackward:
                 bp[vi].ravel()[j] += h
                 bm[vi].ravel()[j] -= h
                 fd = (loss_with(w, bp) - loss_with(w, bm)) / (2 * h)
-                assert abs(fd - dz[vi, j]) / max(abs(fd), 1e-10) < 1e-5
+                an = dl_dlogit[vi] * w.w[j]
+                assert abs(fd - an) / max(abs(fd), 1e-10) < 1e-5
 
     def test_degenerate_batch_zero_weight_gradient(self):
         vols = [np.full((2, 2, 2), 0.3)] * 3

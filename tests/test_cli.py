@@ -324,6 +324,23 @@ class TestParsing:
                     "--out", str(tmp_path / "d")]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_gen_phantom_leaves_out_as_found(self, tmp_path, capsys, existing):
+        # the first noisy volume cannot be written, after the noise-free one was
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"{SMALL_SPEC}noise_levels = 0,1e300\n")
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "keep.txt").write_text("kept")
+        assert run(["gen-phantom", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "ERROR 2" in capsys.readouterr().err
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["keep.txt"]
+            assert (out / "keep.txt").read_text() == "kept"
+        else:
+            assert not out.exists()
+
     @pytest.mark.parametrize("command, line", [
         ("train", "max_epochs = 0"),
         ("train", "patience = 0"),

@@ -160,6 +160,26 @@ class TestSmoothWithDsigma:
             smooth_with_dsigma(x, np.ones(5), np.ones(5))
 
 
+class TestSymmetricSmoothing:
+    """Zero-padded same-size smoothing K with a symmetric profile is a
+    symmetric matrix: w . (K x) == (K w) . x, which lets a shared width
+    smooth the classifier weight instead of every volume."""
+
+    @pytest.mark.parametrize("shape", ["cubic", "non-cubic", "filter side == min dim"])
+    @pytest.mark.parametrize("sigma, radius", [(0.3, 0), (0.6, 1), (1.1, 2), (1.6, 3)])
+    def test_adjoint_identity(self, sigma, radius, shape):
+        side = 2 * radius + 1
+        dims = {"cubic": (8, 8, 8), "non-cubic": (9, 11, 7),
+                "filter side == min dim": (side + 3, side, side + 1)}[shape]
+        rng = np.random.default_rng(radius)
+        x, w = rng.normal(size=dims), rng.normal(size=dims)
+        p = build_filter(sigma, 4.0).profile_1d
+        assert p.size == side
+        lhs = float(np.sum(w * convolve_separable(x, p)))
+        rhs = float(np.sum(convolve_separable(w, p) * x))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
 def test_separable_faster_than_direct():
     x = np.random.default_rng(9).normal(size=(64, 64, 64))
     f = build_filter(1.0, 4.0)  # r = 2

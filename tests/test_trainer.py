@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from adaptsmooth import classifier, params_net, phantom, trainer
+from adaptsmooth.conv3d import convolve_separable
 from adaptsmooth.errors import DataError, NumericalError
+from adaptsmooth.gaussian_filter import build_filter
 from adaptsmooth.phantom import PhantomSpec
 from adaptsmooth.trainer import (
     MiniBatch,
@@ -180,6 +182,92 @@ class TestJointPassChain:
         _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         assert fwd["smoothed"].shape == (batch.size, 8, 8, 8)
         assert np.shares_memory(fwd["cache"]["x"], fwd["smoothed"])
+
+
+class TestFixedWidth:
+    """A fixed width smooths the classifier weight once per batch instead of
+    every volume; the step must match smoothing the volumes themselves."""
+
+    SIGMA = 1.1
+
+    def _setup(self):
+        rng = np.random.default_rng(8)
+        dims = (7, 8, 9)
+        vols = [rng.normal(0.4, 0.1, dims) for _ in range(6)]
+        batch = MiniBatch("s0", 0.1, "train", vols, np.arange(6) % 2.0,
+                          np.zeros(6))
+        cw = classifier.xavier_init(dims, 3)
+        cfg = TrainConfig(fixed_sigma=self.SIGMA, lambda_l2=1e-3)
+        return batch, cw, cfg
+
+    @staticmethod
+    def _rel(a, b, scale=None):
+        a, b = np.asarray(a), np.asarray(b)
+        return float(np.max(np.abs(a - b))) / (scale or float(np.max(np.abs(b))))
+
+    def test_training_step_matches_smoothed_batch_reference(self):
+        batch, cw, cfg = self._setup()
+        loss, grads, fwd = batch_loss_and_grads(batch, None, cw, cfg)
+        # reference: smooth every volume, classify, add the L2 term
+        p = build_filter(self.SIGMA, cfg.truncation).profile_1d
+        probs, cache = classifier.forward(
+            [convolve_separable(x, p) for x in batch.volumes], cw)
+        penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
+        ref_loss = classifier.bce_loss(probs, batch.labels) + penalty
+        dw, dbias, dl_dlogit = classifier.backward(cache, batch.labels)
+        assert self._rel(fwd["probs"], probs) < 1e-12
+        assert self._rel(loss, ref_loss) < 1e-12
+        assert self._rel(grads["w"], dw + pen_grad) < 1e-12
+        # dL/dbias is the sum of the logit gradients, which cancels to ~0,
+        # so it is compared on the scale of those gradients
+        assert self._rel(grads["bias"], dbias, np.abs(dl_dlogit).sum()) < 1e-12
+        assert set(grads) == {"w", "bias"}
+
+    def test_weight_gradient_vs_finite_differences(self):
+        batch, cw, cfg = self._setup()
+        _, grads, _ = batch_loss_and_grads(batch, None, cw, cfg)
+        h = 1e-6
+        rng = np.random.default_rng(1)
+        for i in rng.choice(cw.w.size, size=12, replace=False):
+            wp, wm = copy.deepcopy(cw), copy.deepcopy(cw)
+            wp.w[i] += h
+            wm.w[i] -= h
+            fd = (batch_loss_and_grads(batch, None, wp, cfg)[0]
+                  - batch_loss_and_grads(batch, None, wm, cfg)[0]) / (2 * h)
+            assert abs(fd - grads["w"][i]) / max(abs(fd), 1e-10) < 1e-5
+
+    @pytest.fixture()
+    def smoothings(self, monkeypatch):
+        calls = []
+        smooth = trainer.convolve_separable
+
+        def counted(x, p):
+            calls.append(x)
+            return smooth(x, p)
+
+        monkeypatch.setattr(trainer, "convolve_separable", counted)
+        monkeypatch.setattr(trainer, "smooth_with_dsigma", None)  # must not be called
+        return calls
+
+    def test_two_smoothings_per_training_batch(self, smoothings):
+        batch, cw, cfg = self._setup()
+        batch_loss_and_grads(batch, None, cw, cfg)
+        assert len(smoothings) == 2
+        np.testing.assert_array_equal(smoothings[0], cw.w.reshape(batch.volumes[0].shape))
+        assert not any(np.shares_memory(x, v) for x in smoothings for v in batch.volumes)
+
+    def test_one_smoothing_per_evaluation_batch(self, smoothings):
+        batch, cw, cfg = self._setup()
+        trainer._forward_batch(batch, None, cw, cfg)
+        assert len(smoothings) == 1
+        np.testing.assert_array_equal(smoothings[0], cw.w.reshape(batch.volumes[0].shape))
+
+    def test_classifier_reads_loaded_volumes_stacked_in_place(self, tiny_dataset):
+        batch = tiny_dataset[0]
+        cw = classifier.xavier_init(batch.volumes[0].shape, 0)
+        fwd = trainer._forward_batch(batch, None, cw, TrainConfig(fixed_sigma=1.0))
+        np.testing.assert_array_equal(fwd["raw"], np.stack(batch.volumes))
+        assert np.shares_memory(fwd["cache"]["x"], fwd["raw"])
 
 
 class TestStepMode:

@@ -126,6 +126,12 @@ class TestVol1:
         np.testing.assert_array_equal(back.data, v.data)
         assert back.voxel_size_mm == pytest.approx(2.5)
 
+    def test_read_data_is_c_contiguous(self, tmp_path):
+        # so a stack of loaded volumes flattens as a view, not a copy
+        p = tmp_path / "v.vol"
+        write_volume(Volume(np.arange(24.0).reshape(2, 3, 4)), p)
+        assert read_volume(p).data.flags.c_contiguous
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "bad.vol"
         payload = struct.pack("<f", 0.0) * 7  # dims say 8 voxels
@@ -214,6 +220,11 @@ class TestNifti:
         assert v.dims == (3, 4, 2)  # (H=ny, W=nx, D=nz)
         # x is the NIfTI fastest axis and maps to width
         assert v.data[1, 2, 0] == pytest.approx(float(data[2, 1, 0]))
+
+    def test_read_data_is_c_contiguous(self, tmp_path):
+        p = tmp_path / "f.nii"
+        _make_nifti(p, np.arange(24, dtype=np.float32).reshape(4, 3, 2), datatype=16)
+        assert read_volume(p).data.flags.c_contiguous
 
     def test_unsupported_datatype(self, tmp_path):
         p = tmp_path / "c.nii"
