@@ -25,16 +25,9 @@ from .gaussian_filter import (
     fwhm_mm_to_sigma,
     sigma_to_fwhm_mm,
 )
-from .conv3d import (
-    convolve,
-    convolve_backward_filter,
-    convolve_backward_input,
-    convolve_separable,
-)
+from .conv3d import convolve, convolve_separable
 from .params_net import (
-    LAPLACIAN_KERNEL,
     ParamsNetWeights,
-    calibrated_noise_estimate,
     map_to_sigma,
     map_to_sigma_backward,
     noise_feature,

@@ -114,8 +114,7 @@ def _cmd_train(args):
     cfg, batches = _load_train_inputs(args)
     _log(f"train: config={cfg}")
     pnw, cw, report = trainer.train(cfg, batches)
-    dims = batches[0].volumes[0].shape
-    _write_train_outputs(args.out, pnw, cw, report, dims)
+    _write_train_outputs(args.out, pnw, cw, report, batches[0].volumes.shape[1:])
     print(report.summary_text())
     return 0
 
@@ -146,6 +145,9 @@ def _cmd_evaluate(args):
         else trainer.TrainConfig()
     cfg.validate()
     batches = trainer.load_dataset(Path(args.data) / "manifest.csv")
+    if dims != batches[0].volumes.shape[1:]:
+        raise DataError(f"model dims {dims} differ from the data's "
+                        f"{batches[0].volumes.shape[1:]}")
     fixed_sigma = None
     fixed = None if cfg.fixed_sigma is None else f"sigma_f {cfg.fixed_sigma:.4g}"
     if args.fixed_fwhm_mm is not None:

@@ -1,8 +1,8 @@
-"""Same-size 3D convolution with zero padding, forward and backward.
+"""Same-size 3D convolution with zero padding.
 
 The separable path for rank-1 kernels built from a 1D profile is the one the
-package runs.  The direct loop over filter taps and its adjoints are the
-reference implementation that tests and benchmark checks compare against.
+package runs.  The direct loop over filter taps is the reference
+implementation that tests and benchmark checks compare against.
 Both kernels used in this package (the Gaussian and the Laplacian) are exact
 outer products, and both are symmetric, so correlation equals convolution
 throughout.
@@ -97,29 +97,3 @@ def smooth_with_dsigma(x: np.ndarray, p, dp):
           + _pass(_pass(a, dp, 1), p, 2)
           + _pass(b, dp, 2))
     return z, dz
-
-
-def convolve_backward_filter(upstream: np.ndarray, x: np.ndarray, radius: int) -> np.ndarray:
-    """Gradient of sum(upstream * convolve(x, q)) with respect to the filter cube."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if upstream.shape != x.shape:
-        raise DataError(f"dim mismatch: {upstream.shape} vs {x.shape}")
-    r = radius
-    h, w, d = x.shape
-    xp = np.pad(x, r)
-    grad = np.empty((2 * r + 1,) * 3)
-    for a in range(2 * r + 1):
-        for b in range(2 * r + 1):
-            for c in range(2 * r + 1):
-                grad[a, b, c] = np.sum(upstream * xp[a:a + h, b:b + w, c:c + d])
-    return grad
-
-
-def convolve_backward_input(upstream: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Gradient of sum(upstream * convolve(x, q)) with respect to the input.
-
-    This is the adjoint of `convolve`: correlation of the upstream gradient
-    with the flipped filter, zero-padded to the same size.
-    """
-    return convolve(upstream, np.asarray(q, dtype=np.float64)[::-1, ::-1, ::-1])

@@ -93,12 +93,6 @@ def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION) -> GaussianFilte
     return GaussianFilter(sigma_f, t, r, profile, d_profile)
 
 
-def single_cell_threshold(t: float) -> float:
-    """sigma_f below this value produces the degenerate 1x1x1 filter, up to
-    the rounding of the radius formula (`filter_radius` is exact)."""
-    return 1.5 / t
-
-
 def apply_degenerate_policy(sigma_f: float, t: float, p: float, rng=None) -> float:
     """Stochastically bump sigma_f by 1.0 when its filter is the single cell.
 

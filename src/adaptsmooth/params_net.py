@@ -16,12 +16,9 @@ from scipy.ndimage import correlate1d
 
 from .errors import DataError
 
+# the 3D kernel is the outer product [1,-2,1] x [1,-2,1] x [1,-2,1]:
+# sum 0, sum of squares 6^3 = 216
 LAPLACIAN_1D = np.array([1.0, -2.0, 1.0])
-
-# outer product [1,-2,1] x [1,-2,1] x [1,-2,1]; sum 0, sum of squares 216
-LAPLACIAN_KERNEL = (
-    LAPLACIAN_1D[:, None, None] * LAPLACIAN_1D[None, :, None] * LAPLACIAN_1D[None, None, :]
-)
 
 # Mean absolute Laplacian response of unit iid Gaussian noise:
 # response std = sqrt(sum of squared kernel entries), mean-abs = std * sqrt(2/pi).
@@ -84,12 +81,6 @@ def noise_feature(x) -> float:
         resp = correlate1d(resp, LAPLACIAN_1D, axis=axis, mode="constant", cval=0.0)
     interior = resp[1:-1, 1:-1, 1:-1]
     return float(np.abs(interior).mean())
-
-
-def calibrated_noise_estimate(x) -> float:
-    """Noise std estimate for reporting: the feature divided by its iid-noise
-    expectation at unit sigma.  Diagnostic only, not part of the training graph."""
-    return noise_feature(x) / NOISE_CALIBRATION
 
 
 def _preactivation(feature: float, w: ParamsNetWeights):

