@@ -144,7 +144,7 @@ def _cmd_evaluate(args):
     cfg = read_config(cfg_path, trainer.TrainConfig) if cfg_path.exists() \
         else trainer.TrainConfig()
     cfg.validate()
-    batches = trainer.load_dataset(Path(args.data) / "manifest.csv")
+    batches = trainer.load_dataset(Path(args.data) / "manifest.csv", args.split)
     if dims != batches[0].volumes.shape[1:]:
         raise DataError(f"model dims {dims} differ from the data's "
                         f"{batches[0].volumes.shape[1:]}")

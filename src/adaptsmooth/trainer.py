@@ -133,10 +133,17 @@ def noise_table(per_noise: dict, fixed: str | None = None) -> list[str]:
     return lines
 
 
-def load_dataset(manifest_path) -> list[MiniBatch]:
+def load_dataset(manifest_path, split: str | None = None) -> list[MiniBatch]:
     """Read a manifest and the volumes beside it into per-(subject, noise)
-    groups, with the per-volume noise features precomputed."""
-    return group_batches(read_manifest(manifest_path), Path(manifest_path).parent)
+    groups, with the per-volume noise features precomputed.  With `split`,
+    only that split's volumes are read."""
+    manifest = read_manifest(manifest_path)
+    if split is not None:
+        manifest.entries = [e for e in manifest.entries
+                            if manifest.split[e.subject_id] == split]
+        if not manifest.entries:
+            raise DataError(f"split {split!r} is empty")
+    return group_batches(manifest, Path(manifest_path).parent)
 
 
 def group_batches(manifest: DatasetManifest, base_dir) -> list[MiniBatch]:
@@ -144,14 +151,18 @@ def group_batches(manifest: DatasetManifest, base_dir) -> list[MiniBatch]:
     for e in manifest.entries:
         groups.setdefault((e.subject_id, e.noise_level), []).append(e)
     batches = []
-    dims = None
+    dims = voxel = None
     for (sid, noise), entries in sorted(groups.items()):
         vols, feats = None, []
         for i, e in enumerate(entries):
             v = read_volume(Path(base_dir) / e.path)
-            dims = dims or v.dims
+            if dims is None:
+                dims, voxel = v.dims, v.voxel_size_mm
             if v.dims != dims:
                 raise DataError(f"{e.path}: dims {v.dims} differ from the dataset's {dims}")
+            if v.voxel_size_mm != voxel:
+                raise DataError(f"{e.path}: voxel size {v.voxel_size_mm} mm differs "
+                                f"from the dataset's {voxel} mm")
             if vols is None:
                 vols = np.empty((len(entries), *dims))
             vols[i] = v.data

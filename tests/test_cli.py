@@ -6,8 +6,14 @@ import pytest
 
 from adaptsmooth import classifier, params_net, trainer
 from adaptsmooth.cli import run
-from adaptsmooth.gaussian_filter import build_filter
-from adaptsmooth.volume_io import Volume, read_config, read_volume, write_volume
+from adaptsmooth.gaussian_filter import build_filter, fwhm_mm_to_sigma
+from adaptsmooth.volume_io import (
+    Volume,
+    read_config,
+    read_manifest,
+    read_volume,
+    write_volume,
+)
 
 SMALL_SPEC = ("dims = 16,16,16\n"
               "n_subjects = 4\n"
@@ -241,10 +247,84 @@ class TestTrainEvaluate:
         data, model = trained
         copy = tmp_path / "data"
         shutil.copytree(data, copy)
-        first = sorted(copy.glob("*.vol"))[0]
+        first = sorted(copy.glob("sub03_*.vol"))[0]  # sub03 is the test subject
         write_volume(Volume(np.full((16, 16, 15), 0.5), 3.0), first)
         assert run(["evaluate", "--weights", str(model), "--data", str(copy)]) == 2
         assert "differ from the dataset's" in capsys.readouterr().err
+
+    def test_evaluate_reads_only_its_split(self, trained, tmp_path, capsys):
+        data, model = trained
+        assert run(["evaluate", "--weights", str(model), "--data", str(data)]) == 0
+        clean = capsys.readouterr().out
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        first = sorted(copy.glob("*.vol"))[0]  # sub00, a train subject
+        write_volume(Volume(np.full((16, 16, 15), 0.5), 3.0), first)
+        assert run(["evaluate", "--weights", str(model), "--data", str(copy),
+                    "--split", "test"]) == 0
+        assert capsys.readouterr().out == clean
+        assert run(["evaluate", "--weights", str(model), "--data", str(copy),
+                    "--split", "train"]) == 2
+        assert f"{first.name}: dims (16, 16, 15) differ from the dataset's" \
+            in capsys.readouterr().err
+
+    def test_evaluate_mixed_voxel_sizes_is_data_error(self, trained, tmp_path, capsys):
+        data, model = trained
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        path = sorted(copy.glob("sub03_*.vol"))[0]
+        write_volume(Volume(read_volume(path).data, 2.0), path)
+        assert run(["evaluate", "--weights", str(model), "--data", str(copy),
+                    "--fixed-fwhm-mm", "8"]) == 2
+        assert (f"ERROR 2: {path.name}: voxel size 2.0 mm differs from the "
+                "dataset's 3.0 mm") in capsys.readouterr().err
+
+    def test_evaluate_empty_split_is_data_error(self, trained, tmp_path, capsys):
+        data, model = trained
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        manifest = copy / "manifest.csv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if ",sub03," not in line))
+        assert run(["evaluate", "--weights", str(model), "--data", str(copy),
+                    "--split", "test"]) == 2
+        assert "split 'test' is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fwhm", [None, 8.0])
+    @pytest.mark.parametrize("split", ["train", "validation", "test"])
+    def test_evaluate_prints_full_load_result(self, trained, capsys, split, fwhm):
+        data, model = trained
+        flags = [] if fwhm is None else ["--fixed-fwhm-mm", f"{fwhm:g}"]
+        assert run(["evaluate", "--weights", str(model), "--data", str(data),
+                    "--split", split, *flags]) == 0
+        printed = capsys.readouterr().out
+        pnw = params_net.load_weights(model / "params_net.txt")
+        cw, _ = classifier.load_weights(model / "classifier.txt")
+        cfg = read_config(model / "config.txt", trainer.TrainConfig)
+        batches = trainer.load_dataset(data / "manifest.csv")
+        sigma = None if fwhm is None else fwhm_mm_to_sigma(fwhm, batches[0].voxel_size_mm)
+        res = trainer.evaluate(pnw, cw, batches, split, cfg, sigma)
+        table = trainer.noise_table(res["per_noise"],
+                                    None if fwhm is None else f"FWHM {fwhm:g} mm")
+        assert printed == "\n".join(table) + f"\noverall accuracy: {res['accuracy']:.3f}\n"
+        part = trainer.load_dataset(data / "manifest.csv", split)
+        assert trainer.evaluate(pnw, cw, part, split, cfg, sigma) == res
+
+    def test_evaluate_reads_only_test_entries(self, trained, capsys, monkeypatch):
+        data, model = trained
+        reads = []
+
+        def counting_read(path):
+            reads.append(path.name)
+            return read_volume(path)
+
+        monkeypatch.setattr(trainer, "read_volume", counting_read)
+        assert run(["evaluate", "--weights", str(model), "--data", str(data),
+                    "--split", "test"]) == 0
+        manifest = read_manifest(data / "manifest.csv")
+        test = [e.path for e in manifest.entries if manifest.split[e.subject_id] == "test"]
+        assert len(reads) == len(test) == 12
+        assert sorted(reads) == sorted(test)
 
     @pytest.mark.parametrize("dims, flags", [
         ("16,16,20", ["--fixed-fwhm-mm", "8"]),  # was a reshape traceback

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,13 @@ from adaptsmooth.trainer import (
     make_batches,
     train,
 )
-from adaptsmooth.volume_io import read_config, read_manifest, read_volume
+from adaptsmooth.volume_io import (
+    Volume,
+    read_config,
+    read_manifest,
+    read_volume,
+    write_volume,
+)
 
 
 def _make_group(sid, noise, split, n, dims=(4, 4, 4), seed=0):
@@ -61,6 +68,39 @@ def test_load_dataset_reads_each_group_into_one_array(tmp_path):
         assert b.volumes.shape == (len(paths), 9, 16, 11)
         np.testing.assert_array_equal(
             b.volumes, np.stack([read_volume(tmp_path / path).data for path in paths]))
+
+
+def _three_subject_phantom(out):
+    spec = PhantomSpec(dims=(9, 16, 11), n_subjects=3, volumes_per_subject_per_class=2,
+                       center_offset_x=3, blob_radius=1.3, noise_levels=(0.0, 0.2),
+                       split_counts=(1, 1, 1))
+    phantom.generate(spec, out, seed=5)
+    return out / "manifest.csv"
+
+
+def test_load_dataset_rejects_mixed_voxel_sizes(tmp_path):
+    last = read_manifest(_three_subject_phantom(tmp_path)).entries[-1].path
+    write_volume(Volume(read_volume(tmp_path / last).data, 2.0), tmp_path / last)
+    with pytest.raises(DataError, match=rf"^{re.escape(last)}: voxel size 2\.0 mm "
+                                        r"differs from the dataset's 3\.0 mm$"):
+        load_dataset(tmp_path / "manifest.csv")
+
+
+def test_load_dataset_split_keeps_only_that_split(tmp_path):
+    manifest = _three_subject_phantom(tmp_path)
+    full = load_dataset(manifest)
+    for split in ("train", "validation", "test"):
+        part = load_dataset(manifest, split)
+        expected = [b for b in full if b.split == split]
+        assert [(b.subject_id, b.noise_level) for b in part] == \
+            [(b.subject_id, b.noise_level) for b in expected]
+        for b, e in zip(part, expected):
+            np.testing.assert_array_equal(b.volumes, e.volumes)
+            np.testing.assert_array_equal(b.features, e.features)
+            np.testing.assert_array_equal(b.labels, e.labels)
+    manifest.write_text("path,label,subject_id,noise_level,split\n")
+    with pytest.raises(DataError, match="split 'test' is empty"):
+        load_dataset(manifest, "test")
 
 
 class TestMakeBatches:
