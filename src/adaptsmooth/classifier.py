@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .volume_io import read_rows, write_rows
 
 EPSILON = 1e-5
 PROB_CLAMP = 1e-7
@@ -117,23 +118,13 @@ def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def save_weights(weights: ClassifierWeights, dims, path):
     """Checkpoint: dims line, then w, then bias."""
-    with open(path, "w") as f:
-        f.write(f"{dims[0]} {dims[1]} {dims[2]}\n")
-        f.write(" ".join(f"{x:.17g}" for x in weights.w) + "\n")
-        f.write(f"{weights.bias:.17g}\n")
+    write_rows(path, dims, weights.w, weights.bias)
 
 
 def load_weights(path):
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if len(lines) != 3:
-        raise DataError(f"{path}: expected 3 lines, got {len(lines)}")
-    try:
-        dims = tuple(int(x) for x in lines[0].split())
-        w = np.array([float(x) for x in lines[1].split()])
-        bias = float(lines[2])
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if len(dims) != 3 or w.size != int(np.prod(dims)):
+    dims, w, bias = read_rows(path, 3)
+    if dims.size != 3 or (dims < 1).any() or (dims % 1).any():
+        raise DataError(f"{path}: dims must be three positive integers")
+    if w.size != dims.prod() or bias.size != 1:
         raise DataError(f"{path}: weight length does not match dims")
-    return ClassifierWeights(w, bias), dims
+    return ClassifierWeights(w, float(bias[0])), tuple(int(d) for d in dims)

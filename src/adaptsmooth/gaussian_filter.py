@@ -41,10 +41,6 @@ class GaussianFilter:
     profile_1d: np.ndarray       # (2r+1,) renormalized 1D profile
     d_profile_1d: np.ndarray     # (2r+1,) its sigma_f derivative
 
-    @property
-    def side(self) -> int:
-        return 2 * self.radius + 1
-
     def _raw_cube(self):
         """Raw samples and their sigma_f derivative, keyed by integer squared
         radius so symmetric cells share the exact same float.  The
@@ -83,6 +79,9 @@ def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION) -> GaussianFilte
     if not t * sigma_f < math.inf:
         raise DataError(f"filter extent t * sigma_f overflows: t={t}, sigma_f={sigma_f}")
     r = filter_radius(sigma_f, t)
+    # squared radius / sigma_f^3 must fit float64 up to the cube's corner, 3r^2
+    if not (sigma_f ** 3 > 0 and 3.0 * r * r / sigma_f ** 3 < math.inf):
+        raise DataError(f"sigma_f {sigma_f} at t={t}: the filter derivative does not fit float64")
     sq = np.arange(-r, r + 1) ** 2
     g1 = np.exp(-sq * (1.0 / (2.0 * sigma_f * sigma_f)))
     g1p = g1 * (sq / sigma_f ** 3)

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.ndimage import correlate1d
 
 from .errors import DataError
+from .volume_io import read_rows, write_rows
 
 # the 3D kernel is the outer product [1,-2,1] x [1,-2,1] x [1,-2,1]:
 # sum 0, sum of squares 6^3 = 216
@@ -123,24 +124,11 @@ def map_to_sigma_backward(feature: float, w: ParamsNetWeights,
 
 def save_weights(w: ParamsNetWeights, path):
     """Checkpoint: line 1 is M, then a, b, v one line each, then c."""
-    with open(path, "w") as f:
-        f.write(f"{w.m}\n")
-        for arr in (w.a, w.b, w.v):
-            f.write(" ".join(f"{x:.17g}" for x in arr) + "\n")
-        f.write(f"{w.c:.17g}\n")
+    write_rows(path, w.m, w.a, w.b, w.v, w.c)
 
 
 def load_weights(path) -> ParamsNetWeights:
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if len(lines) != 5:
-        raise DataError(f"{path}: expected 5 lines, got {len(lines)}")
-    try:
-        m = int(lines[0])
-        a, b, v = (np.array([float(x) for x in lines[i].split()]) for i in (1, 2, 3))
-        c = float(lines[4])
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if not (a.size == b.size == v.size == m):
+    m, a, b, v, c = read_rows(path, 5)
+    if not (m.size == c.size == 1 and a.size == b.size == v.size == m[0]):
         raise DataError(f"{path}: layer width mismatch")
-    return ParamsNetWeights(a, b, v, c)
+    return ParamsNetWeights(a, b, v, float(c[0]))

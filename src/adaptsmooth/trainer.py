@@ -32,7 +32,7 @@ from .gaussian_filter import (
     build_filter,
     sigma_to_fwhm_mm,
 )
-from .volume_io import DatasetManifest, read_manifest, read_volume
+from .volume_io import read_manifest, read_volume
 
 DEFAULT_LR_GRID = (1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_LAMBDA_GRID = (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
@@ -138,24 +138,20 @@ def load_dataset(manifest_path, split: str | None = None) -> list[MiniBatch]:
     groups, with the per-volume noise features precomputed.  With `split`,
     only that split's volumes are read."""
     manifest = read_manifest(manifest_path)
+    entries = manifest.entries
     if split is not None:
-        manifest.entries = [e for e in manifest.entries
-                            if manifest.split[e.subject_id] == split]
-        if not manifest.entries:
+        entries = [e for e in entries if manifest.split[e.subject_id] == split]
+        if not entries:
             raise DataError(f"split {split!r} is empty")
-    return group_batches(manifest, Path(manifest_path).parent)
-
-
-def group_batches(manifest: DatasetManifest, base_dir) -> list[MiniBatch]:
     groups = {}
-    for e in manifest.entries:
+    for e in entries:
         groups.setdefault((e.subject_id, e.noise_level), []).append(e)
     batches = []
     dims = voxel = None
-    for (sid, noise), entries in sorted(groups.items()):
+    for (sid, noise), group in sorted(groups.items()):
         vols, feats = None, []
-        for i, e in enumerate(entries):
-            v = read_volume(Path(base_dir) / e.path)
+        for i, e in enumerate(group):
+            v = read_volume(Path(manifest_path).parent / e.path)
             if dims is None:
                 dims, voxel = v.dims, v.voxel_size_mm
             if v.dims != dims:
@@ -164,11 +160,11 @@ def group_batches(manifest: DatasetManifest, base_dir) -> list[MiniBatch]:
                 raise DataError(f"{e.path}: voxel size {v.voxel_size_mm} mm differs "
                                 f"from the dataset's {voxel} mm")
             if vols is None:
-                vols = np.empty((len(entries), *dims))
+                vols = np.empty((len(group), *dims))
             vols[i] = v.data
             feats.append(params_net.noise_feature(v.data))
         batches.append(MiniBatch(sid, noise, manifest.split[sid], vols,
-                                 np.array([e.label for e in entries], dtype=np.float64),
+                                 np.array([e.label for e in group], dtype=np.float64),
                                  np.array(feats), v.voxel_size_mm))
     return batches
 
@@ -253,24 +249,16 @@ def _backward_batch(batch: MiniBatch, fwd, pnw, cfg: TrainConfig):
         dl_dw = convolve_separable(dl_dw.reshape(dims), fwd["profile"]).ravel()
     grads = {"w": dl_dw + fwd["pen_grad"], "bias": dl_dbias}
     if cfg.fixed_sigma is None:
-        da = np.zeros(pnw.m)
-        db = np.zeros(pnw.m)
-        dv = np.zeros(pnw.m)
-        dc = 0.0
-        w = fwd["cache"]["w"]
-        for i, feat in enumerate(batch.features):
-            dz = fwd["dz"][i]
+        head = [np.zeros(pnw.m), np.zeros(pnw.m), np.zeros(pnw.m), 0.0]  # a, b, v, c
+        for feat, dz, dl in zip(batch.features, fwd["dz"], dl_dlogit):
             if dz is None:
                 continue  # this volume's width carries no gradient
-            up = (dl_dlogit[i] * w).reshape(dims)
+            up = (dl * fwd["cache"]["w"]).reshape(dims)
             dl_dsigma = float(np.sum(up * dz))
             # the stochastic bump is pass-through: d(sigma+1)/dsigma = 1
             gi = params_net.map_to_sigma_backward(float(feat), pnw, dl_dsigma)
-            da += gi[0]
-            db += gi[1]
-            dv += gi[2]
-            dc += gi[3]
-        grads.update({"a": da, "b": db, "v": dv, "c": dc})
+            head = [h + g for h, g in zip(head, gi)]
+        grads.update(zip("abvc", head))
     return grads
 
 
@@ -282,11 +270,9 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig):
     return fwd["loss"], grads, fwd
 
 
-def _evaluate_split(batches, pnw, cw, cfg, split, fixed_sigma=None):
+def _evaluate_split(batches, pnw, cw, cfg, split):
     """Loss/accuracy per noise level, using batch statistics at evaluation
     time as well (deliberate deviation from running-average batch norm)."""
-    eval_cfg = replace(cfg, fixed_sigma=fixed_sigma if fixed_sigma is not None
-                       else cfg.fixed_sigma)
     per_noise = {}
     total_loss, total_correct, total_n = 0.0, 0.0, 0
     voxel_mm = 3.0
@@ -294,7 +280,7 @@ def _evaluate_split(batches, pnw, cw, cfg, split, fixed_sigma=None):
         if b.split != split:
             continue
         voxel_mm = b.voxel_size_mm
-        fwd = _forward_batch(b, pnw, cw, eval_cfg)
+        fwd = _forward_batch(b, pnw, cw, cfg)
         acc = classifier.accuracy(fwd["probs"], b.labels)
         rec = per_noise.setdefault(b.noise_level, {"n": 0, "correct": 0.0,
                                                    "loss": 0.0, "sigma_sum": 0.0})
@@ -311,7 +297,7 @@ def _evaluate_split(batches, pnw, cw, cfg, split, fixed_sigma=None):
     for noise, rec in per_noise.items():
         row = {"accuracy": rec["correct"] / rec["n"],
                "loss": rec["loss"] / rec["n"], "n": rec["n"]}
-        if eval_cfg.fixed_sigma is None:
+        if cfg.fixed_sigma is None:
             mean_sigma = rec["sigma_sum"] / rec["n"]
             row["mean_sigma"] = mean_sigma
             row["mean_fwhm_mm"] = sigma_to_fwhm_mm(mean_sigma, voxel_mm)
@@ -326,7 +312,9 @@ def evaluate(pnw, cw, batches, split: str, cfg: TrainConfig | None = None,
     (the fixed-FWHM baseline protocol)."""
     if cfg is None:
         cfg = TrainConfig()
-    return _evaluate_split(batches, pnw, cw, cfg, split, fixed_sigma)
+    if fixed_sigma is not None:
+        cfg = replace(cfg, fixed_sigma=fixed_sigma)
+    return _evaluate_split(batches, pnw, cw, cfg, split)
 
 
 def train(cfg: TrainConfig, batches: list[MiniBatch]):
@@ -362,15 +350,10 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
                     f"last widths {[round(s, 4) for s in fwd['sigmas']]}, "
                     f"preactivation clamps {report.events['clamp']}, "
                     f"width-fit clamps {report.events['fit_clamp']}")
-            grads = _backward_batch(batch, fwd, pnw, cfg)
-            lr = cfg.learning_rate
-            cw.w = cw.w - lr * grads["w"]
-            cw.bias = cw.bias - lr * grads["bias"]
-            if cfg.fixed_sigma is None:
-                pnw.a = pnw.a - lr * grads["a"]
-                pnw.b = pnw.b - lr * grads["b"]
-                pnw.v = pnw.v - lr * grads["v"]
-                pnw.c = pnw.c - lr * grads["c"]
+            # plain SGD on every parameter with a gradient: w, bias, a, b, v, c
+            for name, g in _backward_batch(batch, fwd, pnw, cfg).items():
+                owner = cw if name in ("w", "bias") else pnw
+                setattr(owner, name, getattr(owner, name) - cfg.learning_rate * g)
             epoch_loss += fwd["loss"] * batch.size
             n_seen += batch.size
         train_loss = epoch_loss / n_seen

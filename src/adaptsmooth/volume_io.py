@@ -1,5 +1,5 @@
 """Volume data type, file formats, dataset manifests, config files,
-normalization and noise.
+checkpoint rows, normalization and noise.
 
 Voxel ordering convention: the in-memory array is indexed ``data[h, w, d]``
 (height, width, depth).  On disk and in any flattened view the order is
@@ -208,6 +208,8 @@ def read_nifti(path) -> list[Volume]:
         raise DataError(f"{path}: non-positive dims {dim[1:5]}")
     dtype = _NIFTI_DTYPES[datatype].newbyteorder(end)
     n = nx * ny * nz * nt
+    if not math.isfinite(vox_offset):
+        raise DataError(f"{path}: non-finite vox_offset {vox_offset}")
     offset = int(vox_offset) if vox_offset >= _NIFTI_HEADER_SIZE else _NIFTI_HEADER_SIZE
     payload = blob[offset:]
     if len(payload) < n * dtype.itemsize:
@@ -266,6 +268,8 @@ def read_manifest(path) -> DatasetManifest:
                 noise = float(noise_s)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(noise):
+                raise DataError(f"{path}:{lineno}: non-finite noise level {noise_s!r}")
             if sid in manifest.split and manifest.split[sid] != split:
                 raise DataError(
                     f"{path}:{lineno}: subject {sid} assigned to both "
@@ -275,6 +279,30 @@ def read_manifest(path) -> DatasetManifest:
             manifest.entries.append(ManifestEntry(vpath, label, sid, noise))
     manifest.validate()
     return manifest
+
+
+def write_rows(path, *rows):
+    """Write a checkpoint, one line per row (a number or a sequence of them),
+    each number as ``%.17g`` so that float64 values read back exactly."""
+    with open(path, "w") as f:
+        f.writelines(" ".join(f"{x:.17g}" for x in np.ravel(row)) + "\n" for row in rows)
+
+
+def read_rows(path, n: int) -> list[np.ndarray]:
+    """The `n` float64 rows `write_rows` wrote, blank lines skipped; any other
+    line count, a token that is not a number or a non-finite value is a
+    `DataError` naming the file."""
+    with open(path) as f:
+        lines = [ln.split() for ln in f if ln.strip()]
+    if len(lines) != n:
+        raise DataError(f"{path}: expected {n} lines, got {len(lines)}")
+    try:
+        rows = [np.array([float(x) for x in ln]) for ln in lines]
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if not all(np.isfinite(row).all() for row in rows):
+        raise DataError(f"{path}: non-finite value")
+    return rows
 
 
 def read_config(path, cls):

@@ -211,3 +211,36 @@ def test_checkpoint_round_trip(tmp_path):
     assert dims == (3, 4, 5)
     np.testing.assert_array_equal(back.w, w.w)
     assert back.bias == w.bias
+
+
+GOLDEN_CLASSIFIER = ("1 2 3\n0.10000000000000001 -2.5 9.9999999999999995e-21 3 "
+                     "-0.69999999999999996 7\n-0.33333333333333331\n")
+
+
+def test_checkpoint_golden_layout(tmp_path):
+    """A dims line, then w, then the bias, every number as %.17g: the layout
+    of every model directory saved so far."""
+    p = tmp_path / "cls.txt"
+    w = [0.1, -2.5, 1e-20, 3.0, -0.7, 7.0]
+    save_weights(ClassifierWeights(np.array(w), -1 / 3), (1, 2, 3), p)
+    assert p.read_text() == GOLDEN_CLASSIFIER
+    back, dims = load_weights(p)
+    assert dims == (1, 2, 3) and all(type(d) is int for d in dims)
+    assert back.w.tolist() == w and back.bias == -1 / 3
+
+
+@pytest.mark.parametrize("text, match", [
+    ("1 1 2\n1 2\n", "expected 3 lines, got 2"),
+    ("1 1 2\n1 two\n3\n", "could not convert"),
+    ("1 1 2.5\n1 2\n3\n", "dims must be three positive integers"),
+    ("1 2\n1 2\n3\n", "dims must be three positive integers"),
+    ("-1 -1 2\n1 2\n3\n", "dims must be three positive integers"),
+    ("1 1 3\n1 2\n3\n", "weight length does not match dims"),
+    ("1 1 2\n1 2\n3 4\n", "weight length does not match dims"),
+    ("1 1 2\n1 nan\n3\n", "non-finite value"),
+])
+def test_bad_checkpoint_is_data_error_naming_file(tmp_path, text, match):
+    p = tmp_path / "cls.txt"
+    p.write_text(text)
+    with pytest.raises(DataError, match=f"{p}: {match}"):
+        load_weights(p)

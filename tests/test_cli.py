@@ -99,6 +99,16 @@ class TestSmooth:
         assert "ERROR 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", ["--sigma-f 1e-300", "--fwhm-mm 1e-300"])
+    def test_width_too_small_for_float64_is_data_error(self, sample_volume, tmp_path,
+                                                       capsys, flags):
+        # was a ZeroDivisionError traceback (exit 1)
+        out = tmp_path / "o.vol"
+        assert run(["smooth", "--in", str(sample_volume), *flags.split(),
+                    "--out", str(out)]) == 2
+        assert "the filter derivative does not fit float64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_header_voxel_size_is_data_error(self, sample_volume, tmp_path,
                                                  capsys):
         blob = bytearray(sample_volume.read_bytes())
@@ -135,6 +145,12 @@ class TestInspectFilter:
         assert run(["inspect-filter", *flags.split()]) == 2
         out = capsys.readouterr()
         assert "ERROR 2" in out.err and out.out == ""
+
+
+    def test_width_too_small_for_float64_is_data_error(self, capsys):
+        assert run(["inspect-filter", "--sigma-f", "1e-300"]) == 2
+        out = capsys.readouterr()
+        assert "ERROR 2: sigma_f 1e-300 at t=4.0: the filter derivative" in out.err and out.out == ""
 
 
 class TestNoiseCommands:
@@ -237,6 +253,36 @@ class TestTrainEvaluate:
         assert run(["evaluate", "--weights", str(out), "--data", str(data),
                     "--fixed-fwhm-mm", fwhm]) == 2
         assert "ERROR 2" in capsys.readouterr().err
+
+    def test_evaluate_fixed_fwhm_too_small_for_float64_is_data_error(self, trained,
+                                                                     capsys):
+        data, out = trained
+        assert run(["evaluate", "--weights", str(out), "--data", str(data),
+                    "--fixed-fwhm-mm", "1e-300"]) == 2
+        assert "the filter derivative does not fit float64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, line, text", [
+        ("params_net.txt", 4, None),          # a line missing
+        ("params_net.txt", 1, "0.1 x"),       # a token that is not a number
+        ("params_net.txt", 0, "9"),           # M against the row lengths
+        ("params_net.txt", 4, "nan"),         # a non-finite weight
+        ("classifier.txt", 0, "16 16 16.5"),  # non-integer dims
+        ("classifier.txt", 0, "16 16 15"),    # dims against the weight count
+        ("classifier.txt", 2, "nan"),
+    ])
+    def test_evaluate_bad_checkpoint_is_data_error(self, trained, tmp_path, capsys,
+                                                   name, line, text):
+        data, model = trained
+        bad = tmp_path / "model"
+        shutil.copytree(model, bad)
+        lines = (bad / name).read_text().splitlines()
+        if text is None:
+            del lines[line]
+        else:
+            lines[line] = text
+        (bad / name).write_text("\n".join(lines) + "\n")
+        assert run(["evaluate", "--weights", str(bad), "--data", str(data)]) == 2
+        assert f"ERROR 2: {bad / name}: " in capsys.readouterr().err
 
     def test_evaluate_missing_weights(self, trained, tmp_path, capsys):
         data, _ = trained
@@ -341,6 +387,28 @@ class TestTrainEvaluate:
         shape = dims.replace(",", ", ")
         assert f"model dims (16, 16, 16) differ from the data's ({shape})" \
             in capsys.readouterr().err
+
+    def test_train_fixed_sigma_too_small_for_float64_is_data_error(self, trained,
+                                                                   tmp_path, capsys):
+        data, _ = trained
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("max_epochs = 1\nfixed_sigma = 1e-300\n")
+        assert run(["train", "--config", str(cfg), "--data", str(data),
+                    "--out", str(tmp_path / "m")]) == 2
+        assert "the filter derivative does not fit float64" in capsys.readouterr().err
+
+    def test_diverging_training_is_numerical_error(self, trained, tmp_path, capsys):
+        data, _ = trained
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text("learning_rate = 1e300\nmax_epochs = 2\nwidth_m = 8\n")
+        # the diverging weights overflow float64 on the way, as numpy reports,
+        # and the non-finite loss they lead to ends the run with exit 3
+        with pytest.warns(RuntimeWarning):
+            code = run(["train", "--config", str(cfg), "--data", str(data),
+                        "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert "ERROR 3: non-finite loss at epoch 1" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_grid_search_writes_results(self, trained, tmp_path, capsys):
         data, _ = trained

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ class TestBuildFilter:
                          (1.0, math.inf), (1e308, 4.0)):
             with pytest.raises(DataError, match="finite|overflows"):
                 build_filter(sigma, t)
+
+    @pytest.mark.parametrize("sigma, t", [(1e-120, 4.0), (1e-300, 4.0), (1e-100, 1e105),
+                                          (1.0, 1e300)])
+    def test_derivative_overflowing_float64_rejected(self, sigma, t):
+        # sigma^3 underflows to 0, or r^2 / sigma^3 overflows: was a NaN
+        # derivative, a ZeroDivisionError or an OverflowError
+        with pytest.raises(DataError, match=re.escape(
+                f"sigma_f {sigma} at t={t}: the filter derivative does not fit float64")):
+            build_filter(sigma, t)
+
+    @pytest.mark.parametrize("sigma, t", [(1e-100, 4.0), (1e-100, 1e101)])
+    def test_tiny_width_within_float64_accepted(self, sigma, t):
+        f = build_filter(sigma, t)
+        assert f.profile_1d[f.radius] == 1.0 and f.profile_1d.sum() == 1.0
+        assert not f.d_profile_1d.any()
 
 
 class TestDerivative:
@@ -174,5 +190,5 @@ def test_dump_format():
     lines = dump_filter(f).splitlines()
     head = lines[0].split()
     assert float(head[0]) == 0.5 and float(head[1]) == 4.0 and int(head[2]) == f.radius
-    assert len(lines) == 1 + f.side ** 3
+    assert len(lines) == 1 + (2 * f.radius + 1) ** 3
     assert sum(float(x) for x in lines[1:]) == pytest.approx(1.0, abs=1e-12)

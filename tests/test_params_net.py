@@ -190,3 +190,34 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(back.b, w.b)
     np.testing.assert_array_equal(back.v, w.v)
     assert back.c == w.c
+
+
+GOLDEN_PARAMS_NET = ("2\n0.10000000000000001 -2.5\n0 9.9999999999999995e-21\n"
+                     "3 -0.69999999999999996\n0.33333333333333331\n")
+
+
+def test_checkpoint_golden_layout(tmp_path):
+    """Line 1 is M, then a, b, v, then c, every number as %.17g: the layout
+    of every model directory saved so far."""
+    p = tmp_path / "pn.txt"
+    save_weights(ParamsNetWeights([0.1, -2.5], [0.0, 1e-20], [3.0, -0.7], 1 / 3), p)
+    assert p.read_text() == GOLDEN_PARAMS_NET
+    back = load_weights(p)
+    assert back.a.tolist() == [0.1, -2.5] and back.b.tolist() == [0.0, 1e-20]
+    assert back.v.tolist() == [3.0, -0.7] and back.c == 1 / 3
+
+
+@pytest.mark.parametrize("text, match", [
+    ("2\n1 2\n3 4\n5 6\n", "expected 5 lines, got 4"),
+    ("2\n1 2\n3 four\n5 6\n7\n", "could not convert"),
+    ("3\n1 2\n3 4\n5 6\n7\n", "layer width mismatch"),
+    ("2\n1 2\n3 4\n5\n7\n", "layer width mismatch"),
+    ("2.5\n1 2\n3 4\n5 6\n7\n", "layer width mismatch"),
+    ("2\n1 2\n3 4\n5 6\n7 8\n", "layer width mismatch"),
+    ("2\n1 2\n3 nan\n5 6\n7\n", "non-finite value"),
+])
+def test_bad_checkpoint_is_data_error_naming_file(tmp_path, text, match):
+    p = tmp_path / "pn.txt"
+    p.write_text(text)
+    with pytest.raises(DataError, match=f"{p}: {match}"):
+        load_weights(p)

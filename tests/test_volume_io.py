@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from adaptsmooth.cli import run
 from adaptsmooth.errors import DataError
 from adaptsmooth.phantom import PhantomSpec
 from adaptsmooth.trainer import TrainConfig
@@ -15,9 +16,11 @@ from adaptsmooth.volume_io import (
     read_config,
     read_manifest,
     read_nifti,
+    read_rows,
     read_volume,
     write_config,
     write_manifest,
+    write_rows,
     write_volume,
 )
 
@@ -236,6 +239,17 @@ class TestNifti:
         with pytest.raises(DataError, match="datatype"):
             read_volume(p)
 
+    @pytest.mark.parametrize("offset", [float("inf"), float("nan")])
+    def test_non_finite_vox_offset_is_data_error(self, tmp_path, capsys, offset):
+        # inf was an OverflowError traceback; NaN was read from byte 348
+        p = tmp_path / "g.nii"
+        _make_nifti(p, np.zeros((3, 3, 3), dtype=np.float32), datatype=16)
+        blob = bytearray(p.read_bytes())
+        struct.pack_into("<f", blob, 108, offset)
+        p.write_bytes(bytes(blob))
+        assert run(["estimate-noise", "--in", str(p)]) == 2
+        assert f"{p}: non-finite vox_offset" in capsys.readouterr().err
+
     def test_non_finite_voxel_rejected(self, tmp_path):
         p = tmp_path / "e.nii"
         data = np.zeros((3, 3, 3), dtype=np.float32)
@@ -285,9 +299,56 @@ class TestManifest:
         with pytest.raises(DataError, match="both"):
             read_manifest(p)
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_level_rejected(self, tmp_path, noise):
+        # a NaN level became a 1-volume group of its own, which train then
+        # rejected with an unrelated batch-size error
+        p = tmp_path / "m.csv"
+        p.write_text("path,label,subject_id,noise_level,split\n"
+                     "a.vol,0,s1,0.0,train\n"
+                     f"b.vol,1,s1,{noise},train\n")
+        with pytest.raises(DataError, match=f"m.csv:3: non-finite noise level '{noise}'"):
+            read_manifest(p)
+
     def test_bad_label_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("path,label,subject_id,noise_level,split\n"
                      "a.vol,2,s1,0.0,train\n")
         with pytest.raises(DataError, match="label"):
             read_manifest(p)
+
+
+class TestCheckpointRows:
+    def test_golden_layout(self, tmp_path):
+        p = tmp_path / "rows.txt"
+        write_rows(p, 2, np.array([0.1, -2.5]), (16, 16, 8), -1 / 3, 1e-300)
+        assert p.read_text() == ("2\n0.10000000000000001 -2.5\n16 16 8\n"
+                                 "-0.33333333333333331\n1e-300\n")
+        rows = read_rows(p, 5)
+        assert [r.tolist() for r in rows] == [[2.0], [0.1, -2.5], [16.0, 16.0, 8.0],
+                                              [-1 / 3], [1e-300]]
+
+    def test_round_trip_is_exact(self, tmp_path):
+        p = tmp_path / "rows.txt"
+        x = np.random.default_rng(0).normal(size=50) * 10.0 ** np.arange(-25, 25)
+        write_rows(p, x, float(x[7]))
+        back, scalar = read_rows(p, 2)
+        np.testing.assert_array_equal(back, x)
+        assert scalar[0] == x[7]
+
+    @pytest.mark.parametrize("text, match", [
+        ("1\n2\n", "expected 3 lines, got 2"),
+        ("1\n2 x\n3\n", "could not convert string to float: 'x'"),
+        ("1\n2 nan\n3\n", "non-finite value"),
+        ("1\n2 3\n-inf\n", "non-finite value"),
+    ])
+    def test_bad_file_is_data_error_naming_it(self, tmp_path, text, match):
+        p = tmp_path / "rows.txt"
+        p.write_text(text)
+        with pytest.raises(DataError, match=f"{p}: {match}"):
+            read_rows(p, 3)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "rows.txt"
+        p.write_text("\n1 2\n\n  \n3\n")
+        assert [r.tolist() for r in read_rows(p, 2)] == [[1.0, 2.0], [3.0]]
