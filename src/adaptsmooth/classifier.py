@@ -58,7 +58,7 @@ def forward(batch, weights: ClassifierWeights):
     s = (logits - mean) / (std + EPSILON)
     probs = 1.0 / (1.0 + np.exp(-s))
     cache = {"x": x, "logits": logits, "s": s, "probs": probs, "mean": mean,
-             "std": std, "w": weights.w}
+             "std": std}
     return probs, cache
 
 

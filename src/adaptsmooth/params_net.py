@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
+from .conv3d import convolve_separable
 from .errors import DataError
 from .volume_io import read_rows, write_rows
 
@@ -77,10 +77,7 @@ def noise_feature(x) -> float:
     data = np.asarray(x, dtype=np.float64)
     if min(data.shape) < 3:
         raise DataError(f"noise_feature needs every dim >= 3, got {data.shape}")
-    resp = data
-    for axis in range(3):
-        resp = correlate1d(resp, LAPLACIAN_1D, axis=axis, mode="constant", cval=0.0)
-    interior = resp[1:-1, 1:-1, 1:-1]
+    interior = convolve_separable(data, LAPLACIAN_1D)[1:-1, 1:-1, 1:-1]
     return float(np.abs(interior).mean())
 
 

@@ -5,13 +5,15 @@ forward pass per volume is: cached noise feature -> predicted width ->
 filter -> separable smoothing; the batch then goes through the standardized
 sigmoid classifier.  A training volume whose width carries a gradient is
 smoothed and differentiated with respect to its width in one pass chain
-(`conv3d.smooth_with_dsigma`), so backward only contracts the stored
-derivative with the upstream gradient.  A fixed width, shared by the whole
-batch, smooths the classifier weight once instead of every volume: the
-smoothing is a symmetric linear map, so forward and backward each need one
-smoothing per batch.  Backward runs the exact chain rule down to the
-width-predicting weights, with plain SGD updates, validation-based early
-stopping, and an optional logarithmic grid search over (lr, lambda).
+(`conv3d.smooth_with_dsigma`).  Forward contracts that derivative with the
+classifier weight to one number, the logit's width derivative, and backward
+multiplies the stored number by the logit's gradient.  A fixed width,
+shared by the whole batch, smooths the classifier weight once instead of
+every volume: the smoothing is a symmetric linear map, so forward and
+backward each need one smoothing per batch.  Backward runs the exact chain
+rule down to the width-predicting weights, with plain SGD updates,
+validation-based early stopping, and an optional logarithmic grid search
+over (lr, lambda).
 """
 
 from __future__ import annotations
@@ -193,9 +195,11 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
     batch.  A call with the bump `rng` is a training step: a degenerate
     width may be bumped, and each volume whose width carries a gradient is
     also convolved with the width derivative of its filter, in the same
-    pass chain.  A call without it evaluates.  Clamps and bumps are added
-    to `events`.  A fixed width smooths the classifier weight instead of
-    the volumes.  Returns everything backward needs."""
+    pass chain; ``fwd["dz"]`` keeps only that derivative's dot product
+    with the classifier weight, None for a volume without a gradient.  A
+    call without it evaluates.  Clamps and bumps are added to `events`.  A
+    fixed width smooths the classifier weight instead of the volumes.
+    Returns everything backward needs."""
     dims = batch.volumes.shape[1:]
     if cfg.fixed_sigma is not None:
         # zero-padded same-size smoothing K with a symmetric profile is a
@@ -211,6 +215,7 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
         smoothed = np.empty((batch.size, *dims))
         sigmas = []
         dz = [None] * batch.size
+        w = cw.w.reshape(dims)
         max_sigma = _max_sigma_for(dims, cfg.truncation)
         for i, (x, feat) in enumerate(zip(batch.volumes, batch.features)):
             sigma = params_net.map_to_sigma(float(feat), pnw, events)
@@ -227,8 +232,12 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
             sigmas.append(sigma)
             # a clamped width and a single-cell filter carry no gradient
             if rng is not None and not fit_clamped and filt.radius > 0:
-                smoothed[i], dz[i] = smooth_with_dsigma(x, filt.profile_1d,
-                                                        filt.d_profile_1d)
+                smoothed[i], dz_i = smooth_with_dsigma(x, filt.profile_1d,
+                                                       filt.d_profile_1d)
+                # dlogit_i/dsigma_i = w . dz_i, the one number backward
+                # needs; einsum, because BLAS dot sums a long vector in
+                # per-thread parts and its bits follow the thread count
+                dz[i] = float(np.einsum("ijk,ijk->", w, dz_i))
             else:
                 smoothed[i] = convolve_separable(x, filt.profile_1d)
         fwd = {"sigmas": sigmas, "smoothed": smoothed, "dz": dz}
@@ -253,10 +262,8 @@ def _backward_batch(batch: MiniBatch, fwd, pnw, cfg: TrainConfig):
         for feat, dz, dl in zip(batch.features, fwd["dz"], dl_dlogit):
             if dz is None:
                 continue  # this volume's width carries no gradient
-            up = (dl * fwd["cache"]["w"]).reshape(dims)
-            dl_dsigma = float(np.sum(up * dz))
             # the stochastic bump is pass-through: d(sigma+1)/dsigma = 1
-            gi = params_net.map_to_sigma_backward(float(feat), pnw, dl_dsigma)
+            gi = params_net.map_to_sigma_backward(float(feat), pnw, float(dl) * dz)
             head = [h + g for h, g in zip(head, gi)]
         grads.update(zip("abvc", head))
     return grads

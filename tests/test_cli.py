@@ -1,9 +1,14 @@
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adaptsmooth
 from adaptsmooth import classifier, params_net, trainer
 from adaptsmooth.cli import run
 from adaptsmooth.gaussian_filter import build_filter, fwhm_mm_to_sigma
@@ -118,6 +123,22 @@ class TestSmooth:
         assert run(["smooth", "--in", str(bad), "--fwhm-mm", "8",
                     "--out", str(tmp_path / "o.vol")]) == 2
         assert "voxel size" in capsys.readouterr().err
+
+    def test_runs_without_scipy(self, sample_volume, tmp_path):
+        # scipy is not a runtime dependency: with its import blocked, the
+        # CLI still smooths a volume and estimates its noise
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from adaptsmooth.cli import run\n"
+                f"assert run(['smooth', '--in', {str(sample_volume)!r}, '--sigma-f', '1.0',"
+                f" '--out', {str(tmp_path / 'o.vol')!r}]) == 0\n"
+                f"assert run(['estimate-noise', '--in', {str(sample_volume)!r}]) == 0\n")
+        src = str(Path(adaptsmooth.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "o.vol").exists()
 
 
 class TestInspectFilter:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adaptsmooth
 from adaptsmooth.conv3d import (
     convolve,
     convolve_separable,
@@ -42,6 +47,61 @@ def test_direct_vs_separable_agree():
     z_direct = convolve(x, f.weights)
     z_sep = convolve_separable(x, f.profile_1d)
     assert np.max(np.abs(z_direct - z_sep)) < 1e-5
+
+
+class TestMatrixPasses:
+    """Each separable pass is a product with the axis's banded correlation
+    matrix; the direct tap loop is the reference."""
+
+    @pytest.mark.parametrize("shape", ["cubic", "non-cubic", "filter side == min dim"])
+    @pytest.mark.parametrize("sigma, radius", [(0.3, 0), (0.6, 1), (1.1, 2), (1.6, 3)])
+    def test_agrees_with_direct(self, sigma, radius, shape):
+        side = 2 * radius + 1
+        dims = {"cubic": (8, 8, 8), "non-cubic": (9, 11, 7),
+                "filter side == min dim": (side + 3, side, side + 1)}[shape]
+        x = np.random.default_rng(radius).normal(size=dims)
+        f = build_filter(sigma, 4.0)
+        assert f.radius == radius
+        z = convolve_separable(x, f.profile_1d)
+        assert np.max(np.abs(z - convolve(x, f.weights))) < 1e-12
+
+    def test_asymmetric_profiles_per_axis(self):
+        # every profile of the package is symmetric, so only this case tells
+        # a correlation matrix from its transpose (a convolution)
+        rng = np.random.default_rng(5)
+        p_h, p_w, p_d = rng.normal(size=5), rng.normal(size=3), rng.normal(size=1)
+        x = rng.normal(size=(9, 11, 7))
+        cube = np.einsum("i,j,k", p_h, np.pad(p_w, 1), np.pad(p_d, 2))
+        z = convolve_separable(x, (p_h, p_w, p_d))
+        assert np.max(np.abs(z - convolve(x, cube))) < 1e-12
+
+
+_DIGESTS = """
+import hashlib
+import numpy as np
+from adaptsmooth.conv3d import convolve_separable, smooth_with_dsigma
+from adaptsmooth.gaussian_filter import build_filter
+f = build_filter(1.6, 4.0)
+for dims in [(24, 24, 24), (9, 11, 7), (61, 73, 61)]:
+    x = np.random.default_rng(0).normal(size=dims)
+    z, dz = smooth_with_dsigma(x, f.profile_1d, f.d_profile_1d)
+    for out in (convolve_separable(x, f.profile_1d), z, dz):
+        print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_output_does_not_depend_on_blas_threads():
+    src = str(Path(adaptsmooth.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", _DIGESTS], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.split())
+    assert len(digests[0]) == 9
+    assert digests[0] == digests[1]
 
 
 def test_linearity():
