@@ -16,12 +16,14 @@ from . import classifier, params_net, phantom, trainer
 from .conv3d import convolve_separable
 from .errors import DataError, NumericalError, UsageError
 from .gaussian_filter import (
+    DEFAULT_TRUNCATION,
     build_filter,
     dump_filter,
     fwhm_mm_to_sigma,
     sigma_to_fwhm_mm,
 )
 from .volume_io import (
+    SPLITS,
     Volume,
     add_gaussian_noise,
     read_config,
@@ -29,6 +31,11 @@ from .volume_io import (
     write_config,
     write_volume,
 )
+
+
+# the largest filter cube `inspect-filter` dumps: any filter that fits a
+# 2 mm MNI volume (91 x 109 x 91 voxels), about 1M weight lines
+MAX_INSPECT_SIDE = 101
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,14 +84,12 @@ def _cmd_estimate_noise(args):
 
 
 def _cmd_smooth(args):
-    if (args.sigma_f is None) == (args.fwhm_mm is None):
-        raise UsageError("exactly one of --sigma-f / --fwhm-mm is required")
     v = read_volume(args.infile)
     voxel = args.voxel_mm if args.voxel_mm is not None else v.voxel_size_mm
     sigma = args.sigma_f if args.sigma_f is not None \
         else fwhm_mm_to_sigma(args.fwhm_mm, voxel)
     _log(f"smooth: sigma_f={sigma:.6g} t={args.t}")
-    filt = build_filter(sigma, args.t)
+    filt = build_filter(sigma, args.t, max_side=min(v.dims))
     z = convolve_separable(v.data, filt.profile_1d)
     write_volume(Volume(z, v.voxel_size_mm), args.out)
     return 0
@@ -162,7 +167,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_inspect_filter(args):
-    filt = build_filter(args.sigma_f, args.t)
+    filt = build_filter(args.sigma_f, args.t, max_side=MAX_INSPECT_SIDE)
     fwhm = sigma_to_fwhm_mm(args.sigma_f, args.voxel_mm)
     sys.stdout.write(dump_filter(filt))
     print(f"FWHM: {fwhm:.4g} mm at {args.voxel_mm:g} mm voxels")
@@ -193,38 +198,34 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("smooth", help="smooth a volume with a Gaussian filter")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--sigma-f", type=float)
-    p.add_argument("--fwhm-mm", type=float)
+    width = p.add_mutually_exclusive_group(required=True)
+    width.add_argument("--sigma-f", type=float)
+    width.add_argument("--fwhm-mm", type=float)
     p.add_argument("--voxel-mm", type=float)
-    p.add_argument("--t", type=float, default=4.0)
+    p.add_argument("--t", type=float, default=DEFAULT_TRUNCATION)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_smooth)
 
-    p = sub.add_parser("train", help="train the adaptive smoothing model")
-    p.add_argument("--config")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_seed)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("grid-search", help="logarithmic (lr, lambda) grid search")
-    p.add_argument("--config")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_seed)
-    p.set_defaults(func=_cmd_grid_search)
+    for name, func, text in (
+            ("train", _cmd_train, "train the adaptive smoothing model"),
+            ("grid-search", _cmd_grid_search, "logarithmic (lr, lambda) grid search")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config")
+        p.add_argument("--data", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=_seed)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("evaluate", help="evaluate saved weights on a split")
     p.add_argument("--weights", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test",
-                   choices=("train", "validation", "test"))
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--fixed-fwhm-mm", type=float)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("inspect-filter", help="dump a filter and its FWHM")
     p.add_argument("--sigma-f", type=float, required=True)
-    p.add_argument("--t", type=float, default=4.0)
+    p.add_argument("--t", type=float, default=DEFAULT_TRUNCATION)
     p.add_argument("--voxel-mm", type=float, default=3.0)
     p.set_defaults(func=_cmd_inspect_filter)
 

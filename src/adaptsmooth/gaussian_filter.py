@@ -70,7 +70,16 @@ def filter_radius(sigma_f: float, t: float) -> int:
     return int(math.floor((t * sigma_f + 0.5) / 2.0))
 
 
-def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION) -> GaussianFilter:
+def max_fitting_sigma(dims, t: float) -> float:
+    """Largest width whose filter fits a volume of `dims`: side 2r + 1 <= min dim."""
+    r_max = (min(dims) - 1) // 2
+    return (2.0 * r_max + 1.4) / t
+
+
+def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION,
+                 max_side: int | None = None) -> GaussianFilter:
+    """The filter of width `sigma_f` at truncation `t`; with `max_side`, a
+    filter whose side 2r + 1 exceeds it is refused before any array is made."""
     # the comparisons are false for NaN, so NaN fails every range check
     if not 0 < sigma_f < math.inf:
         raise DataError(f"sigma_f must be finite and positive, got {sigma_f}")
@@ -79,6 +88,9 @@ def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION) -> GaussianFilte
     if not t * sigma_f < math.inf:
         raise DataError(f"filter extent t * sigma_f overflows: t={t}, sigma_f={sigma_f}")
     r = filter_radius(sigma_f, t)
+    if max_side is not None and 2 * r + 1 > max_side:
+        raise DataError(f"sigma_f {sigma_f} at t={t}: filter side {2 * r + 1} "
+                        f"exceeds {max_side}")
     # squared radius / sigma_f^3 must fit float64 up to the cube's corner, 3r^2
     if not (sigma_f ** 3 > 0 and 3.0 * r * r / sigma_f ** 3 < math.inf):
         raise DataError(f"sigma_f {sigma_f} at t={t}: the filter derivative does not fit float64")

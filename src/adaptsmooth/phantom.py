@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .volume_io import (
+    SPLITS,
     DatasetManifest,
     ManifestEntry,
     Volume,
@@ -111,9 +112,7 @@ def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
     h, w, d = spec.dims
     anatomy = _anatomy(spec.dims)
 
-    split_names = (["train"] * spec.split_counts[0]
-                   + ["validation"] * spec.split_counts[1]
-                   + ["test"] * spec.split_counts[2])
+    split_names = [name for name, n in zip(SPLITS, spec.split_counts) for _ in range(n)]
     manifest = DatasetManifest()
     mid = w / 2.0
 
@@ -140,9 +139,8 @@ def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
             for idx, (vol, label) in enumerate(zip(masters, labels)):
                 for noise in spec.noise_levels:
                     noise_seed = int(rng.integers(0, 2**31 - 1))
-                    noisy = add_gaussian_noise(vol, noise, noise_seed) if noise > 0 else vol
                     name = f"{sid}_v{idx:03d}_n{noise:g}.vol"
-                    write_volume(noisy, tmp / name)
+                    write_volume(add_gaussian_noise(vol, noise, noise_seed), tmp / name)
                     manifest.entries.append(ManifestEntry(name, label, sid, noise))
 
         write_manifest(manifest, tmp / "manifest.csv")

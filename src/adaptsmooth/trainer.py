@@ -30,8 +30,10 @@ from . import classifier, params_net
 from .conv3d import convolve_separable, smooth_with_dsigma
 from .errors import DataError, NumericalError
 from .gaussian_filter import (
+    DEFAULT_TRUNCATION,
     apply_degenerate_policy,
     build_filter,
+    max_fitting_sigma,
     sigma_to_fwhm_mm,
 )
 from .volume_io import read_manifest, read_volume
@@ -47,7 +49,7 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 10
     bump_probability: float = 0.5
-    truncation: float = 4.0
+    truncation: float = DEFAULT_TRUNCATION
     seed: int = 0
     width_m: int = 50
     fixed_sigma: float | None = None  # bypass the width network when set
@@ -183,12 +185,6 @@ def make_batches(batches: list[MiniBatch], seed: int) -> list[MiniBatch]:
     return [selected[i] for i in order]
 
 
-def _max_sigma_for(dims, t: float) -> float:
-    # largest width whose filter still fits the volume (odd side <= min dim)
-    r_max = (min(dims) - 1) // 2
-    return (2.0 * r_max + 1.4) / t
-
-
 def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
                    events: Counter | None = None):
     """Smooth every volume with its own predicted width, then classify the
@@ -205,7 +201,7 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
         # zero-padded same-size smoothing K with a symmetric profile is a
         # symmetric matrix, so w . (K x) = (K w) . x: the weight is smoothed
         # once and the raw volumes are classified with it, in place
-        profile = build_filter(cfg.fixed_sigma, cfg.truncation).profile_1d
+        profile = build_filter(cfg.fixed_sigma, cfg.truncation, min(dims)).profile_1d
         smoothed_cw = copy.copy(cw)
         smoothed_cw.w = convolve_separable(cw.w.reshape(dims), profile).ravel()
         fwd = {"sigmas": [cfg.fixed_sigma] * batch.size, "profile": profile}
@@ -216,7 +212,7 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
         sigmas = []
         dz = [None] * batch.size
         w = cw.w.reshape(dims)
-        max_sigma = _max_sigma_for(dims, cfg.truncation)
+        max_sigma = max_fitting_sigma(dims, cfg.truncation)
         for i, (x, feat) in enumerate(zip(batch.volumes, batch.features)):
             sigma = params_net.map_to_sigma(float(feat), pnw, events)
             bumped = apply_degenerate_policy(sigma, cfg.truncation,
@@ -282,7 +278,6 @@ def _evaluate_split(batches, pnw, cw, cfg, split):
     time as well (deliberate deviation from running-average batch norm)."""
     per_noise = {}
     total_loss, total_correct, total_n = 0.0, 0.0, 0
-    voxel_mm = 3.0
     for b in batches:
         if b.split != split:
             continue
@@ -344,7 +339,6 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     report = TrainReport(config=cfg)
 
     best = {"loss": math.inf, "epoch": -1, "pnw": None, "cw": None}
-    epochs_since_best = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
         epoch_loss, n_seen = 0.0, 0
@@ -372,11 +366,9 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
         if val["loss"] < best["loss"]:
             best = {"loss": val["loss"], "epoch": epoch,
                     "pnw": copy.deepcopy(pnw), "cw": copy.deepcopy(cw)}
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= cfg.patience:
-                break
+        # patience counts from the best epoch, or from 0 while none is finite
+        elif epoch - max(best["epoch"], 0) >= cfg.patience:
+            break
 
     if best["pnw"] is not None:
         pnw, cw = best["pnw"], best["cw"]

@@ -23,6 +23,8 @@ VOL1_MAGIC = b"VOL1"
 _F32_MAX = float(np.finfo(np.float32).max)
 _F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 
+SPLITS = ("train", "validation", "test")  # the manifest's split names
+
 _NIFTI_HEADER_SIZE = 348
 _NIFTI_DTYPES = {4: np.dtype("<i2"), 16: np.dtype("<f4")}
 
@@ -81,7 +83,7 @@ class DatasetManifest:
             if e.subject_id not in self.split:
                 raise DataError(f"subject {e.subject_id} has no split assignment")
         for sid, sp in self.split.items():
-            if sp not in ("train", "validation", "test"):
+            if sp not in SPLITS:
                 raise DataError(f"unknown split {sp!r} for subject {sid}")
 
 

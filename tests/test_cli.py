@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -114,6 +115,16 @@ class TestSmooth:
         assert "the filter derivative does not fit float64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", ["--sigma-f 1e12", "--sigma-f 1 --t 1e15"])
+    def test_oversized_filter_is_data_error(self, sample_volume, tmp_path, capsys, flags):
+        # was a MemoryError traceback: the profile alone asked for terabytes
+        out = tmp_path / "o.vol"
+        assert run(["smooth", "--in", str(sample_volume), *flags.split(),
+                    "--out", str(out)]) == 2
+        assert re.search(r"ERROR 2: .* filter side \d+ exceeds 10\n",
+                         capsys.readouterr().err)
+        assert not out.exists()
+
     def test_nan_header_voxel_size_is_data_error(self, sample_volume, tmp_path,
                                                  capsys):
         blob = bytearray(sample_volume.read_bytes())
@@ -172,6 +183,18 @@ class TestInspectFilter:
         assert run(["inspect-filter", "--sigma-f", "1e-300"]) == 2
         out = capsys.readouterr()
         assert "ERROR 2: sigma_f 1e-300 at t=4.0: the filter derivative" in out.err and out.out == ""
+
+    LIMIT = adaptsmooth.cli.MAX_INSPECT_SIDE
+
+    # at t = 4, sigma_f = (LIMIT + 1) / 4 has radius (LIMIT + 1) / 2, a side one
+    # step past the limit (was dumped); a t of 1e15 asks for a profile no
+    # machine can hold (was a MemoryError traceback)
+    @pytest.mark.parametrize("flags", [f"--sigma-f {(LIMIT + 1) / 4}", "--sigma-f 1 --t 1e15"])
+    def test_oversized_cube_is_data_error(self, capsys, flags):
+        assert run(["inspect-filter", *flags.split()]) == 2
+        out = capsys.readouterr()
+        assert re.search(rf"ERROR 2: .* filter side \d+ exceeds {self.LIMIT}\n", out.err)
+        assert out.out == ""
 
 
 class TestNoiseCommands:
@@ -408,6 +431,26 @@ class TestTrainEvaluate:
         shape = dims.replace(",", ", ")
         assert f"model dims (16, 16, 16) differ from the data's ({shape})" \
             in capsys.readouterr().err
+
+    def test_evaluate_oversized_fixed_fwhm_is_data_error(self, trained, capsys):
+        # was a MemoryError traceback: the profile alone asked for terabytes
+        data, model = trained
+        assert run(["evaluate", "--weights", str(model), "--data", str(data),
+                    "--fixed-fwhm-mm", "1e12"]) == 2
+        out = capsys.readouterr()
+        assert re.search(r"ERROR 2: .* filter side \d+ exceeds 16\n", out.err)
+        assert out.out == ""
+
+    def test_train_oversized_fixed_filter_is_data_error(self, trained, tmp_path, capsys):
+        # was a MemoryError traceback: the profile alone asked for petabytes
+        data, _ = trained
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("max_epochs = 1\nfixed_sigma = 1.0\ntruncation = 1e15\n")
+        assert run(["train", "--config", str(cfg), "--data", str(data),
+                    "--out", str(tmp_path / "m")]) == 2
+        assert re.search(r"ERROR 2: .* filter side \d+ exceeds 16\n",
+                         capsys.readouterr().err)
+        assert not (tmp_path / "m").exists()
 
     def test_train_fixed_sigma_too_small_for_float64_is_data_error(self, trained,
                                                                    tmp_path, capsys):

@@ -12,6 +12,7 @@ from adaptsmooth.gaussian_filter import (
     dump_filter,
     filter_radius,
     fwhm_mm_to_sigma,
+    max_fitting_sigma,
     sigma_to_fwhm_mm,
 )
 
@@ -100,6 +101,22 @@ class TestBuildFilter:
         f = build_filter(sigma, t)
         assert f.profile_1d[f.radius] == 1.0 and f.profile_1d.sum() == 1.0
         assert not f.d_profile_1d.any()
+
+
+    def test_max_side_refused_before_any_array(self):
+        assert build_filter(1.0, 4.0, max_side=5).radius == 2
+        with pytest.raises(DataError, match="filter side 5 exceeds 3"):
+            build_filter(1.0, 4.0, max_side=3)
+        # a side whose profile alone no machine could hold
+        with pytest.raises(DataError, match="exceeds 24"):
+            build_filter(1.0, 1e15, max_side=24)
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (8, 8, 8), (24, 9, 30)])
+    @pytest.mark.parametrize("t", [1.0, 2.5, 4.0, 6.5])
+    def test_max_fitting_sigma_is_largest_odd_side(self, dims, t):
+        side = min(dims) - 1 + min(dims) % 2  # the largest odd side that fits
+        f = build_filter(max_fitting_sigma(dims, t), t, max_side=min(dims))
+        assert 2 * f.radius + 1 == side
 
 
 class TestDerivative:

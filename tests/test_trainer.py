@@ -211,7 +211,7 @@ class TestJointPassChain:
     def test_one_call_per_gradient_carrying_volume(self, joint_calls, monkeypatch):
         batch, pnw, cw, cfg = TestGradients()._setup()
         _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
-        max_sigma = trainer._max_sigma_for((8, 8, 8), cfg.truncation)
+        max_sigma = trainer.max_fitting_sigma((8, 8, 8), cfg.truncation)
         assert max(fwd["sigmas"]) < max_sigma
         assert len(joint_calls) == batch.size
         # a single-cell width (sigma 0.1) and a fit-clamped one carry no gradient
@@ -419,6 +419,38 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.1, max_epochs=2, seed=0, width_m=8)
         with pytest.raises(NumericalError, match="non-finite loss"):
             train(cfg, bad)
+
+    def test_no_finite_validation_loss_stops_after_patience(self, tiny_dataset,
+                                                           monkeypatch):
+        # with no finite validation loss there is no best epoch: the run
+        # stops `patience` epochs in and returns the last epoch's weights
+        original = trainer._evaluate_split
+        seen = []
+
+        def nan_validation(batches, pnw, cw, cfg, split):
+            res = original(batches, pnw, cw, cfg, split)
+            if split == "validation":
+                seen.append((copy.deepcopy(pnw), copy.deepcopy(cw)))
+                res = {**res, "loss": math.nan, "accuracy": len(seen) / 100}
+            return res
+
+        monkeypatch.setattr(trainer, "_evaluate_split", nan_validation)
+        cfg = TrainConfig(learning_rate=0.1, max_epochs=20, patience=4, seed=2,
+                          width_m=8, lr_grid=(0.1,), lambda_grid=(0.0,))
+        pnw, cw, report = train(cfg, tiny_dataset)
+        assert [row["epoch"] for row in report.epochs] == [1, 2, 3, 4]
+        assert report.stopped_epoch == cfg.patience and report.best_epoch == -1
+        last_pnw, last_cw = seen[-1]
+        for name in "abvc":
+            np.testing.assert_array_equal(getattr(pnw, name), getattr(last_pnw, name))
+        np.testing.assert_array_equal(cw.w, last_cw.w)
+        assert cw.bias == last_cw.bias
+        # grid_search reads the row of those weights: the last one
+        seen.clear()
+        _, results = grid_search(cfg, tiny_dataset)
+        assert results[0]["error"] == ""
+        assert results[0]["val_accuracy"] == cfg.patience / 100
+        assert math.isnan(results[0]["val_loss"])
 
     def test_batch_dims_differ_from_first_rejected(self):
         batches = [_make_group("s1", 0.0, "train", 4), _make_group("s2", 0.0, "validation", 4),

@@ -202,6 +202,25 @@ def _make_nifti(path, data, datatype, slope=1.0, inter=0.0, nt=None):
         f.write(np.asfortranarray(data).astype(dtype).tobytes(order="F"))
 
 
+def _make_nifti_big_endian(path, data, datatype, slope=1.0, inter=0.0):
+    """`_make_nifti`'s 3D file with every header field and voxel stored
+    big-endian."""
+    header = bytearray(348)
+    struct.pack_into(">i", header, 0, 348)
+    struct.pack_into(">8h", header, 40, 3, *data.shape, 1, 1, 1, 1)
+    struct.pack_into(">h", header, 70, datatype)
+    struct.pack_into(">8f", header, 76, 0.0, 3.0, 3.0, 3.0, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into(">f", header, 108, 352.0)
+    struct.pack_into(">f", header, 112, slope)
+    struct.pack_into(">f", header, 116, inter)
+    header[344:348] = b"n+1\x00"
+    dtype = {4: ">i2", 16: ">f4"}[datatype]
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(b"\x00" * 4)  # pad to vox_offset 352
+        f.write(np.asfortranarray(data).astype(dtype).tobytes(order="F"))
+
+
 class TestNifti:
     def test_int16_with_scaling(self, tmp_path):
         p = tmp_path / "a.nii"
@@ -223,6 +242,19 @@ class TestNifti:
         assert v.dims == (3, 4, 2)  # (H=ny, W=nx, D=nz)
         # x is the NIfTI fastest axis and maps to width
         assert v.data[1, 2, 0] == pytest.approx(float(data[2, 1, 0]))
+
+    @pytest.mark.parametrize("datatype, dtype, slope, inter", [
+        (16, np.float32, 1.0, 0.0), (4, np.int16, 0.5, 1.0)])
+    def test_big_endian_reads_as_its_little_endian_twin(self, tmp_path, datatype, dtype,
+                                                       slope, inter):
+        data = np.random.default_rng(6).uniform(-50, 50, size=(4, 3, 2)).astype(dtype)
+        little, big = tmp_path / "le.nii", tmp_path / "be.nii"
+        _make_nifti(little, data, datatype, slope, inter)
+        _make_nifti_big_endian(big, data, datatype, slope, inter)
+        assert big.read_bytes() != little.read_bytes()
+        want, got = read_volume(little), read_volume(big)
+        np.testing.assert_array_equal(got.data, want.data)
+        assert got.voxel_size_mm == want.voxel_size_mm
 
     def test_read_data_is_c_contiguous(self, tmp_path):
         p = tmp_path / "f.nii"
