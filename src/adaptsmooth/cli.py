@@ -100,8 +100,9 @@ def _load_train_inputs(args):
         else trainer.TrainConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    manifest = Path(args.data) / "manifest.csv"
-    batches = trainer.load_dataset(manifest)
+    # a fixed width never reads the noise features
+    batches = trainer.load_dataset(Path(args.data) / "manifest.csv",
+                                   features=cfg.fixed_sigma is None)
     return cfg, batches
 
 
@@ -149,7 +150,9 @@ def _cmd_evaluate(args):
     cfg = read_config(cfg_path, trainer.TrainConfig) if cfg_path.exists() \
         else trainer.TrainConfig()
     cfg.validate()
-    batches = trainer.load_dataset(Path(args.data) / "manifest.csv", args.split)
+    batches = trainer.load_dataset(
+        Path(args.data) / "manifest.csv", args.split,
+        features=cfg.fixed_sigma is None and args.fixed_fwhm_mm is None)
     if dims != batches[0].volumes.shape[1:]:
         raise DataError(f"model dims {dims} differ from the data's "
                         f"{batches[0].volumes.shape[1:]}")

@@ -1,19 +1,21 @@
 """Same-size 3D convolution with zero padding.
 
 The separable path for rank-1 kernels built from a 1D profile is the one the
-package runs.  Each of its passes correlates one axis of length n with an
-odd-length profile p of radius r as one dense BLAS product with the n x n
-banded matrix M[i, j] = p[j - i + r] (zero outside the band, which is the
-zero padding); at the package's volume sizes a dense product in BLAS beats a
-tap loop over the band.  Each distinct (profile, axis length) matrix is
-built once per call.  The direct loop over filter taps is the reference
-implementation that tests and benchmark checks compare against.
+package runs.  Each of its passes correlates the leading axis, of length n,
+with an odd-length profile p of radius r as one dense BLAS product with the
+n x n banded matrix M[i, j] = p[j - i + r] (zero outside the band, which is
+the zero padding) and leaves that axis last, so three passes visit h, w and
+d and end in (h, w, d) order; at the package's volume sizes a dense product
+in BLAS beats a tap loop over the band.  Each distinct (profile, axis
+length) matrix is built once per call.  The direct loop over filter taps is
+the reference implementation that tests and benchmark checks compare against.
 Both kernels used in this package (the Gaussian and the Laplacian) are exact
 outer products, and both are symmetric, so correlation equals convolution
 throughout.
 
-All accumulation is in double precision.  Results depend on the BLAS build
-but not on its thread count.
+All accumulation is in double precision.  Every pass is the one product
+form the BLAS-thread test pins: results depend on the BLAS build but not on
+its thread count.
 """
 
 from __future__ import annotations
@@ -80,19 +82,15 @@ def _matrices(profiles, dims) -> list:
     return [built[id(p), n] for p, n in zip(profiles, dims)]
 
 
-def _pass(x: np.ndarray, m, axis: int) -> np.ndarray:
-    """Apply the `_matrix` `m` along `axis` of the 3D `x`.  Each axis uses
-    a product form whose bits do not depend on the BLAS thread count; the
-    plain axis-0 form `m @ x.reshape(n, -1)` differs between 1 and 2
-    OpenBLAS threads for some n (61 among them)."""
-    if np.ndim(m) == 0:
-        return x * m
-    n = x.shape[axis]
-    if axis == 0:
-        return (x.reshape(n, -1).T @ m.T).T.reshape(x.shape)
-    if axis == 1:
-        return np.matmul(m, x)
-    return (x.reshape(-1, n) @ m.T).reshape(x.shape)
+def _pass(x: np.ndarray, m) -> np.ndarray:
+    """Apply the `_matrix` `m` along the leading axis of the 3D `x`, moving
+    that axis last: (h, w, d) in, (w, d, h) out, as the C-ordered (rest, n)
+    product.  Its bits do not depend on the BLAS thread count, where those
+    of `m @ x.reshape(n, -1)` differ between 1 and 2 OpenBLAS threads for
+    some n (61 among them).  A 1-tap `m` scales and rotates."""
+    n = x.shape[0]
+    rows = x.reshape(n, -1).T
+    return (rows * m if np.ndim(m) == 0 else rows @ m.T).reshape(*x.shape[1:], n)
 
 
 def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
@@ -107,8 +105,8 @@ def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
     if isinstance(profiles, np.ndarray) and profiles.ndim == 1:
         profiles = (profiles, profiles, profiles)
     out = x
-    for axis, m in enumerate(_matrices(profiles, x.shape)):
-        out = _pass(out, m, axis)
+    for m in _matrices(profiles, x.shape):
+        out = _pass(out, m)
     return out
 
 
@@ -117,7 +115,8 @@ def smooth_with_dsigma(x: np.ndarray, p, dp):
     with respect to the width, in one pass chain of 9 passes.
 
     With P and D the passes of `p` and `dp` along each axis (h, w, d) and the
-    shared intermediates a = P_h x and b = P_w a, returns
+    shared intermediates a = P_h x and b = P_w a (rotated to (w, d, h) and
+    (d, h, w) order by `_pass`), returns
 
         z  = P_d b
         dz = P_d P_w D_h x  +  P_d D_w a  +  D_d b
@@ -129,10 +128,10 @@ def smooth_with_dsigma(x: np.ndarray, p, dp):
     x = np.ascontiguousarray(x, dtype=np.float64)
     ph, pw, pd = _matrices((p, p, p), x.shape)
     dh, dw, dd = _matrices((dp, dp, dp), x.shape)
-    a = _pass(x, ph, 0)
-    b = _pass(a, pw, 1)
-    z = _pass(b, pd, 2)
-    dz = (_pass(_pass(_pass(x, dh, 0), pw, 1), pd, 2)
-          + _pass(_pass(a, dw, 1), pd, 2)
-          + _pass(b, dd, 2))
+    a = _pass(x, ph)
+    b = _pass(a, pw)
+    z = _pass(b, pd)
+    dz = (_pass(_pass(_pass(x, dh), pw), pd)
+          + _pass(_pass(a, dw), pd)
+          + _pass(b, dd))
     return z, dz

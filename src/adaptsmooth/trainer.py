@@ -81,7 +81,7 @@ class MiniBatch:
     split: str
     volumes: np.ndarray  # always one C-contiguous float64 (N, H, W, D) array
     labels: np.ndarray
-    features: np.ndarray  # cached noise features, one per volume
+    features: np.ndarray | None  # noise features, one per volume, or None
     voxel_size_mm: float = 3.0
 
     @property
@@ -137,10 +137,14 @@ def noise_table(per_noise: dict, fixed: str | None = None) -> list[str]:
     return lines
 
 
-def load_dataset(manifest_path, split: str | None = None) -> list[MiniBatch]:
+def load_dataset(manifest_path, split: str | None = None,
+                 features: bool = True) -> list[MiniBatch]:
     """Read a manifest and the volumes beside it into per-(subject, noise)
-    groups, with the per-volume noise features precomputed.  With `split`,
-    only that split's volumes are read."""
+    groups, each file converted straight into its row of the group's batch
+    array.  With `split`, only that split's volumes are read.  With
+    `features`, each volume's noise feature is computed here; without, none
+    is and ``MiniBatch.features`` is None, which only a fixed-width forward
+    pass accepts."""
     manifest = read_manifest(manifest_path)
     entries = manifest.entries
     if split is not None:
@@ -153,23 +157,29 @@ def load_dataset(manifest_path, split: str | None = None) -> list[MiniBatch]:
     batches = []
     dims = voxel = None
     for (sid, noise), group in sorted(groups.items()):
-        vols, feats = None, []
-        for i, e in enumerate(group):
-            v = read_volume(Path(manifest_path).parent / e.path)
+        vols = None
+
+        def row(shape, voxel_mm):
+            # the dataset's dims and voxel size are its first file's; a file
+            # that differs is refused before anything is written
+            nonlocal dims, voxel, vols
             if dims is None:
-                dims, voxel = v.dims, v.voxel_size_mm
-            if v.dims != dims:
-                raise DataError(f"{e.path}: dims {v.dims} differ from the dataset's {dims}")
-            if v.voxel_size_mm != voxel:
-                raise DataError(f"{e.path}: voxel size {v.voxel_size_mm} mm differs "
+                dims, voxel = shape, voxel_mm
+            if shape != dims:
+                raise DataError(f"{e.path}: dims {shape} differ from the dataset's {dims}")
+            if voxel_mm != voxel:
+                raise DataError(f"{e.path}: voxel size {voxel_mm} mm differs "
                                 f"from the dataset's {voxel} mm")
             if vols is None:
                 vols = np.empty((len(group), *dims))
-            vols[i] = v.data
-            feats.append(params_net.noise_feature(v.data))
+            return vols[i]
+
+        for i, e in enumerate(group):
+            read_volume(Path(manifest_path).parent / e.path, row)
+        feats = np.array([params_net.noise_feature(x) for x in vols]) if features else None
         batches.append(MiniBatch(sid, noise, manifest.split[sid], vols,
                                  np.array([e.label for e in group], dtype=np.float64),
-                                 np.array(feats), v.voxel_size_mm))
+                                 feats, voxel))
     return batches
 
 
@@ -207,6 +217,9 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
         fwd = {"sigmas": [cfg.fixed_sigma] * batch.size, "profile": profile}
         probs, cache = classifier.forward(batch.volumes, smoothed_cw)
     else:
+        if batch.features is None:
+            raise DataError("the width network needs noise features; "
+                            "the batch was loaded without them")
         events = Counter() if events is None else events
         smoothed = np.empty((batch.size, *dims))
         sigmas = []

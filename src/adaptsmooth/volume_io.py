@@ -54,11 +54,14 @@ class Volume:
         return np.transpose(self.data, (2, 0, 1)).ravel()
 
     @staticmethod
-    def from_flat_x_fastest(flat, dims, voxel_size_mm=3.0) -> "Volume":
+    def from_flat_x_fastest(flat, dims, voxel_size_mm=3.0, out=None) -> "Volume":
+        """The volume of x-fastest `flat` data, converted in one copy into
+        `out` (a C-ordered float64 array of shape `dims`) or a new array."""
         h, w, d = dims
-        arr = np.transpose(np.asarray(flat).reshape(d, h, w), (1, 2, 0))
-        # one C-ordered float64 copy, the layout of a row of a batch array
-        return Volume(arr.astype(np.float64, order="C"), voxel_size_mm)
+        if out is None:
+            out = np.empty(dims)
+        out[...] = np.transpose(np.asarray(flat).reshape(d, h, w), (1, 2, 0))
+        return Volume(out, voxel_size_mm)
 
 
 @dataclass
@@ -144,7 +147,7 @@ def _check_finite(voxels: np.ndarray, path):
         raise DataError(f"{path}: non-finite voxel values")
 
 
-def _read_vol1(path) -> Volume:
+def _read_vol1(path, into=None) -> Volume:
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 20:
@@ -164,7 +167,8 @@ def _read_vol1(path) -> Volume:
         )
     flat = np.frombuffer(payload, dtype="<f4")
     _check_finite(flat, path)
-    return Volume.from_flat_x_fastest(flat, (h, w, d), voxel)
+    return Volume.from_flat_x_fastest(flat, (h, w, d), voxel,
+                                      None if into is None else into((h, w, d), voxel))
 
 
 def _parse_nifti_header(blob, path):
@@ -229,17 +233,28 @@ def read_nifti(path) -> list[Volume]:
     return vols
 
 
-def read_volume(path) -> Volume:
-    """Read a single 3D volume from VOL1 or single-timepoint NIfTI-1."""
+def read_volume(path, into=None) -> Volume:
+    """Read a single 3D volume from VOL1 or single-timepoint NIfTI-1.
+
+    `into`, when given, is called as ``into(dims, voxel_size_mm)`` once the
+    file has passed its own checks, and may raise to refuse it.  It returns
+    the C-ordered float64 array of shape `dims` that the returned Volume
+    holds: a VOL1 payload is converted straight into it, with no other copy.
+    """
     p = str(path)
-    if p.endswith(".nii"):
-        vols = read_nifti(path)
-        if len(vols) != 1:
-            raise DataError(
-                f"{path}: 4D NIfTI with {len(vols)} time points; use read_nifti() for the sequence"
-            )
-        return vols[0]
-    return _read_vol1(path)
+    if not p.endswith(".nii"):
+        return _read_vol1(path, into)
+    vols = read_nifti(path)
+    if len(vols) != 1:
+        raise DataError(
+            f"{path}: 4D NIfTI with {len(vols)} time points; use read_nifti() for the sequence"
+        )
+    v = vols[0]
+    if into is None:
+        return v
+    out = into(v.dims, v.voxel_size_mm)
+    out[...] = v.data
+    return Volume(out, v.voxel_size_mm)
 
 
 def write_manifest(manifest: DatasetManifest, path):

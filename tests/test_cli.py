@@ -404,9 +404,9 @@ class TestTrainEvaluate:
         data, model = trained
         reads = []
 
-        def counting_read(path):
+        def counting_read(path, *args):
             reads.append(path.name)
-            return read_volume(path)
+            return read_volume(path, *args)
 
         monkeypatch.setattr(trainer, "read_volume", counting_read)
         assert run(["evaluate", "--weights", str(model), "--data", str(data),
@@ -535,6 +535,68 @@ class TestSavedConfig:
         res = trainer.evaluate(saved_pnw, saved_cw, batches, "test", config)
         assert res["per_noise"] == report.per_noise
         assert res["accuracy"] == report.test_accuracy
+
+
+@pytest.fixture(scope="module")
+def fixed_model(trained, tmp_path_factory):
+    """A model trained by the CLI with a fixed width (`fixed_sigma`)."""
+    data, _ = trained
+    root = tmp_path_factory.mktemp("fixed")
+    cfg = root / "train.cfg"
+    cfg.write_text("max_epochs = 3\nwidth_m = 8\nfixed_sigma = 1.2\n")
+    out = root / "model"
+    assert run(["train", "--config", str(cfg), "--data", str(data),
+                "--out", str(out), "--seed", "43"]) == 0
+    return cfg, out
+
+
+def _no_feature(x):
+    raise AssertionError("noise feature computed")
+
+
+class TestFeaturesOnlyWhereRead:
+    """A fixed width never reads the noise features, so the commands that
+    smooth with one load the data without them."""
+
+    @pytest.mark.parametrize("fixed", ["--fixed-fwhm-mm", "fixed_sigma model"])
+    def test_fixed_evaluate_computes_no_feature(self, trained, fixed_model, capsys,
+                                                monkeypatch, fixed):
+        data, model = trained
+        argv = ["evaluate", "--weights", str(model), "--data", str(data),
+                "--fixed-fwhm-mm", "8"]
+        if fixed == "fixed_sigma model":
+            argv = ["evaluate", "--weights", str(fixed_model[1]), "--data", str(data)]
+        assert run(argv) == 0
+        clean = capsys.readouterr().out
+        monkeypatch.setattr(params_net, "noise_feature", _no_feature)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == clean
+
+    def test_adaptive_evaluate_computes_features(self, trained, capsys, monkeypatch):
+        data, model = trained
+        calls = []
+        feature = params_net.noise_feature
+
+        def counted(x):
+            calls.append(1)
+            return feature(x)
+
+        monkeypatch.setattr(params_net, "noise_feature", counted)
+        assert run(["evaluate", "--weights", str(model), "--data", str(data)]) == 0
+        manifest = read_manifest(data / "manifest.csv")
+        assert len(calls) == sum(manifest.split[e.subject_id] == "test"
+                                 for e in manifest.entries) == 12
+
+    def test_fixed_train_computes_no_feature(self, trained, fixed_model, tmp_path,
+                                             monkeypatch):
+        data, _ = trained
+        cfg, model = fixed_model
+        monkeypatch.setattr(params_net, "noise_feature", _no_feature)
+        out = tmp_path / "model"
+        assert run(["train", "--config", str(cfg), "--data", str(data),
+                    "--out", str(out), "--seed", "43"]) == 0
+        for name in ("params_net.txt", "classifier.txt", "summary.txt"):
+            assert (out / name).read_bytes() == (model / name).read_bytes()
 
 
 class TestParsing:

@@ -75,6 +75,18 @@ class TestMatrixPasses:
         z = convolve_separable(x, (p_h, p_w, p_d))
         assert np.max(np.abs(z - convolve(x, cube))) < 1e-12
 
+    @pytest.mark.parametrize("lengths", [(1, 5, 3), (3, 1, 5)])
+    def test_rotated_passes_on_non_cube(self, lengths):
+        # each pass moves its axis last, so a 1-tap axis (a scale) must
+        # rotate too; the test above has it last, these first and second
+        rng = np.random.default_rng(sum(i * n for i, n in enumerate(lengths)))
+        profiles = [rng.normal(size=n) for n in lengths]
+        x = rng.normal(size=(9, 11, 7))
+        cube = np.einsum("i,j,k", *(np.pad(p, (5 - p.size) // 2) for p in profiles))
+        z = convolve_separable(x, profiles)
+        assert z.shape == x.shape
+        assert np.max(np.abs(z - convolve(x, cube))) < 1e-12
+
 
 _DIGESTS = """
 import hashlib
@@ -87,6 +99,9 @@ for dims in [(24, 24, 24), (9, 11, 7), (61, 73, 61)]:
     z, dz = smooth_with_dsigma(x, f.profile_1d, f.d_profile_1d)
     for out in (convolve_separable(x, f.profile_1d), z, dz):
         print(hashlib.sha256(out.tobytes()).hexdigest())
+x = np.random.default_rng(1).normal(size=(9, 11, 7))
+out = convolve_separable(x, (f.profile_1d[1:-1], np.ones(1) / 3, f.profile_1d))
+print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
@@ -100,7 +115,7 @@ def test_output_does_not_depend_on_blas_threads():
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         digests.append(result.stdout.split())
-    assert len(digests[0]) == 9
+    assert len(digests[0]) == 10
     assert digests[0] == digests[1]
 
 

@@ -86,6 +86,37 @@ def test_load_dataset_rejects_mixed_voxel_sizes(tmp_path):
         load_dataset(tmp_path / "manifest.csv")
 
 
+def test_load_dataset_without_features(tmp_path, monkeypatch):
+    manifest = _three_subject_phantom(tmp_path)
+    full = load_dataset(manifest)
+
+    def no_feature(x):
+        raise AssertionError("noise feature computed")
+
+    monkeypatch.setattr(params_net, "noise_feature", no_feature)
+    bare = load_dataset(manifest, features=False)
+    assert [(b.subject_id, b.noise_level, b.split) for b in bare] == \
+        [(b.subject_id, b.noise_level, b.split) for b in full]
+    for b, f in zip(bare, full):
+        assert b.features is None
+        np.testing.assert_array_equal(b.volumes, f.volumes)
+        np.testing.assert_array_equal(b.labels, f.labels)
+        assert b.voxel_size_mm == f.voxel_size_mm
+
+
+def test_featureless_batches_evaluate_fixed_width_only(tmp_path):
+    manifest = _three_subject_phantom(tmp_path)
+    full, bare = load_dataset(manifest), load_dataset(manifest, features=False)
+    pnw = params_net.init_weights(5, 0)
+    cw = classifier.xavier_init((9, 16, 11), 1)
+    assert evaluate(pnw, cw, bare, "test", fixed_sigma=0.8) == \
+        evaluate(pnw, cw, full, "test", fixed_sigma=0.8)
+    with pytest.raises(DataError, match="noise features"):
+        evaluate(pnw, cw, bare, "test")
+    with pytest.raises(DataError, match="noise features"):
+        train(TrainConfig(max_epochs=1, width_m=5), bare)
+
+
 def test_load_dataset_split_keeps_only_that_split(tmp_path):
     manifest = _three_subject_phantom(tmp_path)
     full = load_dataset(manifest)

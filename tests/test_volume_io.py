@@ -135,6 +135,46 @@ class TestVol1:
         write_volume(Volume(np.arange(24.0).reshape(2, 3, 4)), p)
         assert read_volume(p).data.flags.c_contiguous
 
+    def test_into_receives_the_voxels(self, tmp_path):
+        # the batch-row path: one conversion from the file into the target
+        p = tmp_path / "v.vol"
+        v = Volume(np.arange(24.0).reshape(2, 3, 4), 2.5)
+        write_volume(v, p)
+        target = np.full((2, 2, 3, 4), -1.0)
+        row, calls = target[1], []
+
+        def into(dims, voxel_mm):
+            calls.append((dims, voxel_mm))
+            return row
+
+        back = read_volume(p, into)
+        assert calls == [((2, 3, 4), 2.5)]
+        assert back.data is row
+        np.testing.assert_array_equal(row, v.data)
+        assert (target[0] == -1.0).all()
+        assert back.voxel_size_mm == 2.5
+
+    def test_into_not_called_for_a_bad_file(self, tmp_path):
+        p = tmp_path / "bad.vol"
+        payload = np.array([0.5] * 7 + [np.nan], dtype="<f4").tobytes()
+        p.write_bytes(b"VOL1" + struct.pack("<IIIf", 2, 2, 2, 3.0) + payload)
+
+        def into(dims, voxel_mm):
+            raise AssertionError("into called")
+
+        with pytest.raises(DataError, match="non-finite"):
+            read_volume(p, into)
+
+    def test_into_may_refuse_the_file(self, tmp_path):
+        p = tmp_path / "v.vol"
+        write_volume(Volume(np.zeros((2, 2, 2))), p)
+
+        def refuse(dims, voxel_mm):
+            raise DataError(f"refused {dims}")
+
+        with pytest.raises(DataError, match=r"refused \(2, 2, 2\)"):
+            read_volume(p, refuse)
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "bad.vol"
         payload = struct.pack("<f", 0.0) * 7  # dims say 8 voxels
@@ -255,6 +295,14 @@ class TestNifti:
         want, got = read_volume(little), read_volume(big)
         np.testing.assert_array_equal(got.data, want.data)
         assert got.voxel_size_mm == want.voxel_size_mm
+
+    def test_into_receives_the_voxels(self, tmp_path):
+        p = tmp_path / "g.nii"
+        _make_nifti(p, np.arange(24, dtype=np.float32).reshape(4, 3, 2), datatype=16)
+        target = np.empty((3, 4, 2))
+        back = read_volume(p, lambda dims, voxel_mm: target)
+        assert back.data is target
+        np.testing.assert_array_equal(target, read_volume(p).data)
 
     def test_read_data_is_c_contiguous(self, tmp_path):
         p = tmp_path / "f.nii"
