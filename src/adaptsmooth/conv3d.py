@@ -6,9 +6,12 @@ with an odd-length profile p of radius r as one dense BLAS product with the
 n x n banded matrix M[i, j] = p[j - i + r] (zero outside the band, which is
 the zero padding) and leaves that axis last, so three passes visit h, w and
 d and end in (h, w, d) order; at the package's volume sizes a dense product
-in BLAS beats a tap loop over the band.  Each distinct (profile, axis
-length) matrix is built once per call.  The direct loop over filter taps is
-the reference implementation that tests and benchmark checks compare against.
+in BLAS beats a tap loop over the band.  The matrices of one call are built
+once, one (N, n, n) stack per distinct axis length.  `smooth_batch` smooths
+a batch, each volume with its own profile, in one call whose passes write
+into scratch rows reused across its volumes.  The direct loop over filter
+taps is the reference implementation that tests and benchmark checks
+compare against.
 Both kernels used in this package (the Gaussian and the Laplacian) are exact
 outer products, and both are symmetric, so correlation equals convolution
 throughout.
@@ -53,44 +56,70 @@ def convolve(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return z
 
 
-def _matrix(p, n: int):
-    """The correlation with the odd-length profile `p` along an axis of
-    length `n`: the scale p[0] for a 1-tap profile, else the zero-padded
-    banded n x n matrix M[i, j] = p[j - i + r]."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.size % 2 == 0:
-        raise DataError(f"profile length must be odd, got {p.size}")
-    if p.size > n:
-        raise DataError(f"profile length {p.size} exceeds dim {n}")
-    if p.size == 1:
-        return p[0]
-    # row i of M is q[n-1-i : 2n-1-i] of the profile zero-padded to 2n - 1:
-    # a view of q with row stride -1 element, copied to C order
-    q = np.zeros(2 * n - 1)
-    r = p.size // 2
-    q[n - 1 - r:n + r] = p
-    return np.ndarray((n, n), buffer=q, offset=(n - 1) * q.itemsize,
-                      strides=(-q.itemsize, q.itemsize)).copy()
+def _matrices(profiles, n: int) -> list:
+    """The correlation with each odd-length profile along an axis of length
+    `n`: the scale p[0] for a 1-tap profile, else the zero-padded banded
+    n x n matrix M[i, j] = p[j - i + r]; None stays None.  All matrices are
+    one (N, n, n) stack: row i of M is q[n-1-i : 2n-1-i] of its profile
+    zero-padded to 2n - 1, so the stack is a view of the padded profiles
+    with row stride -1 element, copied to C order once."""
+    profiles = [None if p is None else np.asarray(p, dtype=np.float64) for p in profiles]
+    q = np.zeros((len(profiles), 2 * n - 1))
+    for k, p in enumerate(profiles):
+        if p is None:
+            continue
+        if p.size % 2 == 0:
+            raise DataError(f"profile length must be odd, got {p.size}")
+        if p.size > n:
+            raise DataError(f"profile length {p.size} exceeds dim {n}")
+        r = p.size // 2
+        q[k, n - 1 - r:n + r] = p
+    stack = np.ndarray((len(profiles), n, n), buffer=q, offset=(n - 1) * q.itemsize,
+                       strides=(q.strides[0], -q.itemsize, q.itemsize)).copy()
+    return [p if p is None else p[0] if p.size == 1 else m
+            for p, m in zip(profiles, stack)]
 
 
-def _matrices(profiles, dims) -> list:
-    """One `_matrix` per axis, built once per distinct (profile, length)."""
-    built = {}
-    for p, n in zip(profiles, dims):
-        if (id(p), n) not in built:
-            built[id(p), n] = _matrix(p, n)
-    return [built[id(p), n] for p, n in zip(profiles, dims)]
-
-
-def _pass(x: np.ndarray, m) -> np.ndarray:
-    """Apply the `_matrix` `m` along the leading axis of the 3D `x`, moving
-    that axis last: (h, w, d) in, (w, d, h) out, as the C-ordered (rest, n)
-    product.  Its bits do not depend on the BLAS thread count, where those
-    of `m @ x.reshape(n, -1)` differ between 1 and 2 OpenBLAS threads for
-    some n (61 among them).  A 1-tap `m` scales and rotates."""
+def _pass(x: np.ndarray, m, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the `_matrices` entry `m` along the leading axis of the 3D `x`,
+    moving that axis last: (h, w, d) in, (w, d, h) out, as the C-ordered
+    (rest, n) product, written into the contiguous `out` if given.  Its bits
+    do not depend on the BLAS thread count, where those of
+    `m @ x.reshape(n, -1)` differ between 1 and 2 OpenBLAS threads for some
+    n (61 among them), nor on `out`: matmul writes the bits it would
+    allocate.  A 1-tap `m` scales and rotates."""
     n = x.shape[0]
     rows = x.reshape(n, -1).T
-    return (rows * m if np.ndim(m) == 0 else rows @ m.T).reshape(*x.shape[1:], n)
+    out = None if out is None else out.reshape(rows.shape)
+    if m.ndim == 0:
+        res = np.multiply(rows, m, out=out)
+    else:
+        res = np.matmul(rows, m.T, out=out)
+    return res.reshape(*x.shape[1:], n)
+
+
+def _chain(x: np.ndarray, ms, ds=None, ws=(None,) * 5, out=None):
+    """Smooth the 3D `x` by the (h, w, d) pass operators `ms`; with the
+    derivative operators `ds`, also its width derivative
+
+        dz = P_d P_w D_h x  +  P_d D_w a  +  D_d b
+
+    for the shared intermediates a = P_h x and b = P_w a (rotated to
+    (w, d, h) and (d, h, w) order by `_pass`), summed in place in that
+    order.  Returns (z, dz), dz None without `ds`.  Passes allocate their
+    results, or write into `out` (z) and the five scratch rows `ws`, of
+    which dz is the last."""
+    ph, pw, pd = ms
+    a = _pass(x, ph, ws[0])
+    b = _pass(a, pw, ws[1])
+    z = _pass(b, pd, out)
+    if ds is None:
+        return z, None
+    dh, dw, dd = ds
+    dz = _pass(_pass(_pass(x, dh, ws[2]), pw, ws[3]), pd, ws[4])
+    dz += _pass(_pass(a, dw, ws[2]), pd, ws[3])
+    dz += _pass(b, dd, ws[2])
+    return z, dz
 
 
 def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
@@ -104,34 +133,56 @@ def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     if isinstance(profiles, np.ndarray) and profiles.ndim == 1:
         profiles = (profiles, profiles, profiles)
+    built = {}  # one matrix per distinct (profile, axis length)
     out = x
-    for m in _matrices(profiles, x.shape):
-        out = _pass(out, m)
+    for p, n in zip(profiles, x.shape):
+        if (id(p), n) not in built:
+            built[id(p), n] = _matrices([p], n)[0]
+        # each intermediate is freed once the next pass has read it, so its
+        # memory, still in cache, is reused: keeping all three alive made
+        # the fixed-width training step measurably slower
+        out = _pass(out, built[id(p), n])
     return out
 
 
 def smooth_with_dsigma(x: np.ndarray, p, dp):
     """Smoothing of `x` by the rank-1 kernel p(x)p(y)p(z) and its derivative
-    with respect to the width, in one pass chain of 9 passes.
+    with respect to the width, in one pass chain of 9 passes (`_chain`).
 
-    With P and D the passes of `p` and `dp` along each axis (h, w, d) and the
-    shared intermediates a = P_h x and b = P_w a (rotated to (w, d, h) and
-    (d, h, w) order by `_pass`), returns
-
-        z  = P_d b
-        dz = P_d P_w D_h x  +  P_d D_w a  +  D_d b
-
-    which equal `convolve_separable(x, p)` and the three-term product-rule
-    sum of `convolve_separable` calls bit for bit: each pass and the order
-    of the sums are the same.
+    Returns z and dz, which equal `convolve_separable(x, p)` and the
+    three-term product-rule sum of `convolve_separable` calls bit for bit:
+    each pass and the order of the sums are the same.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    ph, pw, pd = _matrices((p, p, p), x.shape)
-    dh, dw, dd = _matrices((dp, dp, dp), x.shape)
-    a = _pass(x, ph)
-    b = _pass(a, pw)
-    z = _pass(b, pd)
-    dz = (_pass(_pass(_pass(x, dh), pw), pd)
-          + _pass(_pass(a, dw), pd)
-          + _pass(b, dd))
-    return z, dz
+    ops = {n: _matrices([p, dp], n) for n in set(x.shape)}
+    return _chain(x, [ops[n][0] for n in x.shape], [ops[n][1] for n in x.shape])
+
+
+def smooth_batch(volumes: np.ndarray, profiles, d_profiles, weight: np.ndarray):
+    """Smooth volume i of the (N, H, W, D) batch `volumes` with `profiles[i]`
+    along every axis.  Where `d_profiles[i]` (that profile's width
+    derivative) is not None, the volume's width derivative dz_i comes from
+    the same 9-pass chain as `smooth_with_dsigma`, and only its contraction
+    with the (H, W, D) `weight` is kept: the width derivative of a linear
+    read-out of the smoothed volume.
+
+    The pass operators are built once per batch, one stack per distinct axis
+    length; every pass writes into scratch rows reused across volumes, and
+    the last smoothing pass into the volume's row of the result.  Returns
+    the (N, H, W, D) smoothed batch and the list of contractions, None
+    where the derivative profile is.
+    """
+    dims = volumes.shape[1:]
+    ops = {n: _matrices(profiles, n) for n in set(dims)}
+    d_ops = {n: _matrices(d_profiles, n) for n in set(dims)}
+    smoothed = np.empty(volumes.shape)
+    ws = np.empty((5, smoothed[0].size))
+    dots = [None] * len(volumes)
+    for i, x in enumerate(volumes):
+        ds = None if d_profiles[i] is None else [d_ops[n][i] for n in dims]
+        _, dz = _chain(x, [ops[n][i] for n in dims], ds, ws, smoothed[i])
+        if dz is not None:
+            # einsum, because BLAS dot sums a long vector in per-thread
+            # parts and its bits follow the thread count
+            dots[i] = float(np.einsum("ijk,ijk->", weight, dz))
+    return smoothed, dots

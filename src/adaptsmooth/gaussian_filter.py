@@ -5,7 +5,9 @@ The filter is isotropic, sampled on an integer grid of radius
 outer product of a renormalized 1D profile, which is all that separable
 smoothing reads, so a filter is built as that profile and its analytic
 derivative with respect to sigma_f at fixed support, which is what
-backpropagation into the width-predicting network consumes.
+backpropagation into the width-predicting network consumes.  A batch of
+widths is built at once (`build_profiles`), all widths of one radius
+together; `build_filter` is the one-width case.
 
 The 3D weight cube and its derivative are built on first read.  Because the
 raw sample at (x, y, z) depends only on the integer squared radius
@@ -76,47 +78,83 @@ def max_fitting_sigma(dims, t: float) -> float:
     return (2.0 * r_max + 1.4) / t
 
 
+def build_profiles(sigmas, t: float = DEFAULT_TRUNCATION, max_side: int | None = None):
+    """The profiles of the widths `sigmas` and their sigma_f derivatives,
+    computed at once for all widths of one radius.
+
+    Returns (radii, profiles, d_profiles), one entry per width in order;
+    each profile is a row of its radius group's array.  With `max_side`, a
+    width whose filter side 2r + 1 exceeds it is refused before any array
+    is made.  The cube sigma_f^3 is a Python float power per width: numpy's
+    array power rounds differently for some widths.
+    """
+    radii = []
+    groups = {}  # radius -> its widths' indices, 1 / (2 sigma_f^2) and sigma_f^3
+    for i, sigma_f in enumerate(np.asarray(sigmas, dtype=np.float64).tolist()):
+        # the comparisons are false for NaN, so NaN fails every range check
+        if not 0 < sigma_f < math.inf:
+            raise DataError(f"sigma_f must be finite and positive, got {sigma_f}")
+        if not 0 < t < math.inf:
+            raise DataError(f"truncation t must be finite and positive, got {t}")
+        if not t * sigma_f < math.inf:
+            raise DataError(f"filter extent t * sigma_f overflows: t={t}, sigma_f={sigma_f}")
+        r = filter_radius(sigma_f, t)
+        if max_side is not None and 2 * r + 1 > max_side:
+            raise DataError(f"sigma_f {sigma_f} at t={t}: filter side {2 * r + 1} "
+                            f"exceeds {max_side}")
+        # squared radius / sigma_f^3 must fit float64 up to the cube's corner, 3r^2
+        cube = sigma_f ** 3
+        if not (cube > 0 and 3.0 * r * r / cube < math.inf):
+            raise DataError(f"sigma_f {sigma_f} at t={t}: the filter derivative "
+                            "does not fit float64")
+        radii.append(r)
+        rows, inv, cubes = groups.setdefault(r, ([], [], []))
+        rows.append(i)
+        inv.append(1.0 / (2.0 * sigma_f * sigma_f))
+        cubes.append(cube)
+    profiles, d_profiles = [None] * len(radii), [None] * len(radii)
+    for r, (rows, inv, cubes) in groups.items():
+        sq = np.arange(-r, r + 1) ** 2
+        g1 = np.exp(-sq * np.array(inv)[:, None])
+        g1p = g1 * (sq / np.array(cubes)[:, None])
+        s1 = np.add.reduce(g1, axis=1, keepdims=True)
+        s1p = np.add.reduce(g1p, axis=1, keepdims=True)
+        group = g1 / s1
+        d_group = (g1p * s1 - g1 * s1p) / (s1 * s1)
+        for k, i in enumerate(rows):
+            profiles[i], d_profiles[i] = group[k], d_group[k]
+    return radii, profiles, d_profiles
+
+
 def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION,
                  max_side: int | None = None) -> GaussianFilter:
-    """The filter of width `sigma_f` at truncation `t`; with `max_side`, a
-    filter whose side 2r + 1 exceeds it is refused before any array is made."""
-    # the comparisons are false for NaN, so NaN fails every range check
-    if not 0 < sigma_f < math.inf:
-        raise DataError(f"sigma_f must be finite and positive, got {sigma_f}")
-    if not 0 < t < math.inf:
-        raise DataError(f"truncation t must be finite and positive, got {t}")
-    if not t * sigma_f < math.inf:
-        raise DataError(f"filter extent t * sigma_f overflows: t={t}, sigma_f={sigma_f}")
-    r = filter_radius(sigma_f, t)
-    if max_side is not None and 2 * r + 1 > max_side:
-        raise DataError(f"sigma_f {sigma_f} at t={t}: filter side {2 * r + 1} "
-                        f"exceeds {max_side}")
-    # squared radius / sigma_f^3 must fit float64 up to the cube's corner, 3r^2
-    if not (sigma_f ** 3 > 0 and 3.0 * r * r / sigma_f ** 3 < math.inf):
-        raise DataError(f"sigma_f {sigma_f} at t={t}: the filter derivative does not fit float64")
-    sq = np.arange(-r, r + 1) ** 2
-    g1 = np.exp(-sq * (1.0 / (2.0 * sigma_f * sigma_f)))
-    g1p = g1 * (sq / sigma_f ** 3)
-    s1 = g1.sum()
-    s1p = g1p.sum()
-    profile = g1 / s1
-    d_profile = (g1p * s1 - g1 * s1p) / (s1 * s1)
+    """The filter of width `sigma_f` at truncation `t`: the one-width case
+    of `build_profiles`, with the same `max_side` check."""
+    (r,), (profile,), (d_profile,) = build_profiles([sigma_f], t, max_side)
     return GaussianFilter(sigma_f, t, r, profile, d_profile)
 
 
-def apply_degenerate_policy(sigma_f: float, t: float, p: float, rng=None) -> float:
+def apply_degenerate_policy(sigma_f, t: float, p: float, rng=None):
     """Stochastically bump sigma_f by 1.0 when its filter is the single cell.
 
-    A call with the Generator `rng` is a training step: with probability `p`
-    a width whose filter radius is 0 is bumped.  A call without one never
-    bumps, keeping inference deterministic.  The bump has pass-through
-    derivative 1 with respect to sigma_f.
+    `sigma_f` is one width or an array of widths.  A call with the Generator
+    `rng` is a training step: with probability `p` each width whose filter
+    radius is 0 is bumped, drawing one `rng.random()` per such width in
+    order.  A call without one never bumps, keeping inference
+    deterministic.  The bump has pass-through derivative 1 with respect to
+    sigma_f.
     """
     if not 0.0 <= p <= 1.0:
         raise DataError(f"bump probability must be in [0, 1], got {p}")
-    if rng is not None and filter_radius(sigma_f, t) == 0 and rng.random() < p:
-        return sigma_f + 1.0
-    return sigma_f
+    if rng is None:
+        return sigma_f
+    widths = np.asarray(sigma_f, dtype=np.float64)
+    degenerate = np.array([filter_radius(s, t) == 0 for s in widths.ravel().tolist()],
+                          dtype=bool)
+    bump = np.zeros(widths.size, dtype=bool)
+    bump[degenerate] = rng.random(int(degenerate.sum())) < p
+    bumped = np.where(bump.reshape(widths.shape), widths + 1.0, widths)
+    return float(bumped) if bumped.ndim == 0 else bumped
 
 
 def sigma_to_fwhm_mm(sigma_f: float, voxel_size_mm: float) -> float:

@@ -3,7 +3,10 @@
 A fixed separable Laplacian kernel measures per-volume noise as the mean
 absolute response over the volume interior (valid mode, so faces contribute
 nothing).  A two-layer head with an exponential output then maps that scalar
-feature to a strictly positive smoothing width.
+feature to a strictly positive smoothing width.  The head maps a batch's
+features in one call (`map_to_sigmas`), and its gradient is summed over the
+batch in one call (`map_to_sigmas_backward`); the one-feature functions are
+their one-element case.
 """
 
 from __future__ import annotations
@@ -81,42 +84,58 @@ def noise_feature(x) -> float:
     return float(np.abs(interior).mean())
 
 
-def _preactivation(feature: float, w: ParamsNetWeights):
-    u = w.a * feature + w.b
-    return u, float(np.dot(w.v, u) + w.c)
+def _preactivations(features, w: ParamsNetWeights):
+    """The hidden rows u_i = a f_i + b, one per feature, and the
+    pre-activations v . u_i + c, one np.dot per row: a matrix-vector
+    product rounds differently."""
+    u = np.asarray(features, dtype=np.float64).reshape(-1, 1) * w.a + w.b
+    return u, np.array([float(np.dot(w.v, row) + w.c) for row in u])
+
+
+def map_to_sigmas(features, w: ParamsNetWeights, events=None) -> np.ndarray:
+    """Map each noise feature to a strictly positive filter width; each
+    clamped pre-activation adds one to the `events` counter's "clamp"."""
+    features = np.asarray(features, dtype=np.float64)
+    if not np.isfinite(features).all():
+        raise DataError(f"non-finite feature {features[~np.isfinite(features)][0]}")
+    _, pre = _preactivations(features, w)
+    clamped = (pre < PREACT_MIN) | (pre > PREACT_MAX)
+    if events is not None and clamped.any():
+        events["clamp"] += int(clamped.sum())
+    # math.exp per width: np.exp rounds some widths differently
+    return np.array([math.exp(p) for p in np.clip(pre, PREACT_MIN, PREACT_MAX).tolist()])
 
 
 def map_to_sigma(feature: float, w: ParamsNetWeights, events=None) -> float:
-    """Map the noise feature to a strictly positive filter width; a clamped
-    pre-activation adds one to the `events` counter's "clamp"."""
-    if not math.isfinite(feature):
-        raise DataError(f"non-finite feature {feature}")
-    _, pre = _preactivation(feature, w)
-    if pre < PREACT_MIN or pre > PREACT_MAX:
-        if events is not None:
-            events["clamp"] += 1
-        pre = min(max(pre, PREACT_MIN), PREACT_MAX)
-    return math.exp(pre)
+    """`map_to_sigmas` of one feature."""
+    return float(map_to_sigmas([feature], w, events)[0])
+
+
+def map_to_sigmas_backward(features, w: ParamsNetWeights, upstream_dl_dsigma):
+    """Gradients of the feature-to-width map, summed over the features.
+
+    `upstream_dl_dsigma` holds dL/dsigma of each feature's width.  Returns
+    (dL/da, dL/db, dL/dv, dL/dc); the feature is a fixed Laplacian
+    response, so nothing upstream of it trains.  A clamped pre-activation
+    has zero gradient.  The sum over features is one axis-0 sum of the
+    per-feature rows, which adds them in order.
+    """
+    features = np.asarray(features, dtype=np.float64).reshape(-1, 1)
+    u, pre = _preactivations(features, w)
+    live = ~((pre < PREACT_MIN) | (pre > PREACT_MAX))
+    s = np.array([math.exp(p) for p in pre[live].tolist()])
+    g = (np.asarray(upstream_dl_dsigma, dtype=np.float64)[live] * s)[:, None]
+    # one row [dL/da | dL/db | dL/dv | dL/dc] per live feature
+    rows = np.hstack([g * w.v * features[live], g * w.v, g * u[live], g])
+    total = rows.sum(axis=0)
+    m = w.m
+    return total[:m], total[m:2 * m], total[2 * m:3 * m], float(total[3 * m])
 
 
 def map_to_sigma_backward(feature: float, w: ParamsNetWeights,
                           upstream_dl_dsigma: float):
-    """Gradients of the feature-to-width map.
-
-    Returns (dL/da, dL/db, dL/dv, dL/dc); the feature is a fixed Laplacian
-    response, so nothing upstream of it trains.  A clamped pre-activation
-    has zero gradient.
-    """
-    u, pre = _preactivation(feature, w)
-    if pre < PREACT_MIN or pre > PREACT_MAX:
-        z = np.zeros(w.m)
-        return z, z.copy(), z.copy(), 0.0
-    s = math.exp(pre)
-    g = upstream_dl_dsigma * s
-    dv = g * u
-    db = g * w.v
-    da = g * w.v * feature
-    return da, db, dv, g
+    """`map_to_sigmas_backward` of one feature."""
+    return map_to_sigmas_backward([feature], w, [upstream_dl_dsigma])
 
 
 def save_weights(w: ParamsNetWeights, path):

@@ -1,19 +1,22 @@
 """End-to-end mini-batch SGD over the composed smoothing/classification graph.
 
 Each mini-batch holds all volumes of one (subject, noise level) group.  The
-forward pass per volume is: cached noise feature -> predicted width ->
-filter -> separable smoothing; the batch then goes through the standardized
-sigmoid classifier.  A training volume whose width carries a gradient is
-smoothed and differentiated with respect to its width in one pass chain
-(`conv3d.smooth_with_dsigma`).  Forward contracts that derivative with the
-classifier weight to one number, the logit's width derivative, and backward
-multiplies the stored number by the logit's gradient.  A fixed width,
-shared by the whole batch, smooths the classifier weight once instead of
-every volume: the smoothing is a symmetric linear map, so forward and
-backward each need one smoothing per batch.  Backward runs the exact chain
-rule down to the width-predicting weights, with plain SGD updates,
-validation-based early stopping, and an optional logarithmic grid search
-over (lr, lambda).
+adaptive forward pass is one array program per batch: cached noise features
+-> one head call for all widths -> bumps and fit clamps -> the profiles of
+all widths -> the pass matrices, built once per batch -> separable
+smoothing, volume by volume (`conv3d.smooth_batch`); the batch then goes
+through the standardized sigmoid classifier.  A training volume whose width
+carries a gradient is smoothed and differentiated with respect to its width
+in one pass chain.  Forward contracts that derivative with the classifier
+weight to one number, the logit's width derivative, and backward multiplies
+the stored number by the logit's gradient; the head's gradient is one sum
+over the batch's gradient rows.  A fixed width, shared by the whole batch,
+smooths the classifier weight once instead of every volume: the smoothing
+is a symmetric linear map, so forward and backward each need one smoothing
+per batch.  Backward runs the exact chain rule down to the width-predicting
+weights, with plain SGD updates, validation-based early stopping, and an
+optional logarithmic grid search over (lr, lambda).  An epoch whose
+arithmetic overflows float64 ends the training with a `NumericalError`.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from . import classifier, params_net
-from .conv3d import convolve_separable, smooth_with_dsigma
+from .conv3d import convolve_separable, smooth_batch
 from .errors import DataError, NumericalError
 from .gaussian_filter import (
     DEFAULT_TRUNCATION,
     apply_degenerate_policy,
     build_filter,
+    build_profiles,
     max_fitting_sigma,
     sigma_to_fwhm_mm,
 )
@@ -221,35 +225,23 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
             raise DataError("the width network needs noise features; "
                             "the batch was loaded without them")
         events = Counter() if events is None else events
-        smoothed = np.empty((batch.size, *dims))
-        sigmas = []
-        dz = [None] * batch.size
-        w = cw.w.reshape(dims)
         max_sigma = max_fitting_sigma(dims, cfg.truncation)
-        for i, (x, feat) in enumerate(zip(batch.volumes, batch.features)):
-            sigma = params_net.map_to_sigma(float(feat), pnw, events)
-            bumped = apply_degenerate_policy(sigma, cfg.truncation,
-                                             cfg.bump_probability, rng)
-            if bumped != sigma:
-                events["bump"] += 1
-            sigma = bumped
-            fit_clamped = sigma > max_sigma
-            if fit_clamped:
-                events["fit_clamp"] += 1
-                sigma = max_sigma
-            filt = build_filter(sigma, cfg.truncation)
-            sigmas.append(sigma)
-            # a clamped width and a single-cell filter carry no gradient
-            if rng is not None and not fit_clamped and filt.radius > 0:
-                smoothed[i], dz_i = smooth_with_dsigma(x, filt.profile_1d,
-                                                       filt.d_profile_1d)
-                # dlogit_i/dsigma_i = w . dz_i, the one number backward
-                # needs; einsum, because BLAS dot sums a long vector in
-                # per-thread parts and its bits follow the thread count
-                dz[i] = float(np.einsum("ijk,ijk->", w, dz_i))
-            else:
-                smoothed[i] = convolve_separable(x, filt.profile_1d)
-        fwd = {"sigmas": sigmas, "smoothed": smoothed, "dz": dz}
+        sigmas = params_net.map_to_sigmas(batch.features, pnw, events)
+        bumped = apply_degenerate_policy(sigmas, cfg.truncation,
+                                         cfg.bump_probability, rng)
+        fit_clamped = bumped > max_sigma
+        counts = {"bump": int(np.count_nonzero(bumped != sigmas)),
+                  "fit_clamp": int(np.count_nonzero(fit_clamped))}
+        events.update({event: n for event, n in counts.items() if n})
+        sigmas = np.where(fit_clamped, max_sigma, bumped)
+        radii, profiles, d_profiles = build_profiles(sigmas, cfg.truncation)
+        # a clamped width and a single-cell filter carry no gradient;
+        # dlogit_i/dsigma_i = w . dz_i is the one number backward needs
+        carry = [rng is not None and not c and r > 0 for c, r in zip(fit_clamped, radii)]
+        smoothed, dz = smooth_batch(batch.volumes, profiles,
+                                    [dp if g else None for g, dp in zip(carry, d_profiles)],
+                                    cw.w.reshape(dims))
+        fwd = {"sigmas": sigmas.tolist(), "smoothed": smoothed, "dz": dz}
         probs, cache = classifier.forward(smoothed, cw)
     data_loss = classifier.bce_loss(probs, batch.labels)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
@@ -267,13 +259,10 @@ def _backward_batch(batch: MiniBatch, fwd, pnw, cfg: TrainConfig):
         dl_dw = convolve_separable(dl_dw.reshape(dims), fwd["profile"]).ravel()
     grads = {"w": dl_dw + fwd["pen_grad"], "bias": dl_dbias}
     if cfg.fixed_sigma is None:
-        head = [np.zeros(pnw.m), np.zeros(pnw.m), np.zeros(pnw.m), 0.0]  # a, b, v, c
-        for feat, dz, dl in zip(batch.features, fwd["dz"], dl_dlogit):
-            if dz is None:
-                continue  # this volume's width carries no gradient
-            # the stochastic bump is pass-through: d(sigma+1)/dsigma = 1
-            gi = params_net.map_to_sigma_backward(float(feat), pnw, float(dl) * dz)
-            head = [h + g for h, g in zip(head, gi)]
+        # the stochastic bump is pass-through: d(sigma+1)/dsigma = 1
+        carry = [i for i, dz in enumerate(fwd["dz"]) if dz is not None]
+        head = params_net.map_to_sigmas_backward(
+            batch.features[carry], pnw, dl_dlogit[carry] * [fwd["dz"][i] for i in carry])
         grads.update(zip("abvc", head))
     return grads
 
@@ -355,24 +344,34 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
 
     for epoch in range(1, cfg.max_epochs + 1):
         epoch_loss, n_seen = 0.0, 0
-        for batch in make_batches(batches, cfg.seed + epoch):
-            fwd = _forward_batch(batch, pnw, cw, cfg, bump_rng, report.events)
-            if not math.isfinite(fwd["loss"]):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch} "
-                    f"(subject {batch.subject_id}, noise {batch.noise_level}); "
-                    f"last widths {[round(s, 4) for s in fwd['sigmas']]}, "
-                    f"preactivation clamps {report.events['clamp']}, "
-                    f"width-fit clamps {report.events['fit_clamp']}")
-            # plain SGD on every parameter with a gradient: w, bias, a, b, v, c
-            for name, g in _backward_batch(batch, fwd, pnw, cfg).items():
-                owner = cw if name in ("w", "bias") else pnw
-                setattr(owner, name, getattr(owner, name) - cfg.learning_rate * g)
-            epoch_loss += fwd["loss"] * batch.size
-            n_seen += batch.size
+        batch = None
+        # a diverging run overflows float64 before its loss turns non-finite:
+        # the first overflowing operation ends it, naming the step under way
+        try:
+            with np.errstate(over="raise"):
+                for batch in make_batches(batches, cfg.seed + epoch):
+                    fwd = _forward_batch(batch, pnw, cw, cfg, bump_rng, report.events)
+                    if not math.isfinite(fwd["loss"]):
+                        raise NumericalError(
+                            f"non-finite loss at epoch {epoch} "
+                            f"(subject {batch.subject_id}, noise {batch.noise_level}); "
+                            f"last widths {[round(s, 4) for s in fwd['sigmas']]}, "
+                            f"preactivation clamps {report.events['clamp']}, "
+                            f"width-fit clamps {report.events['fit_clamp']}")
+                    # plain SGD on every parameter: w, bias, a, b, v, c
+                    for name, g in _backward_batch(batch, fwd, pnw, cfg).items():
+                        owner = cw if name in ("w", "bias") else pnw
+                        setattr(owner, name,
+                                getattr(owner, name) - cfg.learning_rate * g)
+                    epoch_loss += fwd["loss"] * batch.size
+                    n_seen += batch.size
+                batch = None
+                val = _evaluate_split(batches, pnw, cw, cfg, "validation")
+        except FloatingPointError as exc:
+            where = ("validation" if batch is None
+                     else f"subject {batch.subject_id}, noise {batch.noise_level}")
+            raise NumericalError(f"{exc} at epoch {epoch} ({where})") from None
         train_loss = epoch_loss / n_seen
-
-        val = _evaluate_split(batches, pnw, cw, cfg, "validation")
         report.epochs.append({"epoch": epoch, "train_loss": train_loss,
                               "val_loss": val["loss"],
                               "val_accuracy": val["accuracy"]})

@@ -465,13 +465,14 @@ class TestTrainEvaluate:
         data, _ = trained
         cfg = tmp_path / "lr.cfg"
         cfg.write_text("learning_rate = 1e300\nmax_epochs = 2\nwidth_m = 8\n")
-        # the diverging weights overflow float64 on the way, as numpy reports,
-        # and the non-finite loss they lead to ends the run with exit 3
-        with pytest.warns(RuntimeWarning):
-            code = run(["train", "--config", str(cfg), "--data", str(data),
-                        "--out", str(tmp_path / "m")])
+        # the first operation whose result overflows float64 ends the run
+        # with exit 3 and no warning (the test config turns one into an error)
+        code = run(["train", "--config", str(cfg), "--data", str(data),
+                    "--out", str(tmp_path / "m")])
         assert code == 3
-        assert "ERROR 3: non-finite loss at epoch 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(r"ERROR 3: overflow encountered in \w+ at epoch 1 "
+                         r"\(subject \w+, noise [\d.]+\)", err), err
         assert not (tmp_path / "m").exists()
 
     def test_grid_search_writes_results(self, trained, tmp_path, capsys):

@@ -102,6 +102,21 @@ for dims in [(24, 24, 24), (9, 11, 7), (61, 73, 61)]:
 x = np.random.default_rng(1).normal(size=(9, 11, 7))
 out = convolve_separable(x, (f.profile_1d[1:-1], np.ones(1) / 3, f.profile_1d))
 print(hashlib.sha256(out.tobytes()).hexdigest())
+# one adaptive training step: widths, profiles, matrices, passes and gradients
+from adaptsmooth import classifier, params_net, trainer
+rng = np.random.default_rng(2)
+vols = np.stack([s * rng.normal(size=(24, 24, 24)) + 0.5
+                 for s in (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)])
+batch = trainer.MiniBatch("s0", 0.1, "train", vols, np.arange(6) % 2.0,
+                          np.array([params_net.noise_feature(v) for v in vols]))
+loss, grads, fwd = trainer.batch_loss_and_grads(
+    batch, params_net.init_weights(8, 43), classifier.xavier_init((24, 24, 24), 44),
+    trainer.TrainConfig(lambda_l2=1e-3, seed=1))
+assert [dz is None for dz in fwd["dz"]] == [False, False, False, True, True, False]
+h = hashlib.sha256(np.float64(loss).tobytes() + fwd["smoothed"].tobytes())
+for name in ("w", "bias", "a", "b", "v", "c"):
+    h.update(np.asarray(grads[name], dtype=np.float64).tobytes())
+print(h.hexdigest())
 """
 
 
@@ -115,7 +130,7 @@ def test_output_does_not_depend_on_blas_threads():
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         digests.append(result.stdout.split())
-    assert len(digests[0]) == 10
+    assert len(digests[0]) == 11
     assert digests[0] == digests[1]
 
 

@@ -9,6 +9,7 @@ from adaptsmooth.errors import DataError
 from adaptsmooth.gaussian_filter import (
     apply_degenerate_policy,
     build_filter,
+    build_profiles,
     dump_filter,
     filter_radius,
     fwhm_mm_to_sigma,
@@ -117,6 +118,51 @@ class TestBuildFilter:
         side = min(dims) - 1 + min(dims) % 2  # the largest odd side that fits
         f = build_filter(max_fitting_sigma(dims, t), t, max_side=min(dims))
         assert 2 * f.radius + 1 == side
+
+
+def one_width_profiles(sigma, t):
+    """The profile and its sigma_f derivative of one width, each sum over
+    that width's own taps."""
+    r = filter_radius(sigma, t)
+    sq = np.arange(-r, r + 1) ** 2
+    g1 = np.exp(-sq * (1.0 / (2.0 * sigma * sigma)))
+    g1p = g1 * (sq / sigma ** 3)
+    s1, s1p = g1.sum(), g1p.sum()
+    return g1 / s1, (g1p * s1 - g1 * s1p) / (s1 * s1)
+
+
+class TestBuildProfiles:
+    """All widths of one radius are computed together; every row equals the
+    one-width formula and `build_filter` bit for bit."""
+
+    @staticmethod
+    def _widths(t):
+        # the radius turns k at t * sigma + 0.5 = 2k; one ulp either side of
+        # each turn for radii 0-11, among a grid, shuffled so that the radius
+        # groups interleave
+        turns = [(2 * k - 0.5) / t for k in range(1, 12)]
+        near = [np.nextafter(s, to) for s in turns for to in (0.0, math.inf)]
+        grid = np.concatenate([np.linspace(0.05, 5.8, 97), turns, near])
+        return np.random.default_rng(0).permutation(grid)
+
+    @pytest.mark.parametrize("t", [4.0, 2.7])
+    def test_rows_equal_one_width_formula(self, t):
+        sigmas = self._widths(t)
+        radii, profiles, d_profiles = build_profiles(sigmas, t)
+        assert set(radii) == set(range(12))
+        for sigma, r, p, dp in zip(sigmas.tolist(), radii, profiles, d_profiles):
+            want_p, want_dp = one_width_profiles(sigma, t)
+            f = build_filter(sigma, t)
+            assert r == f.radius == filter_radius(sigma, t)
+            for got, want in ((p, want_p), (dp, want_dp), (f.profile_1d, want_p),
+                              (f.d_profile_1d, want_dp)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_first_bad_width_is_named(self):
+        with pytest.raises(DataError, match="got nan"):
+            build_profiles([1.0, math.nan, -1.0])
+        with pytest.raises(DataError, match="filter side 3 exceeds 1"):
+            build_profiles([0.1, 0.6], 4.0, max_side=1)
 
 
 class TestDerivative:

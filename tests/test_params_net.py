@@ -9,11 +9,15 @@ from adaptsmooth.errors import DataError
 from adaptsmooth.params_net import (
     LAPLACIAN_1D,
     NOISE_CALIBRATION,
+    PREACT_MAX,
+    PREACT_MIN,
     ParamsNetWeights,
     init_weights,
     load_weights,
     map_to_sigma,
     map_to_sigma_backward,
+    map_to_sigmas,
+    map_to_sigmas_backward,
     noise_feature,
     save_weights,
 )
@@ -172,6 +176,50 @@ class TestMapToSigmaBackward:
         w = ParamsNetWeights(z, z.copy(), z.copy(), 100.0)
         da, db, dv, dc = map_to_sigma_backward(1.0, w, 1.0)
         assert dc == 0.0 and not dv.any()
+
+
+class TestBatchHead:
+    """The batch head equals the one-feature formulas bit for bit: a per-row
+    np.dot for the pre-activation, math.exp per width and the gradient rows
+    added in order (a matrix-vector product, np.exp and a pairwise sum each
+    round some of these 200 features differently)."""
+
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(3)
+        # -100 and 100 clamp the pre-activation, one at each end
+        feats = np.concatenate([rng.uniform(0.0, 5.0, 198), [-100.0, 100.0]])
+        return init_weights(50, 43), feats, rng.normal(size=feats.size)
+
+    @staticmethod
+    def _pre(feature, w):
+        return float(np.dot(w.v, w.a * feature + w.b) + w.c)
+
+    def test_widths_equal_one_feature_formula(self):
+        w, feats, _ = self._case()
+        events = Counter()
+        got = map_to_sigmas(feats, w, events)
+        want = [math.exp(min(max(self._pre(f, w), PREACT_MIN), PREACT_MAX))
+                for f in feats.tolist()]
+        assert got.tolist() == want
+        assert events == Counter(clamp=2)
+
+    def test_gradient_rows_summed_in_order(self):
+        w, feats, upstream = self._case()
+        head = [np.zeros(w.m), np.zeros(w.m), np.zeros(w.m), 0.0]
+        for f, up in zip(feats.tolist(), upstream.tolist()):
+            pre = self._pre(f, w)
+            if PREACT_MIN <= pre <= PREACT_MAX:
+                g = up * math.exp(pre)
+                row = (g * w.v * f, g * w.v, g * (w.a * f + w.b), g)
+                head = [h + r for h, r in zip(head, row)]
+        got = map_to_sigmas_backward(feats, w, upstream)
+        for a, b in zip(got, head):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_first_non_finite_feature_is_named(self):
+        with pytest.raises(DataError, match="non-finite feature inf"):
+            map_to_sigmas([0.5, math.inf, math.nan], init_weights(4, 0))
 
 
 def test_init_distribution():

@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 from adaptsmooth import classifier, params_net, phantom, trainer
-from adaptsmooth.conv3d import convolve_separable
+from adaptsmooth.conv3d import convolve_separable, smooth_with_dsigma
 from adaptsmooth.errors import DataError, NumericalError
-from adaptsmooth.gaussian_filter import build_filter
+from adaptsmooth.gaussian_filter import (
+    apply_degenerate_policy,
+    build_filter,
+    filter_radius,
+    max_fitting_sigma,
+)
 from adaptsmooth.phantom import PhantomSpec
 from adaptsmooth.trainer import (
     MiniBatch,
@@ -221,14 +226,16 @@ class TestJointPassChain:
 
     @pytest.fixture()
     def joint_calls(self, monkeypatch):
+        """One entry per volume that a batch smoothing also differentiates
+        with respect to its width, in the joint pass chain."""
         calls = []
-        joint = trainer.smooth_with_dsigma
+        smooth = trainer.smooth_batch
 
-        def counted(*args):
-            calls.append(args)
-            return joint(*args)
+        def counted(volumes, profiles, d_profiles, weight):
+            calls.extend(dp for dp in d_profiles if dp is not None)
+            return smooth(volumes, profiles, d_profiles, weight)
 
-        monkeypatch.setattr(trainer, "smooth_with_dsigma", counted)
+        monkeypatch.setattr(trainer, "smooth_batch", counted)
         return calls
 
     def test_evaluation_never_takes_joint_path(self, tiny_dataset, joint_calls):
@@ -246,9 +253,8 @@ class TestJointPassChain:
         assert max(fwd["sigmas"]) < max_sigma
         assert len(joint_calls) == batch.size
         # a single-cell width (sigma 0.1) and a fit-clamped one carry no gradient
-        widths = iter([1.0, 0.1, 100.0, 1.2])
-        monkeypatch.setattr(params_net, "map_to_sigma",
-                            lambda *args: next(widths))
+        monkeypatch.setattr(params_net, "map_to_sigmas",
+                            lambda *args: np.array([1.0, 0.1, 100.0, 1.2]))
         joint_calls.clear()
         _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         assert fwd["sigmas"] == [1.0, 0.1, max_sigma, 1.2]
@@ -272,6 +278,75 @@ class TestJointPassChain:
         _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         assert fwd["smoothed"].shape == (batch.size, 8, 8, 8)
         assert np.shares_memory(fwd["cache"]["x"], fwd["smoothed"])
+
+
+class TestBatchStep:
+    """An adaptive training step builds the widths, filters and pass
+    matrices once per batch; it equals the step taken volume by volume
+    bit for bit."""
+
+    @staticmethod
+    def _reference(batch, pnw, cw, cfg):
+        """Widths, smoothed volumes, dz contractions and head gradients, one
+        volume at a time, with the bumps drawn from `cfg.seed`."""
+        rng = np.random.default_rng(cfg.seed)
+        dims = batch.volumes.shape[1:]
+        w = cw.w.reshape(dims)
+        max_sigma = max_fitting_sigma(dims, cfg.truncation)
+        sigmas, smoothed, dz = [], [], []
+        for x, feat in zip(batch.volumes, batch.features):
+            sigma = apply_degenerate_policy(params_net.map_to_sigma(float(feat), pnw),
+                                            cfg.truncation, cfg.bump_probability, rng)
+            fit_clamped = sigma > max_sigma
+            sigma = max_sigma if fit_clamped else sigma
+            f = build_filter(sigma, cfg.truncation)
+            if not fit_clamped and f.radius > 0:
+                z, dz_i = smooth_with_dsigma(x, f.profile_1d, f.d_profile_1d)
+                dz.append(float(np.einsum("ijk,ijk->", w, dz_i)))
+            else:
+                z = convolve_separable(x, f.profile_1d)
+                dz.append(None)
+            sigmas.append(sigma)
+            smoothed.append(z)
+        probs, cache = classifier.forward(np.stack(smoothed), cw)
+        _, _, dl_dlogit = classifier.backward(cache, batch.labels)
+        head = [np.zeros(pnw.m), np.zeros(pnw.m), np.zeros(pnw.m), 0.0]
+        for feat, dz_i, dl in zip(batch.features, dz, dl_dlogit):
+            if dz_i is not None:
+                g = params_net.map_to_sigma_backward(float(feat), pnw, float(dl) * dz_i)
+                head = [h + gi for h, gi in zip(head, g)]
+        return sigmas, np.stack(smoothed), dz, dict(zip("abvc", head))
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (7, 8, 9)])
+    def test_equals_per_volume_step(self, dims):
+        rng = np.random.default_rng(4)
+        # pre-activation = 0.5 f + 0.25 f + 0.25 f, so each feature is about
+        # the log of its width; 30 and -30 clamp it
+        pnw = params_net.ParamsNetWeights([0.5, 0.25, 0.25], np.zeros(3), np.ones(3), 0.0)
+        widths = [0.1, 1.05, 100.0, 0.6, 1.3, 0.2, 0.45, 0.9]
+        feats = np.array([math.log(s) for s in widths] + [30.0, -30.0])
+        n = feats.size
+        batch = MiniBatch("s0", 0.1, "train", rng.normal(0.4, 0.1, (n, *dims)),
+                          np.arange(n) % 2.0, feats)
+        cw = classifier.xavier_init(dims, 5)
+        cfg = TrainConfig(bump_probability=0.5, lambda_l2=1e-3, seed=2)
+        events = Counter()
+        fwd = trainer._forward_batch(batch, pnw, cw, cfg, np.random.default_rng(cfg.seed),
+                                     events)
+        grads = trainer._backward_batch(batch, fwd, pnw, cfg)
+        sigmas, smoothed, dz, head = self._reference(batch, pnw, cw, cfg)
+        # the batch mixes every kind of volume: of the three single-cell
+        # widths two are bumped and carry a gradient, one does not; the two
+        # fit-clamped ones (100 and e^6) do not; the other five do
+        assert events == Counter(clamp=2, bump=2, fit_clamp=2)
+        assert sum(filter_radius(s, cfg.truncation) == 0 for s in sigmas) == 1
+        assert sum(d is None for d in dz) == 3
+        assert fwd["sigmas"] == sigmas
+        assert fwd["smoothed"].tobytes() == smoothed.tobytes()
+        assert fwd["dz"] == dz
+        for name in "abvc":
+            np.testing.assert_array_equal(grads[name], head[name])
+            assert np.any(grads[name])
 
 
 class TestFixedWidth:
@@ -336,7 +411,7 @@ class TestFixedWidth:
             return smooth(x, p)
 
         monkeypatch.setattr(trainer, "convolve_separable", counted)
-        monkeypatch.setattr(trainer, "smooth_with_dsigma", None)  # must not be called
+        monkeypatch.setattr(trainer, "smooth_batch", None)  # must not be called
         return calls
 
     def test_two_smoothings_per_training_batch(self, smoothings):
@@ -383,7 +458,13 @@ class TestStepMode:
 
     def test_evaluation_bumps_nothing(self, monkeypatch):
         batch, pnw, cw, cfg = self._setup()
-        monkeypatch.setattr(trainer, "smooth_with_dsigma", None)  # must not be called
+        smooth = trainer.smooth_batch
+
+        def forward_only(volumes, profiles, d_profiles, weight):
+            assert all(dp is None for dp in d_profiles)  # no joint chain
+            return smooth(volumes, profiles, d_profiles, weight)
+
+        monkeypatch.setattr(trainer, "smooth_batch", forward_only)
         events = Counter()
         fwd = trainer._forward_batch(batch, pnw, cw, cfg, events=events)
         assert events == Counter(clamp=batch.size)
