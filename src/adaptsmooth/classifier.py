@@ -125,6 +125,8 @@ def load_weights(path):
     dims, w, bias = read_rows(path, 3)
     if dims.size != 3 or (dims < 1).any() or (dims % 1).any():
         raise DataError(f"{path}: dims must be three positive integers")
-    if w.size != dims.prod() or bias.size != 1:
+    # the product of Python ints, which cannot overflow as float64 does
+    shape = tuple(int(d) for d in dims)
+    if w.size != math.prod(shape) or bias.size != 1:
         raise DataError(f"{path}: weight length does not match dims")
-    return ClassifierWeights(w, float(bias[0])), tuple(int(d) for d in dims)
+    return ClassifierWeights(w, float(bias[0])), shape

@@ -8,9 +8,10 @@ the zero padding) and leaves that axis last, so three passes visit h, w and
 d and end in (h, w, d) order; at the package's volume sizes a dense product
 in BLAS beats a tap loop over the band.  The matrices of one call are built
 once, one (N, n, n) stack per distinct axis length.  `smooth_batch` smooths
-a batch, each volume with its own profile, in one call whose passes write
-into scratch rows reused across its volumes.  The direct loop over filter
-taps is the reference implementation that tests and benchmark checks
+a batch, each volume with its own profile, and in the same chain of passes,
+which write into scratch rows reused across its volumes, gives the width
+derivative of each volume given a derivative profile.  The direct loop over
+filter taps is the reference implementation that tests and benchmark checks
 compare against.
 Both kernels used in this package (the Gaussian and the Laplacian) are exact
 outer products, and both are symmetric, so correlation equals convolution
@@ -98,30 +99,6 @@ def _pass(x: np.ndarray, m, out: np.ndarray | None = None) -> np.ndarray:
     return res.reshape(*x.shape[1:], n)
 
 
-def _chain(x: np.ndarray, ms, ds=None, ws=(None,) * 5, out=None):
-    """Smooth the 3D `x` by the (h, w, d) pass operators `ms`; with the
-    derivative operators `ds`, also its width derivative
-
-        dz = P_d P_w D_h x  +  P_d D_w a  +  D_d b
-
-    for the shared intermediates a = P_h x and b = P_w a (rotated to
-    (w, d, h) and (d, h, w) order by `_pass`), summed in place in that
-    order.  Returns (z, dz), dz None without `ds`.  Passes allocate their
-    results, or write into `out` (z) and the five scratch rows `ws`, of
-    which dz is the last."""
-    ph, pw, pd = ms
-    a = _pass(x, ph, ws[0])
-    b = _pass(a, pw, ws[1])
-    z = _pass(b, pd, out)
-    if ds is None:
-        return z, None
-    dh, dw, dd = ds
-    dz = _pass(_pass(_pass(x, dh, ws[2]), pw, ws[3]), pd, ws[4])
-    dz += _pass(_pass(a, dw, ws[2]), pd, ws[3])
-    dz += _pass(b, dd, ws[2])
-    return z, dz
-
-
 def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
     """Fast path for rank-1 kernels.
 
@@ -145,32 +122,20 @@ def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
     return out
 
 
-def smooth_with_dsigma(x: np.ndarray, p, dp):
-    """Smoothing of `x` by the rank-1 kernel p(x)p(y)p(z) and its derivative
-    with respect to the width, in one pass chain of 9 passes (`_chain`).
-
-    Returns z and dz, which equal `convolve_separable(x, p)` and the
-    three-term product-rule sum of `convolve_separable` calls bit for bit:
-    each pass and the order of the sums are the same.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    ops = {n: _matrices([p, dp], n) for n in set(x.shape)}
-    return _chain(x, [ops[n][0] for n in x.shape], [ops[n][1] for n in x.shape])
-
-
 def smooth_batch(volumes: np.ndarray, profiles, d_profiles, weight: np.ndarray):
     """Smooth volume i of the (N, H, W, D) batch `volumes` with `profiles[i]`
-    along every axis.  Where `d_profiles[i]` (that profile's width
-    derivative) is not None, the volume's width derivative dz_i comes from
-    the same 9-pass chain as `smooth_with_dsigma`, and only its contraction
-    with the (H, W, D) `weight` is kept: the width derivative of a linear
-    read-out of the smoothed volume.
+    along every axis, the last pass writing into the volume's row of the
+    result.  Where `d_profiles[i]`, that profile's width derivative, is not
+    None, the same chain of 9 passes gives the volume's width derivative
 
-    The pass operators are built once per batch, one stack per distinct axis
-    length; every pass writes into scratch rows reused across volumes, and
-    the last smoothing pass into the volume's row of the result.  Returns
-    the (N, H, W, D) smoothed batch and the list of contractions, None
-    where the derivative profile is.
+        dz = P_d P_w D_h x  +  P_d D_w a  +  D_d b
+
+    from the intermediates a = P_h x and b = P_w a, summed in place in that
+    order: bit for bit the three-term product-rule sum of
+    `convolve_separable` calls.  Only its contraction with the (H, W, D)
+    `weight` is kept, None where the derivative profile is.  The operators
+    are built once per batch, and the other passes write into scratch rows
+    reused across volumes.  Returns the smoothed batch and the contractions.
     """
     dims = volumes.shape[1:]
     ops = {n: _matrices(profiles, n) for n in set(dims)}
@@ -179,10 +144,17 @@ def smooth_batch(volumes: np.ndarray, profiles, d_profiles, weight: np.ndarray):
     ws = np.empty((5, smoothed[0].size))
     dots = [None] * len(volumes)
     for i, x in enumerate(volumes):
-        ds = None if d_profiles[i] is None else [d_ops[n][i] for n in dims]
-        _, dz = _chain(x, [ops[n][i] for n in dims], ds, ws, smoothed[i])
-        if dz is not None:
-            # einsum, because BLAS dot sums a long vector in per-thread
-            # parts and its bits follow the thread count
-            dots[i] = float(np.einsum("ijk,ijk->", weight, dz))
+        ph, pw, pd = (ops[n][i] for n in dims)
+        a = _pass(x, ph, ws[0])
+        b = _pass(a, pw, ws[1])
+        _pass(b, pd, smoothed[i])
+        if d_profiles[i] is None:
+            continue
+        dh, dw, dd = (d_ops[n][i] for n in dims)
+        dz = _pass(_pass(_pass(x, dh, ws[2]), pw, ws[3]), pd, ws[4])
+        dz += _pass(_pass(a, dw, ws[2]), pd, ws[3])
+        dz += _pass(b, dd, ws[2])
+        # einsum, because BLAS dot sums a long vector in per-thread
+        # parts and its bits follow the thread count
+        dots[i] = float(np.einsum("ijk,ijk->", weight, dz))
     return smoothed, dots

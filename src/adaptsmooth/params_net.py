@@ -5,8 +5,8 @@ absolute response over the volume interior (valid mode, so faces contribute
 nothing).  A two-layer head with an exponential output then maps that scalar
 feature to a strictly positive smoothing width.  The head maps a batch's
 features in one call (`map_to_sigmas`), and its gradient is summed over the
-batch in one call (`map_to_sigmas_backward`); the one-feature functions are
-their one-element case.
+batch in one call (`map_to_sigmas_backward`); `map_to_sigma` is the
+one-feature case of the former.
 """
 
 from __future__ import annotations
@@ -130,12 +130,6 @@ def map_to_sigmas_backward(features, w: ParamsNetWeights, upstream_dl_dsigma):
     total = rows.sum(axis=0)
     m = w.m
     return total[:m], total[m:2 * m], total[2 * m:3 * m], float(total[3 * m])
-
-
-def map_to_sigma_backward(feature: float, w: ParamsNetWeights,
-                          upstream_dl_dsigma: float):
-    """`map_to_sigmas_backward` of one feature."""
-    return map_to_sigmas_backward([feature], w, [upstream_dl_dsigma])
 
 
 def save_weights(w: ParamsNetWeights, path):

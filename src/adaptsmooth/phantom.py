@@ -61,6 +61,11 @@ class PhantomSpec:
             raise DataError("amplitude must be finite")
         if not all(0 <= n < math.inf for n in self.noise_levels):
             raise DataError("noise levels must be finite and >= 0")
+        tags = [_noise_tag(n) for n in self.noise_levels]
+        clash = [n for n, tag in zip(self.noise_levels, tags) if tags.count(tag) > 1]
+        if clash:
+            raise DataError(f"noise levels {', '.join(map(repr, clash))} share a "
+                            "volume file name, which prints each level as %g")
         if not 0 < self.voxel_size_mm < math.inf:
             raise DataError("voxel_size_mm must be finite and > 0")
         h, w, d = self.dims
@@ -78,6 +83,11 @@ class PhantomSpec:
             raise DataError("split counts must sum to n_subjects")
         if self.volumes_per_subject_per_class < 1 or self.n_subjects < 3:
             raise DataError("need >= 1 volume per class and >= 3 subjects")
+
+
+def _noise_tag(noise: float) -> str:
+    """A noise level as its volumes' file names print it."""
+    return f"{noise:g}"
 
 
 def _blob(dims, center, sigma, support_radius=None):
@@ -139,7 +149,7 @@ def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
             for idx, (vol, label) in enumerate(zip(masters, labels)):
                 for noise in spec.noise_levels:
                     noise_seed = int(rng.integers(0, 2**31 - 1))
-                    name = f"{sid}_v{idx:03d}_n{noise:g}.vol"
+                    name = f"{sid}_v{idx:03d}_n{_noise_tag(noise)}.vol"
                     write_volume(add_gaussian_noise(vol, noise, noise_seed), tmp / name)
                     manifest.entries.append(ManifestEntry(name, label, sid, noise))
 

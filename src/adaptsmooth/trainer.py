@@ -62,8 +62,10 @@ class TrainConfig:
 
     def validate(self):
         # the comparisons are false for NaN, so NaN fails every range check
-        if not all(0 <= x < math.inf for x in (self.learning_rate, self.lambda_l2)):
-            raise DataError("learning rate and lambda must be finite and >= 0")
+        rates = (self.learning_rate, self.lambda_l2, *self.lr_grid, *self.lambda_grid)
+        if not all(0 <= x < math.inf for x in rates):
+            raise DataError("learning rates and lambdas, grid values included, "
+                            "must be finite and >= 0")
         if min(self.max_epochs, self.patience, self.width_m) < 1:
             raise DataError("max_epochs, patience and width_m must be >= 1")
         if not 0 < self.truncation < math.inf:

@@ -237,6 +237,8 @@ def test_checkpoint_golden_layout(tmp_path):
     ("-1 -1 2\n1 2\n3\n", "dims must be three positive integers"),
     ("1 1 3\n1 2\n3\n", "weight length does not match dims"),
     ("1 1 2\n1 2\n3 4\n", "weight length does not match dims"),
+    # dims whose float64 product overflows: no numpy warning before the error
+    ("1e200 1e200 1e200\n1 2\n3\n", "weight length does not match dims"),
     ("1 1 2\n1 nan\n3\n", "non-finite value"),
 ])
 def test_bad_checkpoint_is_data_error_naming_file(tmp_path, text, match):

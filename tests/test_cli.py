@@ -661,16 +661,22 @@ class TestParsing:
         ("gen-phantom", "voxel_size_mm = inf"),
         ("gen-phantom", "voxel_size_mm = 1e39"),
         ("gen-phantom", "noise_levels = 0,1e300"),
+        ("gen-phantom", "noise_levels = 0.1,0.1000001"),
+        ("grid-search", "lr_grid = 0.1,nan"),
+        ("grid-search", "lr_grid = 0.1,-1"),
+        ("grid-search", "lr_grid = nan"),
+        ("grid-search", "lambda_grid = 0,inf"),
     ])
     def test_bad_config_value_is_data_error(self, trained, tmp_path, capsys,
                                             command, line):
         data, _ = trained
         cfg = tmp_path / "bad.cfg"
-        if command == "train":
+        if command in ("train", "grid-search"):
             cfg.write_text(f"max_epochs = 2\nwidth_m = 8\n{line}\n")
-            argv = ["train", "--config", str(cfg), "--data", str(data)]
+            argv = [command, "--config", str(cfg), "--data", str(data)]
         else:
             cfg.write_text(f"{SMALL_SPEC}{line}\n")
             argv = ["gen-phantom", "--spec", str(cfg)]
         assert run(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "ERROR 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 import adaptsmooth
-from adaptsmooth.conv3d import (
-    convolve,
-    convolve_separable,
-    smooth_with_dsigma,
-)
+from adaptsmooth.conv3d import convolve, convolve_separable, smooth_batch
 from adaptsmooth.errors import DataError
 from adaptsmooth.gaussian_filter import build_filter
 
@@ -91,13 +87,17 @@ class TestMatrixPasses:
 _DIGESTS = """
 import hashlib
 import numpy as np
-from adaptsmooth.conv3d import convolve_separable, smooth_with_dsigma
+from adaptsmooth.conv3d import convolve_separable, smooth_batch
 from adaptsmooth.gaussian_filter import build_filter
 f = build_filter(1.6, 4.0)
+p, dp = f.profile_1d, f.d_profile_1d
 for dims in [(24, 24, 24), (9, 11, 7), (61, 73, 61)]:
-    x = np.random.default_rng(0).normal(size=dims)
-    z, dz = smooth_with_dsigma(x, f.profile_1d, f.d_profile_1d)
-    for out in (convolve_separable(x, f.profile_1d), z, dz):
+    rng = np.random.default_rng(0)
+    x, w = rng.normal(size=dims), rng.normal(size=dims)
+    z, (dot,) = smooth_batch(x[None], [p], [dp], w)
+    three_terms = (convolve_separable(x, (dp, p, p)) + convolve_separable(x, (p, dp, p))
+                   + convolve_separable(x, (p, p, dp)))
+    for out in (convolve_separable(x, p), np.append(z, dot), three_terms):
         print(hashlib.sha256(out.tobytes()).hexdigest())
 x = np.random.default_rng(1).normal(size=(9, 11, 7))
 out = convolve_separable(x, (f.profile_1d[1:-1], np.ones(1) / 3, f.profile_1d))
@@ -155,28 +155,41 @@ class TestValidation:
             convolve_separable(np.zeros((4, 4, 4)), np.ones(5))
 
 
+def _three_terms(x, p, dp):
+    """The width derivative of smoothing `x` by p(x)p(y)p(z): the
+    product-rule sum of three separable convolutions."""
+    return (convolve_separable(x, (dp, p, p)) + convolve_separable(x, (p, dp, p))
+            + convolve_separable(x, (p, p, dp)))
+
+
 class TestSmoothWithDsigma:
+    """`smooth_batch` smooths with the passes of `convolve_separable` and
+    sums the width derivative in the order of the three-term sum, bit for
+    bit."""
+
     @pytest.mark.parametrize("dims", [(8, 8, 8), (9, 11, 7)])
     @pytest.mark.parametrize("sigma, radius", [(0.6, 1), (1.1, 2), (1.6, 3)])
     def test_bitwise_equal_to_separate_convolutions(self, sigma, radius, dims):
-        x = np.random.default_rng(radius).normal(size=dims)
+        rng = np.random.default_rng(radius)
+        # two volumes, so the second reuses the first one's scratch rows
+        volumes, w = rng.normal(size=(2, *dims)), rng.normal(size=dims)
         f = build_filter(sigma, 4.0)
         assert f.radius == radius
         p, dp = f.profile_1d, f.d_profile_1d
-        z, dz = smooth_with_dsigma(x, p, dp)
-        np.testing.assert_array_equal(z, convolve_separable(x, p))
-        three_terms = (convolve_separable(x, (dp, p, p))
-                       + convolve_separable(x, (p, dp, p))
-                       + convolve_separable(x, (p, p, dp)))
-        np.testing.assert_array_equal(dz, three_terms)
-        assert np.max(np.abs(dz - convolve(x, f.d_weights_d_sigma))) < 1e-12
+        z, dots = smooth_batch(volumes, [p, p], [dp, dp], w)
+        for x, z_i, dot in zip(volumes, z, dots):
+            np.testing.assert_array_equal(z_i, convolve_separable(x, p))
+            three_terms = _three_terms(x, p, dp)
+            assert dot == float(np.einsum("ijk,ijk->", w, three_terms))
+            assert np.max(np.abs(three_terms - convolve(x, f.d_weights_d_sigma))) < 1e-12
 
     def test_bad_profiles_rejected(self):
-        x = np.zeros((4, 4, 4))
-        with pytest.raises(DataError, match="odd"):
-            smooth_with_dsigma(x, np.ones(2), np.ones(2))
-        with pytest.raises(DataError, match="exceeds"):
-            smooth_with_dsigma(x, np.ones(5), np.ones(5))
+        x = np.zeros((1, 4, 4, 4))
+        for bad, match in ((np.ones(2), "odd"), (np.ones(5), "exceeds")):
+            with pytest.raises(DataError, match=match):
+                smooth_batch(x, [np.ones(3)], [bad], x[0])
+            with pytest.raises(DataError, match=match):
+                smooth_batch(x, [bad], [np.ones(3)], x[0])
 
 
 class TestSymmetricSmoothing:

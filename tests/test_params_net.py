@@ -15,7 +15,6 @@ from adaptsmooth.params_net import (
     init_weights,
     load_weights,
     map_to_sigma,
-    map_to_sigma_backward,
     map_to_sigmas,
     map_to_sigmas_backward,
     noise_feature,
@@ -137,14 +136,14 @@ class TestMapToSigma:
 class TestMapToSigmaBackward:
     def test_zero_upstream(self):
         w = init_weights(4, seed=1)
-        da, db, dv, dc = map_to_sigma_backward(1.0, w, 0.0)
+        da, db, dv, dc = map_to_sigmas_backward([1.0], w, [0.0])
         assert not da.any() and not db.any() and not dv.any()
         assert dc == 0.0
 
     def test_zero_weights_dc(self):
         z = np.zeros(3)
         w = ParamsNetWeights(z, z.copy(), z.copy(), 0.0)
-        _, _, _, dc = map_to_sigma_backward(2.0, w, 1.0)
+        _, _, _, dc = map_to_sigmas_backward([2.0], w, [1.0])
         assert dc == pytest.approx(1.0)  # sigma = 1, d exp/d pre = 1
 
     def test_matches_finite_differences(self):
@@ -153,7 +152,7 @@ class TestMapToSigmaBackward:
                              rng.normal(0, 0.3, 5), 0.2)
         feat = 1.7
         up = 0.83
-        da, db, dv, dc = map_to_sigma_backward(feat, w, up)
+        da, db, dv, dc = map_to_sigmas_backward([feat], w, [up])
         h = 1e-6
 
         def loss(w2):
@@ -174,7 +173,7 @@ class TestMapToSigmaBackward:
     def test_clamped_preactivation_has_zero_gradient(self):
         z = np.zeros(2)
         w = ParamsNetWeights(z, z.copy(), z.copy(), 100.0)
-        da, db, dv, dc = map_to_sigma_backward(1.0, w, 1.0)
+        da, db, dv, dc = map_to_sigmas_backward([1.0], w, [1.0])
         assert dc == 0.0 and not dv.any()
 
 

@@ -56,6 +56,15 @@ class TestSpecValidation:
         with pytest.raises(DataError, match="sum"):
             spec.validate()
 
+    @pytest.mark.parametrize("levels, named", [
+        ((0.1, 0.1000001), "0.1, 0.1000001"), ((0.0, 0.2, 0.0), "0.0, 0.0"),
+    ])
+    def test_levels_sharing_a_file_name_rejected(self, levels, named):
+        # each volume's file name prints its level as %g, so these levels
+        # would write their volumes over each other's
+        with pytest.raises(DataError, match=f"noise levels {named} share a volume file"):
+            PhantomSpec(noise_levels=levels).validate()
+
 
 class TestGeneratedData:
     def test_file_count_and_balance(self, small_dataset):

@@ -1,0 +1,64 @@
+"""Every public module-level function and class of the package is read by
+the package itself or by the benchmark harness: one that only tests call is
+code the system does not run.
+
+The check is syntactic.  It collects every name, attribute and import alias
+in the source of `adaptsmooth` and of `bench/`, test files excluded, and
+asks that each public definition of `adaptsmooth` appear among them.
+"""
+
+import ast
+from pathlib import Path
+
+import adaptsmooth
+
+PACKAGE = Path(adaptsmooth.__file__).resolve().parent
+BENCH = PACKAGE.parents[1] / "bench"
+
+# public definitions that only tests read, each with the reason it stays
+TEST_REFERENCES = {
+    # the hook through which the gradient tests run one training step
+    ("trainer", "batch_loss_and_grads"),
+    # the oracle weight vector that shows the phantom is linearly separable
+    ("phantom", "separability_weights"),
+}
+
+
+def _public_definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                yield path.stem, node.name
+
+
+def _names_read():
+    assert BENCH.is_dir(), "run from a checkout, which holds bench/"
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    names = set()
+    for path in sources:
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+    return names
+
+
+def test_every_public_definition_is_read():
+    read = _names_read()
+    unread = [f"{module}.{name}" for module, name in _public_definitions()
+              if name not in read and (module, name) not in TEST_REFERENCES]
+    assert unread == []
+
+
+def test_test_references_are_still_unread_definitions():
+    # an entry whose definition is gone, or that the package now reads,
+    # leaves the list
+    assert TEST_REFERENCES <= set(_public_definitions())
+    read = _names_read()
+    assert [name for _, name in TEST_REFERENCES if name in read] == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adaptsmooth import classifier, params_net, phantom, trainer
-from adaptsmooth.conv3d import convolve_separable, smooth_with_dsigma
+from adaptsmooth.conv3d import convolve_separable
 from adaptsmooth.errors import DataError, NumericalError
 from adaptsmooth.gaussian_filter import (
     apply_degenerate_policy,
@@ -300,11 +300,13 @@ class TestBatchStep:
             fit_clamped = sigma > max_sigma
             sigma = max_sigma if fit_clamped else sigma
             f = build_filter(sigma, cfg.truncation)
+            p, dp = f.profile_1d, f.d_profile_1d
+            z = convolve_separable(x, p)
             if not fit_clamped and f.radius > 0:
-                z, dz_i = smooth_with_dsigma(x, f.profile_1d, f.d_profile_1d)
+                dz_i = (convolve_separable(x, (dp, p, p)) + convolve_separable(x, (p, dp, p))
+                        + convolve_separable(x, (p, p, dp)))
                 dz.append(float(np.einsum("ijk,ijk->", w, dz_i)))
             else:
-                z = convolve_separable(x, f.profile_1d)
                 dz.append(None)
             sigmas.append(sigma)
             smoothed.append(z)
@@ -313,7 +315,7 @@ class TestBatchStep:
         head = [np.zeros(pnw.m), np.zeros(pnw.m), np.zeros(pnw.m), 0.0]
         for feat, dz_i, dl in zip(batch.features, dz, dl_dlogit):
             if dz_i is not None:
-                g = params_net.map_to_sigma_backward(float(feat), pnw, float(dl) * dz_i)
+                g = params_net.map_to_sigmas_backward([feat], pnw, [float(dl) * dz_i])
                 head = [h + gi for h, gi in zip(head, g)]
         return sigmas, np.stack(smoothed), dz, dict(zip("abvc", head))
 
