@@ -397,7 +397,8 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
 
 def grid_search(cfg: TrainConfig, batches: list[MiniBatch]):
     """Train one model per (lr, lambda) grid point and pick the best by
-    validation accuracy; ties break to lower validation loss then lower lr."""
+    validation accuracy; ties break to lower validation loss then lower lr.
+    A numerical failure is recorded in its cell; a data error ends the search."""
     cfg.validate()
     results = []
     for lr in cfg.lr_grid:
@@ -411,7 +412,7 @@ def grid_search(cfg: TrainConfig, batches: list[MiniBatch]):
                 val = report.epochs[max(report.best_epoch, 0) - 1]
                 row.update({"val_accuracy": val["val_accuracy"], "val_loss": val["val_loss"],
                             "test_accuracy": report.test_accuracy, "error": ""})
-            except (DataError, NumericalError) as exc:
+            except NumericalError as exc:
                 row.update({"val_accuracy": float("nan"), "val_loss": float("nan"),
                             "test_accuracy": float("nan"), "error": str(exc)})
             results.append(row)

@@ -142,14 +142,8 @@ def write_volume(v: Volume, path):
         f.write(flat.astype("<f4").tobytes())
 
 
-def _check_finite(voxels: np.ndarray, path):
-    if not np.isfinite(voxels).all():
-        raise DataError(f"{path}: non-finite voxel values")
-
-
-def _read_vol1(path, into=None) -> Volume:
-    with open(path, "rb") as f:
-        blob = f.read()
+def _parse_vol1(blob, path):
+    """The x-fastest payload, dims and voxel size of a VOL1 file's bytes."""
     if len(blob) < 20:
         raise DataError(f"{path}: truncated VOL1 header")
     if blob[:4] != VOL1_MAGIC:
@@ -157,104 +151,83 @@ def _read_vol1(path, into=None) -> Volume:
     h, w, d, voxel = struct.unpack_from("<IIIf", blob, 4)
     if h < 1 or w < 1 or d < 1:
         raise DataError(f"{path}: non-positive dims ({h}, {w}, {d})")
-    if not 0 < voxel < math.inf:
-        raise DataError(f"{path}: voxel size must be finite and positive, got {voxel}")
     n = h * w * d
     payload = blob[20:]
     if len(payload) != 4 * n:
         raise DataError(
             f"{path}: truncated payload, expected {n} voxels, got {len(payload) // 4}"
         )
-    flat = np.frombuffer(payload, dtype="<f4")
-    _check_finite(flat, path)
-    return Volume.from_flat_x_fastest(flat, (h, w, d), voxel,
-                                      None if into is None else into((h, w, d), voxel))
+    return np.frombuffer(payload, dtype="<f4"), (h, w, d), voxel
 
 
-def _parse_nifti_header(blob, path):
+def _parse_nifti(blob, path):
+    """The x-fastest payload, dims and voxel size of a single-volume .nii's
+    bytes.  Only int16 and float32 payloads are accepted; scl_slope/scl_inter
+    are applied when the slope is nonzero.  A header with more than one time
+    point is refused before its payload is read."""
     if len(blob) < _NIFTI_HEADER_SIZE:
         raise DataError(f"{path}: truncated NIfTI header")
-    sizeof_hdr = struct.unpack_from("<i", blob, 0)[0]
-    swap = ""
-    if sizeof_hdr != 348:
-        sizeof_hdr = struct.unpack_from(">i", blob, 0)[0]
-        if sizeof_hdr != 348:
+    end = "<"
+    if struct.unpack_from(end + "i", blob, 0)[0] != _NIFTI_HEADER_SIZE:
+        end = ">"
+        if struct.unpack_from(end + "i", blob, 0)[0] != _NIFTI_HEADER_SIZE:
             raise DataError(f"{path}: not a NIfTI-1 file (sizeof_hdr != 348)")
-        swap = ">"
-    end = swap or "<"
-    dim = struct.unpack_from(end + "8h", blob, 40)
-    datatype = struct.unpack_from(end + "h", blob, 70)[0]
-    pixdim = struct.unpack_from(end + "8f", blob, 76)
-    vox_offset = struct.unpack_from(end + "f", blob, 108)[0]
-    scl_slope = struct.unpack_from(end + "f", blob, 112)[0]
-    scl_inter = struct.unpack_from(end + "f", blob, 116)[0]
     magic = blob[344:348]
     if magic not in (b"n+1\x00", b"ni1\x00"):
         raise DataError(f"{path}: bad NIfTI magic {magic!r}")
-    return dim, datatype, pixdim, vox_offset, scl_slope, scl_inter, end
-
-
-def read_nifti(path) -> list[Volume]:
-    """Read a single-file .nii, returning one Volume per time point.
-
-    Only int16 and float32 payloads are accepted; scl_slope/scl_inter are
-    applied when the slope is nonzero.
-    """
-    with open(path, "rb") as f:
-        blob = f.read()
-    dim, datatype, pixdim, vox_offset, slope, inter, end = _parse_nifti_header(blob, path)
-    ndim = dim[0]
-    if ndim not in (3, 4):
-        raise DataError(f"{path}: only 3D or 4D NIfTI supported, got dim[0]={ndim}")
+    dim = struct.unpack_from(end + "8h", blob, 40)
+    datatype = struct.unpack_from(end + "h", blob, 70)[0]
+    voxel = struct.unpack_from(end + "f", blob, 80)[0]  # pixdim[1]
+    vox_offset = struct.unpack_from(end + "f", blob, 108)[0]
+    slope = struct.unpack_from(end + "f", blob, 112)[0]
+    inter = struct.unpack_from(end + "f", blob, 116)[0]
+    if dim[0] not in (3, 4):
+        raise DataError(f"{path}: only 3D or 4D NIfTI supported, got dim[0]={dim[0]}")
     if datatype not in _NIFTI_DTYPES:
         raise DataError(f"{path}: unsupported NIfTI datatype {datatype}")
-    nx, ny, nz = dim[1], dim[2], dim[3]
-    nt = dim[4] if ndim == 4 else 1
+    nx, ny, nz = dim[1:4]
+    nt = dim[4] if dim[0] == 4 else 1
     if min(nx, ny, nz) < 1 or nt < 1:
         raise DataError(f"{path}: non-positive dims {dim[1:5]}")
+    if nt > 1:
+        raise DataError(f"{path}: 4D NIfTI with {nt} time points; only one can be read")
     dtype = _NIFTI_DTYPES[datatype].newbyteorder(end)
-    n = nx * ny * nz * nt
+    n = nx * ny * nz
     if not math.isfinite(vox_offset):
         raise DataError(f"{path}: non-finite vox_offset {vox_offset}")
     offset = int(vox_offset) if vox_offset >= _NIFTI_HEADER_SIZE else _NIFTI_HEADER_SIZE
-    payload = blob[offset:]
-    if len(payload) < n * dtype.itemsize:
+    if len(blob) - offset < n * dtype.itemsize:
         raise DataError(f"{path}: truncated NIfTI payload")
-    raw = np.frombuffer(payload[: n * dtype.itemsize], dtype=dtype).astype(np.float64)
+    flat = np.frombuffer(blob, dtype, count=n, offset=offset)
     if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
-        raw = raw * slope + inter
-    _check_finite(raw, path)
-    voxel = float(pixdim[1]) if pixdim[1] > 0 else 3.0
-    # NIfTI stores x fastest, then y, then z, then t.
-    vols = []
-    per = nx * ny * nz
-    for t in range(nt):
-        vols.append(Volume.from_flat_x_fastest(raw[t * per : (t + 1) * per], (ny, nx, nz), voxel))
-    return vols
+        flat = flat.astype(np.float64) * slope + inter
+    # a finite pixdim[1] <= 0 is unset and reads as 3 mm
+    if -math.inf < voxel <= 0:
+        voxel = 3.0
+    # NIfTI stores x fastest, then y, then z: dims (H, W, D) are (ny, nx, nz)
+    return flat, (ny, nx, nz), voxel
 
 
 def read_volume(path, into=None) -> Volume:
-    """Read a single 3D volume from VOL1 or single-timepoint NIfTI-1.
+    """Read one 3D volume from a VOL1 file or, for a ``.nii`` path, a
+    single-volume NIfTI-1 file (3D, or 4D with one time point).
 
     `into`, when given, is called as ``into(dims, voxel_size_mm)`` once the
     file has passed its own checks, and may raise to refuse it.  It returns
     the C-ordered float64 array of shape `dims` that the returned Volume
-    holds: a VOL1 payload is converted straight into it, with no other copy.
+    holds: the payload of either format is converted straight into it, with
+    no other copy.
     """
-    p = str(path)
-    if not p.endswith(".nii"):
-        return _read_vol1(path, into)
-    vols = read_nifti(path)
-    if len(vols) != 1:
-        raise DataError(
-            f"{path}: 4D NIfTI with {len(vols)} time points; use read_nifti() for the sequence"
-        )
-    v = vols[0]
-    if into is None:
-        return v
-    out = into(v.dims, v.voxel_size_mm)
-    out[...] = v.data
-    return Volume(out, v.voxel_size_mm)
+    with open(path, "rb") as f:
+        blob = f.read()
+    parse = _parse_nifti if str(path).endswith(".nii") else _parse_vol1
+    flat, dims, voxel = parse(blob, path)
+    if not 0 < voxel < math.inf:
+        raise DataError(f"{path}: voxel size must be finite and positive, got {voxel}")
+    if not np.isfinite(flat).all():
+        raise DataError(f"{path}: non-finite voxel values")
+    return Volume.from_flat_x_fastest(flat, dims, voxel,
+                                      None if into is None else into(dims, voxel))
 
 
 def write_manifest(manifest: DatasetManifest, path):

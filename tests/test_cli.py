@@ -475,6 +475,22 @@ class TestTrainEvaluate:
                          r"\(subject \w+, noise [\d.]+\)", err), err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("command", ["train", "grid-search"])
+    def test_filter_wider_than_the_data_is_data_error(self, trained, tmp_path, capsys,
+                                                      command):
+        # no grid value can cause a data error, so grid-search stops at the
+        # first one instead of recording it in every cell
+        data, _ = trained
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("max_epochs = 2\nwidth_m = 8\nfixed_sigma = 50\n"
+                       "lr_grid = 0.01,0.1\nlambda_grid = 0.0\n")
+        assert run([command, "--config", str(cfg), "--data", str(data),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"ERROR 2: sigma_f 50\.0 at t=[\d.]+: filter side \d+ "
+                         r"exceeds 16$", err, re.MULTILINE), err
+        assert not (tmp_path / "out").exists()
+
     def test_grid_search_writes_results(self, trained, tmp_path, capsys):
         data, _ = trained
         cfg = tmp_path / "grid.cfg"

@@ -1,12 +1,14 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from adaptsmooth import phantom
 from adaptsmooth.cli import run
 from adaptsmooth.errors import DataError
 from adaptsmooth.phantom import PhantomSpec
-from adaptsmooth.trainer import TrainConfig
+from adaptsmooth.trainer import TrainConfig, load_dataset
 from adaptsmooth.volume_io import (
     DatasetManifest,
     ManifestEntry,
@@ -15,7 +17,6 @@ from adaptsmooth.volume_io import (
     normalize_subject,
     read_config,
     read_manifest,
-    read_nifti,
     read_rows,
     read_volume,
     write_config,
@@ -158,12 +159,30 @@ class TestVol1:
         p = tmp_path / "bad.vol"
         payload = np.array([0.5] * 7 + [np.nan], dtype="<f4").tobytes()
         p.write_bytes(b"VOL1" + struct.pack("<IIIf", 2, 2, 2, 3.0) + payload)
+        cases = [(p, "non-finite voxel values")]
+        nan_voxel = np.zeros((3, 3, 3), dtype=np.float32)
+        nan_voxel[1, 2, 0] = np.nan
+        _make_nifti(tmp_path / "nan.nii", nan_voxel, datatype=16)
+        cases.append((tmp_path / "nan.nii", "non-finite voxel values"))
+        for pixdim in (np.inf, np.nan):
+            q = tmp_path / f"pixdim-{pixdim}.nii"
+            _make_nifti(q, np.zeros((3, 3, 3), dtype=np.float32), datatype=16)
+            blob = bytearray(q.read_bytes())
+            struct.pack_into("<f", blob, 80, pixdim)
+            q.write_bytes(bytes(blob))
+            cases.append((q, f"voxel size must be finite and positive, got {pixdim}"))
+        # a series is refused from its header, before the NaN in time point 5
+        series = np.zeros((3, 3, 3, 200), dtype=np.float32)
+        series[0, 0, 0, 5] = np.nan
+        _make_nifti(tmp_path / "series.nii", series, datatype=16, nt=200)
+        cases.append((tmp_path / "series.nii", "4D NIfTI with 200 time points"))
 
         def into(dims, voxel_mm):
             raise AssertionError("into called")
 
-        with pytest.raises(DataError, match="non-finite"):
-            read_volume(p, into)
+        for path, message in cases:
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}"):
+                read_volume(path, into)
 
     def test_into_may_refuse_the_file(self, tmp_path):
         p = tmp_path / "v.vol"
@@ -339,17 +358,47 @@ class TestNifti:
             read_volume(p)
         _make_nifti(p, data, datatype=16, nt=1)
         with pytest.raises(DataError, match="non-finite"):
-            read_nifti(p)
-
-    def test_4d_exposed_as_sequence(self, tmp_path):
-        p = tmp_path / "d.nii"
-        data = np.stack([np.full((3, 3, 3), i, dtype=np.float32) for i in range(4)], axis=-1)
-        _make_nifti(p, data, datatype=16, nt=4)
-        vols = read_nifti(p)
-        assert len(vols) == 4
-        assert vols[2].data[0, 0, 0] == pytest.approx(2.0)
-        with pytest.raises(DataError, match="4D"):
             read_volume(p)
+
+    def test_4d_with_one_time_point_reads_more_is_refused(self, tmp_path):
+        data = np.random.default_rng(8).uniform(size=(4, 3, 2)).astype(np.float32)
+        p3, p4 = tmp_path / "3d.nii", tmp_path / "4d.nii"
+        _make_nifti(p3, data, datatype=16)
+        _make_nifti(p4, data[..., None], datatype=16, nt=1)
+        np.testing.assert_array_equal(read_volume(p4).data, read_volume(p3).data)
+        series = tmp_path / "series.nii"
+        _make_nifti(series, np.stack([data] * 4, axis=-1), datatype=16, nt=4)
+        with pytest.raises(DataError, match=f"^{re.escape(str(series))}: 4D NIfTI "
+                                            "with 4 time points"):
+            read_volume(series)
+
+
+def test_nifti_dataset_loads_like_its_vol1_twin(tmp_path):
+    vol1, nii = tmp_path / "vol1", tmp_path / "nii"
+    spec = PhantomSpec(dims=(9, 16, 11), n_subjects=3, volumes_per_subject_per_class=2,
+                       center_offset_x=3, blob_radius=1.3, noise_levels=(0.0, 0.2),
+                       split_counts=(1, 1, 1))
+    manifest = phantom.generate(spec, vol1, seed=5)
+    nii.mkdir()
+    for e in manifest.entries:
+        # the VOL1 voxels are float32 values, so the float32 NIfTI twin is exact
+        data = read_volume(vol1 / e.path).data
+        e.path = e.path.replace(".vol", ".nii")
+        _make_nifti(nii / e.path, np.transpose(data, (1, 0, 2)), datatype=16)
+    write_manifest(manifest, nii / "manifest.csv")
+    want, got = load_dataset(vol1 / "manifest.csv"), load_dataset(nii / "manifest.csv")
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        assert (g.subject_id, g.noise_level, g.split) == (w.subject_id, w.noise_level, w.split)
+        np.testing.assert_array_equal(g.volumes, w.volumes)
+        np.testing.assert_array_equal(g.features, w.features)
+        np.testing.assert_array_equal(g.labels, w.labels)
+        assert g.voxel_size_mm == w.voxel_size_mm
+    last = manifest.entries[-1].path
+    _make_nifti(nii / last, np.zeros((16, 9, 12), dtype=np.float32), datatype=16)
+    with pytest.raises(DataError, match=rf"^{re.escape(last)}: dims \(9, 16, 12\) differ "
+                                        r"from the dataset's \(9, 16, 11\)$"):
+        load_dataset(nii / "manifest.csv")
 
 
 class TestManifest:
