@@ -10,13 +10,15 @@ carries a gradient is smoothed and differentiated with respect to its width
 in one pass chain.  Forward contracts that derivative with the classifier
 weight to one number, the logit's width derivative, and backward multiplies
 the stored number by the logit's gradient; the head's gradient is one sum
-over the batch's gradient rows.  A fixed width, shared by the whole batch,
-smooths the classifier weight once instead of every volume: the smoothing
-is a symmetric linear map, so forward and backward each need one smoothing
-per batch.  Backward runs the exact chain rule down to the width-predicting
-weights, with plain SGD updates, validation-based early stopping, and an
-optional logarithmic grid search over (lr, lambda).  An epoch whose
-arithmetic overflows float64 ends the training with a `NumericalError`.
+over the batch's gradient rows.  A fixed width smooths the classifier
+weight instead of every volume: the smoothing is a symmetric linear map, so
+a training step takes 2 smoothings (the weight forward, the summed gradient
+backward) and an evaluation 1, since the weight does not change during it;
+its filter is built once per `train` or `evaluate` call.  Backward runs the
+exact chain rule down to the width-predicting weights, with plain SGD
+updates, validation-based early stopping, and an optional logarithmic grid
+search over (lr, lambda).  An epoch whose arithmetic overflows float64 ends
+the training with a `NumericalError`.
 """
 
 from __future__ import annotations
@@ -201,27 +203,41 @@ def make_batches(batches: list[MiniBatch], seed: int) -> list[MiniBatch]:
     return [selected[i] for i in order]
 
 
+def _fixed_profile(cfg: TrainConfig, dims):
+    """The 1D profile of the fixed width's filter for volumes of `dims`."""
+    return build_filter(cfg.fixed_sigma, cfg.truncation, min(dims)).profile_1d
+
+
+def _smoothed_weight(cw, profile, dims):
+    """A copy of `cw` whose weight is smoothed with the fixed width's
+    `profile`.  Zero-padded same-size smoothing K with a symmetric profile
+    is a symmetric matrix, so w . (K x) = (K w) . x: the raw volumes are
+    classified with K w, in place."""
+    smoothed_cw = copy.copy(cw)
+    smoothed_cw.w = convolve_separable(cw.w.reshape(dims), profile).ravel()
+    return smoothed_cw
+
+
 def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
-                   events: Counter | None = None):
+                   events: Counter | None = None, profile=None):
     """Smooth every volume with its own predicted width, then classify the
     batch.  A call with the bump `rng` is a training step: a degenerate
     width may be bumped, and each volume whose width carries a gradient is
     also convolved with the width derivative of its filter, in the same
     pass chain; ``fwd["dz"]`` keeps only that derivative's dot product
-    with the classifier weight, None for a volume without a gradient.  A
-    call without it evaluates.  Clamps and bumps are added to `events`.  A
-    fixed width smooths the classifier weight instead of the volumes.
+    with the classifier weight, None for a volume without a gradient.  Only
+    a training step adds the L2 penalty and its gradient.  A call without
+    it evaluates.  Clamps and bumps are added to `events`.  A fixed width
+    smooths the classifier weight instead of the volumes, with `profile`,
+    the fixed filter's profile, which is built here when not given.
     Returns everything backward needs."""
     dims = batch.volumes.shape[1:]
     if cfg.fixed_sigma is not None:
-        # zero-padded same-size smoothing K with a symmetric profile is a
-        # symmetric matrix, so w . (K x) = (K w) . x: the weight is smoothed
-        # once and the raw volumes are classified with it, in place
-        profile = build_filter(cfg.fixed_sigma, cfg.truncation, min(dims)).profile_1d
-        smoothed_cw = copy.copy(cw)
-        smoothed_cw.w = convolve_separable(cw.w.reshape(dims), profile).ravel()
+        if profile is None:
+            profile = _fixed_profile(cfg, dims)
         fwd = {"sigmas": [cfg.fixed_sigma] * batch.size, "profile": profile}
-        probs, cache = classifier.forward(batch.volumes, smoothed_cw)
+        probs, cache = classifier.forward(batch.volumes,
+                                          _smoothed_weight(cw, profile, dims))
     else:
         if batch.features is None:
             raise DataError("the width network needs noise features; "
@@ -246,9 +262,10 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
         fwd = {"sigmas": sigmas.tolist(), "smoothed": smoothed, "dz": dz}
         probs, cache = classifier.forward(smoothed, cw)
     data_loss = classifier.bce_loss(probs, batch.labels)
-    penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
-    fwd.update(probs=probs, cache=cache, loss=data_loss + penalty,
-               data_loss=data_loss, pen_grad=pen_grad)
+    fwd.update(probs=probs, cache=cache, data_loss=data_loss)
+    if rng is not None:
+        penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
+        fwd.update(loss=data_loss + penalty, pen_grad=pen_grad)
     return fwd
 
 
@@ -277,28 +294,40 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig):
     return fwd["loss"], grads, fwd
 
 
-def _evaluate_split(batches, pnw, cw, cfg, split):
+def _evaluate_split(batches, pnw, cw, cfg, split, profile=None):
     """Loss/accuracy per noise level, using batch statistics at evaluation
-    time as well (deliberate deviation from running-average batch norm)."""
+    time as well (deliberate deviation from running-average batch norm).
+    A fixed width smooths the classifier weight once for the whole split,
+    with `profile` when given (`train`'s); w does not change during an
+    evaluation, so every batch is classified with the same K w."""
+    batches = [b for b in batches if b.split == split]
+    if not batches:
+        raise DataError(f"split {split!r} is empty")
+    if cfg.fixed_sigma is not None:
+        dims = batches[0].volumes.shape[1:]
+        if profile is None:
+            profile = _fixed_profile(cfg, dims)
+        smoothed_cw = _smoothed_weight(cw, profile, dims)
     per_noise = {}
     total_loss, total_correct, total_n = 0.0, 0.0, 0
     for b in batches:
-        if b.split != split:
-            continue
         voxel_mm = b.voxel_size_mm
-        fwd = _forward_batch(b, pnw, cw, cfg)
-        acc = classifier.accuracy(fwd["probs"], b.labels)
+        if cfg.fixed_sigma is None:
+            fwd = _forward_batch(b, pnw, cw, cfg)
+            probs, data_loss, sigmas = fwd["probs"], fwd["data_loss"], fwd["sigmas"]
+        else:
+            probs = classifier.forward(b.volumes, smoothed_cw)[0]
+            data_loss, sigmas = classifier.bce_loss(probs, b.labels), ()
+        acc = classifier.accuracy(probs, b.labels)
         rec = per_noise.setdefault(b.noise_level, {"n": 0, "correct": 0.0,
                                                    "loss": 0.0, "sigma_sum": 0.0})
         rec["n"] += b.size
         rec["correct"] += acc * b.size
-        rec["loss"] += fwd["data_loss"] * b.size
-        rec["sigma_sum"] += sum(fwd["sigmas"])
-        total_loss += fwd["data_loss"] * b.size
+        rec["loss"] += data_loss * b.size
+        rec["sigma_sum"] += sum(sigmas)
+        total_loss += data_loss * b.size
         total_correct += acc * b.size
         total_n += b.size
-    if total_n == 0:
-        raise DataError(f"split {split!r} is empty")
     table = {}
     for noise, rec in per_noise.items():
         row = {"accuracy": rec["correct"] / rec["n"],
@@ -340,6 +369,8 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     pnw = params_net.init_weights(cfg.width_m, cfg.seed)
     cw = classifier.xavier_init(dims, cfg.seed + 1)
     bump_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
+    # a fixed width's filter serves every step and evaluation of the run
+    profile = None if cfg.fixed_sigma is None else _fixed_profile(cfg, dims)
     report = TrainReport(config=cfg)
 
     best = {"loss": math.inf, "epoch": -1, "pnw": None, "cw": None}
@@ -352,7 +383,8 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
         try:
             with np.errstate(over="raise"):
                 for batch in make_batches(batches, cfg.seed + epoch):
-                    fwd = _forward_batch(batch, pnw, cw, cfg, bump_rng, report.events)
+                    fwd = _forward_batch(batch, pnw, cw, cfg, bump_rng, report.events,
+                                         profile)
                     if not math.isfinite(fwd["loss"]):
                         raise NumericalError(
                             f"non-finite loss at epoch {epoch} "
@@ -368,7 +400,7 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
                     epoch_loss += fwd["loss"] * batch.size
                     n_seen += batch.size
                 batch = None
-                val = _evaluate_split(batches, pnw, cw, cfg, "validation")
+                val = _evaluate_split(batches, pnw, cw, cfg, "validation", profile)
         except FloatingPointError as exc:
             where = ("validation" if batch is None
                      else f"subject {batch.subject_id}, noise {batch.noise_level}")
@@ -389,7 +421,7 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     report.best_epoch = best["epoch"]
     report.stopped_epoch = report.epochs[-1]["epoch"]
 
-    test = _evaluate_split(batches, pnw, cw, cfg, "test")
+    test = _evaluate_split(batches, pnw, cw, cfg, "test", profile)
     report.test_accuracy = test["accuracy"]
     report.per_noise = test["per_noise"]
     return pnw, cw, report

@@ -177,7 +177,7 @@ def _parse_nifti(blob, path):
         raise DataError(f"{path}: bad NIfTI magic {magic!r}")
     dim = struct.unpack_from(end + "8h", blob, 40)
     datatype = struct.unpack_from(end + "h", blob, 70)[0]
-    voxel = struct.unpack_from(end + "f", blob, 80)[0]  # pixdim[1]
+    voxel, dy, dz = struct.unpack_from(end + "3f", blob, 80)  # pixdim[1..3]
     vox_offset = struct.unpack_from(end + "f", blob, 108)[0]
     slope = struct.unpack_from(end + "f", blob, 112)[0]
     inter = struct.unpack_from(end + "f", blob, 116)[0]
@@ -191,6 +191,10 @@ def _parse_nifti(blob, path):
         raise DataError(f"{path}: non-positive dims {dim[1:5]}")
     if nt > 1:
         raise DataError(f"{path}: 4D NIfTI with {nt} time points; only one can be read")
+    # a non-finite pixdim[1] is left to read_volume's voxel-size check
+    if math.isfinite(voxel) and not voxel == dy == dz:
+        raise DataError(f"{path}: anisotropic voxels {voxel:g} x {dy:g} x {dz:g} mm; "
+                        "only isotropic volumes can be read")
     dtype = _NIFTI_DTYPES[datatype].newbyteorder(end)
     n = nx * ny * nz
     if not math.isfinite(vox_offset):
@@ -210,7 +214,8 @@ def _parse_nifti(blob, path):
 
 def read_volume(path, into=None) -> Volume:
     """Read one 3D volume from a VOL1 file or, for a ``.nii`` path, a
-    single-volume NIfTI-1 file (3D, or 4D with one time point).
+    single-volume NIfTI-1 file (3D, or 4D with one time point) with
+    isotropic voxels.  A compressed ``.nii.gz`` is refused unread.
 
     `into`, when given, is called as ``into(dims, voxel_size_mm)`` once the
     file has passed its own checks, and may raise to refuse it.  It returns
@@ -218,6 +223,9 @@ def read_volume(path, into=None) -> Volume:
     holds: the payload of either format is converted straight into it, with
     no other copy.
     """
+    if str(path).endswith(".nii.gz"):
+        raise DataError(f"{path}: compressed NIfTI (.nii.gz) is not supported; "
+                        "decompress it to .nii first")
     with open(path, "rb") as f:
         blob = f.read()
     parse = _parse_nifti if str(path).endswith(".nii") else _parse_vol1

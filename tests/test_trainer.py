@@ -262,17 +262,6 @@ class TestJointPassChain:
         assert [dz is None for dz in fwd["dz"]] == [False, True, True, False]
         assert np.isfinite(grads["a"]).all()
 
-    def test_fixed_width_filter_built_once_per_batch(self, tiny_dataset, monkeypatch):
-        builds = []
-        build = trainer.build_filter
-        monkeypatch.setattr(trainer, "build_filter",
-                            lambda *args: builds.append(args) or build(*args))
-        pnw = params_net.init_weights(8, 0)
-        cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
-        evaluate(pnw, cw, tiny_dataset, "test", fixed_sigma=1.13)
-        test_groups = [b for b in tiny_dataset if b.split == "test"]
-        assert len(builds) == len(test_groups)
-
     def test_classifier_reads_smoothed_volumes_in_place(self):
         batch, pnw, cw, cfg = TestGradients()._setup()
         _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
@@ -352,8 +341,10 @@ class TestBatchStep:
 
 
 class TestFixedWidth:
-    """A fixed width smooths the classifier weight once per batch instead of
-    every volume; the step must match smoothing the volumes themselves."""
+    """A fixed width smooths the classifier weight instead of every volume:
+    twice per training step and once per evaluation, with one filter built
+    per `train` or `evaluate` call; the step must match smoothing the
+    volumes themselves."""
 
     SIGMA = 1.1
 
@@ -429,6 +420,55 @@ class TestFixedWidth:
         assert len(smoothings) == 1
         np.testing.assert_array_equal(smoothings[0], cw.w.reshape(batch.volumes[0].shape))
 
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        build = trainer.build_filter
+        monkeypatch.setattr(trainer, "build_filter",
+                            lambda *args: calls.append(args) or build(*args))
+        return calls
+
+    def test_filter_built_once_per_evaluation(self, tiny_dataset, builds):
+        cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
+        assert sum(b.split == "test" for b in tiny_dataset) >= 2
+        evaluate(None, cw, tiny_dataset, "test", fixed_sigma=1.13)
+        assert len(builds) == 1
+
+    def test_filter_built_once_per_training(self, tiny_dataset, builds):
+        cfg = TrainConfig(fixed_sigma=self.SIGMA, max_epochs=3, patience=3)
+        _, _, report = train(cfg, tiny_dataset)
+        assert len(report.epochs) == 3
+        assert len(builds) == 1
+
+    def test_one_smoothing_per_evaluation(self, tiny_dataset, smoothings):
+        dims = tiny_dataset[0].volumes[0].shape
+        cw = classifier.xavier_init(dims, 0)
+        assert sum(b.split == "test" for b in tiny_dataset) >= 2
+        evaluate(None, cw, tiny_dataset, "test", fixed_sigma=1.13)
+        assert len(smoothings) == 1
+        np.testing.assert_array_equal(smoothings[0], cw.w.reshape(dims))
+
+    def test_evaluation_equals_per_batch_reference(self, tiny_dataset):
+        cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
+        cfg = TrainConfig(fixed_sigma=1.13)
+        # reference: each batch smooths the weight again, in a lone forward
+        # pass; each noise level of the test split is one batch
+        per_noise, loss, correct, n = {}, 0.0, 0.0, 0
+        for b in tiny_dataset:
+            if b.split != "test":
+                continue
+            fwd = trainer._forward_batch(b, None, cw, cfg)
+            acc = classifier.accuracy(fwd["probs"], b.labels)
+            assert b.noise_level not in per_noise
+            per_noise[b.noise_level] = {"accuracy": acc * b.size / b.size,
+                                        "loss": fwd["data_loss"] * b.size / b.size,
+                                        "n": b.size}
+            loss += fwd["data_loss"] * b.size
+            correct += acc * b.size
+            n += b.size
+        assert evaluate(None, cw, tiny_dataset, "test", fixed_sigma=1.13) == \
+            {"loss": loss / n, "accuracy": correct / n, "per_noise": per_noise}
+
     def test_classifier_reads_loaded_volumes_stacked_in_place(self, tiny_dataset):
         batch = tiny_dataset[0]
         cw = classifier.xavier_init(batch.volumes[0].shape, 0)
@@ -472,6 +512,21 @@ class TestStepMode:
         assert events == Counter(clamp=batch.size)
         assert fwd["sigmas"] == [math.exp(-10.0)] * batch.size
         assert fwd["dz"] == [None] * batch.size
+
+    def test_evaluation_computes_no_penalty(self, tiny_dataset, monkeypatch):
+        # only a training step reads the L2 penalty and its gradient
+        def no_penalty(weights, lam):
+            raise AssertionError("l2_penalty called")
+
+        monkeypatch.setattr(classifier, "l2_penalty", no_penalty)
+        pnw = params_net.init_weights(8, 0)
+        cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
+        cfg = TrainConfig(lambda_l2=1e-3)
+        for split in ("validation", "test"):
+            evaluate(pnw, cw, tiny_dataset, split, cfg)
+            evaluate(pnw, cw, tiny_dataset, split, cfg, fixed_sigma=1.13)
+        fwd = trainer._forward_batch(tiny_dataset[0], pnw, cw, cfg)
+        assert "loss" not in fwd and "pen_grad" not in fwd
 
     def test_report_counts_training_steps_only(self, tiny_dataset, monkeypatch):
         monkeypatch.setattr(params_net, "init_weights",
@@ -541,8 +596,8 @@ class TestTrain:
         original = trainer._evaluate_split
         seen = []
 
-        def nan_validation(batches, pnw, cw, cfg, split):
-            res = original(batches, pnw, cw, cfg, split)
+        def nan_validation(batches, pnw, cw, cfg, split, profile=None):
+            res = original(batches, pnw, cw, cfg, split, profile)
             if split == "validation":
                 seen.append((copy.deepcopy(pnw), copy.deepcopy(cw)))
                 res = {**res, "loss": math.nan, "accuracy": len(seen) / 100}

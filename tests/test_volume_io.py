@@ -1,3 +1,4 @@
+import gzip
 import re
 import struct
 
@@ -176,6 +177,13 @@ class TestVol1:
         series[0, 0, 0, 5] = np.nan
         _make_nifti(tmp_path / "series.nii", series, datatype=16, nt=200)
         cases.append((tmp_path / "series.nii", "4D NIfTI with 200 time points"))
+        # unequal voxel sizes, and a compressed file, are refused by name
+        _make_nifti(tmp_path / "aniso.nii", np.zeros((3, 3, 3), dtype=np.float32),
+                    datatype=16, pixdim=(2.0, 2.0, 4.0))
+        cases.append((tmp_path / "aniso.nii", "anisotropic voxels 2 x 2 x 4 mm"))
+        gz = tmp_path / "v.nii.gz"
+        gz.write_bytes(gzip.compress((tmp_path / "nan.nii").read_bytes()))
+        cases.append((gz, "compressed NIfTI (.nii.gz) is not supported"))
 
         def into(dims, voxel_mm):
             raise AssertionError("into called")
@@ -239,9 +247,10 @@ def test_config_round_trip(tmp_path, config):
     assert read_config(p, type(config)) == config
 
 
-def _make_nifti(path, data, datatype, slope=1.0, inter=0.0, nt=None):
+def _make_nifti(path, data, datatype, slope=1.0, inter=0.0, nt=None,
+                pixdim=(3.0, 3.0, 3.0)):
     """Minimal single-file NIfTI-1 writer for tests. data is (nx, ny, nz[, nt])
-    in x-fastest storage order."""
+    in x-fastest storage order; `pixdim` holds the voxel sizes along x, y, z."""
     header = bytearray(348)
     struct.pack_into("<i", header, 0, 348)
     ndim = 3 if nt is None else 4
@@ -249,7 +258,7 @@ def _make_nifti(path, data, datatype, slope=1.0, inter=0.0, nt=None):
             nt if nt is not None else 1, 1, 1, 1]
     struct.pack_into("<8h", header, 40, *dims)
     struct.pack_into("<h", header, 70, datatype)
-    struct.pack_into("<8f", header, 76, 0.0, 3.0, 3.0, 3.0, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into("<8f", header, 76, 0.0, *pixdim, 0.0, 0.0, 0.0, 0.0)
     struct.pack_into("<f", header, 108, 352.0)
     struct.pack_into("<f", header, 112, slope)
     struct.pack_into("<f", header, 116, inter)
@@ -348,6 +357,19 @@ class TestNifti:
         p.write_bytes(bytes(blob))
         assert run(["estimate-noise", "--in", str(p)]) == 2
         assert f"{p}: non-finite vox_offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, message", [
+        ("aniso.nii", "anisotropic voxels 2 x 2 x 4 mm"),
+        ("aniso.nii.gz", "compressed NIfTI (.nii.gz) is not supported")])
+    def test_unreadable_file_exits_2_naming_it(self, tmp_path, capsys, name, message):
+        p = tmp_path / "aniso.nii"
+        _make_nifti(p, np.zeros((3, 3, 3), dtype=np.float32), datatype=16,
+                    pixdim=(2.0, 2.0, 4.0))
+        if name.endswith(".gz"):
+            p = tmp_path / name
+            p.write_bytes(gzip.compress((tmp_path / "aniso.nii").read_bytes()))
+        assert run(["estimate-noise", "--in", str(p)]) == 2
+        assert f"ERROR 2: {p}: {message}" in capsys.readouterr().err
 
     def test_non_finite_voxel_rejected(self, tmp_path):
         p = tmp_path / "e.nii"
