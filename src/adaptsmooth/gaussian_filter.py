@@ -3,11 +3,11 @@
 The filter is isotropic, sampled on an integer grid of radius
 ``r = floor((t * sigma_f + 0.5) / 2)`` and renormalized to sum 1.  It is the
 outer product of a renormalized 1D profile, which is all that separable
-smoothing reads, so a filter is built as that profile and its analytic
-derivative with respect to sigma_f at fixed support, which is what
-backpropagation into the width-predicting network consumes.  A batch of
-widths is built at once (`build_profiles`), all widths of one radius
-together; `build_filter` is the one-width case.
+smoothing reads.  A batch of widths is built at once (`build_profiles`), all
+widths of one radius together, as the profiles and their analytic
+derivatives with respect to sigma_f at fixed support, which is what
+backpropagation into the width-predicting network consumes; `build_filter`
+is the one-width case, which keeps the profile alone.
 
 The 3D weight cube and its derivative are built on first read.  Because the
 raw sample at (x, y, z) depends only on the integer squared radius
@@ -41,7 +41,6 @@ class GaussianFilter:
     truncation_t: float
     radius: int
     profile_1d: np.ndarray       # (2r+1,) renormalized 1D profile
-    d_profile_1d: np.ndarray     # (2r+1,) its sigma_f derivative
 
     def _raw_cube(self):
         """Raw samples and their sigma_f derivative, keyed by integer squared
@@ -130,8 +129,8 @@ def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION,
                  max_side: int | None = None) -> GaussianFilter:
     """The filter of width `sigma_f` at truncation `t`: the one-width case
     of `build_profiles`, with the same `max_side` check."""
-    (r,), (profile,), (d_profile,) = build_profiles([sigma_f], t, max_side)
-    return GaussianFilter(sigma_f, t, r, profile, d_profile)
+    (r,), (profile,), _ = build_profiles([sigma_f], t, max_side)
+    return GaussianFilter(sigma_f, t, r, profile)
 
 
 def apply_degenerate_policy(sigma_f, t: float, p: float, rng=None):

@@ -23,7 +23,6 @@ from .volume_io import (
     ManifestEntry,
     Volume,
     add_gaussian_noise,
-    normalize_subject,
     write_manifest,
     write_volume,
 )
@@ -120,6 +119,7 @@ def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
     out.parent.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     h, w, d = spec.dims
+    k = spec.volumes_per_subject_per_class
     anatomy = _anatomy(spec.dims)
 
     split_names = [name for name, n in zip(SPLITS, spec.split_counts) for _ in range(n)]
@@ -136,22 +136,26 @@ def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
                 0: (h / 2 + jitter[0], mid - spec.center_offset_x + jitter[1], d / 2 + jitter[2]),
                 1: (h / 2 + jitter[0], mid + spec.center_offset_x + jitter[1], d / 2 + jitter[2]),
             }
-            masters, labels = [], []
+            # the subject's noiseless volumes: label 0's k, then label 1's
+            masters = np.empty((2 * k, h, w, d))
             for label in (0, 1):
                 signal = spec.amplitude * _blob(spec.dims, centers[label], spec.blob_radius,
                                                 spec.support_radius)
-                for k in range(spec.volumes_per_subject_per_class):
-                    # small per-volume amplitude wobble so scans are not identical
-                    scale = 1.0 + 0.1 * rng.standard_normal()
-                    masters.append(Volume(anatomy + scale * signal, spec.voxel_size_mm))
-                    labels.append(label)
-            masters = normalize_subject(masters)
-            for idx, (vol, label) in enumerate(zip(masters, labels)):
+                # small per-volume amplitude wobble so scans are not identical
+                scales = 1.0 + 0.1 * rng.standard_normal(k)
+                masters[label * k:(label + 1) * k] = anatomy + scales[:, None, None, None] * signal
+            # normalized to [0, 1] by the extrema shared by all the subject's volumes
+            lo, hi = masters.min(), masters.max()
+            masters -= lo
+            masters *= 1.0 / (hi - lo)
+            for idx, master in enumerate(masters):
                 for noise in spec.noise_levels:
                     noise_seed = int(rng.integers(0, 2**31 - 1))
                     name = f"{sid}_v{idx:03d}_n{_noise_tag(noise)}.vol"
-                    write_volume(add_gaussian_noise(vol, noise, noise_seed), tmp / name)
-                    manifest.entries.append(ManifestEntry(name, label, sid, noise))
+                    noisy = add_gaussian_noise(Volume(master, spec.voxel_size_mm),
+                                               noise, noise_seed)
+                    write_volume(noisy, tmp / name)
+                    manifest.entries.append(ManifestEntry(name, idx // k, sid, noise))
 
         write_manifest(manifest, tmp / "manifest.csv")
         out.mkdir(exist_ok=True)

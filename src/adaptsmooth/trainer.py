@@ -17,8 +17,8 @@ backward) and an evaluation 1, since the weight does not change during it;
 its filter is built once per `train` or `evaluate` call.  Backward runs the
 exact chain rule down to the width-predicting weights, with plain SGD
 updates, validation-based early stopping, and an optional logarithmic grid
-search over (lr, lambda).  An epoch whose arithmetic overflows float64 ends
-the training with a `NumericalError`.
+search over (lr, lambda).  An epoch or evaluation whose arithmetic overflows
+float64 ends the training or evaluation with a `NumericalError`.
 """
 
 from __future__ import annotations
@@ -229,12 +229,10 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
     a training step adds the L2 penalty and its gradient.  A call without
     it evaluates.  Clamps and bumps are added to `events`.  A fixed width
     smooths the classifier weight instead of the volumes, with `profile`,
-    the fixed filter's profile, which is built here when not given.
-    Returns everything backward needs."""
+    the fixed filter's profile (`_fixed_profile`).  Returns everything
+    backward needs."""
     dims = batch.volumes.shape[1:]
     if cfg.fixed_sigma is not None:
-        if profile is None:
-            profile = _fixed_profile(cfg, dims)
         fwd = {"sigmas": [cfg.fixed_sigma] * batch.size, "profile": profile}
         probs, cache = classifier.forward(batch.volumes,
                                           _smoothed_weight(cw, profile, dims))
@@ -289,7 +287,10 @@ def _backward_batch(batch: MiniBatch, fwd, pnw, cfg: TrainConfig):
 def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig):
     """One training step's forward/backward pass over a batch, bumps drawn
     from `cfg.seed`; the hook used by gradient tests."""
-    fwd = _forward_batch(batch, pnw, cw, cfg, np.random.default_rng(cfg.seed))
+    profile = None if cfg.fixed_sigma is None \
+        else _fixed_profile(cfg, batch.volumes.shape[1:])
+    fwd = _forward_batch(batch, pnw, cw, cfg, np.random.default_rng(cfg.seed),
+                         profile=profile)
     grads = _backward_batch(batch, fwd, pnw, cfg)
     return fwd["loss"], grads, fwd
 
@@ -341,15 +342,26 @@ def _evaluate_split(batches, pnw, cw, cfg, split, profile=None):
             "per_noise": table}
 
 
+def _checked_evaluate_split(batches, pnw, cw, cfg, split, profile=None):
+    """`_evaluate_split`, ended by the first operation that overflows
+    float64 with a `NumericalError` naming the split."""
+    try:
+        with np.errstate(over="raise"):
+            return _evaluate_split(batches, pnw, cw, cfg, split, profile)
+    except FloatingPointError as exc:
+        raise NumericalError(f"{exc} evaluating the {split} split") from None
+
+
 def evaluate(pnw, cw, batches, split: str, cfg: TrainConfig | None = None,
              fixed_sigma: float | None = None):
     """Accuracy table for one split; `fixed_sigma` bypasses the width network
-    (the fixed-FWHM baseline protocol)."""
+    (the fixed-FWHM baseline protocol).  Weights whose arithmetic overflows
+    float64 end the call with a `NumericalError`."""
     if cfg is None:
         cfg = TrainConfig()
     if fixed_sigma is not None:
         cfg = replace(cfg, fixed_sigma=fixed_sigma)
-    return _evaluate_split(batches, pnw, cw, cfg, split)
+    return _checked_evaluate_split(batches, pnw, cw, cfg, split)
 
 
 def train(cfg: TrainConfig, batches: list[MiniBatch]):
@@ -421,7 +433,7 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     report.best_epoch = best["epoch"]
     report.stopped_epoch = report.epochs[-1]["epoch"]
 
-    test = _evaluate_split(batches, pnw, cw, cfg, "test", profile)
+    test = _checked_evaluate_split(batches, pnw, cw, cfg, "test", profile)
     report.test_accuracy = test["accuracy"]
     report.per_noise = test["per_noise"]
     return pnw, cw, report

@@ -1,5 +1,5 @@
 """Volume data type, file formats, dataset manifests, config files,
-checkpoint rows, normalization and noise.
+checkpoint rows and noise.
 
 Voxel ordering convention: the in-memory array is indexed ``data[h, w, d]``
 (height, width, depth).  On disk and in any flattened view the order is
@@ -49,10 +49,6 @@ class Volume:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    def flat_x_fastest(self) -> np.ndarray:
-        """Flattened copy in x-fastest (w, then h, then d) order."""
-        return np.transpose(self.data, (2, 0, 1)).ravel()
-
     @staticmethod
     def from_flat_x_fastest(flat, dims, voxel_size_mm=3.0, out=None) -> "Volume":
         """The volume of x-fastest `flat` data, converted in one copy into
@@ -90,26 +86,6 @@ class DatasetManifest:
                 raise DataError(f"unknown split {sp!r} for subject {sid}")
 
 
-def normalize_subject(volumes: list[Volume]) -> list[Volume]:
-    """Rescale a subject's volumes to [0, 1] using the shared extrema.
-
-    The minimum and maximum are taken over all voxels of all volumes in the
-    list, so relative intensities across the subject's scans are preserved.
-    """
-    if not volumes:
-        raise DataError("normalize_subject: empty volume list")
-    dims = volumes[0].dims
-    for v in volumes[1:]:
-        if v.dims != dims:
-            raise DataError(f"dim mismatch: {v.dims} vs {dims}")
-    lo = min(float(v.data.min()) for v in volumes)
-    hi = max(float(v.data.max()) for v in volumes)
-    if hi <= lo:
-        raise DataError("normalize_subject: constant data (max == min)")
-    scale = 1.0 / (hi - lo)
-    return [Volume((v.data - lo) * scale, v.voxel_size_mm) for v in volumes]
-
-
 def add_gaussian_noise(v: Volume, sigma: float, seed: int) -> Volume:
     """Add iid zero-mean Gaussian noise to every voxel. Deterministic per seed.
 
@@ -120,26 +96,31 @@ def add_gaussian_noise(v: Volume, sigma: float, seed: int) -> Volume:
         raise DataError(f"noise sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return Volume(v.data.copy(), v.voxel_size_mm)
-    rng = np.random.default_rng(seed)
-    return Volume(v.data + rng.normal(0.0, sigma, size=v.dims), v.voxel_size_mm)
+    # the volume is added into the draw array: addition commutes bit for bit
+    noisy = np.random.default_rng(seed).normal(0.0, sigma, size=v.dims)
+    noisy += v.data
+    return Volume(noisy, v.voxel_size_mm)
 
 
 def write_volume(v: Volume, path):
     """Write a volume in the native VOL1 format (float32 header and payload).
 
     A voxel size or voxel value that float32 cannot hold (finite and, for
-    the voxel size, nonzero) is rejected before the file is opened."""
+    the voxel size, nonzero) is rejected before the file is opened.  The
+    voxels are converted straight into the file's x-fastest payload and the
+    file is written at once."""
     h, w, d = v.dims
     if not _F32_TINY <= v.voxel_size_mm <= _F32_MAX:
         raise DataError(f"{path}: voxel size {v.voxel_size_mm} does not fit float32")
-    flat = v.flat_x_fastest()
     # the comparison is false for NaN, so NaN is rejected too
-    if not (np.abs(flat) <= _F32_MAX).all():
+    if not (np.abs(v.data) <= _F32_MAX).all():
         raise DataError(f"{path}: voxel values do not fit float32")
+    blob = bytearray(20 + 4 * v.data.size)
+    struct.pack_into("<4sIIIf", blob, 0, VOL1_MAGIC, h, w, d, v.voxel_size_mm)
+    np.frombuffer(blob, "<f4", offset=20).reshape(d, h, w)[...] = \
+        np.transpose(v.data, (2, 0, 1))
     with open(path, "wb") as f:
-        f.write(VOL1_MAGIC)
-        f.write(struct.pack("<IIIf", h, w, d, v.voxel_size_mm))
-        f.write(flat.astype("<f4").tobytes())
+        f.write(blob)
 
 
 def _parse_vol1(blob, path):
@@ -152,12 +133,11 @@ def _parse_vol1(blob, path):
     if h < 1 or w < 1 or d < 1:
         raise DataError(f"{path}: non-positive dims ({h}, {w}, {d})")
     n = h * w * d
-    payload = blob[20:]
-    if len(payload) != 4 * n:
+    if len(blob) - 20 != 4 * n:
         raise DataError(
-            f"{path}: truncated payload, expected {n} voxels, got {len(payload) // 4}"
+            f"{path}: truncated payload, expected {n} voxels, got {(len(blob) - 20) // 4}"
         )
-    return np.frombuffer(payload, dtype="<f4"), (h, w, d), voxel
+    return np.frombuffer(blob, dtype="<f4", offset=20), (h, w, d), voxel
 
 
 def _parse_nifti(blob, path):

@@ -475,6 +475,30 @@ class TestTrainEvaluate:
                          r"\(subject \w+, noise [\d.]+\)", err), err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("fixed", [[], ["--fixed-fwhm-mm", "8"]])
+    def test_evaluate_overflowing_weights_is_numerical_error(self, trained, tmp_path,
+                                                            fixed):
+        # finite weights whose logits overflow float64 end the command with
+        # exit 3 naming the split, and no warning; run as a module, so the
+        # exit status is the one main() passes to sys.exit
+        data, model = trained
+        weights = tmp_path / "w"
+        shutil.copytree(model, weights)
+        cw, dims = classifier.load_weights(weights / "classifier.txt")
+        cw.w[:] = 1e305
+        classifier.save_weights(cw, dims, weights / "classifier.txt")
+        src = str(Path(adaptsmooth.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "adaptsmooth.cli", "evaluate", "--weights", str(weights),
+             "--data", str(data), *fixed],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+        assert result.returncode == 3, result.stderr
+        assert re.search(r"ERROR 3: overflow encountered in \w+ evaluating the test split",
+                         result.stderr), result.stderr
+        assert "Warning" not in result.stderr
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("command", ["train", "grid-search"])
     def test_filter_wider_than_the_data_is_data_error(self, trained, tmp_path, capsys,
                                                       command):

@@ -10,7 +10,7 @@ import pytest
 import adaptsmooth
 from adaptsmooth.conv3d import convolve, convolve_separable, smooth_batch
 from adaptsmooth.errors import DataError
-from adaptsmooth.gaussian_filter import build_filter
+from adaptsmooth.gaussian_filter import build_filter, build_profiles
 
 
 def test_impulse_response_places_filter():
@@ -88,9 +88,9 @@ _DIGESTS = """
 import hashlib
 import numpy as np
 from adaptsmooth.conv3d import convolve_separable, smooth_batch
-from adaptsmooth.gaussian_filter import build_filter
+from adaptsmooth.gaussian_filter import build_filter, build_profiles
 f = build_filter(1.6, 4.0)
-p, dp = f.profile_1d, f.d_profile_1d
+p, dp = f.profile_1d, build_profiles([1.6], 4.0)[2][0]
 for dims in [(24, 24, 24), (9, 11, 7), (61, 73, 61)]:
     rng = np.random.default_rng(0)
     x, w = rng.normal(size=dims), rng.normal(size=dims)
@@ -175,7 +175,7 @@ class TestSmoothWithDsigma:
         volumes, w = rng.normal(size=(2, *dims)), rng.normal(size=dims)
         f = build_filter(sigma, 4.0)
         assert f.radius == radius
-        p, dp = f.profile_1d, f.d_profile_1d
+        p, dp = f.profile_1d, build_profiles([sigma], 4.0)[2][0]
         z, dots = smooth_batch(volumes, [p, p], [dp, dp], w)
         for x, z_i, dot in zip(volumes, z, dots):
             np.testing.assert_array_equal(z_i, convolve_separable(x, p))

@@ -84,6 +84,19 @@ class TestGeneratedData:
                 v = read_volume(out / e.path)
                 assert v.data.min() >= 0.0 and v.data.max() <= 1.0
 
+    def test_each_subject_spans_exactly_zero_to_one(self, small_dataset):
+        # a subject's noiseless volumes are normalized by their shared
+        # extrema, so as written they reach exactly 0 and exactly 1
+        spec, out, manifest = small_dataset
+        by_subject = {}
+        for e in manifest.entries:
+            if e.noise_level == 0.0:
+                by_subject.setdefault(e.subject_id, []).append(read_volume(out / e.path).data)
+        assert len(by_subject) == spec.n_subjects
+        for volumes in by_subject.values():
+            assert len(volumes) == 2 * spec.volumes_per_subject_per_class
+            assert np.min(volumes) == 0.0 and np.max(volumes) == 1.0
+
     def test_class_difference_confined_to_blob_supports(self, small_dataset):
         # outside the two class supports the noiseless class means must agree,
         # because the shared anatomy is identical within a subject

@@ -1,12 +1,14 @@
-"""Every public module-level function and class of the package, and every
-public method and property of its classes, is read by the package itself or
-by the benchmark harness: one that only tests call is code the system does
-not run.
+"""Every public module-level function and class of the package, every
+public method and property of its classes, and every public field of its
+dataclasses is read by the package itself or by the benchmark harness: one
+that only tests read is code the system does not run.
 
 The check is syntactic.  It collects every name, attribute and import alias
 in the source of `adaptsmooth` and of `bench/`, test files excluded, and
 asks that each public definition of `adaptsmooth` appear among them; a
-method or property counts as read when its name does.
+method or property counts as read when its name does.  A dataclass field
+counts as read when its name is loaded as a name or an attribute, or passed
+as a keyword argument; being assigned is not being read.
 """
 
 import ast
@@ -44,20 +46,46 @@ def _public_definitions():
                     yield path.stem, f"{node.name}.{item.name}"
 
 
-def _names_read():
+def _dataclass_fields():
+    """(module, ``Class.field``) of each public field of a dataclass."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d, "func", d).id == "dataclass" for d in node.decorator_list):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_"):
+                        yield path.stem, f"{node.name}.{item.target.id}"
+
+
+def _source_nodes():
+    """Every syntax node of the package and of bench/, test files excluded."""
     assert BENCH.is_dir(), "run from a checkout, which holds bench/"
-    sources = sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        if not path.name.startswith("test_"):
+            yield from ast.walk(ast.parse(path.read_text()))
+
+
+def _names_read():
     names = set()
-    for path in sources:
-        if path.name.startswith("test_"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.update(node.name.split("."))
+    for node in _source_nodes():
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def _names_loaded():
+    names = set()
+    for node in _source_nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
     return names
 
 
@@ -65,6 +93,13 @@ def test_every_public_definition_is_read():
     read = _names_read()
     unread = [f"{module}.{name}" for module, name in _public_definitions()
               if name.split(".")[-1] not in read and (module, name) not in TEST_REFERENCES]
+    assert unread == []
+
+
+def test_every_dataclass_field_is_read():
+    loaded = _names_loaded()
+    unread = [f"{module}.{name}" for module, name in _dataclass_fields()
+              if name.split(".")[-1] not in loaded]
     assert unread == []
 
 

@@ -12,6 +12,7 @@ from adaptsmooth.errors import DataError, NumericalError
 from adaptsmooth.gaussian_filter import (
     apply_degenerate_policy,
     build_filter,
+    build_profiles,
     filter_radius,
     max_fitting_sigma,
 )
@@ -289,7 +290,7 @@ class TestBatchStep:
             fit_clamped = sigma > max_sigma
             sigma = max_sigma if fit_clamped else sigma
             f = build_filter(sigma, cfg.truncation)
-            p, dp = f.profile_1d, f.d_profile_1d
+            p, dp = f.profile_1d, build_profiles([sigma], cfg.truncation)[2][0]
             z = convolve_separable(x, p)
             if not fit_clamped and f.radius > 0:
                 dz_i = (convolve_separable(x, (dp, p, p)) + convolve_separable(x, (p, dp, p))
@@ -414,9 +415,10 @@ class TestFixedWidth:
         np.testing.assert_array_equal(smoothings[0], cw.w.reshape(batch.volumes[0].shape))
         assert not any(np.shares_memory(x, v) for x in smoothings for v in batch.volumes)
 
-    def test_one_smoothing_per_evaluation_batch(self, smoothings):
+    def test_one_smoothing_per_forward_pass_without_rng(self, smoothings):
         batch, cw, cfg = self._setup()
-        trainer._forward_batch(batch, None, cw, cfg)
+        profile = trainer._fixed_profile(cfg, batch.volumes.shape[1:])
+        trainer._forward_batch(batch, None, cw, cfg, profile=profile)
         assert len(smoothings) == 1
         np.testing.assert_array_equal(smoothings[0], cw.w.reshape(batch.volumes[0].shape))
 
@@ -451,13 +453,14 @@ class TestFixedWidth:
     def test_evaluation_equals_per_batch_reference(self, tiny_dataset):
         cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
         cfg = TrainConfig(fixed_sigma=1.13)
+        profile = trainer._fixed_profile(cfg, tiny_dataset[0].volumes.shape[1:])
         # reference: each batch smooths the weight again, in a lone forward
         # pass; each noise level of the test split is one batch
         per_noise, loss, correct, n = {}, 0.0, 0.0, 0
         for b in tiny_dataset:
             if b.split != "test":
                 continue
-            fwd = trainer._forward_batch(b, None, cw, cfg)
+            fwd = trainer._forward_batch(b, None, cw, cfg, profile=profile)
             acc = classifier.accuracy(fwd["probs"], b.labels)
             assert b.noise_level not in per_noise
             per_noise[b.noise_level] = {"accuracy": acc * b.size / b.size,
@@ -472,7 +475,9 @@ class TestFixedWidth:
     def test_classifier_reads_loaded_volumes_stacked_in_place(self, tiny_dataset):
         batch = tiny_dataset[0]
         cw = classifier.xavier_init(batch.volumes[0].shape, 0)
-        fwd = trainer._forward_batch(batch, None, cw, TrainConfig(fixed_sigma=1.0))
+        cfg = TrainConfig(fixed_sigma=1.0)
+        profile = trainer._fixed_profile(cfg, batch.volumes.shape[1:])
+        fwd = trainer._forward_batch(batch, None, cw, cfg, profile=profile)
         assert np.shares_memory(fwd["cache"]["x"], batch.volumes)
 
 
@@ -588,6 +593,19 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.1, max_epochs=2, seed=0, width_m=8)
         with pytest.raises(NumericalError, match="non-finite loss"):
             train(cfg, bad)
+
+    @pytest.mark.parametrize("fixed_sigma", [None, 0.6])
+    def test_overflowing_final_test_evaluation_is_numerical_error(self, fixed_sigma):
+        # only the test split's logits overflow: the epoch runs, and the
+        # final test evaluation ends the training, naming the split
+        batches = [_make_group("s1", 0.0, "train", 4),
+                   _make_group("s2", 0.0, "validation", 4, seed=1),
+                   _make_group("s3", 0.0, "test", 4, seed=2)]
+        batches[2].volumes *= 1e200
+        cfg = TrainConfig(max_epochs=1, width_m=8, fixed_sigma=fixed_sigma)
+        with pytest.raises(NumericalError, match=r"^overflow encountered in \w+ "
+                                                 r"evaluating the test split$"):
+            train(cfg, batches)
 
     def test_no_finite_validation_loss_stops_after_patience(self, tiny_dataset,
                                                            monkeypatch):

@@ -15,7 +15,6 @@ from adaptsmooth.volume_io import (
     ManifestEntry,
     Volume,
     add_gaussian_noise,
-    normalize_subject,
     read_config,
     read_manifest,
     read_rows,
@@ -33,52 +32,21 @@ def test_voxel_size_must_be_finite_and_positive(voxel):
         Volume(np.zeros((2, 2, 2)), voxel)
 
 
-def test_volume_flat_order_is_x_fastest():
-    v = Volume(np.arange(24, dtype=float).reshape(2, 3, 4))
-    flat = v.flat_x_fastest()
+def test_volume_flat_order_is_x_fastest(tmp_path):
+    v = Volume(np.arange(24, dtype=float).reshape(2, 3, 4), 2.0)
+    write_volume(v, tmp_path / "v.vol")
+    blob = (tmp_path / "v.vol").read_bytes()
     h, w, d = v.dims
+    assert blob[:20] == b"VOL1" + struct.pack("<IIIf", h, w, d, 2.0)
+    flat = np.frombuffer(blob, "<f4", offset=20)
+    assert flat.size == h * w * d
     for hh in range(h):
         for ww in range(w):
             for dd in range(d):
                 assert flat[ww + w * (hh + h * dd)] == v.data[hh, ww, dd]
-    back = Volume.from_flat_x_fastest(flat, v.dims)
+    back = read_volume(tmp_path / "v.vol")
     np.testing.assert_array_equal(back.data, v.data)
-
-
-class TestNormalizeSubject:
-    def test_single_volume_affine_map(self):
-        v = Volume(np.array([0.0, 5.0, 10.0]).reshape(1, 1, 3))
-        out = normalize_subject([v])[0]
-        np.testing.assert_allclose(out.data.ravel(), [0.0, 0.5, 1.0])
-
-    def test_shared_extrema_across_volumes(self):
-        a = Volume(np.full((2, 2, 2), 2.0))
-        b = Volume(np.linspace(0.0, 4.0, 8).reshape(2, 2, 2))
-        out_a, out_b = normalize_subject([a, b])
-        np.testing.assert_allclose(out_a.data, 0.5)
-        assert out_b.data.min() == 0.0 and out_b.data.max() == 1.0
-
-    def test_formula_value(self):
-        # min=-1.3, max=2.7: value 0.7 maps to 0.5
-        v = Volume(np.array([-1.3, 0.7, 2.7, 1.0]).reshape(1, 2, 2))
-        out = normalize_subject([v])[0]
-        assert out.data[0, 0, 1] == pytest.approx(0.5, abs=1e-12)
-
-    def test_idempotent_within_tolerance(self):
-        rng = np.random.default_rng(5)
-        vols = [Volume(rng.uniform(-3, 7, (4, 4, 4))) for _ in range(3)]
-        once = normalize_subject(vols)
-        twice = normalize_subject(once)
-        for u, w in zip(once, twice):
-            np.testing.assert_allclose(u.data, w.data, atol=1e-6)
-
-    def test_errors(self):
-        with pytest.raises(DataError):
-            normalize_subject([])
-        with pytest.raises(DataError):
-            normalize_subject([Volume(np.zeros((2, 2, 2))), Volume(np.zeros((2, 2, 3)))])
-        with pytest.raises(DataError):
-            normalize_subject([Volume(np.full((2, 2, 2), 3.0))])
+    assert back.voxel_size_mm == 2.0
 
 
 class TestAddGaussianNoise:
