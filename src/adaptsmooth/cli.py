@@ -9,6 +9,7 @@ randomness funnels through explicit --seed flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -84,6 +85,9 @@ def _cmd_estimate_noise(args):
 
 
 def _cmd_smooth(args):
+    # refused whichever width flag is given, though only --fwhm-mm reads it
+    if args.voxel_mm is not None and not 0 < args.voxel_mm < math.inf:
+        raise DataError(f"--voxel-mm must be finite and positive, got {args.voxel_mm:g}")
     v = read_volume(args.infile)
     voxel = args.voxel_mm if args.voxel_mm is not None else v.voxel_size_mm
     sigma = args.sigma_f if args.sigma_f is not None \

@@ -14,11 +14,13 @@ over the batch's gradient rows.  A fixed width smooths the classifier
 weight instead of every volume: the smoothing is a symmetric linear map, so
 a training step takes 2 smoothings (the weight forward, the summed gradient
 backward) and an evaluation 1, since the weight does not change during it;
-its filter is built once per `train` or `evaluate` call.  Backward runs the
-exact chain rule down to the width-predicting weights, with plain SGD
-updates, validation-based early stopping, and an optional logarithmic grid
-search over (lr, lambda).  An epoch or evaluation whose arithmetic overflows
-float64 ends the training or evaluation with a `NumericalError`.
+its filter is built once per `train` or `evaluate` call.  The one training
+step, `batch_loss_and_grads`, is what `train` runs and the gradient tests
+check; only it adds the L2 penalty, and its backward pass is the exact
+chain rule down to the width-predicting weights.  `train` makes plain SGD
+updates with validation-based early stopping; an optional logarithmic grid
+search runs over (lr, lambda).  An epoch or evaluation whose arithmetic
+overflows float64 ends the training or evaluation with a `NumericalError`.
 """
 
 from __future__ import annotations
@@ -219,27 +221,25 @@ def _smoothed_weight(cw, profile, dims):
 
 
 def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
-                   events: Counter | None = None, profile=None):
+                   events: Counter | None = None):
     """Smooth every volume with its own predicted width, then classify the
-    batch.  A call with the bump `rng` is a training step: a degenerate
-    width may be bumped, and each volume whose width carries a gradient is
-    also convolved with the width derivative of its filter, in the same
-    pass chain; ``fwd["dz"]`` keeps only that derivative's dot product
-    with the classifier weight, None for a volume without a gradient.  Only
-    a training step adds the L2 penalty and its gradient.  A call without
-    it evaluates.  Clamps and bumps are added to `events`.  A fixed width
-    smooths the classifier weight instead of the volumes, with `profile`,
-    the fixed filter's profile (`_fixed_profile`).  Returns everything
-    backward needs."""
-    dims = batch.volumes.shape[1:]
+    batch with `cw`.  A call with the bump `rng` is a training step: a
+    degenerate width may be bumped, and each volume whose width carries a
+    gradient is also convolved with the width derivative of its filter, in
+    the same pass chain; ``fwd["dz"]`` keeps only that derivative's dot
+    product with the classifier weight, None for a volume without a
+    gradient.  A call without it evaluates.  Clamps and bumps are added to
+    `events`.  A fixed width classifies the loaded volumes in place: the
+    caller passes the weight smoothed with it (`_smoothed_weight`).
+    Returns everything backward needs."""
     if cfg.fixed_sigma is not None:
-        fwd = {"sigmas": [cfg.fixed_sigma] * batch.size, "profile": profile}
-        probs, cache = classifier.forward(batch.volumes,
-                                          _smoothed_weight(cw, profile, dims))
+        fwd = {"sigmas": [cfg.fixed_sigma] * batch.size}
+        probs, cache = classifier.forward(batch.volumes, cw)
     else:
         if batch.features is None:
             raise DataError("the width network needs noise features; "
                             "the batch was loaded without them")
+        dims = batch.volumes.shape[1:]
         events = Counter() if events is None else events
         max_sigma = max_fitting_sigma(dims, cfg.truncation)
         sigmas = params_net.map_to_sigmas(batch.features, pnw, events)
@@ -259,40 +259,37 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
                                     cw.w.reshape(dims))
         fwd = {"sigmas": sigmas.tolist(), "smoothed": smoothed, "dz": dz}
         probs, cache = classifier.forward(smoothed, cw)
-    data_loss = classifier.bce_loss(probs, batch.labels)
-    fwd.update(probs=probs, cache=cache, data_loss=data_loss)
-    if rng is not None:
-        penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
-        fwd.update(loss=data_loss + penalty, pen_grad=pen_grad)
-    return fwd
+    return {**fwd, "probs": probs, "cache": cache,
+            "data_loss": classifier.bce_loss(probs, batch.labels)}
 
 
-def _backward_batch(batch: MiniBatch, fwd, pnw, cfg: TrainConfig):
-    """Gradients of the batch loss with respect to all trainable weights."""
-    dl_dw, dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
+def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
+                         events: Counter | None = None, profile=None):
+    """One training step over a batch: the loss with its L2 penalty, the
+    gradient of every trainable weight, and the forward pass's record.
+    Bumps are drawn from `rng`, by default a Generator seeded with
+    `cfg.seed`; a fixed width smooths the weight with `profile`, by default
+    its filter's (`_fixed_profile`)."""
     dims = batch.volumes.shape[1:]
-    if cfg.fixed_sigma is not None:
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
+    fixed = cfg.fixed_sigma is not None
+    if fixed and profile is None:
+        profile = _fixed_profile(cfg, dims)
+    fwd = _forward_batch(batch, pnw, _smoothed_weight(cw, profile, dims) if fixed else cw,
+                         cfg, rng, events)
+    penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
+    dl_dw, dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
+    if fixed:
         # the logits are (K w) . x_i, so dL/dw = K (sum_i dl_i x_i)
-        dl_dw = convolve_separable(dl_dw.reshape(dims), fwd["profile"]).ravel()
-    grads = {"w": dl_dw + fwd["pen_grad"], "bias": dl_dbias}
-    if cfg.fixed_sigma is None:
+        dl_dw = convolve_separable(dl_dw.reshape(dims), profile).ravel()
+    grads = {"w": dl_dw + pen_grad, "bias": dl_dbias}
+    if not fixed:
         # the stochastic bump is pass-through: d(sigma+1)/dsigma = 1
         carry = [i for i, dz in enumerate(fwd["dz"]) if dz is not None]
         head = params_net.map_to_sigmas_backward(
             batch.features[carry], pnw, dl_dlogit[carry] * [fwd["dz"][i] for i in carry])
         grads.update(zip("abvc", head))
-    return grads
-
-
-def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig):
-    """One training step's forward/backward pass over a batch, bumps drawn
-    from `cfg.seed`; the hook used by gradient tests."""
-    profile = None if cfg.fixed_sigma is None \
-        else _fixed_profile(cfg, batch.volumes.shape[1:])
-    fwd = _forward_batch(batch, pnw, cw, cfg, np.random.default_rng(cfg.seed),
-                         profile=profile)
-    grads = _backward_batch(batch, fwd, pnw, cfg)
-    return fwd["loss"], grads, fwd
+    return fwd["data_loss"] + penalty, grads, fwd
 
 
 def _evaluate_split(batches, pnw, cw, cfg, split, profile=None):
@@ -308,24 +305,20 @@ def _evaluate_split(batches, pnw, cw, cfg, split, profile=None):
         dims = batches[0].volumes.shape[1:]
         if profile is None:
             profile = _fixed_profile(cfg, dims)
-        smoothed_cw = _smoothed_weight(cw, profile, dims)
+        cw = _smoothed_weight(cw, profile, dims)
     per_noise = {}
     total_loss, total_correct, total_n = 0.0, 0.0, 0
     for b in batches:
         voxel_mm = b.voxel_size_mm
-        if cfg.fixed_sigma is None:
-            fwd = _forward_batch(b, pnw, cw, cfg)
-            probs, data_loss, sigmas = fwd["probs"], fwd["data_loss"], fwd["sigmas"]
-        else:
-            probs = classifier.forward(b.volumes, smoothed_cw)[0]
-            data_loss, sigmas = classifier.bce_loss(probs, b.labels), ()
-        acc = classifier.accuracy(probs, b.labels)
+        fwd = _forward_batch(b, pnw, cw, cfg)
+        data_loss = fwd["data_loss"]
+        acc = classifier.accuracy(fwd["probs"], b.labels)
         rec = per_noise.setdefault(b.noise_level, {"n": 0, "correct": 0.0,
                                                    "loss": 0.0, "sigma_sum": 0.0})
         rec["n"] += b.size
         rec["correct"] += acc * b.size
         rec["loss"] += data_loss * b.size
-        rec["sigma_sum"] += sum(sigmas)
+        rec["sigma_sum"] += sum(fwd["sigmas"])
         total_loss += data_loss * b.size
         total_correct += acc * b.size
         total_n += b.size
@@ -395,9 +388,9 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
         try:
             with np.errstate(over="raise"):
                 for batch in make_batches(batches, cfg.seed + epoch):
-                    fwd = _forward_batch(batch, pnw, cw, cfg, bump_rng, report.events,
-                                         profile)
-                    if not math.isfinite(fwd["loss"]):
+                    loss, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, bump_rng,
+                                                            report.events, profile)
+                    if not math.isfinite(loss):
                         raise NumericalError(
                             f"non-finite loss at epoch {epoch} "
                             f"(subject {batch.subject_id}, noise {batch.noise_level}); "
@@ -405,11 +398,11 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
                             f"preactivation clamps {report.events['clamp']}, "
                             f"width-fit clamps {report.events['fit_clamp']}")
                     # plain SGD on every parameter: w, bias, a, b, v, c
-                    for name, g in _backward_batch(batch, fwd, pnw, cfg).items():
+                    for name, g in grads.items():
                         owner = cw if name in ("w", "bias") else pnw
                         setattr(owner, name,
                                 getattr(owner, name) - cfg.learning_rate * g)
-                    epoch_loss += fwd["loss"] * batch.size
+                    epoch_loss += loss * batch.size
                     n_seen += batch.size
                 batch = None
                 val = _evaluate_split(batches, pnw, cw, cfg, "validation", profile)

@@ -96,6 +96,8 @@ class TestSmooth:
     @pytest.mark.parametrize("flags", [
         "--sigma-f nan", "--sigma-f inf", "--fwhm-mm nan", "--fwhm-mm inf",
         "--sigma-f 1 --t nan", "--fwhm-mm 8 --voxel-mm nan",
+        # --voxel-mm is refused with --sigma-f too, which never reads it (was exit 0)
+        "--sigma-f 1 --voxel-mm nan", "--sigma-f 1 --voxel-mm -5",
     ])
     def test_non_finite_width_is_data_error(self, sample_volume, tmp_path, capsys,
                                             flags):

@@ -1,14 +1,17 @@
 """Every public module-level function and class of the package, every
 public method and property of its classes, and every public field of its
 dataclasses is read by the package itself or by the benchmark harness: one
-that only tests read is code the system does not run.
+that only tests read is code the system does not run.  So is every private
+module-level function and class and every private method: a private copy
+that only tests call is not the code the system runs.
 
 The check is syntactic.  It collects every name, attribute and import alias
 in the source of `adaptsmooth` and of `bench/`, test files excluded, and
-asks that each public definition of `adaptsmooth` appear among them; a
-method or property counts as read when its name does.  A dataclass field
-counts as read when its name is loaded as a name or an attribute, or passed
-as a keyword argument; being assigned is not being read.
+asks that each definition of `adaptsmooth` appear among them; a method or
+property counts as read when its name does.  Dunder methods are called by
+Python itself and are not checked.  A dataclass field counts as read when
+its name is loaded as a name or an attribute, or passed as a keyword
+argument; being assigned is not being read.
 """
 
 import ast
@@ -21,8 +24,6 @@ BENCH = PACKAGE.parents[1] / "bench"
 
 # public definitions that only tests read, each with the reason it stays
 TEST_REFERENCES = {
-    # the hook through which the gradient tests run one training step
-    ("trainer", "batch_loss_and_grads"),
     # the oracle weight vector that shows the phantom is linearly separable
     ("phantom", "separability_weights"),
     # the direct-convolution reference for the d(sigma) chain
@@ -30,20 +31,32 @@ TEST_REFERENCES = {
 }
 
 
-def _public(nodes):
-    return [node for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+def _defined(nodes):
+    return [node for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _definitions():
+    """(module, name) of each module-level function and class and of each
+    method and property of a module-level class, named ``Class.method``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _defined(ast.parse(path.read_text()).body):
+            yield path.stem, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in _defined(node.body):
+                    yield path.stem, f"{node.name}.{item.name}"
 
 
 def _public_definitions():
-    """(module, name) of each public definition; a method or property is
-    named ``Class.method``."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in _public(ast.parse(path.read_text()).body):
-            yield path.stem, node.name
-            if isinstance(node, ast.ClassDef):
-                for item in _public(node.body):
-                    yield path.stem, f"{node.name}.{item.name}"
+    """Definitions whose every part is public: a public class's public methods."""
+    return [(module, name) for module, name in _definitions()
+            if not any(part.startswith("_") for part in name.split("."))]
+
+
+def _private_definitions():
+    """Private module-level functions and classes and private methods,
+    dunder methods excluded."""
+    return [(module, name) for module, name in _definitions()
+            if name.split(".")[-1].startswith("_") and not name.endswith("__")]
 
 
 def _dataclass_fields():
@@ -93,6 +106,15 @@ def test_every_public_definition_is_read():
     read = _names_read()
     unread = [f"{module}.{name}" for module, name in _public_definitions()
               if name.split(".")[-1] not in read and (module, name) not in TEST_REFERENCES]
+    assert unread == []
+
+
+def test_every_private_definition_is_read():
+    read = _names_read()
+    private = _private_definitions()
+    assert ("trainer", "_forward_batch") in private
+    unread = [f"{module}.{name}" for module, name in private
+              if name.split(".")[-1] not in read]
     assert unread == []
 
 

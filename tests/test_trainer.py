@@ -323,9 +323,8 @@ class TestBatchStep:
         cw = classifier.xavier_init(dims, 5)
         cfg = TrainConfig(bump_probability=0.5, lambda_l2=1e-3, seed=2)
         events = Counter()
-        fwd = trainer._forward_batch(batch, pnw, cw, cfg, np.random.default_rng(cfg.seed),
-                                     events)
-        grads = trainer._backward_batch(batch, fwd, pnw, cfg)
+        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg,
+                                             np.random.default_rng(cfg.seed), events)
         sigmas, smoothed, dz, head = self._reference(batch, pnw, cw, cfg)
         # the batch mixes every kind of volume: of the three single-cell
         # widths two are bumped and carry a gradient, one does not; the two
@@ -416,11 +415,15 @@ class TestFixedWidth:
         assert not any(np.shares_memory(x, v) for x in smoothings for v in batch.volumes)
 
     def test_one_smoothing_per_forward_pass_without_rng(self, smoothings):
+        # the caller smooths the weight once; the forward pass smooths nothing
         batch, cw, cfg = self._setup()
-        profile = trainer._fixed_profile(cfg, batch.volumes.shape[1:])
-        trainer._forward_batch(batch, None, cw, cfg, profile=profile)
+        dims = batch.volumes.shape[1:]
+        smoothed_cw = trainer._smoothed_weight(cw, trainer._fixed_profile(cfg, dims), dims)
         assert len(smoothings) == 1
-        np.testing.assert_array_equal(smoothings[0], cw.w.reshape(batch.volumes[0].shape))
+        np.testing.assert_array_equal(smoothings[0], cw.w.reshape(dims))
+        smoothings.clear()
+        trainer._forward_batch(batch, None, smoothed_cw, cfg)
+        assert smoothings == []
 
     @pytest.fixture()
     def builds(self, monkeypatch):
@@ -453,14 +456,16 @@ class TestFixedWidth:
     def test_evaluation_equals_per_batch_reference(self, tiny_dataset):
         cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
         cfg = TrainConfig(fixed_sigma=1.13)
-        profile = trainer._fixed_profile(cfg, tiny_dataset[0].volumes.shape[1:])
+        dims = tiny_dataset[0].volumes.shape[1:]
+        profile = trainer._fixed_profile(cfg, dims)
         # reference: each batch smooths the weight again, in a lone forward
         # pass; each noise level of the test split is one batch
         per_noise, loss, correct, n = {}, 0.0, 0.0, 0
         for b in tiny_dataset:
             if b.split != "test":
                 continue
-            fwd = trainer._forward_batch(b, None, cw, cfg, profile=profile)
+            fwd = trainer._forward_batch(b, None, trainer._smoothed_weight(cw, profile, dims),
+                                         cfg)
             acc = classifier.accuracy(fwd["probs"], b.labels)
             assert b.noise_level not in per_noise
             per_noise[b.noise_level] = {"accuracy": acc * b.size / b.size,
@@ -476,8 +481,10 @@ class TestFixedWidth:
         batch = tiny_dataset[0]
         cw = classifier.xavier_init(batch.volumes[0].shape, 0)
         cfg = TrainConfig(fixed_sigma=1.0)
-        profile = trainer._fixed_profile(cfg, batch.volumes.shape[1:])
-        fwd = trainer._forward_batch(batch, None, cw, cfg, profile=profile)
+        dims = batch.volumes.shape[1:]
+        profile = trainer._fixed_profile(cfg, dims)
+        fwd = trainer._forward_batch(batch, None, trainer._smoothed_weight(cw, profile, dims),
+                                     cfg)
         assert np.shares_memory(fwd["cache"]["x"], batch.volumes)
 
 
@@ -564,6 +571,33 @@ class TestTrain:
         assert r1.test_accuracy == r2.test_accuracy
         np.testing.assert_array_equal(p1.a, p2.a)
         np.testing.assert_array_equal(c1.w, c2.w)
+
+    @pytest.mark.parametrize("fixed_sigma", [None, 1.1])
+    def test_every_step_is_batch_loss_and_grads(self, tiny_dataset, monkeypatch,
+                                                fixed_sigma):
+        # the gradient tests check `batch_loss_and_grads`; train must take
+        # each step through it, with the run's bump Generator and events
+        step = trainer.batch_loss_and_grads
+        calls = []
+
+        def recorded(batch, pnw, cw, cfg, rng=None, events=None, profile=None):
+            calls.append((batch, rng, rng.bit_generator.state, events, profile))
+            return step(batch, pnw, cw, cfg, rng, events, profile)
+
+        monkeypatch.setattr(trainer, "batch_loss_and_grads", recorded)
+        cfg = TrainConfig(max_epochs=3, patience=3, seed=5, width_m=8,
+                          fixed_sigma=fixed_sigma)
+        _, _, report = train(cfg, tiny_dataset)
+        order = [b for epoch in (1, 2, 3) for b in make_batches(tiny_dataset, cfg.seed + epoch)]
+        assert len(calls) == len(order) and all(c[0] is b for c, b in zip(calls, order))
+        rng = calls[0][1]
+        assert isinstance(rng, np.random.Generator) and all(c[1] is rng for c in calls)
+        run_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
+        assert calls[0][2] == run_rng.bit_generator.state
+        assert all(c[3] is report.events for c in calls)
+        # a fixed width's one filter serves every step
+        assert all(c[4] is calls[0][4] for c in calls)
+        assert (calls[0][4] is None) == (fixed_sigma is None)
 
     def test_early_stopping_restores_best_weights(self, tiny_dataset):
         cfg = TrainConfig(learning_rate=0.3, max_epochs=60, patience=5,
