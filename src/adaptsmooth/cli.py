@@ -9,6 +9,7 @@ randomness funnels through explicit --seed flags.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from pathlib import Path
@@ -135,12 +136,15 @@ def _cmd_grid_search(args):
     (best_lr, best_lam), results = trainer.grid_search(cfg, batches)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["learning_rate,lambda_l2,val_accuracy,val_loss,test_accuracy,error"]
-    for r in results:
-        lines.append(f"{r['learning_rate']:g},{r['lambda_l2']:g},"
-                     f"{r['val_accuracy']:.6g},{r['val_loss']:.6g},"
-                     f"{r['test_accuracy']:.6g},{r['error']}")
-    (out / "grid_results.csv").write_text("\n".join(lines) + "\n")
+    with open(out / "grid_results.csv", "w", newline="") as f:
+        # an error message with a comma is quoted, so every row has 6 fields
+        wr = csv.writer(f, lineterminator="\n")
+        wr.writerow(["learning_rate", "lambda_l2", "val_accuracy", "val_loss",
+                     "test_accuracy", "error"])
+        for r in results:
+            wr.writerow([f"{r['learning_rate']:g}", f"{r['lambda_l2']:g}",
+                         f"{r['val_accuracy']:.6g}", f"{r['val_loss']:.6g}",
+                         f"{r['test_accuracy']:.6g}", r["error"]])
     print(f"best: learning_rate={best_lr:g} lambda_l2={best_lam:g}")
     return 0
 

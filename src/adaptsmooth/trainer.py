@@ -44,7 +44,7 @@ from .gaussian_filter import (
     max_fitting_sigma,
     sigma_to_fwhm_mm,
 )
-from .volume_io import read_manifest, read_volume
+from .volume_io import SPLITS, read_manifest, read_volume
 
 DEFAULT_LR_GRID = (1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_LAMBDA_GRID = (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
@@ -93,6 +93,13 @@ class MiniBatch:
     labels: np.ndarray
     features: np.ndarray | None  # noise features, one per volume, or None
     voxel_size_mm: float = 3.0
+
+    def __post_init__(self):
+        # the batch's logits are standardized by its own mean and std
+        if self.size < 2:
+            raise DataError(
+                f"group ({self.subject_id}, {self.noise_level}) has {self.size} volume(s); "
+                "batch standardization needs >= 2")
 
     @property
     def size(self) -> int:
@@ -154,7 +161,7 @@ def load_dataset(manifest_path, split: str | None = None,
     array.  With `split`, only that split's volumes are read.  With
     `features`, each volume's noise feature is computed here; without, none
     is and ``MiniBatch.features`` is None, which only a fixed-width forward
-    pass accepts."""
+    pass accepts.  A group of fewer than 2 volumes is refused (`MiniBatch`)."""
     manifest = read_manifest(manifest_path)
     entries = manifest.entries
     if split is not None:
@@ -196,11 +203,6 @@ def load_dataset(manifest_path, split: str | None = None,
 def make_batches(batches: list[MiniBatch], seed: int) -> list[MiniBatch]:
     """The training groups in a seed-shuffled order; membership is fixed."""
     selected = [b for b in batches if b.split == "train"]
-    for b in selected:
-        if b.size < 2:
-            raise DataError(
-                f"group ({b.subject_id}, {b.noise_level}) has {b.size} volume(s); "
-                "batch standardization needs >= 2")
     order = np.random.default_rng(seed).permutation(len(selected))
     return [selected[i] for i in order]
 
@@ -297,52 +299,45 @@ def _evaluate_split(batches, pnw, cw, cfg, split, profile=None):
     time as well (deliberate deviation from running-average batch norm).
     A fixed width smooths the classifier weight once for the whole split,
     with `profile` when given (`train`'s); w does not change during an
-    evaluation, so every batch is classified with the same K w."""
+    evaluation, so every batch is classified with the same K w.  The first
+    operation that overflows float64 ends it with a `NumericalError` naming
+    the split."""
     batches = [b for b in batches if b.split == split]
     if not batches:
         raise DataError(f"split {split!r} is empty")
-    if cfg.fixed_sigma is not None:
-        dims = batches[0].volumes.shape[1:]
-        if profile is None:
-            profile = _fixed_profile(cfg, dims)
-        cw = _smoothed_weight(cw, profile, dims)
-    per_noise = {}
-    total_loss, total_correct, total_n = 0.0, 0.0, 0
-    for b in batches:
-        voxel_mm = b.voxel_size_mm
-        fwd = _forward_batch(b, pnw, cw, cfg)
-        data_loss = fwd["data_loss"]
-        acc = classifier.accuracy(fwd["probs"], b.labels)
-        rec = per_noise.setdefault(b.noise_level, {"n": 0, "correct": 0.0,
+    # one record per noise level, and the split's total under the key None
+    records = {}
+    try:
+        with np.errstate(over="raise"):
+            if cfg.fixed_sigma is not None:
+                dims = batches[0].volumes.shape[1:]
+                if profile is None:
+                    profile = _fixed_profile(cfg, dims)
+                cw = _smoothed_weight(cw, profile, dims)
+            for b in batches:
+                fwd = _forward_batch(b, pnw, cw, cfg)
+                acc = classifier.accuracy(fwd["probs"], b.labels)
+                for key in (b.noise_level, None):
+                    rec = records.setdefault(key, {"n": 0, "correct": 0.0,
                                                    "loss": 0.0, "sigma_sum": 0.0})
-        rec["n"] += b.size
-        rec["correct"] += acc * b.size
-        rec["loss"] += data_loss * b.size
-        rec["sigma_sum"] += sum(fwd["sigmas"])
-        total_loss += data_loss * b.size
-        total_correct += acc * b.size
-        total_n += b.size
+                    rec["n"] += b.size
+                    rec["correct"] += acc * b.size
+                    rec["loss"] += fwd["data_loss"] * b.size
+                    rec["sigma_sum"] += sum(fwd["sigmas"])
+    except FloatingPointError as exc:
+        raise NumericalError(f"{exc} evaluating the {split} split") from None
+    total = records.pop(None)
     table = {}
-    for noise, rec in per_noise.items():
+    for noise, rec in records.items():
         row = {"accuracy": rec["correct"] / rec["n"],
                "loss": rec["loss"] / rec["n"], "n": rec["n"]}
         if cfg.fixed_sigma is None:
             mean_sigma = rec["sigma_sum"] / rec["n"]
             row["mean_sigma"] = mean_sigma
-            row["mean_fwhm_mm"] = sigma_to_fwhm_mm(mean_sigma, voxel_mm)
+            row["mean_fwhm_mm"] = sigma_to_fwhm_mm(mean_sigma, batches[-1].voxel_size_mm)
         table[noise] = row
-    return {"loss": total_loss / total_n, "accuracy": total_correct / total_n,
+    return {"loss": total["loss"] / total["n"], "accuracy": total["correct"] / total["n"],
             "per_noise": table}
-
-
-def _checked_evaluate_split(batches, pnw, cw, cfg, split, profile=None):
-    """`_evaluate_split`, ended by the first operation that overflows
-    float64 with a `NumericalError` naming the split."""
-    try:
-        with np.errstate(over="raise"):
-            return _evaluate_split(batches, pnw, cw, cfg, split, profile)
-    except FloatingPointError as exc:
-        raise NumericalError(f"{exc} evaluating the {split} split") from None
 
 
 def evaluate(pnw, cw, batches, split: str, cfg: TrainConfig | None = None,
@@ -354,19 +349,16 @@ def evaluate(pnw, cw, batches, split: str, cfg: TrainConfig | None = None,
         cfg = TrainConfig()
     if fixed_sigma is not None:
         cfg = replace(cfg, fixed_sigma=fixed_sigma)
-    return _checked_evaluate_split(batches, pnw, cw, cfg, split)
+    return _evaluate_split(batches, pnw, cw, cfg, split)
 
 
 def train(cfg: TrainConfig, batches: list[MiniBatch]):
     """SGD with validation-based early stopping.  Deterministic per seed."""
     cfg.validate()
-    train_groups = [b for b in batches if b.split == "train"]
-    if not train_groups:
-        raise DataError("training split is empty")
-    for split in ("validation", "test"):
+    for split in SPLITS:
         if not any(b.split == split for b in batches):
-            raise DataError(f"{split} split is empty")
-    dims = train_groups[0].volumes.shape[1:]
+            raise DataError(f"split {split!r} is empty")
+    dims = batches[0].volumes.shape[1:]
     for b in batches:
         if b.volumes.shape[1:] != dims:
             raise DataError(f"dim mismatch: {b.volumes.shape[1:]} vs {dims}")
@@ -382,7 +374,6 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
 
     for epoch in range(1, cfg.max_epochs + 1):
         epoch_loss, n_seen = 0.0, 0
-        batch = None
         # a diverging run overflows float64 before its loss turns non-finite:
         # the first overflowing operation ends it, naming the step under way
         try:
@@ -404,12 +395,10 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
                                 getattr(owner, name) - cfg.learning_rate * g)
                     epoch_loss += loss * batch.size
                     n_seen += batch.size
-                batch = None
-                val = _evaluate_split(batches, pnw, cw, cfg, "validation", profile)
         except FloatingPointError as exc:
-            where = ("validation" if batch is None
-                     else f"subject {batch.subject_id}, noise {batch.noise_level}")
-            raise NumericalError(f"{exc} at epoch {epoch} ({where})") from None
+            raise NumericalError(f"{exc} at epoch {epoch} (subject {batch.subject_id}, "
+                                 f"noise {batch.noise_level})") from None
+        val = _evaluate_split(batches, pnw, cw, cfg, "validation", profile)
         train_loss = epoch_loss / n_seen
         report.epochs.append({"epoch": epoch, "train_loss": train_loss,
                               "val_loss": val["loss"],
@@ -426,7 +415,7 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     report.best_epoch = best["epoch"]
     report.stopped_epoch = report.epochs[-1]["epoch"]
 
-    test = _checked_evaluate_split(batches, pnw, cw, cfg, "test", profile)
+    test = _evaluate_split(batches, pnw, cw, cfg, "test", profile)
     report.test_accuracy = test["accuracy"]
     report.per_noise = test["per_noise"]
     return pnw, cw, report

@@ -49,16 +49,6 @@ class Volume:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    @staticmethod
-    def from_flat_x_fastest(flat, dims, voxel_size_mm=3.0, out=None) -> "Volume":
-        """The volume of x-fastest `flat` data, converted in one copy into
-        `out` (a C-ordered float64 array of shape `dims`) or a new array."""
-        h, w, d = dims
-        if out is None:
-            out = np.empty(dims)
-        out[...] = np.transpose(np.asarray(flat).reshape(d, h, w), (1, 2, 0))
-        return Volume(out, voxel_size_mm)
-
 
 @dataclass
 class ManifestEntry:
@@ -214,8 +204,10 @@ def read_volume(path, into=None) -> Volume:
         raise DataError(f"{path}: voxel size must be finite and positive, got {voxel}")
     if not np.isfinite(flat).all():
         raise DataError(f"{path}: non-finite voxel values")
-    return Volume.from_flat_x_fastest(flat, dims, voxel,
-                                      None if into is None else into(dims, voxel))
+    h, w, d = dims
+    out = np.empty(dims) if into is None else into(dims, voxel)
+    out[...] = np.transpose(flat.reshape(d, h, w), (1, 2, 0))
+    return Volume(out, voxel)
 
 
 def write_manifest(manifest: DatasetManifest, path):

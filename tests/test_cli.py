@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import shutil
@@ -516,6 +517,49 @@ class TestTrainEvaluate:
         assert re.search(r"ERROR 2: sigma_f 50\.0 at t=[\d.]+: filter side \d+ "
                          r"exceeds 16$", err, re.MULTILINE), err
         assert not (tmp_path / "out").exists()
+
+    def test_grid_results_quote_an_error_with_a_comma(self, trained, tmp_path):
+        # the overflow message names its step as "(subject ..., noise ...)"
+        data, _ = trained
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("max_epochs = 2\nwidth_m = 8\n"
+                       "lr_grid = 0.1,1e300\nlambda_grid = 0.0\n")
+        out = tmp_path / "grid"
+        assert run(["grid-search", "--config", str(cfg), "--data", str(data),
+                    "--out", str(out), "--seed", "1"]) == 0
+        with open(out / "grid_results.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert rows[1][5] == ""
+        assert re.fullmatch(r"overflow encountered in \w+ at epoch 1 "
+                            r"\(subject \w+, noise [\d.]+\)", rows[2][5]), rows[2]
+        # a row without an error is written as before, unquoted
+        assert '"' not in (out / "grid_results.csv").read_text().splitlines()[1]
+
+    @pytest.mark.parametrize("split", ["train", "validation", "test"])
+    def test_one_volume_group_refused_before_training(self, trained, tmp_path, capsys,
+                                                      monkeypatch, split):
+        # the classifier standardizes each group by its own statistics, so a
+        # one-volume group in any split ends `train` at load, naming it
+        data, _ = trained
+        shutil.copytree(data, tmp_path / "data")
+        manifest = tmp_path / "data" / "manifest.csv"
+        header, *rows = manifest.read_text().splitlines()
+        sid, noise = next(r.split(",")[2:4] for r in rows if r.endswith("," + split))
+        group = [r for r in rows if r.split(",")[2:4] == [sid, noise]]
+        manifest.write_text("\n".join([header, group[0], *(r for r in rows if r not in group)])
+                            + "\n")
+        steps = []
+        monkeypatch.setattr(trainer, "batch_loss_and_grads",
+                            lambda *args, **kwargs: steps.append(args))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("max_epochs = 2\nwidth_m = 8\n")
+        assert run(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                    "--out", str(tmp_path / "m")]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"ERROR 2: group ({sid}, {noise}) has 1 volume(s); "
+            "batch standardization needs >= 2\n")
+        assert steps == [] and not (tmp_path / "m").exists()
 
     def test_grid_search_writes_results(self, trained, tmp_path, capsys):
         data, _ = trained

@@ -84,6 +84,17 @@ def _three_subject_phantom(out):
     return out / "manifest.csv"
 
 
+def _leave_one_volume(manifest, split):
+    """Drop all but the first volume of the first (subject, noise) group of
+    `split` from `manifest`; returns that group's subject and noise fields."""
+    header, *rows = manifest.read_text().splitlines()
+    group = next(r.split(",")[2:4] for r in rows if r.endswith("," + split))
+    first = next(r for r in rows if r.split(",")[2:4] == group)
+    kept = [r for r in rows if r.split(",")[2:4] != group]
+    manifest.write_text("\n".join([header, first, *kept]) + "\n")
+    return group
+
+
 def test_load_dataset_rejects_mixed_voxel_sizes(tmp_path):
     last = read_manifest(_three_subject_phantom(tmp_path)).entries[-1].path
     write_volume(Volume(read_volume(tmp_path / last).data, 2.0), tmp_path / last)
@@ -140,6 +151,26 @@ def test_load_dataset_split_keeps_only_that_split(tmp_path):
         load_dataset(manifest, "test")
 
 
+class TestMiniBatch:
+    def test_fewer_than_two_volumes_refused(self):
+        for n in (0, 1):
+            with pytest.raises(DataError, match=rf"^group \(s1, 0\.1\) has {n} volume\(s\); "
+                                                r"batch standardization needs >= 2$"):
+                MiniBatch("s1", 0.1, "train", np.zeros((n, 4, 4, 4)), np.zeros(n), None)
+
+    @pytest.mark.parametrize("split", ["validation", "test"])
+    def test_load_dataset_refuses_one_volume_group(self, tmp_path, split):
+        # every split's groups are batches: a one-volume group is refused at
+        # load, not by the classifier once training has run
+        manifest = _three_subject_phantom(tmp_path)
+        sid, noise = _leave_one_volume(manifest, split)
+        message = rf"^group \({sid}, {re.escape(noise)}\) has 1 volume\(s\); "
+        for only in (None, split):
+            with pytest.raises(DataError, match=message):
+                load_dataset(manifest, only)
+        assert load_dataset(manifest, "train")
+
+
 class TestMakeBatches:
     def test_grouping(self):
         groups = [_make_group(s, n, "train", 4, seed=i)
@@ -157,10 +188,6 @@ class TestMakeBatches:
         assert [x.subject_id for x in a] == [x.subject_id for x in b]
         c = make_batches(groups, seed=6)
         assert [x.subject_id for x in a] != [x.subject_id for x in c]
-
-    def test_small_group_rejected(self):
-        with pytest.raises(DataError, match=">= 2"):
-            make_batches([_make_group("s1", 0.0, "train", 1)], seed=0)
 
     def test_paper_scale_group_size(self):
         # 120 volumes per (subject, noise) group stay one batch
@@ -639,6 +666,19 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=1, width_m=8, fixed_sigma=fixed_sigma)
         with pytest.raises(NumericalError, match=r"^overflow encountered in \w+ "
                                                  r"evaluating the test split$"):
+            train(cfg, batches)
+
+    @pytest.mark.parametrize("fixed_sigma", [None, 0.6])
+    def test_overflowing_validation_is_numerical_error(self, fixed_sigma):
+        # the epoch's training steps run; its validation ends the training,
+        # naming the split as an evaluation does
+        batches = [_make_group("s1", 0.0, "train", 4),
+                   _make_group("s2", 0.0, "validation", 4, seed=1),
+                   _make_group("s3", 0.0, "test", 4, seed=2)]
+        batches[1].volumes *= 1e200
+        cfg = TrainConfig(max_epochs=1, width_m=8, fixed_sigma=fixed_sigma)
+        with pytest.raises(NumericalError, match=r"^overflow encountered in \w+ "
+                                                 r"evaluating the validation split$"):
             train(cfg, batches)
 
     def test_no_finite_validation_loss_stops_after_patience(self, tiny_dataset,
