@@ -117,8 +117,8 @@ def _write_train_outputs(outdir, pnw, cw, report, dims):
     params_net.save_weights(pnw, out / "params_net.txt")
     classifier.save_weights(cw, dims, out / "classifier.txt")
     write_config(report.config, out / "config.txt")
-    (out / "report.csv").write_text(report.epochs_csv())
-    (out / "summary.txt").write_text(report.summary_text())
+    (out / "report.csv").write_text(report.epochs_csv(), encoding="utf-8")
+    (out / "summary.txt").write_text(report.summary_text(), encoding="utf-8")
 
 
 def _cmd_train(args):
@@ -133,10 +133,10 @@ def _cmd_train(args):
 def _cmd_grid_search(args):
     cfg, batches = _load_train_inputs(args)
     _log(f"grid-search: config={cfg}")
-    (best_lr, best_lam), results = trainer.grid_search(cfg, batches)
+    best, results = trainer.grid_search(cfg, batches)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "grid_results.csv", "w", newline="") as f:
+    with open(out / "grid_results.csv", "w", newline="", encoding="utf-8") as f:
         # an error message with a comma is quoted, so every row has 6 fields
         wr = csv.writer(f, lineterminator="\n")
         wr.writerow(["learning_rate", "lambda_l2", "val_accuracy", "val_loss",
@@ -145,7 +145,9 @@ def _cmd_grid_search(args):
             wr.writerow([f"{r['learning_rate']:g}", f"{r['lambda_l2']:g}",
                          f"{r['val_accuracy']:.6g}", f"{r['val_loss']:.6g}",
                          f"{r['test_accuracy']:.6g}", r["error"]])
-    print(f"best: learning_rate={best_lr:g} lambda_l2={best_lam:g}")
+    if best is None:
+        raise NumericalError("every grid cell failed")
+    print(f"best: learning_rate={best[0]:g} lambda_l2={best[1]:g}")
     return 0
 
 

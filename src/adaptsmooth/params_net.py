@@ -29,7 +29,7 @@ LAPLACIAN_1D = np.array([1.0, -2.0, 1.0])
 NOISE_CALIBRATION = math.sqrt(216.0) * math.sqrt(2.0 / math.pi)
 
 # Pre-activation clamp protecting exp(); generous enough to never bind in
-# normal training (bind events are counted by the caller).
+# normal training (`map_to_sigmas` returns how many bound).
 PREACT_MIN = -10.0
 PREACT_MAX = 6.0
 
@@ -85,30 +85,29 @@ def noise_feature(x) -> float:
 
 
 def _preactivations(features, w: ParamsNetWeights):
-    """The hidden rows u_i = a f_i + b, one per feature, and the
-    pre-activations v . u_i + c, one np.dot per row: a matrix-vector
-    product rounds differently."""
+    """The hidden rows u_i = a f_i + b, one per feature, the pre-activations
+    v . u_i + c, one np.dot per row (a matrix-vector product rounds
+    differently), and the mask of those inside the clamp range."""
     u = np.asarray(features, dtype=np.float64).reshape(-1, 1) * w.a + w.b
-    return u, np.array([float(np.dot(w.v, row) + w.c) for row in u])
+    pre = np.array([float(np.dot(w.v, row) + w.c) for row in u])
+    return u, pre, ~((pre < PREACT_MIN) | (pre > PREACT_MAX))
 
 
-def map_to_sigmas(features, w: ParamsNetWeights, events=None) -> np.ndarray:
-    """Map each noise feature to a strictly positive filter width; each
-    clamped pre-activation adds one to the `events` counter's "clamp"."""
+def map_to_sigmas(features, w: ParamsNetWeights):
+    """Map each noise feature to a strictly positive filter width.  Returns
+    the widths and the number of clamped pre-activations."""
     features = np.asarray(features, dtype=np.float64)
     if not np.isfinite(features).all():
         raise DataError(f"non-finite feature {features[~np.isfinite(features)][0]}")
-    _, pre = _preactivations(features, w)
-    clamped = (pre < PREACT_MIN) | (pre > PREACT_MAX)
-    if events is not None and clamped.any():
-        events["clamp"] += int(clamped.sum())
+    _, pre, live = _preactivations(features, w)
     # math.exp per width: np.exp rounds some widths differently
-    return np.array([math.exp(p) for p in np.clip(pre, PREACT_MIN, PREACT_MAX).tolist()])
+    widths = np.array([math.exp(p) for p in np.clip(pre, PREACT_MIN, PREACT_MAX).tolist()])
+    return widths, int(np.count_nonzero(~live))
 
 
-def map_to_sigma(feature: float, w: ParamsNetWeights, events=None) -> float:
-    """`map_to_sigmas` of one feature."""
-    return float(map_to_sigmas([feature], w, events)[0])
+def map_to_sigma(feature: float, w: ParamsNetWeights) -> float:
+    """The width `map_to_sigmas` maps one feature to."""
+    return float(map_to_sigmas([feature], w)[0][0])
 
 
 def map_to_sigmas_backward(features, w: ParamsNetWeights, upstream_dl_dsigma):
@@ -121,8 +120,7 @@ def map_to_sigmas_backward(features, w: ParamsNetWeights, upstream_dl_dsigma):
     per-feature rows, which adds them in order.
     """
     features = np.asarray(features, dtype=np.float64).reshape(-1, 1)
-    u, pre = _preactivations(features, w)
-    live = ~((pre < PREACT_MIN) | (pre > PREACT_MAX))
+    u, pre, live = _preactivations(features, w)
     s = np.array([math.exp(p) for p in pre[live].tolist()])
     g = (np.asarray(upstream_dl_dsigma, dtype=np.float64)[live] * s)[:, None]
     # one row [dL/da | dL/db | dL/dv | dL/dc] per live feature

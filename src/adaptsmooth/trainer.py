@@ -222,35 +222,33 @@ def _smoothed_weight(cw, profile, dims):
     return smoothed_cw
 
 
-def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
-                   events: Counter | None = None):
+def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None):
     """Smooth every volume with its own predicted width, then classify the
     batch with `cw`.  A call with the bump `rng` is a training step: a
     degenerate width may be bumped, and each volume whose width carries a
     gradient is also convolved with the width derivative of its filter, in
     the same pass chain; ``fwd["dz"]`` keeps only that derivative's dot
     product with the classifier weight, None for a volume without a
-    gradient.  A call without it evaluates.  Clamps and bumps are added to
-    `events`.  A fixed width classifies the loaded volumes in place: the
-    caller passes the weight smoothed with it (`_smoothed_weight`).
-    Returns everything backward needs."""
+    gradient.  A call without it evaluates.  ``fwd["events"]`` holds the
+    batch's "clamp", "bump" and "fit_clamp" counts, none for a fixed width.
+    A fixed width classifies the loaded volumes in place: the caller passes
+    the weight smoothed with it (`_smoothed_weight`).  Returns everything
+    backward needs."""
     if cfg.fixed_sigma is not None:
-        fwd = {"sigmas": [cfg.fixed_sigma] * batch.size}
+        fwd = {"sigmas": [cfg.fixed_sigma] * batch.size, "events": {}}
         probs, cache = classifier.forward(batch.volumes, cw)
     else:
         if batch.features is None:
             raise DataError("the width network needs noise features; "
                             "the batch was loaded without them")
         dims = batch.volumes.shape[1:]
-        events = Counter() if events is None else events
         max_sigma = max_fitting_sigma(dims, cfg.truncation)
-        sigmas = params_net.map_to_sigmas(batch.features, pnw, events)
+        sigmas, clamps = params_net.map_to_sigmas(batch.features, pnw)
         bumped = apply_degenerate_policy(sigmas, cfg.truncation,
                                          cfg.bump_probability, rng)
         fit_clamped = bumped > max_sigma
-        counts = {"bump": int(np.count_nonzero(bumped != sigmas)),
+        events = {"clamp": clamps, "bump": int(np.count_nonzero(bumped != sigmas)),
                   "fit_clamp": int(np.count_nonzero(fit_clamped))}
-        events.update({event: n for event, n in counts.items() if n})
         sigmas = np.where(fit_clamped, max_sigma, bumped)
         radii, profiles, d_profiles = build_profiles(sigmas, cfg.truncation)
         # a clamped width and a single-cell filter carry no gradient;
@@ -259,14 +257,14 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
         smoothed, dz = smooth_batch(batch.volumes, profiles,
                                     [dp if g else None for g, dp in zip(carry, d_profiles)],
                                     cw.w.reshape(dims))
-        fwd = {"sigmas": sigmas.tolist(), "smoothed": smoothed, "dz": dz}
+        fwd = {"sigmas": sigmas.tolist(), "smoothed": smoothed, "dz": dz,
+               "events": events}
         probs, cache = classifier.forward(smoothed, cw)
     return {**fwd, "probs": probs, "cache": cache,
             "data_loss": classifier.bce_loss(probs, batch.labels)}
 
 
-def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
-                         events: Counter | None = None, profile=None):
+def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None, profile=None):
     """One training step over a batch: the loss with its L2 penalty, the
     gradient of every trainable weight, and the forward pass's record.
     Bumps are drawn from `rng`, by default a Generator seeded with
@@ -278,7 +276,7 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None,
     if fixed and profile is None:
         profile = _fixed_profile(cfg, dims)
     fwd = _forward_batch(batch, pnw, _smoothed_weight(cw, profile, dims) if fixed else cw,
-                         cfg, rng, events)
+                         cfg, rng)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
     dl_dw, dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
     if fixed:
@@ -380,7 +378,8 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
             with np.errstate(over="raise"):
                 for batch in make_batches(batches, cfg.seed + epoch):
                     loss, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, bump_rng,
-                                                            report.events, profile)
+                                                            profile)
+                    report.events.update(fwd["events"])
                     if not math.isfinite(loss):
                         raise NumericalError(
                             f"non-finite loss at epoch {epoch} "
@@ -424,7 +423,9 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
 def grid_search(cfg: TrainConfig, batches: list[MiniBatch]):
     """Train one model per (lr, lambda) grid point and pick the best by
     validation accuracy; ties break to lower validation loss then lower lr.
-    A numerical failure is recorded in its cell; a data error ends the search."""
+    Returns the best (lr, lambda), None when every cell failed, and one
+    result row per cell.  A numerical failure is recorded in its cell; a
+    data error ends the search."""
     cfg.validate()
     results = []
     for lr in cfg.lr_grid:
@@ -444,6 +445,6 @@ def grid_search(cfg: TrainConfig, batches: list[MiniBatch]):
             results.append(row)
     ok = [r for r in results if not r["error"]]
     if not ok:
-        raise NumericalError("every grid cell failed")
+        return None, results
     best = min(ok, key=lambda r: (-r["val_accuracy"], r["val_loss"], r["learning_rate"]))
     return (best["learning_rate"], best["lambda_l2"]), results

@@ -2,14 +2,16 @@
 checkpoint rows and noise.
 
 Voxel ordering convention: the in-memory array is indexed ``data[h, w, d]``
-(height, width, depth).  On disk and in any flattened view the order is
-x-fastest: x (width) varies fastest, then y (height), then z (depth), so the
-flat index of voxel (h, w, d) is ``w + W * (h + H * d)``.
+(height, width, depth).  A volume file's payload and `inspect-filter`'s
+dump are x-fastest: x (width) varies fastest, then y (height), then z
+(depth), so the flat index of voxel (h, w, d) is ``w + W * (h + H * d)``.
+Text files are read and written as UTF-8.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass, field, fields
@@ -210,9 +212,20 @@ def read_volume(path, into=None) -> Volume:
     return Volume(out, voxel)
 
 
+def _utf8_text(path, newline=None) -> io.StringIO:
+    """A UTF-8 file's text, split as `open(path, newline=newline)` splits it;
+    bytes that are not UTF-8 are a `DataError` naming the first bad one."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        return io.StringIO(blob.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def write_manifest(manifest: DatasetManifest, path):
     manifest.validate()
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         wr = csv.writer(f)
         wr.writerow(["path", "label", "subject_id", "noise_level", "split"])
         for e in manifest.entries:
@@ -222,31 +235,36 @@ def write_manifest(manifest: DatasetManifest, path):
 def read_manifest(path) -> DatasetManifest:
     """Load a manifest CSV, rejecting subjects that span multiple splits."""
     manifest = DatasetManifest()
-    with open(path, newline="") as f:
-        rd = csv.reader(f)
-        header = next(rd, None)
-        if header != ["path", "label", "subject_id", "noise_level", "split"]:
-            raise DataError(f"{path}: bad manifest header {header}")
-        for lineno, row in enumerate(rd, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            vpath, label_s, sid, noise_s, split = row
-            try:
-                label = int(label_s)
-                noise = float(noise_s)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if not math.isfinite(noise):
-                raise DataError(f"{path}:{lineno}: non-finite noise level {noise_s!r}")
-            if sid in manifest.split and manifest.split[sid] != split:
-                raise DataError(
-                    f"{path}:{lineno}: subject {sid} assigned to both "
-                    f"{manifest.split[sid]!r} and {split!r}"
-                )
-            manifest.split[sid] = split
-            manifest.entries.append(ManifestEntry(vpath, label, sid, noise))
+    rd = csv.reader(_utf8_text(path, newline=""))
+    try:
+        rows = list(rd)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{rd.line_num}: {exc}") from None
+    header = rows[0] if rows else None
+    if header != ["path", "label", "subject_id", "noise_level", "split"]:
+        raise DataError(f"{path}: bad manifest header {header}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+        vpath, label_s, sid, noise_s, split = row
+        if "\0" in vpath:
+            raise DataError(f"{path}:{lineno}: NUL byte in volume path {vpath!r}")
+        try:
+            label = int(label_s)
+            noise = float(noise_s)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(noise):
+            raise DataError(f"{path}:{lineno}: non-finite noise level {noise_s!r}")
+        if sid in manifest.split and manifest.split[sid] != split:
+            raise DataError(
+                f"{path}:{lineno}: subject {sid} assigned to both "
+                f"{manifest.split[sid]!r} and {split!r}"
+            )
+        manifest.split[sid] = split
+        manifest.entries.append(ManifestEntry(vpath, label, sid, noise))
     manifest.validate()
     return manifest
 
@@ -254,7 +272,7 @@ def read_manifest(path) -> DatasetManifest:
 def write_rows(path, *rows):
     """Write a checkpoint, one line per row (a number or a sequence of them),
     each number as ``%.17g`` so that float64 values read back exactly."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.writelines(" ".join(f"{x:.17g}" for x in np.ravel(row)) + "\n" for row in rows)
 
 
@@ -262,8 +280,7 @@ def read_rows(path, n: int) -> list[np.ndarray]:
     """The `n` float64 rows `write_rows` wrote, blank lines skipped; any other
     line count, a token that is not a number or a non-finite value is a
     `DataError` naming the file."""
-    with open(path) as f:
-        lines = [ln.split() for ln in f if ln.strip()]
+    lines = [ln.split() for ln in _utf8_text(path) if ln.strip()]
     if len(lines) != n:
         raise DataError(f"{path}: expected {n} lines, got {len(lines)}")
     try:
@@ -285,33 +302,32 @@ def read_config(path, cls):
     """
     config = cls()
     defaults = {fd.name: getattr(config, fd.name) for fd in fields(cls)}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in defaults:
-                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            default = defaults[key]
-            try:
-                if isinstance(default, tuple):
-                    parsed = tuple(type(default[0])(x) for x in value.split(","))
-                else:
-                    parsed = (float if default is None else type(default))(value)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            setattr(config, key, parsed)
+    for lineno, raw in enumerate(_utf8_text(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected `key = value`")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in defaults:
+            raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+        default = defaults[key]
+        try:
+            if isinstance(default, tuple):
+                parsed = tuple(type(default[0])(x) for x in value.split(","))
+            else:
+                parsed = (float if default is None else type(default))(value)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        setattr(config, key, parsed)
     return config
 
 
 def write_config(config, path):
     """Write a dataclass instance as the `key = value` file `read_config`
     reads back: None fields are left out and tuples are comma-separated."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for fd in fields(config):
             value = getattr(config, fd.name)
             if isinstance(value, tuple):

@@ -229,6 +229,20 @@ def test_checkpoint_golden_layout(tmp_path):
     assert back.w.tolist() == w and back.bias == -1 / 3
 
 
+def test_checkpoint_weight_row_is_c_order_of_h_w_d(tmp_path):
+    """The weight row is the (H, W, D) array in C order, as in memory, not
+    the x-fastest order of a volume file's payload."""
+    w = np.zeros((2, 3, 4))
+    w[1, 2, 0] = 1.0
+    p = tmp_path / "cls.txt"
+    save_weights(ClassifierWeights(w, 0.0), (2, 3, 4), p)
+    row = [float(x) for x in p.read_text().splitlines()[1].split()]
+    # C order: (1 * 3 + 2) * 4 + 0 = 20; x-fastest would put it at 2 + 3 * 1 = 5
+    assert np.flatnonzero(row).tolist() == [20]
+    back, dims = load_weights(p)
+    np.testing.assert_array_equal(back.w.reshape(dims), w)
+
+
 @pytest.mark.parametrize("text, match", [
     ("1 1 2\n1 2\n", "expected 3 lines, got 2"),
     ("1 1 2\n1 two\n3\n", "could not convert"),

@@ -536,6 +536,22 @@ class TestTrainEvaluate:
         # a row without an error is written as before, unquoted
         assert '"' not in (out / "grid_results.csv").read_text().splitlines()[1]
 
+    def test_grid_search_records_every_failed_cell(self, trained, tmp_path, capsys):
+        # with no cell left to pick from, the file still holds each cell's error
+        data, _ = trained
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("max_epochs = 2\nlr_grid = 1e300\nlambda_grid = 0.0,0.001\n")
+        out = tmp_path / "grid"
+        assert run(["grid-search", "--config", str(cfg), "--data", str(data),
+                    "--out", str(out), "--seed", "1"]) == 3
+        assert capsys.readouterr().err.endswith("ERROR 3: every grid cell failed\n")
+        with open(out / "grid_results.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["learning_rate", "lambda_l2", "val_accuracy", "val_loss",
+                          "test_accuracy", "error"]
+        assert [row[:2] for row in rows] == [["1e+300", "0"], ["1e+300", "0.001"]]
+        assert all(row[5] for row in rows)
+
     @pytest.mark.parametrize("split", ["train", "validation", "test"])
     def test_one_volume_group_refused_before_training(self, trained, tmp_path, capsys,
                                                       monkeypatch, split):
@@ -582,6 +598,57 @@ class TestTrainEvaluate:
             assert best["epoch"] == report.best_epoch
             assert line.split(",")[2:4] == [f"{best['val_accuracy']:.6g}",
                                             f"{best['val_loss']:.6g}"]
+
+
+class TestTextInputs:
+    """Every text file the commands read is UTF-8 and every manifest row a
+    readable one: each bad input exits 2 naming its file, with no traceback."""
+
+    @pytest.fixture()
+    def copies(self, trained, tmp_path):
+        data, model = trained
+        shutil.copytree(data, tmp_path / "data")
+        shutil.copytree(model, tmp_path / "model")
+        (tmp_path / "train.cfg").write_text("max_epochs = 2\nwidth_m = 8\n")
+        (tmp_path / "spec.cfg").write_text(SMALL_SPEC)
+        return tmp_path
+
+    @staticmethod
+    def _argv(root, name, split="test"):
+        if name == "train.cfg":
+            return ["train", "--config", str(root / name), "--data", str(root / "data"),
+                    "--out", str(root / "out")]
+        if name == "spec.cfg":
+            return ["gen-phantom", "--spec", str(root / name), "--out", str(root / "out")]
+        return ["evaluate", "--weights", str(root / "model"), "--data", str(root / "data"),
+                "--split", split]
+
+    @pytest.mark.parametrize("name", ["train.cfg", "spec.cfg", "data/manifest.csv",
+                                      "model/params_net.txt", "model/classifier.txt",
+                                      "model/config.txt"])
+    def test_file_that_is_not_utf8_is_data_error(self, copies, capsys, name):
+        bad = copies / name
+        bad.write_bytes(bad.read_bytes() + b"# caf\xe9\n")
+        assert run(self._argv(copies, name)) == 2
+        err = capsys.readouterr().err
+        assert f"ERROR 2: {bad}: not UTF-8 text (invalid continuation byte at byte " in err
+        assert "Traceback" not in err and not (copies / "out").exists()
+
+    @pytest.mark.parametrize("volume_path, message", [
+        ("sub\0.vol", "NUL byte in volume path 'sub\\x00.vol'"),
+        ("x" * 131073, "field larger than field limit (131072)"),
+    ], ids=["nul-path", "field-over-limit"])
+    def test_unreadable_manifest_row_is_data_error(self, copies, capsys, volume_path,
+                                                   message):
+        manifest = copies / "data" / "manifest.csv"
+        rows = manifest.read_text().splitlines()
+        last = rows[-1].split(",")
+        manifest.write_text("\n".join([*rows, ",".join([volume_path, *last[1:]])]) + "\n")
+        # the row's own split, so that the evaluation reads it
+        assert run(self._argv(copies, "data/manifest.csv", last[4])) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"ERROR 2: {manifest}:{len(rows) + 1}: {message}\n")
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module", params=["fixed_sigma = 2.0", "truncation = 2.5"])

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -122,11 +121,13 @@ class TestMapToSigma:
     def test_clamp_counts_events(self):
         w = self._zero()
         w.c = 50.0
-        stats = Counter()
-        assert map_to_sigma(0.0, w, stats) == pytest.approx(math.exp(6.0))
+        widths, clamps = map_to_sigmas([0.0, 0.0], w)
+        assert widths.tolist() == pytest.approx([math.exp(6.0)] * 2) and clamps == 2
         w.c = -50.0
-        assert map_to_sigma(0.0, w, stats) == pytest.approx(math.exp(-10.0))
-        assert stats["clamp"] == 2
+        assert map_to_sigma(0.0, w) == pytest.approx(math.exp(-10.0))
+        assert map_to_sigmas([0.0], w)[1] == 1
+        w.c = 0.0
+        assert map_to_sigmas([0.0], w)[1] == 0
 
     def test_non_finite_feature_rejected(self):
         with pytest.raises(DataError):
@@ -196,12 +197,11 @@ class TestBatchHead:
 
     def test_widths_equal_one_feature_formula(self):
         w, feats, _ = self._case()
-        events = Counter()
-        got = map_to_sigmas(feats, w, events)
+        got, clamps = map_to_sigmas(feats, w)
         want = [math.exp(min(max(self._pre(f, w), PREACT_MIN), PREACT_MAX))
                 for f in feats.tolist()]
         assert got.tolist() == want
-        assert events == Counter(clamp=2)
+        assert clamps == 2
 
     def test_gradient_rows_summed_in_order(self):
         w, feats, upstream = self._case()

@@ -282,12 +282,13 @@ class TestJointPassChain:
         assert len(joint_calls) == batch.size
         # a single-cell width (sigma 0.1) and a fit-clamped one carry no gradient
         monkeypatch.setattr(params_net, "map_to_sigmas",
-                            lambda *args: np.array([1.0, 0.1, 100.0, 1.2]))
+                            lambda *args: (np.array([1.0, 0.1, 100.0, 1.2]), 0))
         joint_calls.clear()
         _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         assert fwd["sigmas"] == [1.0, 0.1, max_sigma, 1.2]
         assert len(joint_calls) == 2
         assert [dz is None for dz in fwd["dz"]] == [False, True, True, False]
+        assert fwd["events"] == {"clamp": 0, "bump": 0, "fit_clamp": 1}
         assert np.isfinite(grads["a"]).all()
 
     def test_classifier_reads_smoothed_volumes_in_place(self):
@@ -349,14 +350,13 @@ class TestBatchStep:
                           np.arange(n) % 2.0, feats)
         cw = classifier.xavier_init(dims, 5)
         cfg = TrainConfig(bump_probability=0.5, lambda_l2=1e-3, seed=2)
-        events = Counter()
         _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg,
-                                             np.random.default_rng(cfg.seed), events)
+                                             np.random.default_rng(cfg.seed))
         sigmas, smoothed, dz, head = self._reference(batch, pnw, cw, cfg)
         # the batch mixes every kind of volume: of the three single-cell
         # widths two are bumped and carry a gradient, one does not; the two
         # fit-clamped ones (100 and e^6) do not; the other five do
-        assert events == Counter(clamp=2, bump=2, fit_clamp=2)
+        assert fwd["events"] == {"clamp": 2, "bump": 2, "fit_clamp": 2}
         assert sum(filter_radius(s, cfg.truncation) == 0 for s in sigmas) == 1
         assert sum(d is None for d in dz) == 3
         assert fwd["sigmas"] == sigmas
@@ -530,10 +530,8 @@ class TestStepMode:
 
     def test_training_step_counts_a_clamp_and_a_bump_per_volume(self):
         batch, pnw, cw, cfg = self._setup()
-        events = Counter()
-        fwd = trainer._forward_batch(batch, pnw, cw, cfg, np.random.default_rng(0),
-                                     events)
-        assert events == Counter(clamp=batch.size, bump=batch.size)
+        fwd = trainer._forward_batch(batch, pnw, cw, cfg, np.random.default_rng(0))
+        assert fwd["events"] == {"clamp": batch.size, "bump": batch.size, "fit_clamp": 0}
         assert fwd["sigmas"] == [math.exp(-10.0) + 1.0] * batch.size
         assert all(dz is not None for dz in fwd["dz"])
 
@@ -546,9 +544,8 @@ class TestStepMode:
             return smooth(volumes, profiles, d_profiles, weight)
 
         monkeypatch.setattr(trainer, "smooth_batch", forward_only)
-        events = Counter()
-        fwd = trainer._forward_batch(batch, pnw, cw, cfg, events=events)
-        assert events == Counter(clamp=batch.size)
+        fwd = trainer._forward_batch(batch, pnw, cw, cfg)
+        assert fwd["events"] == {"clamp": batch.size, "bump": 0, "fit_clamp": 0}
         assert fwd["sigmas"] == [math.exp(-10.0)] * batch.size
         assert fwd["dz"] == [None] * batch.size
 
@@ -603,13 +600,16 @@ class TestTrain:
     def test_every_step_is_batch_loss_and_grads(self, tiny_dataset, monkeypatch,
                                                 fixed_sigma):
         # the gradient tests check `batch_loss_and_grads`; train must take
-        # each step through it, with the run's bump Generator and events
+        # each step through it, with the run's bump Generator, and count
+        # exactly the events the steps return
         step = trainer.batch_loss_and_grads
         calls = []
 
-        def recorded(batch, pnw, cw, cfg, rng=None, events=None, profile=None):
-            calls.append((batch, rng, rng.bit_generator.state, events, profile))
-            return step(batch, pnw, cw, cfg, rng, events, profile)
+        def recorded(batch, pnw, cw, cfg, rng=None, profile=None):
+            state = rng.bit_generator.state
+            out = step(batch, pnw, cw, cfg, rng, profile)
+            calls.append((batch, rng, state, out[2]["events"], profile))
+            return out
 
         monkeypatch.setattr(trainer, "batch_loss_and_grads", recorded)
         cfg = TrainConfig(max_epochs=3, patience=3, seed=5, width_m=8,
@@ -621,7 +621,9 @@ class TestTrain:
         assert isinstance(rng, np.random.Generator) and all(c[1] is rng for c in calls)
         run_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
         assert calls[0][2] == run_rng.bit_generator.state
-        assert all(c[3] is report.events for c in calls)
+        assert report.events == sum((Counter(c[3]) for c in calls), Counter())
+        kinds = set() if fixed_sigma else {"clamp", "bump", "fit_clamp"}
+        assert all(set(c[3]) == kinds for c in calls)
         # a fixed width's one filter serves every step
         assert all(c[4] is calls[0][4] for c in calls)
         assert (calls[0][4] is None) == (fixed_sigma is None)
