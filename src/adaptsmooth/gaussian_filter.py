@@ -15,9 +15,10 @@ x^2 + y^2 + z^2, they are built through a lookup over squared radii: all 48
 octant/permutation symmetries then hold to the exact floating-point value.
 
 At radius 0 the filter degenerates to the identity cell [1.0];
-renormalization cancels sigma_f there, so the derivative is identically zero
-and gradient flow is restored only by the stochastic width bump during
-training.
+renormalization cancels sigma_f there, so the derivative is identically
+zero.  `width_range` gives the widths a trained width may take: from the
+smallest of radius 1, which still has a gradient, to the largest whose
+filter fits the volume.
 """
 
 from __future__ import annotations
@@ -71,10 +72,14 @@ def filter_radius(sigma_f: float, t: float) -> int:
     return int(math.floor((t * sigma_f + 0.5) / 2.0))
 
 
-def max_fitting_sigma(dims, t: float) -> float:
-    """Largest width whose filter fits a volume of `dims`: side 2r + 1 <= min dim."""
+def width_range(dims, t: float) -> tuple[float, float]:
+    """(lo, hi): lo = 1.5 / t is the smallest width of radius 1, and hi the
+    largest whose filter fits a volume of `dims`, side 2r + 1 <= min dim."""
+    if min(dims) < 3:
+        raise DataError(f"no filter of radius 1 fits volumes of dims {tuple(dims)}; "
+                        "every dim must be >= 3")
     r_max = (min(dims) - 1) // 2
-    return (2.0 * r_max + 1.4) / t
+    return 1.5 / t, (2.0 * r_max + 1.4) / t
 
 
 def build_profiles(sigmas, t: float = DEFAULT_TRUNCATION, max_side: int | None = None):
@@ -131,29 +136,6 @@ def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION,
     of `build_profiles`, with the same `max_side` check."""
     (r,), (profile,), _ = build_profiles([sigma_f], t, max_side)
     return GaussianFilter(sigma_f, t, r, profile)
-
-
-def apply_degenerate_policy(sigma_f, t: float, p: float, rng=None):
-    """Stochastically bump sigma_f by 1.0 when its filter is the single cell.
-
-    `sigma_f` is one width or an array of widths.  A call with the Generator
-    `rng` is a training step: with probability `p` each width whose filter
-    radius is 0 is bumped, drawing one `rng.random()` per such width in
-    order.  A call without one never bumps, keeping inference
-    deterministic.  The bump has pass-through derivative 1 with respect to
-    sigma_f.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise DataError(f"bump probability must be in [0, 1], got {p}")
-    if rng is None:
-        return sigma_f
-    widths = np.asarray(sigma_f, dtype=np.float64)
-    degenerate = np.array([filter_radius(s, t) == 0 for s in widths.ravel().tolist()],
-                          dtype=bool)
-    bump = np.zeros(widths.size, dtype=bool)
-    bump[degenerate] = rng.random(int(degenerate.sum())) < p
-    bumped = np.where(bump.reshape(widths.shape), widths + 1.0, widths)
-    return float(bumped) if bumped.ndim == 0 else bumped
 
 
 def sigma_to_fwhm_mm(sigma_f: float, voxel_size_mm: float) -> float:

@@ -2,11 +2,13 @@
 
 A fixed separable Laplacian kernel measures per-volume noise as the mean
 absolute response over the volume interior (valid mode, so faces contribute
-nothing).  A two-layer head with an exponential output then maps that scalar
-feature to a strictly positive smoothing width.  The head maps a batch's
-features in one call (`map_to_sigmas`), and its gradient is summed over the
-batch in one call (`map_to_sigmas_backward`); `map_to_sigma` is the
-one-feature case of the former.
+nothing).  A two-layer head then maps that scalar feature to a width in the
+weights' range [lo, hi], sigma = lo + (hi - lo) sigmoid(pre + off): every
+width has a gradient and a filter that fits the volume, and the offset puts
+pre = 0 at width 1 (`train` sets the range from `width_range`).  The head
+maps a batch's features in one call (`map_to_sigmas`), and its gradient is
+summed over the batch in one call (`map_to_sigmas_backward`);
+`map_to_sigma` is the one-feature case of the former.
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ LAPLACIAN_1D = np.array([1.0, -2.0, 1.0])
 # response std = sqrt(sum of squared kernel entries), mean-abs = std * sqrt(2/pi).
 NOISE_CALIBRATION = math.sqrt(216.0) * math.sqrt(2.0 / math.pi)
 
-# Pre-activation clamp protecting exp(); generous enough to never bind in
-# normal training (`map_to_sigmas` returns how many bound).
-PREACT_MIN = -10.0
-PREACT_MAX = 6.0
-
 
 @dataclass
 class ParamsNetWeights:
@@ -40,6 +37,8 @@ class ParamsNetWeights:
     b: np.ndarray  # (M,) first-layer biases
     v: np.ndarray  # (M,) second-layer weights
     c: float       # second-layer bias
+    lo: float      # smallest width
+    hi: float      # largest width
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.float64)
@@ -52,14 +51,18 @@ class ParamsNetWeights:
         if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()
                 and np.isfinite(self.v).all() and np.isfinite(self.c)):
             raise DataError("non-finite weight")
+        # the comparisons are false for NaN, so NaN fails the range check
+        if not 0 < self.lo < self.hi < math.inf:
+            raise DataError(f"width range must be finite with 0 < lo < hi, "
+                            f"got lo={self.lo}, hi={self.hi}")
 
     @property
     def m(self) -> int:
         return self.a.size
 
 
-def init_weights(m: int = 50, seed: int = 0) -> ParamsNetWeights:
-    """All weights sampled N(0, 0.09), i.e. std 0.3."""
+def init_weights(m: int, seed: int, lo: float, hi: float) -> ParamsNetWeights:
+    """All weights sampled N(0, 0.09), i.e. std 0.3, mapping into [lo, hi]."""
     rng = np.random.default_rng(seed)
     std = 0.3
     return ParamsNetWeights(
@@ -67,6 +70,8 @@ def init_weights(m: int = 50, seed: int = 0) -> ParamsNetWeights:
         b=rng.normal(0.0, std, m),
         v=rng.normal(0.0, std, m),
         c=float(rng.normal(0.0, std)),
+        lo=lo,
+        hi=hi,
     )
 
 
@@ -85,29 +90,37 @@ def noise_feature(x) -> float:
 
 
 def _preactivations(features, w: ParamsNetWeights):
-    """The hidden rows u_i = a f_i + b, one per feature, the pre-activations
-    v . u_i + c, one np.dot per row (a matrix-vector product rounds
-    differently), and the mask of those inside the clamp range."""
+    """The hidden rows u_i = a f_i + b, one per feature, and the
+    pre-activations v . u_i + c, one np.dot per row (a matrix-vector product
+    rounds differently)."""
     u = np.asarray(features, dtype=np.float64).reshape(-1, 1) * w.a + w.b
-    pre = np.array([float(np.dot(w.v, row) + w.c) for row in u])
-    return u, pre, ~((pre < PREACT_MIN) | (pre > PREACT_MAX))
+    return u, np.array([float(np.dot(w.v, row) + w.c) for row in u])
 
 
-def map_to_sigmas(features, w: ParamsNetWeights):
-    """Map each noise feature to a strictly positive filter width.  Returns
-    the widths and the number of clamped pre-activations."""
+def _sigmoids(pre, w: ParamsNetWeights) -> list[float]:
+    """q = sigmoid(pre + off) of each pre-activation, as 0.5 (1 + tanh(x/2)),
+    which does not overflow where 1 / (1 + exp(-x)) does; math.tanh per
+    width, as np.tanh rounds some widths differently.  The offset
+    off = log((s0 - lo) / (hi - s0)) maps pre = 0 to s0 = 1 where
+    lo < 1 < hi, else to the range's midpoint."""
+    lo, hi = w.lo, w.hi
+    s0 = 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)
+    off = math.log((s0 - lo) / (hi - s0))
+    return [0.5 * (1.0 + math.tanh(0.5 * (p + off))) for p in pre.tolist()]
+
+
+def map_to_sigmas(features, w: ParamsNetWeights) -> np.ndarray:
+    """Map each noise feature to a filter width in [w.lo, w.hi]."""
     features = np.asarray(features, dtype=np.float64)
     if not np.isfinite(features).all():
         raise DataError(f"non-finite feature {features[~np.isfinite(features)][0]}")
-    _, pre, live = _preactivations(features, w)
-    # math.exp per width: np.exp rounds some widths differently
-    widths = np.array([math.exp(p) for p in np.clip(pre, PREACT_MIN, PREACT_MAX).tolist()])
-    return widths, int(np.count_nonzero(~live))
+    _, pre = _preactivations(features, w)
+    return np.array([w.lo + (w.hi - w.lo) * q for q in _sigmoids(pre, w)])
 
 
 def map_to_sigma(feature: float, w: ParamsNetWeights) -> float:
     """The width `map_to_sigmas` maps one feature to."""
-    return float(map_to_sigmas([feature], w)[0][0])
+    return float(map_to_sigmas([feature], w)[0])
 
 
 def map_to_sigmas_backward(features, w: ParamsNetWeights, upstream_dl_dsigma):
@@ -115,28 +128,35 @@ def map_to_sigmas_backward(features, w: ParamsNetWeights, upstream_dl_dsigma):
 
     `upstream_dl_dsigma` holds dL/dsigma of each feature's width.  Returns
     (dL/da, dL/db, dL/dv, dL/dc); the feature is a fixed Laplacian
-    response, so nothing upstream of it trains.  A clamped pre-activation
-    has zero gradient.  The sum over features is one axis-0 sum of the
-    per-feature rows, which adds them in order.
+    response, so nothing upstream of it trains.  dsigma/dpre is
+    (hi - lo) q (1 - q), exactly 0 where the sigmoid saturates.  The sum
+    over features is one axis-0 sum of the per-feature rows, which adds
+    them in order.
     """
     features = np.asarray(features, dtype=np.float64).reshape(-1, 1)
-    u, pre, live = _preactivations(features, w)
-    s = np.array([math.exp(p) for p in pre[live].tolist()])
-    g = (np.asarray(upstream_dl_dsigma, dtype=np.float64)[live] * s)[:, None]
-    # one row [dL/da | dL/db | dL/dv | dL/dc] per live feature
-    rows = np.hstack([g * w.v * features[live], g * w.v, g * u[live], g])
+    u, pre = _preactivations(features, w)
+    slope = np.array([(w.hi - w.lo) * q * (1.0 - q) for q in _sigmoids(pre, w)])
+    g = (np.asarray(upstream_dl_dsigma, dtype=np.float64) * slope)[:, None]
+    # one row [dL/da | dL/db | dL/dv | dL/dc] per feature
+    rows = np.hstack([g * w.v * features, g * w.v, g * u, g])
     total = rows.sum(axis=0)
     m = w.m
     return total[:m], total[m:2 * m], total[2 * m:3 * m], float(total[3 * m])
 
 
 def save_weights(w: ParamsNetWeights, path):
-    """Checkpoint: line 1 is M, then a, b, v one line each, then c."""
-    write_rows(path, w.m, w.a, w.b, w.v, w.c)
+    """Checkpoint: line 1 is M, then a, b, v one line each, then c, then
+    the width range "lo hi"."""
+    write_rows(path, w.m, w.a, w.b, w.v, w.c, (w.lo, w.hi))
 
 
 def load_weights(path) -> ParamsNetWeights:
-    m, a, b, v, c = read_rows(path, 5)
+    m, a, b, v, c, span = read_rows(path, 6)
     if not (m.size == c.size == 1 and a.size == b.size == v.size == m[0]):
         raise DataError(f"{path}: layer width mismatch")
-    return ParamsNetWeights(a, b, v, float(c[0]))
+    if span.size != 2:
+        raise DataError(f"{path}: expected the width range \"lo hi\" on line 6")
+    try:
+        return ParamsNetWeights(a, b, v, float(c[0]), float(span[0]), float(span[1]))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -2,12 +2,12 @@
 
 Each mini-batch holds all volumes of one (subject, noise level) group.  The
 adaptive forward pass is one array program per batch: cached noise features
--> one head call for all widths -> bumps and fit clamps -> the profiles of
-all widths -> the pass matrices, built once per batch -> separable
-smoothing, volume by volume (`conv3d.smooth_batch`); the batch then goes
-through the standardized sigmoid classifier.  A training volume whose width
-carries a gradient is smoothed and differentiated with respect to its width
-in one pass chain.  Forward contracts that derivative with the classifier
+-> one head call for all widths, each inside the head's range -> the
+profiles of all widths -> the pass matrices, built once per batch ->
+separable smoothing, volume by volume (`conv3d.smooth_batch`); the batch
+then goes through the standardized sigmoid classifier.  A training volume
+is smoothed and differentiated with respect to its width in one pass
+chain.  Forward contracts that derivative with the classifier
 weight to one number, the logit's width derivative, and backward multiplies
 the stored number by the logit's gradient; the head's gradient is one sum
 over the batch's gradient rows.  A fixed width smooths the classifier
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import copy
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -38,11 +37,10 @@ from .conv3d import convolve_separable, smooth_batch
 from .errors import DataError, NumericalError
 from .gaussian_filter import (
     DEFAULT_TRUNCATION,
-    apply_degenerate_policy,
     build_filter,
     build_profiles,
-    max_fitting_sigma,
     sigma_to_fwhm_mm,
+    width_range,
 )
 from .volume_io import SPLITS, read_manifest, read_volume
 
@@ -56,7 +54,6 @@ class TrainConfig:
     lambda_l2: float = 0.0
     max_epochs: int = 200
     patience: int = 10
-    bump_probability: float = 0.5
     truncation: float = DEFAULT_TRUNCATION
     seed: int = 0
     width_m: int = 50
@@ -74,8 +71,6 @@ class TrainConfig:
             raise DataError("max_epochs, patience and width_m must be >= 1")
         if not 0 < self.truncation < math.inf:
             raise DataError("truncation must be finite and > 0")
-        if not 0.0 <= self.bump_probability <= 1.0:
-            raise DataError("bump probability must be in [0, 1]")
         if self.fixed_sigma is not None and not 0 < self.fixed_sigma < math.inf:
             raise DataError("fixed_sigma must be finite and > 0")
         if self.seed < 0:
@@ -113,8 +108,6 @@ class TrainReport:
     stopped_epoch: int = -1
     test_accuracy: float = float("nan")
     per_noise: dict = field(default_factory=dict)  # noise -> dict of metrics
-    # training-step counts: "clamp" (pre-activation), "bump", "fit_clamp"
-    events: Counter = field(default_factory=Counter)
     config: TrainConfig | None = None
 
     def epochs_csv(self) -> str:
@@ -127,8 +120,6 @@ class TrainReport:
     def summary_text(self) -> str:
         lines = []
         lines.append(f"best epoch: {self.best_epoch}  stopped after epoch: {self.stopped_epoch}")
-        lines.append(f"bump events: {self.events['bump']}  preactivation clamps: "
-                     f"{self.events['clamp']}  width-fit clamps: {self.events['fit_clamp']}")
         lines.append("")
         fixed = self.config.fixed_sigma if self.config else None
         lines.extend(noise_table(self.per_noise, None if fixed is None
@@ -222,61 +213,45 @@ def _smoothed_weight(cw, profile, dims):
     return smoothed_cw
 
 
-def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None):
+def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, training: bool = False):
     """Smooth every volume with its own predicted width, then classify the
-    batch with `cw`.  A call with the bump `rng` is a training step: a
-    degenerate width may be bumped, and each volume whose width carries a
-    gradient is also convolved with the width derivative of its filter, in
-    the same pass chain; ``fwd["dz"]`` keeps only that derivative's dot
-    product with the classifier weight, None for a volume without a
-    gradient.  A call without it evaluates.  ``fwd["events"]`` holds the
-    batch's "clamp", "bump" and "fit_clamp" counts, none for a fixed width.
-    A fixed width classifies the loaded volumes in place: the caller passes
-    the weight smoothed with it (`_smoothed_weight`).  Returns everything
-    backward needs."""
+    batch with `cw`.  In a training step each volume is also convolved
+    with the width derivative of its filter, in the same pass chain;
+    ``fwd["dz"]`` keeps only that derivative's dot product with the
+    classifier weight.  A fixed width classifies the loaded volumes in
+    place: the caller passes the weight smoothed with it
+    (`_smoothed_weight`).  Returns everything backward needs."""
     if cfg.fixed_sigma is not None:
-        fwd = {"sigmas": [cfg.fixed_sigma] * batch.size, "events": {}}
+        fwd = {"sigmas": [cfg.fixed_sigma] * batch.size}
         probs, cache = classifier.forward(batch.volumes, cw)
     else:
         if batch.features is None:
             raise DataError("the width network needs noise features; "
                             "the batch was loaded without them")
         dims = batch.volumes.shape[1:]
-        max_sigma = max_fitting_sigma(dims, cfg.truncation)
-        sigmas, clamps = params_net.map_to_sigmas(batch.features, pnw)
-        bumped = apply_degenerate_policy(sigmas, cfg.truncation,
-                                         cfg.bump_probability, rng)
-        fit_clamped = bumped > max_sigma
-        events = {"clamp": clamps, "bump": int(np.count_nonzero(bumped != sigmas)),
-                  "fit_clamp": int(np.count_nonzero(fit_clamped))}
-        sigmas = np.where(fit_clamped, max_sigma, bumped)
-        radii, profiles, d_profiles = build_profiles(sigmas, cfg.truncation)
-        # a clamped width and a single-cell filter carry no gradient;
+        sigmas = params_net.map_to_sigmas(batch.features, pnw)
+        _, profiles, d_profiles = build_profiles(sigmas, cfg.truncation, min(dims))
         # dlogit_i/dsigma_i = w . dz_i is the one number backward needs
-        carry = [rng is not None and not c and r > 0 for c, r in zip(fit_clamped, radii)]
         smoothed, dz = smooth_batch(batch.volumes, profiles,
-                                    [dp if g else None for g, dp in zip(carry, d_profiles)],
+                                    d_profiles if training else [None] * batch.size,
                                     cw.w.reshape(dims))
-        fwd = {"sigmas": sigmas.tolist(), "smoothed": smoothed, "dz": dz,
-               "events": events}
+        fwd = {"sigmas": sigmas.tolist(), "smoothed": smoothed, "dz": dz}
         probs, cache = classifier.forward(smoothed, cw)
     return {**fwd, "probs": probs, "cache": cache,
             "data_loss": classifier.bce_loss(probs, batch.labels)}
 
 
-def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None, profile=None):
+def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig, profile=None):
     """One training step over a batch: the loss with its L2 penalty, the
-    gradient of every trainable weight, and the forward pass's record.
-    Bumps are drawn from `rng`, by default a Generator seeded with
-    `cfg.seed`; a fixed width smooths the weight with `profile`, by default
-    its filter's (`_fixed_profile`)."""
+    gradient of every trainable weight, and the forward pass's record.  A
+    fixed width smooths the weight with `profile`, by default its filter's
+    (`_fixed_profile`)."""
     dims = batch.volumes.shape[1:]
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     fixed = cfg.fixed_sigma is not None
     if fixed and profile is None:
         profile = _fixed_profile(cfg, dims)
     fwd = _forward_batch(batch, pnw, _smoothed_weight(cw, profile, dims) if fixed else cw,
-                         cfg, rng)
+                         cfg, training=True)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
     dl_dw, dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
     if fixed:
@@ -284,10 +259,8 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig, rng=None, 
         dl_dw = convolve_separable(dl_dw.reshape(dims), profile).ravel()
     grads = {"w": dl_dw + pen_grad, "bias": dl_dbias}
     if not fixed:
-        # the stochastic bump is pass-through: d(sigma+1)/dsigma = 1
-        carry = [i for i, dz in enumerate(fwd["dz"]) if dz is not None]
-        head = params_net.map_to_sigmas_backward(
-            batch.features[carry], pnw, dl_dlogit[carry] * [fwd["dz"][i] for i in carry])
+        head = params_net.map_to_sigmas_backward(batch.features, pnw,
+                                                 dl_dlogit * np.array(fwd["dz"]))
         grads.update(zip("abvc", head))
     return fwd["data_loss"] + penalty, grads, fwd
 
@@ -361,9 +334,8 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
         if b.volumes.shape[1:] != dims:
             raise DataError(f"dim mismatch: {b.volumes.shape[1:]} vs {dims}")
 
-    pnw = params_net.init_weights(cfg.width_m, cfg.seed)
+    pnw = params_net.init_weights(cfg.width_m, cfg.seed, *width_range(dims, cfg.truncation))
     cw = classifier.xavier_init(dims, cfg.seed + 1)
-    bump_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     # a fixed width's filter serves every step and evaluation of the run
     profile = None if cfg.fixed_sigma is None else _fixed_profile(cfg, dims)
     report = TrainReport(config=cfg)
@@ -377,16 +349,12 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
         try:
             with np.errstate(over="raise"):
                 for batch in make_batches(batches, cfg.seed + epoch):
-                    loss, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, bump_rng,
-                                                            profile)
-                    report.events.update(fwd["events"])
+                    loss, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, profile)
                     if not math.isfinite(loss):
                         raise NumericalError(
                             f"non-finite loss at epoch {epoch} "
                             f"(subject {batch.subject_id}, noise {batch.noise_level}); "
-                            f"last widths {[round(s, 4) for s in fwd['sigmas']]}, "
-                            f"preactivation clamps {report.events['clamp']}, "
-                            f"width-fit clamps {report.events['fit_clamp']}")
+                            f"last widths {[round(s, 4) for s in fwd['sigmas']]}")
                     # plain SGD on every parameter: w, bias, a, b, v, c
                     for name, g in grads.items():
                         owner = cw if name in ("w", "bias") else pnw

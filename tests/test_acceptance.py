@@ -22,11 +22,11 @@ from adaptsmooth.conv3d import (
     convolve_separable,
 )
 from adaptsmooth.gaussian_filter import (
-    apply_degenerate_policy,
     build_filter,
     filter_radius,
     fwhm_mm_to_sigma,
     sigma_to_fwhm_mm,
+    width_range,
 )
 from adaptsmooth.phantom import PhantomSpec, generate
 from adaptsmooth.trainer import MiniBatch, TrainConfig, batch_loss_and_grads
@@ -91,8 +91,8 @@ def test_criterion_2_filter_correctness():
 
 
 def test_criterion_3_degenerate_regime():
-    with criterion(3, "single-cell identity below sigma_f = 0.375 and the "
-                      "seeded training-only +1 bump"):
+    with criterion(3, "single-cell identity below sigma_f = 0.375, which no "
+                      "predicted width reaches"):
         assert filter_radius(0.375, 4.0) == 1
         for sigma in (0.05, 0.2, 0.374):
             f = build_filter(sigma, 4.0)
@@ -100,13 +100,11 @@ def test_criterion_3_degenerate_regime():
             np.testing.assert_array_equal(f.weights, np.ones((1, 1, 1)))
             np.testing.assert_array_equal(f.d_weights_d_sigma, np.zeros((1, 1, 1)))
         assert filter_radius(0.376, 4.0) >= 1
-        # p = 1 in a training step always bumps; p = 0 or evaluation never does
-        rng = np.random.default_rng
-        assert apply_degenerate_policy(0.2, 4.0, 1.0, rng(0)) == pytest.approx(1.2)
-        assert apply_degenerate_policy(0.2, 4.0, 0.0, rng(0)) == 0.2
-        assert apply_degenerate_policy(0.2, 4.0, 1.0) == 0.2
-        outs = {apply_degenerate_policy(0.2, 4.0, 0.5, rng(7)) for _ in range(8)}
-        assert len(outs) == 1  # deterministic under a fixed seed
+        # the head's widths start at the smallest width of radius 1
+        lo, hi = width_range((24, 24, 24), 4.0)
+        head = params_net.ParamsNetWeights([1.0], [0.0], [1.0], 0.0, lo, hi)
+        widths = params_net.map_to_sigmas(np.linspace(-1e3, 1e3, 2001), head)
+        assert widths.min() == lo == 0.375 and widths.max() == hi
 
 
 def test_criterion_4_gradient_suite():
@@ -168,16 +166,17 @@ def test_criterion_4_gradient_suite():
                 assert abs(fd - an) / max(abs(fd), 1e-10) < 1e-5
 
         # (d) end-to-end loss gradient for the width-predicting weights,
-        # bump disabled, rel err < 1e-3
+        # rel err < 1e-3
         vols8 = [rng.normal(0.4, 0.1, (8, 8, 8)) for _ in range(4)]
         feats = np.array([params_net.noise_feature(v) for v in vols8])
         batch = MiniBatch("s0", 0.1, "train", np.stack(vols8),
                           np.array([0.0, 1.0, 0.0, 1.0]), feats)
         pnw = params_net.ParamsNetWeights(rng.normal(0, 0.05, 5),
                                           rng.normal(0, 0.05, 5),
-                                          rng.normal(0, 0.05, 5), 0.1)
+                                          rng.normal(0, 0.05, 5), 0.1,
+                                          *width_range((8, 8, 8), 4.0))
         cw8 = classifier.xavier_init((8, 8, 8), seed=3)
-        cfg = TrainConfig(bump_probability=0.0)
+        cfg = TrainConfig()
         _, grads, fwd = batch_loss_and_grads(batch, pnw, cw8, cfg)
         assert all(0.8 < s < 1.35 for s in fwd["sigmas"])  # support-stable
 
@@ -274,16 +273,17 @@ def test_criterion_8_trainer_mechanics(tiny_dataset):
         # lr = 0 leaves the freshly initialized weights untouched
         cfg0 = TrainConfig(learning_rate=0.0, max_epochs=3, seed=4, width_m=8)
         pnw, cw, _ = trainer.train(cfg0, tiny_dataset)
-        np.testing.assert_array_equal(pnw.a, params_net.init_weights(8, 4).a)
         dims = tiny_dataset[0].volumes[0].shape
+        np.testing.assert_array_equal(
+            pnw.a, params_net.init_weights(8, 4, *width_range(dims, 4.0)).a)
         np.testing.assert_array_equal(cw.w, classifier.xavier_init(dims, 5).w)
 
         # one small SGD step on a single batch lowers that batch's loss
         rng = np.random.default_rng(5)
         batch = next(b for b in tiny_dataset if b.split == "train")
-        pnw = params_net.init_weights(8, 5)
+        pnw = params_net.init_weights(8, 5, *width_range(dims, 4.0))
         cw = classifier.xavier_init(dims, 6)
-        cfg = TrainConfig(bump_probability=0.0)
+        cfg = TrainConfig()
         loss0, grads, _ = batch_loss_and_grads(batch, pnw, cw, cfg)
         lr = 1e-4
         cw.w = cw.w - lr * grads["w"]

@@ -313,6 +313,9 @@ class TestTrainEvaluate:
         ("params_net.txt", 1, "0.1 x"),       # a token that is not a number
         ("params_net.txt", 0, "9"),           # M against the row lengths
         ("params_net.txt", 4, "nan"),         # a non-finite weight
+        ("params_net.txt", 5, None),          # the width range missing
+        ("params_net.txt", 5, "1.85 0.375"),  # lo above hi
+        ("params_net.txt", 5, "0 1.85"),      # lo not positive
         ("classifier.txt", 0, "16 16 16.5"),  # non-integer dims
         ("classifier.txt", 0, "16 16 15"),    # dims against the weight count
         ("classifier.txt", 2, "nan"),
@@ -330,6 +333,19 @@ class TestTrainEvaluate:
         (bad / name).write_text("\n".join(lines) + "\n")
         assert run(["evaluate", "--weights", str(bad), "--data", str(data)]) == 2
         assert f"ERROR 2: {bad / name}: " in capsys.readouterr().err
+
+    def test_evaluate_config_with_bump_probability_is_data_error(self, trained, tmp_path,
+                                                                  capsys):
+        # a config.txt saved while training still bumped widths
+        data, model = trained
+        old = tmp_path / "model"
+        shutil.copytree(model, old)
+        with open(old / "config.txt", "a", encoding="utf-8") as f:
+            f.write("bump_probability = 0.5\n")
+        assert run(["evaluate", "--weights", str(old), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert f"ERROR 2: {old / 'config.txt'}:" in err
+        assert "unknown key 'bump_probability'" in err
 
     def test_evaluate_missing_weights(self, trained, tmp_path, capsys):
         data, _ = trained
@@ -676,8 +692,8 @@ class TestSavedConfig:
         assert run(["evaluate", "--weights", str(out), "--data", str(data)]) == 0
         printed = capsys.readouterr().out.splitlines()
         summary = (out / "summary.txt").read_text().splitlines()
-        # summary: two header lines, a blank, the table, a blank, the accuracy
-        assert printed[:-1] == summary[3:-2]
+        # summary: a header line, a blank, the table, a blank, the accuracy
+        assert printed[:-1] == summary[2:-2]
         assert printed[-1].split(": ")[1] == summary[-1].split(": ")[1]
 
     def test_library_evaluate_matches_report(self, saved_model):
@@ -799,6 +815,7 @@ class TestParsing:
         ("train", "truncation = nan"),
         ("train", "learning_rate = nan"),
         ("train", "lambda_l2 = inf"),
+        # a key of the stochastic width bump, which no longer exists
         ("train", "fixed_sigma = 1.0\nbump_probability = 1.5"),
         ("train", "fixed_sigma = nan"),
         ("train", "seed = -1"),

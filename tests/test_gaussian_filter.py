@@ -7,19 +7,14 @@ import pytest
 
 from adaptsmooth.errors import DataError
 from adaptsmooth.gaussian_filter import (
-    apply_degenerate_policy,
     build_filter,
     build_profiles,
     dump_filter,
     filter_radius,
     fwhm_mm_to_sigma,
-    max_fitting_sigma,
     sigma_to_fwhm_mm,
+    width_range,
 )
-
-
-def _rng(seed=0):
-    return np.random.default_rng(seed)
 
 
 def brute_force_weights(sigma, r):
@@ -116,7 +111,7 @@ class TestBuildFilter:
     @pytest.mark.parametrize("t", [1.0, 2.5, 4.0, 6.5])
     def test_max_fitting_sigma_is_largest_odd_side(self, dims, t):
         side = min(dims) - 1 + min(dims) % 2  # the largest odd side that fits
-        f = build_filter(max_fitting_sigma(dims, t), t, max_side=min(dims))
+        f = build_filter(width_range(dims, t)[1], t, max_side=min(dims))
         assert 2 * f.radius + 1 == side
 
 
@@ -191,38 +186,34 @@ class TestDerivative:
         assert f.d_weights_d_sigma[r, r, r] < 0  # widening flattens the peak
 
 
-class TestDegeneratePolicy:
-    def test_forced_bump(self):
-        assert apply_degenerate_policy(0.2, 4.0, 1.0, _rng()) == pytest.approx(1.2)
+class TestWidthRange:
+    T = (2.19, 2.35, 2.7, 4.0, 4.38, 6.5)
 
-    def test_above_threshold_untouched(self):
-        assert apply_degenerate_policy(2.0, 4.0, 1.0, _rng()) == 2.0
+    @pytest.mark.parametrize("t", T)
+    def test_lo_is_the_smallest_width_of_radius_one(self, t):
+        # up to the rounding of t * lo itself, which the next test shows
+        lo, _ = width_range((24, 24, 24), t)
+        assert lo == 1.5 / t
+        assert filter_radius(lo * (1 - 1e-12), t) == 0
+        assert filter_radius(lo * (1 + 1e-12), t) == 1
 
-    def test_eval_mode_never_bumps(self):
-        assert apply_degenerate_policy(0.2, 4.0, 1.0) == 0.2
+    def test_lo_itself_may_round_to_the_single_cell(self):
+        # t * (1.5 / t) rounds below 1.5 for these t: a width saturated at
+        # lo gets radius 0, and neither it nor its neighbours have a gradient
+        for t in (2.19, 2.35, 2.7, 4.38):
+            assert filter_radius(width_range((8, 8, 8), t)[0], t) == 0
+        assert filter_radius(width_range((8, 8, 8), 4.0)[0], 4.0) == 1
 
-    def test_p_zero_never_bumps(self):
-        assert apply_degenerate_policy(0.2, 4.0, 0.0, _rng()) == 0.2
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (4, 4, 4), (9, 16, 11), (24, 24, 24)])
+    @pytest.mark.parametrize("t", T)
+    def test_range_is_not_empty(self, dims, t):
+        lo, hi = width_range(dims, t)
+        assert 0 < lo < hi
 
-    def test_deterministic_under_seed(self):
-        outs = {apply_degenerate_policy(0.2, 4.0, 0.5, _rng(42)) for _ in range(5)}
-        assert len(outs) == 1
-
-    def test_bad_probability(self):
-        with pytest.raises(DataError):
-            apply_degenerate_policy(0.2, 4.0, 1.5, _rng())
-
-    # "degenerate" is the radius-0 filter that gets no gradient, not the
-    # rounded threshold sigma_f < 1.5 / t, which disagrees with it here
-    def test_single_cell_filter_below_rounded_threshold_bumps(self):
-        sigma, t = 0.5555555555555555, 2.7
-        assert sigma >= 1.5 / t and filter_radius(sigma, t) == 0
-        assert apply_degenerate_policy(sigma, t, 1.0, _rng()) == sigma + 1.0
-
-    def test_three_tap_filter_above_rounded_threshold_untouched(self):
-        sigma, t = 0.23076923076923075, 6.5
-        assert sigma < 1.5 / t and filter_radius(sigma, t) == 1
-        assert apply_degenerate_policy(sigma, t, 1.0, _rng()) == sigma
+    def test_volume_too_thin_for_radius_one_refused(self):
+        with pytest.raises(DataError, match=r"no filter of radius 1 fits volumes of "
+                                            r"dims \(9, 2, 9\); every dim must be >= 3"):
+            width_range((9, 2, 9), 4.0)
 
 
 class TestFwhm:

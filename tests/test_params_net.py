@@ -5,11 +5,10 @@ import pytest
 
 from adaptsmooth import phantom
 from adaptsmooth.errors import DataError
+from adaptsmooth.gaussian_filter import build_profiles, width_range
 from adaptsmooth.params_net import (
     LAPLACIAN_1D,
     NOISE_CALIBRATION,
-    PREACT_MAX,
-    PREACT_MIN,
     ParamsNetWeights,
     init_weights,
     load_weights,
@@ -19,6 +18,25 @@ from adaptsmooth.params_net import (
     noise_feature,
     save_weights,
 )
+
+# the width range of the criterion-7 phantom's 24^3 volumes at t = 4
+LO, HI = width_range((24, 24, 24), 4.0)
+assert (LO, HI) == (0.375, 5.85)
+
+
+def _weights(a, b, v, c, lo=LO, hi=HI):
+    return ParamsNetWeights(a, b, v, c, lo, hi)
+
+
+def _offset(lo, hi):
+    """The shift that maps pre-activation 0 to width 1 (or the midpoint)."""
+    s0 = 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)
+    return math.log((s0 - lo) / (hi - s0))
+
+
+def _logistic_width(pre, lo=LO, hi=HI):
+    """The documented map, written with the plain logistic function."""
+    return lo + (hi - lo) / (1.0 + math.exp(-(pre + _offset(lo, hi))))
 
 
 def test_laplacian_kernel_structure():
@@ -95,39 +113,30 @@ class TestCalibratedEstimate:
 class TestMapToSigma:
     def _zero(self, m=3):
         z = np.zeros(m)
-        return ParamsNetWeights(z, z.copy(), z.copy(), 0.0)
+        return _weights(z, z.copy(), z.copy(), 0.0)
 
     def test_zero_weights_give_unit_sigma(self):
-        assert map_to_sigma(5.0, self._zero()) == 1.0
+        # pre-activation 0 maps to width 1
+        assert map_to_sigma(5.0, self._zero()) == pytest.approx(1.0, abs=1e-15)
 
     def test_bias_only(self):
         w = self._zero()
-        w.c = math.log(2.0)
-        assert map_to_sigma(0.7, w) == pytest.approx(2.0)
+        q = (2.0 - LO) / (HI - LO)
+        w.c = math.log(q / (1.0 - q)) - _offset(LO, HI)
+        assert map_to_sigma(0.7, w) == pytest.approx(2.0, rel=1e-14)
 
     def test_hand_example(self):
-        w = ParamsNetWeights(np.array([1.0, -1.0]), np.array([0.0, 1.0]),
-                             np.array([0.5, 0.5]), 0.0)
+        w = _weights(np.array([1.0, -1.0]), np.array([0.0, 1.0]),
+                     np.array([0.5, 0.5]), 0.0)
         # u = (2, -1); 0.5*2 + 0.5*(-1) = 0.5
-        assert map_to_sigma(2.0, w) == pytest.approx(math.exp(0.5), abs=1e-4)
+        assert map_to_sigma(2.0, w) == pytest.approx(_logistic_width(0.5), rel=1e-14)
 
     def test_always_positive(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            w = ParamsNetWeights(rng.normal(0, 2, 4), rng.normal(0, 2, 4),
-                                 rng.normal(0, 2, 4), float(rng.normal(0, 2)))
-            assert map_to_sigma(float(rng.normal(0, 3)), w) > 0
-
-    def test_clamp_counts_events(self):
-        w = self._zero()
-        w.c = 50.0
-        widths, clamps = map_to_sigmas([0.0, 0.0], w)
-        assert widths.tolist() == pytest.approx([math.exp(6.0)] * 2) and clamps == 2
-        w.c = -50.0
-        assert map_to_sigma(0.0, w) == pytest.approx(math.exp(-10.0))
-        assert map_to_sigmas([0.0], w)[1] == 1
-        w.c = 0.0
-        assert map_to_sigmas([0.0], w)[1] == 0
+            w = _weights(rng.normal(0, 2, 4), rng.normal(0, 2, 4),
+                         rng.normal(0, 2, 4), float(rng.normal(0, 2)))
+            assert 0 < LO <= map_to_sigma(float(rng.normal(0, 3)), w) <= HI
 
     def test_non_finite_feature_rejected(self):
         with pytest.raises(DataError):
@@ -136,21 +145,22 @@ class TestMapToSigma:
 
 class TestMapToSigmaBackward:
     def test_zero_upstream(self):
-        w = init_weights(4, seed=1)
+        w = init_weights(4, 1, LO, HI)
         da, db, dv, dc = map_to_sigmas_backward([1.0], w, [0.0])
         assert not da.any() and not db.any() and not dv.any()
         assert dc == 0.0
 
     def test_zero_weights_dc(self):
         z = np.zeros(3)
-        w = ParamsNetWeights(z, z.copy(), z.copy(), 0.0)
+        w = _weights(z, z.copy(), z.copy(), 0.0)
         _, _, _, dc = map_to_sigmas_backward([2.0], w, [1.0])
-        assert dc == pytest.approx(1.0)  # sigma = 1, d exp/d pre = 1
+        # sigma = 1: dsigma/dpre = (hi - lo) q (1 - q), q = (1 - lo) / (hi - lo)
+        assert dc == pytest.approx((1.0 - LO) * (HI - 1.0) / (HI - LO), rel=1e-14)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        w = ParamsNetWeights(rng.normal(0, 0.3, 5), rng.normal(0, 0.3, 5),
-                             rng.normal(0, 0.3, 5), 0.2)
+        w = _weights(rng.normal(0, 0.3, 5), rng.normal(0, 0.3, 5),
+                     rng.normal(0, 0.3, 5), 0.2)
         feat = 1.7
         up = 0.83
         da, db, dv, dc = map_to_sigmas_backward([feat], w, [up])
@@ -161,101 +171,200 @@ class TestMapToSigmaBackward:
 
         for name, grad in (("a", da), ("b", db), ("v", dv)):
             for i in range(5):
-                wp = ParamsNetWeights(w.a.copy(), w.b.copy(), w.v.copy(), w.c)
-                wm = ParamsNetWeights(w.a.copy(), w.b.copy(), w.v.copy(), w.c)
+                wp = _weights(w.a.copy(), w.b.copy(), w.v.copy(), w.c)
+                wm = _weights(w.a.copy(), w.b.copy(), w.v.copy(), w.c)
                 getattr(wp, name)[i] += h
                 getattr(wm, name)[i] -= h
                 fd = (loss(wp) - loss(wm)) / (2 * h)
                 assert abs(fd - grad[i]) / max(abs(fd), 1e-12) < 1e-5
-        wp = ParamsNetWeights(w.a.copy(), w.b.copy(), w.v.copy(), w.c + h)
-        wm = ParamsNetWeights(w.a.copy(), w.b.copy(), w.v.copy(), w.c - h)
+        wp = _weights(w.a.copy(), w.b.copy(), w.v.copy(), w.c + h)
+        wm = _weights(w.a.copy(), w.b.copy(), w.v.copy(), w.c - h)
         assert abs((loss(wp) - loss(wm)) / (2 * h) - dc) < 1e-5 * max(abs(dc), 1)
 
     def test_clamped_preactivation_has_zero_gradient(self):
+        # the sigmoid saturates: the width is exactly hi and has no gradient
         z = np.zeros(2)
-        w = ParamsNetWeights(z, z.copy(), z.copy(), 100.0)
+        w = _weights(z, z.copy(), z.copy(), 100.0)
+        assert map_to_sigma(1.0, w) == HI
         da, db, dv, dc = map_to_sigmas_backward([1.0], w, [1.0])
         assert dc == 0.0 and not dv.any()
 
 
+class TestBoundedMap:
+    """sigma = lo + (hi - lo) sigmoid(pre + off): every pre-activation gives
+    a width of radius >= 1 whose filter fits the volume (up to the rounding
+    of lo itself, `TestWidthRange`)."""
+
+    DIMS = [(4, 4, 4), (8, 8, 8), (24, 24, 24), (9, 16, 11)]
+
+    @staticmethod
+    def _identity_head(lo, hi):
+        # pre-activation = 1 * (1 * f + 0) + 0 = f, so each feature is its
+        # own pre-activation
+        return ParamsNetWeights([1.0], [0.0], [1.0], 0.0, lo, hi)
+
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("t", [2.19, 4.0])
+    def test_every_preactivation_maps_into_the_range(self, dims, t):
+        lo, hi = width_range(dims, t)
+        pre = np.concatenate([np.linspace(-1e3, 1e3, 20001), np.linspace(-40, 40, 8001),
+                              [-1e3, -0.0, 0.0, 1e3]])
+        with np.errstate(all="raise"):
+            sigmas = map_to_sigmas(pre, self._identity_head(lo, hi))
+        assert lo <= sigmas.min() and sigmas.max() <= hi
+        assert sigmas[0] == lo and sigmas[-1] == hi
+        # every filter fits: build_profiles refuses a side above min(dims)
+        radii, _, _ = build_profiles(sigmas, t, max_side=min(dims))
+        assert max(radii) == (min(dims) - 1) // 2
+
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("t", [2.19, 4.0])
+    def test_zero_preactivation_gives_unit_width(self, dims, t):
+        lo, hi = width_range(dims, t)
+        sigma = map_to_sigma(0.0, self._identity_head(lo, hi))
+        if lo < 1.0 < hi:
+            assert sigma == pytest.approx(1.0, abs=1e-15)
+        else:  # 4^3 at t = 4: hi = 0.85, so the midpoint
+            assert (dims, t) == ((4, 4, 4), 4.0)
+            assert sigma == pytest.approx(0.5 * (lo + hi), abs=1e-15)
+
+    @pytest.mark.parametrize("pre", [-30.0, -6.0, -1.0, 0.0, 0.7, 4.0, 25.0])
+    def test_slope_matches_central_differences(self, pre):
+        w = self._identity_head(LO, HI)
+        h = 1e-6
+        _, _, _, dc = map_to_sigmas_backward([pre], w, [1.0])
+        fd = (map_to_sigma(pre + h, w) - map_to_sigma(pre - h, w)) / (2 * h)
+        assert dc > 0
+        assert abs(fd - dc) <= 1e-6 * dc + 1e-9
+
+    def test_saturated_tails_have_zero_slope_without_overflow(self):
+        w = self._identity_head(LO, HI)
+        tails = [-1e3, -800.0, -100.0, 100.0, 800.0, 1e3]
+        with np.errstate(all="raise"):
+            widths = map_to_sigmas(tails, w)
+            grads = [map_to_sigmas_backward([p], w, [1.0]) for p in tails]
+        assert widths.tolist() == [LO] * 3 + [HI] * 3
+        for da, db, dv, dc in grads:
+            assert dc == 0.0 and not (da.any() or db.any() or dv.any())
+
+    def test_one_feature_equals_its_row_of_the_batch(self):
+        w = init_weights(50, 43, LO, HI)
+        feats = np.random.default_rng(3).uniform(-2.0, 5.0, 200)
+        batch = map_to_sigmas(feats, w)
+        assert [map_to_sigma(f, w) for f in feats.tolist()] == batch.tolist()
+
+
 class TestBatchHead:
     """The batch head equals the one-feature formulas bit for bit: a per-row
-    np.dot for the pre-activation, math.exp per width and the gradient rows
-    added in order (a matrix-vector product, np.exp and a pairwise sum each
+    np.dot for the pre-activation, math.tanh per width and the gradient rows
+    added in order (a matrix-vector product, np.tanh and a pairwise sum each
     round some of these 200 features differently)."""
 
     @staticmethod
     def _case():
         rng = np.random.default_rng(3)
-        # -100 and 100 clamp the pre-activation, one at each end
-        feats = np.concatenate([rng.uniform(0.0, 5.0, 198), [-100.0, 100.0]])
-        return init_weights(50, 43), feats, rng.normal(size=feats.size)
+        # -1e4 and 1e4 saturate the sigmoid, one at each end
+        feats = np.concatenate([rng.uniform(0.0, 5.0, 198), [-1e4, 1e4]])
+        return init_weights(50, 43, LO, HI), feats, rng.normal(size=feats.size)
 
     @staticmethod
-    def _pre(feature, w):
-        return float(np.dot(w.v, w.a * feature + w.b) + w.c)
+    def _q(feature, w):
+        pre = float(np.dot(w.v, w.a * feature + w.b) + w.c)
+        return 0.5 * (1.0 + math.tanh(0.5 * (pre + _offset(w.lo, w.hi))))
 
     def test_widths_equal_one_feature_formula(self):
         w, feats, _ = self._case()
-        got, clamps = map_to_sigmas(feats, w)
-        want = [math.exp(min(max(self._pre(f, w), PREACT_MIN), PREACT_MAX))
-                for f in feats.tolist()]
+        got = map_to_sigmas(feats, w)
+        want = [w.lo + (w.hi - w.lo) * self._q(f, w) for f in feats.tolist()]
         assert got.tolist() == want
-        assert clamps == 2
+        assert sorted(got[-2:].tolist()) == [LO, HI]
 
     def test_gradient_rows_summed_in_order(self):
         w, feats, upstream = self._case()
         head = [np.zeros(w.m), np.zeros(w.m), np.zeros(w.m), 0.0]
         for f, up in zip(feats.tolist(), upstream.tolist()):
-            pre = self._pre(f, w)
-            if PREACT_MIN <= pre <= PREACT_MAX:
-                g = up * math.exp(pre)
-                row = (g * w.v * f, g * w.v, g * (w.a * f + w.b), g)
-                head = [h + r for h, r in zip(head, row)]
+            q = self._q(f, w)
+            g = up * ((w.hi - w.lo) * q * (1.0 - q))
+            row = (g * w.v * f, g * w.v, g * (w.a * f + w.b), g)
+            head = [h + r for h, r in zip(head, row)]
         got = map_to_sigmas_backward(feats, w, upstream)
         for a, b in zip(got, head):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_first_non_finite_feature_is_named(self):
         with pytest.raises(DataError, match="non-finite feature inf"):
-            map_to_sigmas([0.5, math.inf, math.nan], init_weights(4, 0))
+            map_to_sigmas([0.5, math.inf, math.nan], init_weights(4, 0, LO, HI))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.5, 1.0), (1.0, 1.0), (2.0, 1.0),
+                                    (math.nan, 1.0), (0.5, math.inf), (0.5, math.nan)])
+def test_width_range_refused(lo, hi):
+    with pytest.raises(DataError, match="width range must be finite with 0 < lo < hi"):
+        _weights([1.0], [0.0], [1.0], 0.0, lo, hi)
 
 
 def test_init_distribution():
-    w = init_weights(m=50, seed=0)
+    w = init_weights(m=50, seed=0, lo=LO, hi=HI)
     assert w.m == 50
     pooled = np.concatenate([w.a, w.b, w.v])
     assert abs(pooled.std() - 0.3) < 0.1
 
 
 def test_checkpoint_round_trip(tmp_path):
-    w = init_weights(m=7, seed=5)
+    w = init_weights(m=7, seed=5, lo=0.1 / 3, hi=2 / 3)
     p = tmp_path / "pn.txt"
     save_weights(w, p)
     back = load_weights(p)
     np.testing.assert_array_equal(back.a, w.a)
     np.testing.assert_array_equal(back.b, w.b)
     np.testing.assert_array_equal(back.v, w.v)
-    assert back.c == w.c
+    assert (back.c, back.lo, back.hi) == (w.c, w.lo, w.hi)
 
 
 GOLDEN_PARAMS_NET = ("2\n0.10000000000000001 -2.5\n0 9.9999999999999995e-21\n"
-                     "3 -0.69999999999999996\n0.33333333333333331\n")
+                     "3 -0.69999999999999996\n0.33333333333333331\n"
+                     "0.375 5.8499999999999996\n")
 
 
 def test_checkpoint_golden_layout(tmp_path):
-    """Line 1 is M, then a, b, v, then c, every number as %.17g: the layout
-    of every model directory saved so far."""
+    """Line 1 is M, then a, b, v, then c, then the width range "lo hi",
+    every number as %.17g."""
     p = tmp_path / "pn.txt"
-    save_weights(ParamsNetWeights([0.1, -2.5], [0.0, 1e-20], [3.0, -0.7], 1 / 3), p)
+    save_weights(_weights([0.1, -2.5], [0.0, 1e-20], [3.0, -0.7], 1 / 3), p)
     assert p.read_text() == GOLDEN_PARAMS_NET
     back = load_weights(p)
     assert back.a.tolist() == [0.1, -2.5] and back.b.tolist() == [0.0, 1e-20]
     assert back.v.tolist() == [3.0, -0.7] and back.c == 1 / 3
+    assert (back.lo, back.hi) == (0.375, 5.85)
 
 
+def test_checkpoint_without_width_range_refused(tmp_path):
+    # the 5-line layout saved before the width range was stored
+    p = tmp_path / "pn.txt"
+    p.write_text(GOLDEN_PARAMS_NET.rsplit("0.375", 1)[0])
+    with pytest.raises(DataError, match=f"^{p}: expected 6 lines, got 5$"):
+        load_weights(p)
+
+
+@pytest.mark.parametrize("row, match", [
+    ("0.375", "expected the width range"),
+    ("0.375 5.85 7", "expected the width range"),
+    ("0 5.85", "width range must be finite with 0 < lo < hi"),
+    ("-0.375 5.85", "width range must be finite with 0 < lo < hi"),
+    ("5.85 0.375", "width range must be finite with 0 < lo < hi"),
+    ("0.375 0.375", "width range must be finite with 0 < lo < hi"),
+    ("0.375 inf", "non-finite value"),
+    ("nan 5.85", "non-finite value"),
+])
+def test_bad_width_range_is_data_error_naming_file(tmp_path, row, match):
+    p = tmp_path / "pn.txt"
+    p.write_text(GOLDEN_PARAMS_NET.rsplit("0.375", 1)[0] + row + "\n")
+    with pytest.raises(DataError, match=f"^{p}: {match}"):
+        load_weights(p)
+
+
+# each a bad block of weight rows, followed by a valid width range
 @pytest.mark.parametrize("text, match", [
-    ("2\n1 2\n3 4\n5 6\n", "expected 5 lines, got 4"),
     ("2\n1 2\n3 four\n5 6\n7\n", "could not convert"),
     ("3\n1 2\n3 4\n5 6\n7\n", "layer width mismatch"),
     ("2\n1 2\n3 4\n5\n7\n", "layer width mismatch"),
@@ -265,6 +374,6 @@ def test_checkpoint_golden_layout(tmp_path):
 ])
 def test_bad_checkpoint_is_data_error_naming_file(tmp_path, text, match):
     p = tmp_path / "pn.txt"
-    p.write_text(text)
+    p.write_text(text + "0.375 5.85\n")
     with pytest.raises(DataError, match=f"{p}: {match}"):
         load_weights(p)

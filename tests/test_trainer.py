@@ -1,7 +1,6 @@
 import copy
 import math
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,11 +9,10 @@ from adaptsmooth import classifier, params_net, phantom, trainer
 from adaptsmooth.conv3d import convolve_separable
 from adaptsmooth.errors import DataError, NumericalError
 from adaptsmooth.gaussian_filter import (
-    apply_degenerate_policy,
     build_filter,
     build_profiles,
     filter_radius,
-    max_fitting_sigma,
+    width_range,
 )
 from adaptsmooth.phantom import PhantomSpec
 from adaptsmooth.trainer import (
@@ -34,6 +32,11 @@ from adaptsmooth.volume_io import (
     read_volume,
     write_volume,
 )
+
+
+def _init_head(m, seed, dims=(16, 16, 16)):
+    """`train`'s initial head for volumes of `dims` at the default truncation."""
+    return params_net.init_weights(m, seed, *width_range(dims, TrainConfig().truncation))
 
 
 def _make_group(sid, noise, split, n, dims=(4, 4, 4), seed=0):
@@ -124,7 +127,7 @@ def test_load_dataset_without_features(tmp_path, monkeypatch):
 def test_featureless_batches_evaluate_fixed_width_only(tmp_path):
     manifest = _three_subject_phantom(tmp_path)
     full, bare = load_dataset(manifest), load_dataset(manifest, features=False)
-    pnw = params_net.init_weights(5, 0)
+    pnw = _init_head(5, 0, (9, 16, 11))
     cw = classifier.xavier_init((9, 16, 11), 1)
     assert evaluate(pnw, cw, bare, "test", fixed_sigma=0.8) == \
         evaluate(pnw, cw, full, "test", fixed_sigma=0.8)
@@ -205,9 +208,10 @@ class TestGradients:
         batch = MiniBatch("s0", 0.1, "train", np.stack(vols),
                           np.array([0.0, 1.0, 0.0, 1.0]), feats)
         pnw = params_net.ParamsNetWeights(rng.normal(0, 0.05, m), rng.normal(0, 0.05, m),
-                                          rng.normal(0, 0.05, m), 0.1)
+                                          rng.normal(0, 0.05, m), 0.1,
+                                          *width_range(dims, 4.0))
         cw = classifier.xavier_init(dims, seed + 1)
-        cfg = TrainConfig(bump_probability=0.0, lambda_l2=1e-4)
+        cfg = TrainConfig(lambda_l2=1e-4)
         return batch, pnw, cw, cfg
 
     def test_end_to_end_vs_finite_differences(self):
@@ -249,8 +253,8 @@ class TestGradients:
 
 
 class TestJointPassChain:
-    """Only volumes whose width carries a gradient take the joint
-    smoothing/dσ pass chain; evaluation never does."""
+    """Every training volume takes the joint smoothing/dσ pass chain;
+    evaluation never does."""
 
     @pytest.fixture()
     def joint_calls(self, monkeypatch):
@@ -267,7 +271,7 @@ class TestJointPassChain:
         return calls
 
     def test_evaluation_never_takes_joint_path(self, tiny_dataset, joint_calls):
-        pnw = params_net.init_weights(8, 0)
+        pnw = _init_head(8, 0)
         cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
         for split in ("validation", "test"):
             evaluate(pnw, cw, tiny_dataset, split)
@@ -277,18 +281,16 @@ class TestJointPassChain:
     def test_one_call_per_gradient_carrying_volume(self, joint_calls, monkeypatch):
         batch, pnw, cw, cfg = TestGradients()._setup()
         _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
-        max_sigma = trainer.max_fitting_sigma((8, 8, 8), cfg.truncation)
-        assert max(fwd["sigmas"]) < max_sigma
         assert len(joint_calls) == batch.size
-        # a single-cell width (sigma 0.1) and a fit-clamped one carry no gradient
+        # a single-cell width (sigma 0.1) takes the chain too: its width
+        # derivative is 0; the largest width that fits (1.85) has one
         monkeypatch.setattr(params_net, "map_to_sigmas",
-                            lambda *args: (np.array([1.0, 0.1, 100.0, 1.2]), 0))
+                            lambda *args: np.array([1.0, 0.1, 1.85, 1.2]))
         joint_calls.clear()
         _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
-        assert fwd["sigmas"] == [1.0, 0.1, max_sigma, 1.2]
-        assert len(joint_calls) == 2
-        assert [dz is None for dz in fwd["dz"]] == [False, True, True, False]
-        assert fwd["events"] == {"clamp": 0, "bump": 0, "fit_clamp": 1}
+        assert fwd["sigmas"] == [1.0, 0.1, 1.85, 1.2]
+        assert len(joint_calls) == batch.size
+        assert [dz == 0.0 for dz in fwd["dz"]] == [False, True, False, False]
         assert np.isfinite(grads["a"]).all()
 
     def test_classifier_reads_smoothed_volumes_in_place(self):
@@ -306,59 +308,47 @@ class TestBatchStep:
     @staticmethod
     def _reference(batch, pnw, cw, cfg):
         """Widths, smoothed volumes, dz contractions and head gradients, one
-        volume at a time, with the bumps drawn from `cfg.seed`."""
-        rng = np.random.default_rng(cfg.seed)
+        volume at a time."""
         dims = batch.volumes.shape[1:]
         w = cw.w.reshape(dims)
-        max_sigma = max_fitting_sigma(dims, cfg.truncation)
         sigmas, smoothed, dz = [], [], []
         for x, feat in zip(batch.volumes, batch.features):
-            sigma = apply_degenerate_policy(params_net.map_to_sigma(float(feat), pnw),
-                                            cfg.truncation, cfg.bump_probability, rng)
-            fit_clamped = sigma > max_sigma
-            sigma = max_sigma if fit_clamped else sigma
-            f = build_filter(sigma, cfg.truncation)
-            p, dp = f.profile_1d, build_profiles([sigma], cfg.truncation)[2][0]
-            z = convolve_separable(x, p)
-            if not fit_clamped and f.radius > 0:
-                dz_i = (convolve_separable(x, (dp, p, p)) + convolve_separable(x, (p, dp, p))
-                        + convolve_separable(x, (p, p, dp)))
-                dz.append(float(np.einsum("ijk,ijk->", w, dz_i)))
-            else:
-                dz.append(None)
+            sigma = params_net.map_to_sigma(float(feat), pnw)
+            p = build_filter(sigma, cfg.truncation).profile_1d
+            dp = build_profiles([sigma], cfg.truncation)[2][0]
+            dz_i = (convolve_separable(x, (dp, p, p)) + convolve_separable(x, (p, dp, p))
+                    + convolve_separable(x, (p, p, dp)))
+            dz.append(float(np.einsum("ijk,ijk->", w, dz_i)))
             sigmas.append(sigma)
-            smoothed.append(z)
+            smoothed.append(convolve_separable(x, p))
         probs, cache = classifier.forward(np.stack(smoothed), cw)
         _, _, dl_dlogit = classifier.backward(cache, batch.labels)
         head = [np.zeros(pnw.m), np.zeros(pnw.m), np.zeros(pnw.m), 0.0]
         for feat, dz_i, dl in zip(batch.features, dz, dl_dlogit):
-            if dz_i is not None:
-                g = params_net.map_to_sigmas_backward([feat], pnw, [float(dl) * dz_i])
-                head = [h + gi for h, gi in zip(head, g)]
+            g = params_net.map_to_sigmas_backward([feat], pnw, [float(dl) * dz_i])
+            head = [h + gi for h, gi in zip(head, g)]
         return sigmas, np.stack(smoothed), dz, dict(zip("abvc", head))
 
     @pytest.mark.parametrize("dims", [(8, 8, 8), (7, 8, 9)])
     def test_equals_per_volume_step(self, dims):
         rng = np.random.default_rng(4)
-        # pre-activation = 0.5 f + 0.25 f + 0.25 f, so each feature is about
-        # the log of its width; 30 and -30 clamp it
-        pnw = params_net.ParamsNetWeights([0.5, 0.25, 0.25], np.zeros(3), np.ones(3), 0.0)
-        widths = [0.1, 1.05, 100.0, 0.6, 1.3, 0.2, 0.45, 0.9]
-        feats = np.array([math.log(s) for s in widths] + [30.0, -30.0])
+        # pre-activation = 0.5 f + 0.25 f + 0.25 f = f; -1e3 and 1e3
+        # saturate the width at lo and hi
+        lo, hi = width_range(dims, 4.0)
+        pnw = params_net.ParamsNetWeights([0.5, 0.25, 0.25], np.zeros(3), np.ones(3), 0.0,
+                                          lo, hi)
+        feats = np.array([-3.0, 0.1, -1.0, 2.0, 0.6, -1e3, 4.0, 1e3, -6.0, 0.9])
         n = feats.size
         batch = MiniBatch("s0", 0.1, "train", rng.normal(0.4, 0.1, (n, *dims)),
                           np.arange(n) % 2.0, feats)
         cw = classifier.xavier_init(dims, 5)
-        cfg = TrainConfig(bump_probability=0.5, lambda_l2=1e-3, seed=2)
-        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg,
-                                             np.random.default_rng(cfg.seed))
+        cfg = TrainConfig(lambda_l2=1e-3, seed=2)
+        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         sigmas, smoothed, dz, head = self._reference(batch, pnw, cw, cfg)
-        # the batch mixes every kind of volume: of the three single-cell
-        # widths two are bumped and carry a gradient, one does not; the two
-        # fit-clamped ones (100 and e^6) do not; the other five do
-        assert fwd["events"] == {"clamp": 2, "bump": 2, "fit_clamp": 2}
-        assert sum(filter_radius(s, cfg.truncation) == 0 for s in sigmas) == 1
-        assert sum(d is None for d in dz) == 3
+        # the batch spans every radius from 1 (at lo) to the largest that fits
+        assert min(sigmas) == lo and max(sigmas) == hi
+        assert {filter_radius(s, cfg.truncation) for s in sigmas} == \
+            set(range(1, (min(dims) - 1) // 2 + 1))
         assert fwd["sigmas"] == sigmas
         assert fwd["smoothed"].tobytes() == smoothed.tobytes()
         assert fwd["dz"] == dz
@@ -516,27 +506,19 @@ class TestFixedWidth:
 
 
 class TestStepMode:
-    """A forward pass given the bump rng is a training step; one without it
-    evaluates.  The head's pre-activation clamps (c = -50), so every width
-    is e^-10, in the degenerate regime, and a training step bumps it (p = 1)."""
+    """A training forward pass also differentiates every volume with respect
+    to its width; an evaluation differentiates none, and smooths with the
+    same widths."""
 
-    @staticmethod
-    def _clamped_head(m=5):
-        return params_net.ParamsNetWeights(np.zeros(m), np.zeros(m), np.zeros(m), -50.0)
+    def test_training_step_differentiates_every_volume(self):
+        batch, pnw, cw, cfg = TestGradients()._setup()
+        fwd = trainer._forward_batch(batch, pnw, cw, cfg, training=True)
+        assert len(fwd["dz"]) == batch.size
+        assert all(isinstance(dz, float) and dz != 0.0 for dz in fwd["dz"])
 
-    def _setup(self):
-        batch, _, cw, _ = TestGradients()._setup()
-        return batch, self._clamped_head(), cw, TrainConfig(bump_probability=1.0)
-
-    def test_training_step_counts_a_clamp_and_a_bump_per_volume(self):
-        batch, pnw, cw, cfg = self._setup()
-        fwd = trainer._forward_batch(batch, pnw, cw, cfg, np.random.default_rng(0))
-        assert fwd["events"] == {"clamp": batch.size, "bump": batch.size, "fit_clamp": 0}
-        assert fwd["sigmas"] == [math.exp(-10.0) + 1.0] * batch.size
-        assert all(dz is not None for dz in fwd["dz"])
-
-    def test_evaluation_bumps_nothing(self, monkeypatch):
-        batch, pnw, cw, cfg = self._setup()
+    def test_evaluation_computes_no_width_derivative(self, monkeypatch):
+        batch, pnw, cw, cfg = TestGradients()._setup()
+        trained = trainer._forward_batch(batch, pnw, cw, cfg, training=True)
         smooth = trainer.smooth_batch
 
         def forward_only(volumes, profiles, d_profiles, weight):
@@ -545,9 +527,9 @@ class TestStepMode:
 
         monkeypatch.setattr(trainer, "smooth_batch", forward_only)
         fwd = trainer._forward_batch(batch, pnw, cw, cfg)
-        assert fwd["events"] == {"clamp": batch.size, "bump": 0, "fit_clamp": 0}
-        assert fwd["sigmas"] == [math.exp(-10.0)] * batch.size
         assert fwd["dz"] == [None] * batch.size
+        assert fwd["sigmas"] == trained["sigmas"]
+        assert fwd["smoothed"].tobytes() == trained["smoothed"].tobytes()
 
     def test_evaluation_computes_no_penalty(self, tiny_dataset, monkeypatch):
         # only a training step reads the L2 penalty and its gradient
@@ -555,7 +537,7 @@ class TestStepMode:
             raise AssertionError("l2_penalty called")
 
         monkeypatch.setattr(classifier, "l2_penalty", no_penalty)
-        pnw = params_net.init_weights(8, 0)
+        pnw = _init_head(8, 0)
         cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
         cfg = TrainConfig(lambda_l2=1e-3)
         for split in ("validation", "test"):
@@ -564,28 +546,30 @@ class TestStepMode:
         fwd = trainer._forward_batch(tiny_dataset[0], pnw, cw, cfg)
         assert "loss" not in fwd and "pen_grad" not in fwd
 
-    def test_report_counts_training_steps_only(self, tiny_dataset, monkeypatch):
-        monkeypatch.setattr(params_net, "init_weights",
-                            lambda m, seed: self._clamped_head(m))
-        cfg = TrainConfig(bump_probability=1.0, max_epochs=2, width_m=8)
-        _, _, report = train(cfg, tiny_dataset)
-        # the clamped head gets no gradient, so every epoch clamps and bumps
-        # each training volume; validation and test passes add nothing
-        n = 2 * sum(b.size for b in tiny_dataset if b.split == "train")
-        assert report.events == Counter(clamp=n, bump=n)
-        assert (f"bump events: {n}  preactivation clamps: {n}  width-fit clamps: 0"
-                in report.summary_text())
+    def test_head_too_wide_for_the_volumes_refused(self):
+        # a head whose range was set for larger volumes is refused before
+        # any filter is built
+        batch, _, cw, cfg = TestGradients()._setup()
+        pnw = _init_head(5, 0, (24, 24, 24))
+        pnw.c = 1e3  # every width saturates at hi = 5.85, radius 11
+        with pytest.raises(DataError, match="filter side 23 exceeds 8"):
+            trainer._forward_batch(batch, pnw, cw, cfg)
 
 
 class TestTrain:
     def test_zero_learning_rate_is_noop(self, tiny_dataset):
         cfg = TrainConfig(learning_rate=0.0, max_epochs=3, seed=4, width_m=8)
-        pnw0 = params_net.init_weights(8, 4)
+        pnw0 = _init_head(8, 4)
         pnw, cw, _ = train(cfg, tiny_dataset)
         np.testing.assert_array_equal(pnw.a, pnw0.a)
         np.testing.assert_array_equal(pnw.v, pnw0.v)
         cw0 = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 5)
         np.testing.assert_array_equal(cw.w, cw0.w)
+
+    def test_head_range_follows_dims_and_truncation(self, tiny_dataset):
+        cfg = TrainConfig(learning_rate=0.0, max_epochs=1, width_m=8, truncation=3.0)
+        pnw, _, _ = train(cfg, tiny_dataset)
+        assert (pnw.lo, pnw.hi) == width_range((16, 16, 16), 3.0) == (0.5, 15.4 / 3)
 
     def test_determinism(self, tiny_dataset):
         cfg = TrainConfig(learning_rate=0.1, max_epochs=8, seed=9, width_m=8)
@@ -600,16 +584,13 @@ class TestTrain:
     def test_every_step_is_batch_loss_and_grads(self, tiny_dataset, monkeypatch,
                                                 fixed_sigma):
         # the gradient tests check `batch_loss_and_grads`; train must take
-        # each step through it, with the run's bump Generator, and count
-        # exactly the events the steps return
+        # each step through it
         step = trainer.batch_loss_and_grads
         calls = []
 
-        def recorded(batch, pnw, cw, cfg, rng=None, profile=None):
-            state = rng.bit_generator.state
-            out = step(batch, pnw, cw, cfg, rng, profile)
-            calls.append((batch, rng, state, out[2]["events"], profile))
-            return out
+        def recorded(batch, pnw, cw, cfg, profile=None):
+            calls.append((batch, profile))
+            return step(batch, pnw, cw, cfg, profile)
 
         monkeypatch.setattr(trainer, "batch_loss_and_grads", recorded)
         cfg = TrainConfig(max_epochs=3, patience=3, seed=5, width_m=8,
@@ -617,16 +598,9 @@ class TestTrain:
         _, _, report = train(cfg, tiny_dataset)
         order = [b for epoch in (1, 2, 3) for b in make_batches(tiny_dataset, cfg.seed + epoch)]
         assert len(calls) == len(order) and all(c[0] is b for c, b in zip(calls, order))
-        rng = calls[0][1]
-        assert isinstance(rng, np.random.Generator) and all(c[1] is rng for c in calls)
-        run_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
-        assert calls[0][2] == run_rng.bit_generator.state
-        assert report.events == sum((Counter(c[3]) for c in calls), Counter())
-        kinds = set() if fixed_sigma else {"clamp", "bump", "fit_clamp"}
-        assert all(set(c[3]) == kinds for c in calls)
         # a fixed width's one filter serves every step
-        assert all(c[4] is calls[0][4] for c in calls)
-        assert (calls[0][4] is None) == (fixed_sigma is None)
+        assert all(c[1] is calls[0][1] for c in calls)
+        assert (calls[0][1] is None) == (fixed_sigma is None)
 
     def test_early_stopping_restores_best_weights(self, tiny_dataset):
         cfg = TrainConfig(learning_rate=0.3, max_epochs=60, patience=5,
@@ -729,7 +703,7 @@ class TestTrain:
 
 class TestEvaluate:
     def test_fixed_sigma_table(self, tiny_dataset):
-        pnw = params_net.init_weights(8, 0)
+        pnw = _init_head(8, 0)
         cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
         res = evaluate(pnw, cw, tiny_dataset, "test", fixed_sigma=1.13)
         assert set(res["per_noise"]) == {0.0, 0.2}
@@ -737,7 +711,7 @@ class TestEvaluate:
             assert "mean_sigma" not in row  # fixed mode reports no width column
 
     def test_adaptive_reports_width_per_noise_level(self, tiny_dataset):
-        pnw = params_net.init_weights(8, 0)
+        pnw = _init_head(8, 0)
         cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
         res = evaluate(pnw, cw, tiny_dataset, "test")
         for row in res["per_noise"].values():
@@ -746,7 +720,7 @@ class TestEvaluate:
                 row["mean_sigma"] * 2.354820045 * 3.0, rel=1e-9)
 
     def test_absent_noise_level_absent_from_table(self, tiny_dataset):
-        pnw = params_net.init_weights(8, 0)
+        pnw = _init_head(8, 0)
         cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
         res = evaluate(pnw, cw, tiny_dataset, "test")
         assert 0.7 not in res["per_noise"]
