@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import adaptsmooth
+from adaptsmooth import conv3d
 from adaptsmooth.conv3d import convolve, convolve_separable, smooth_batch
 from adaptsmooth.errors import DataError
 from adaptsmooth.gaussian_filter import build_filter, build_profiles
@@ -155,16 +157,18 @@ class TestValidation:
             convolve_separable(np.zeros((4, 4, 4)), np.ones(5))
 
 
-def _three_terms(x, p, dp):
-    """The width derivative of smoothing `x` by p(x)p(y)p(z): the
-    product-rule sum of three separable convolutions."""
-    return (convolve_separable(x, (dp, p, p)) + convolve_separable(x, (p, dp, p))
-            + convolve_separable(x, (p, p, dp)))
+def _dz_reference(x, p, dp):
+    """The width derivative of smoothing `x` by p(x)p(y)p(z), summed as
+    `smooth_batch` sums it: the two product-rule terms that end in the
+    d-axis smoothing first, as u, through 1-tap identity axes."""
+    one = np.ones(1)
+    u = convolve_separable(x, (dp, p, one)) + convolve_separable(x, (p, dp, one))
+    return convolve_separable(u, (one, one, p)) + convolve_separable(x, (p, p, dp))
 
 
 class TestSmoothWithDsigma:
     """`smooth_batch` smooths with the passes of `convolve_separable` and
-    sums the width derivative in the order of the three-term sum, bit for
+    sums the width derivative in the order of `_dz_reference`, bit for
     bit."""
 
     @pytest.mark.parametrize("dims", [(8, 8, 8), (9, 11, 7)])
@@ -179,9 +183,48 @@ class TestSmoothWithDsigma:
         z, dots = smooth_batch(volumes, [p, p], [dp, dp], w)
         for x, z_i, dot in zip(volumes, z, dots):
             np.testing.assert_array_equal(z_i, convolve_separable(x, p))
-            three_terms = _three_terms(x, p, dp)
-            assert dot == float(np.einsum("ijk,ijk->", w, three_terms))
-            assert np.max(np.abs(three_terms - convolve(x, f.d_weights_d_sigma))) < 1e-12
+            dz = _dz_reference(x, p, dp)
+            assert dot == float(np.einsum("ijk,ijk->", w, dz))
+            assert np.max(np.abs(dz - convolve(x, f.d_weights_d_sigma))) < 1e-12
+
+    def test_dense_products_per_volume(self, monkeypatch):
+        """One call runs 8 dense products for a volume it differentiates, 3
+        for one it only smooths, and none for a radius-0 width, whose
+        width derivative stays 0."""
+        products = []
+        matmul = np.matmul
+
+        def counted(a, b, **kwargs):
+            products.append(math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        rng = np.random.default_rng(5)
+        volumes, w = rng.normal(size=(3, 9, 11, 7)), rng.normal(size=(9, 11, 7))
+        radii, ps, dps = build_profiles([1.1, 0.6, 0.1], 4.0)
+        assert radii == [2, 1, 0]
+        for d_profiles, want in (([None, None, None], [3, 3, 0]),
+                                 ([dps[0], None, dps[2]], [8, 3, 0])):
+            for i, dp in enumerate(d_profiles):
+                products.clear()
+                smooth_batch(volumes[i:i + 1], ps[i:i + 1], [dp], w)
+                assert sum(products) == want[i]
+            products.clear()
+            z, dots = smooth_batch(volumes, ps, d_profiles, w)
+            assert sum(products) == sum(want)
+            assert [dot is None for dot in dots] == [dp is None for dp in d_profiles]
+        assert dots[2] == 0.0
+        np.testing.assert_array_equal(z[2], volumes[2])
+
+    def test_matrices_only_for_given_derivative_profiles(self):
+        # evaluation passes no derivative profile and builds no matrix for one
+        _, ps, dps = build_profiles([1.1, 0.6, 0.1], 4.0)
+        for d_profiles, rows in (([None] * 3, 3), ([dps[0], None, dps[2]], 5)):
+            entries = conv3d._matrices(ps, d_profiles, 9)
+            assert {m.base.shape for m in entries} == {(rows, 9, 9)}
+            assert [m.shape for m in entries] == [(9, 9) if d_profiles[0] is None else (2, 9, 9),
+                                                  (9, 9),
+                                                  (1, 1) if d_profiles[2] is None else (2, 1, 1)]
 
     def test_bad_profiles_rejected(self):
         x = np.zeros((1, 4, 4, 4))

@@ -316,8 +316,11 @@ class TestBatchStep:
             sigma = params_net.map_to_sigma(float(feat), pnw)
             p = build_filter(sigma, cfg.truncation).profile_1d
             dp = build_profiles([sigma], cfg.truncation)[2][0]
-            dz_i = (convolve_separable(x, (dp, p, p)) + convolve_separable(x, (p, dp, p))
-                    + convolve_separable(x, (p, p, dp)))
+            # the product rule summed in smooth_batch's order, 1-tap axes
+            # the identity
+            one = np.ones(1)
+            u = convolve_separable(x, (dp, p, one)) + convolve_separable(x, (p, dp, one))
+            dz_i = convolve_separable(u, (one, one, p)) + convolve_separable(x, (p, p, dp))
             dz.append(float(np.einsum("ijk,ijk->", w, dz_i)))
             sigmas.append(sigma)
             smoothed.append(convolve_separable(x, p))
