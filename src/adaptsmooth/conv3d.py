@@ -13,8 +13,11 @@ numpy computes as one BLAS product per matrix.  `smooth_batch` smooths a
 batch, each volume with its own profile, and in the same chain gives the
 width derivative of each volume given a derivative profile: 8 dense
 products, 3 pairs that read x, a = P_h x and b = P_w a and 2 single passes
-that finish dz = P_d (P_w D_h x + D_w a) + D_d b, all written into scratch
-rows reused across its volumes.  The direct loop over filter taps is the
+that finish dz = P_d (P_w D_h x + D_w a) + D_d b.  Every pass writes into
+a workspace of N + 5 volume rows (`batch_workspace`) that the caller owns
+and passes to each batch of a run, so no batch page-faults in a fresh
+result; the smoothed batch returned is a view into it, valid until the next
+call overwrites it.  The direct loop over filter taps is the
 reference implementation that tests and benchmark checks compare against.
 Both kernels used in this package (the Gaussian and the Laplacian) are exact
 outer products, and both are symmetric, so correlation equals convolution
@@ -138,7 +141,14 @@ def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
     return out
 
 
-def smooth_batch(volumes: np.ndarray, profiles, d_profiles, weight: np.ndarray):
+def batch_workspace(n_volumes: int, dims) -> np.ndarray:
+    """An uninitialized workspace for `smooth_batch` calls of up to
+    `n_volumes` volumes of `dims`: n_volumes + 5 float64 volume rows."""
+    return np.empty((n_volumes + 5, *dims))
+
+
+def smooth_batch(volumes: np.ndarray, profiles, d_profiles, weight: np.ndarray,
+                 workspace: np.ndarray | None = None):
     """Smooth volume i of the (N, H, W, D) batch `volumes` with `profiles[i]`
     along every axis, the last pass writing into the volume's row of the
     result.  Where `d_profiles[i]`, that profile's width derivative, is not
@@ -154,16 +164,27 @@ def smooth_batch(volumes: np.ndarray, profiles, d_profiles, weight: np.ndarray):
     3 without a derivative profile.  Only the contraction of dz with the
     (H, W, D) `weight` is kept, None where the derivative profile is.  The
     operators are built once per batch, with no matrix for a None
-    derivative profile, and the other passes write into 4 scratch rows
-    reused across volumes.  Returns the smoothed batch and the
-    contractions.
+    derivative profile.
+
+    Every pass writes into `workspace`, an (M, H, W, D) float64 array of
+    M >= N + 5 rows that the caller owns (`batch_workspace`) and may pass to
+    every call of a run: 4 scratch rows reused across the volumes, then N + 1
+    result rows.  Nothing is read from it that this call did not write, so
+    its prior contents never matter.  Without one, the call allocates its
+    own.  Returns the smoothed batch, a view into the workspace that the
+    next call given the same workspace overwrites, and the contractions.
     """
     dims = volumes.shape[1:]
     ops = {n: _matrices(profiles, d_profiles, n) for n in set(dims)}
+    if workspace is None:
+        workspace = batch_workspace(len(volumes), dims)
+    if len(workspace) < len(volumes) + 5 or workspace.shape[1:] != dims:
+        raise ValueError(f"workspace of shape {workspace.shape} is too small for "
+                         f"{len(volumes)} volumes of {dims}")
+    ws = workspace[:4].reshape(4, -1)
     # one row more than the batch: the last pair pass of volume i writes
     # D_d b into row i + 1, the next volume's, which is not yet written
-    smoothed = np.empty((len(volumes) + 1, *dims))
-    ws = np.empty((4, smoothed[0].size))
+    smoothed = workspace[4:len(volumes) + 5]
     dots = [None] * len(volumes)
     for i, x in enumerate(volumes):
         mh, mw, md = (ops[n][i] for n in dims)

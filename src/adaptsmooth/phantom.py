@@ -125,6 +125,9 @@ def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
     split_names = [name for name, n in zip(SPLITS, spec.split_counts) for _ in range(n)]
     manifest = DatasetManifest()
     mid = w / 2.0
+    # each subject's noiseless volumes, label 0's k then label 1's: one
+    # array that every subject overwrites, so its pages fault in once
+    masters = np.empty((2 * k, h, w, d))
 
     with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as tmp:
         tmp = Path(tmp)
@@ -136,14 +139,16 @@ def generate(spec: PhantomSpec, out_dir, seed: int = 0) -> DatasetManifest:
                 0: (h / 2 + jitter[0], mid - spec.center_offset_x + jitter[1], d / 2 + jitter[2]),
                 1: (h / 2 + jitter[0], mid + spec.center_offset_x + jitter[1], d / 2 + jitter[2]),
             }
-            # the subject's noiseless volumes: label 0's k, then label 1's
-            masters = np.empty((2 * k, h, w, d))
             for label in (0, 1):
                 signal = spec.amplitude * _blob(spec.dims, centers[label], spec.blob_radius,
                                                 spec.support_radius)
                 # small per-volume amplitude wobble so scans are not identical
                 scales = 1.0 + 0.1 * rng.standard_normal(k)
-                masters[label * k:(label + 1) * k] = anatomy + scales[:, None, None, None] * signal
+                # written in place, no (k, H, W, D) temporary: the sum
+                # commutes bit for bit
+                rows = masters[label * k:(label + 1) * k]
+                np.multiply(scales[:, None, None, None], signal, out=rows)
+                rows += anatomy
             # normalized to [0, 1] by the extrema shared by all the subject's volumes
             lo, hi = masters.min(), masters.max()
             masters -= lo

@@ -5,8 +5,11 @@ adaptive forward pass is one array program per batch: cached noise features
 -> one head call for all widths, each inside the head's range -> the
 profiles of all widths -> the pass matrices, built once per batch ->
 separable smoothing, volume by volume (`conv3d.smooth_batch`); the batch
-then goes through the standardized sigmoid classifier.  A training volume
-is smoothed and differentiated with respect to its width in one pass
+then goes through the standardized sigmoid classifier.  Each `train` or
+`evaluate` call smooths all its batches into one workspace, allocated once
+for its largest batch and freed when it returns, so a batch's smoothed
+volumes are valid only until the call smooths its next batch.  A training
+volume is smoothed and differentiated with respect to its width in one pass
 chain.  Forward contracts that derivative with the classifier
 weight to one number, the logit's width derivative, and backward multiplies
 the stored number by the logit's gradient; the head's gradient is one sum
@@ -33,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifier, params_net
-from .conv3d import convolve_separable, smooth_batch
+from .conv3d import batch_workspace, convolve_separable, smooth_batch
 from .errors import DataError, NumericalError
 from .gaussian_filter import (
     DEFAULT_TRUNCATION,
@@ -213,13 +216,17 @@ def _smoothed_weight(cw, profile, dims):
     return smoothed_cw
 
 
-def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, training: bool = False):
+def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, training: bool = False,
+                   workspace=None):
     """Smooth every volume with its own predicted width, then classify the
     batch with `cw`.  In a training step each volume is also convolved
     with the width derivative of its filter, in the same pass chain;
     ``fwd["dz"]`` keeps only that derivative's dot product with the
-    classifier weight.  A fixed width classifies the loaded volumes in
-    place: the caller passes the weight smoothed with it
+    classifier weight.  The volumes are smoothed into `workspace`
+    (`conv3d.smooth_batch`'s), a fresh one when None, so ``fwd["smoothed"]``
+    and the classifier cache's ``x`` are views into it, valid until the
+    next batch smoothed into it.  A fixed width classifies the loaded
+    volumes in place: the caller passes the weight smoothed with it
     (`_smoothed_weight`).  Returns everything backward needs."""
     if cfg.fixed_sigma is not None:
         fwd = {"sigmas": [cfg.fixed_sigma] * batch.size}
@@ -234,24 +241,26 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, training: bool =
         # dlogit_i/dsigma_i = w . dz_i is the one number backward needs
         smoothed, dz = smooth_batch(batch.volumes, profiles,
                                     d_profiles if training else [None] * batch.size,
-                                    cw.w.reshape(dims))
+                                    cw.w.reshape(dims), workspace)
         fwd = {"sigmas": sigmas.tolist(), "smoothed": smoothed, "dz": dz}
         probs, cache = classifier.forward(smoothed, cw)
     return {**fwd, "probs": probs, "cache": cache,
             "data_loss": classifier.bce_loss(probs, batch.labels)}
 
 
-def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig, profile=None):
+def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig, profile=None,
+                         workspace=None):
     """One training step over a batch: the loss with its L2 penalty, the
     gradient of every trainable weight, and the forward pass's record.  A
     fixed width smooths the weight with `profile`, by default its filter's
-    (`_fixed_profile`)."""
+    (`_fixed_profile`); an adaptive one smooths the volumes into
+    `workspace` (`_forward_batch`)."""
     dims = batch.volumes.shape[1:]
     fixed = cfg.fixed_sigma is not None
     if fixed and profile is None:
         profile = _fixed_profile(cfg, dims)
     fwd = _forward_batch(batch, pnw, _smoothed_weight(cw, profile, dims) if fixed else cw,
-                         cfg, training=True)
+                         cfg, training=True, workspace=workspace)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
     dl_dw, dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
     if fixed:
@@ -265,12 +274,16 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig, profile=No
     return fwd["data_loss"] + penalty, grads, fwd
 
 
-def _evaluate_split(batches, pnw, cw, cfg, split, profile=None):
+def _evaluate_split(batches, pnw, cw, cfg, split, profile=None, workspace=None):
     """Loss/accuracy per noise level, using batch statistics at evaluation
     time as well (deliberate deviation from running-average batch norm).
     A fixed width smooths the classifier weight once for the whole split,
     with `profile` when given (`train`'s); w does not change during an
-    evaluation, so every batch is classified with the same K w.  The first
+    evaluation, so every batch is classified with the same K w.  An
+    adaptive width smooths every batch into one workspace, `workspace`
+    when given (`train`'s), else one allocated for this call and sized
+    for the split's largest batch; no smoothed batch outlives the next
+    one, and none is returned.  The first
     operation that overflows float64 ends it with a `NumericalError` naming
     the split."""
     batches = [b for b in batches if b.split == split]
@@ -285,8 +298,11 @@ def _evaluate_split(batches, pnw, cw, cfg, split, profile=None):
                 if profile is None:
                     profile = _fixed_profile(cfg, dims)
                 cw = _smoothed_weight(cw, profile, dims)
+            elif workspace is None:
+                workspace = batch_workspace(max(b.size for b in batches),
+                                            batches[0].volumes.shape[1:])
             for b in batches:
-                fwd = _forward_batch(b, pnw, cw, cfg)
+                fwd = _forward_batch(b, pnw, cw, cfg, workspace=workspace)
                 acc = classifier.accuracy(fwd["probs"], b.labels)
                 for key in (b.noise_level, None):
                     rec = records.setdefault(key, {"n": 0, "correct": 0.0,
@@ -338,6 +354,9 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     cw = classifier.xavier_init(dims, cfg.seed + 1)
     # a fixed width's filter serves every step and evaluation of the run
     profile = None if cfg.fixed_sigma is None else _fixed_profile(cfg, dims)
+    # and an adaptive width's smoothing workspace every batch of it
+    workspace = None if profile is not None else batch_workspace(
+        max(b.size for b in batches), dims)
     report = TrainReport(config=cfg)
 
     best = {"loss": math.inf, "epoch": -1, "pnw": None, "cw": None}
@@ -349,7 +368,8 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
         try:
             with np.errstate(over="raise"):
                 for batch in make_batches(batches, cfg.seed + epoch):
-                    loss, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, profile)
+                    loss, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg,
+                                                            profile, workspace)
                     if not math.isfinite(loss):
                         raise NumericalError(
                             f"non-finite loss at epoch {epoch} "
@@ -365,7 +385,7 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
         except FloatingPointError as exc:
             raise NumericalError(f"{exc} at epoch {epoch} (subject {batch.subject_id}, "
                                  f"noise {batch.noise_level})") from None
-        val = _evaluate_split(batches, pnw, cw, cfg, "validation", profile)
+        val = _evaluate_split(batches, pnw, cw, cfg, "validation", profile, workspace)
         train_loss = epoch_loss / n_seen
         report.epochs.append({"epoch": epoch, "train_loss": train_loss,
                               "val_loss": val["loss"],
@@ -382,7 +402,7 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     report.best_epoch = best["epoch"]
     report.stopped_epoch = report.epochs[-1]["epoch"]
 
-    test = _evaluate_split(batches, pnw, cw, cfg, "test", profile)
+    test = _evaluate_split(batches, pnw, cw, cfg, "test", profile, workspace)
     report.test_accuracy = test["accuracy"]
     report.per_noise = test["per_noise"]
     return pnw, cw, report

@@ -226,6 +226,24 @@ class TestSmoothWithDsigma:
                                                   (9, 9),
                                                   (1, 1) if d_profiles[2] is None else (2, 1, 1)]
 
+    def test_prior_workspace_contents_never_read(self):
+        """A reused workspace, here filled with NaN and one row longer than
+        the batch needs, gives the bits of a fresh one; the smoothed batch
+        is a view into it."""
+        rng = np.random.default_rng(8)
+        dims = (9, 11, 7)
+        volumes, w = rng.normal(size=(3, *dims)), rng.normal(size=dims)
+        _, ps, dps = build_profiles([1.1, 0.6, 0.1], 4.0)
+        for d_profiles in ([None] * 3, [dps[0], None, dps[2]], dps):
+            z, dots = smooth_batch(volumes, ps, d_profiles, w)
+            workspace = np.full((len(volumes) + 6, *dims), np.nan)
+            z_reused, dots_reused = smooth_batch(volumes, ps, d_profiles, w, workspace)
+            assert np.shares_memory(z_reused, workspace)
+            assert z_reused.tobytes() == z.tobytes()
+            assert dots_reused == dots
+        with pytest.raises(ValueError, match="too small"):
+            smooth_batch(volumes, ps, dps, w, conv3d.batch_workspace(2, dims))
+
     def test_bad_profiles_rejected(self):
         x = np.zeros((1, 4, 4, 4))
         for bad, match in ((np.ones(2), "odd"), (np.ones(5), "exceeds")):

@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -263,9 +264,9 @@ class TestJointPassChain:
         calls = []
         smooth = trainer.smooth_batch
 
-        def counted(volumes, profiles, d_profiles, weight):
+        def counted(volumes, profiles, d_profiles, weight, workspace=None):
             calls.extend(dp for dp in d_profiles if dp is not None)
-            return smooth(volumes, profiles, d_profiles, weight)
+            return smooth(volumes, profiles, d_profiles, weight, workspace)
 
         monkeypatch.setattr(trainer, "smooth_batch", counted)
         return calls
@@ -524,9 +525,9 @@ class TestStepMode:
         trained = trainer._forward_batch(batch, pnw, cw, cfg, training=True)
         smooth = trainer.smooth_batch
 
-        def forward_only(volumes, profiles, d_profiles, weight):
+        def forward_only(volumes, profiles, d_profiles, weight, workspace=None):
             assert all(dp is None for dp in d_profiles)  # no joint chain
-            return smooth(volumes, profiles, d_profiles, weight)
+            return smooth(volumes, profiles, d_profiles, weight, workspace)
 
         monkeypatch.setattr(trainer, "smooth_batch", forward_only)
         fwd = trainer._forward_batch(batch, pnw, cw, cfg)
@@ -557,6 +558,50 @@ class TestStepMode:
         pnw.c = 1e3  # every width saturates at hi = 5.85, radius 11
         with pytest.raises(DataError, match="filter side 23 exceeds 8"):
             trainer._forward_batch(batch, pnw, cw, cfg)
+
+
+class TestWorkspace:
+    """Each `train` or `evaluate` call smooths all its batches into one
+    workspace and frees it on return."""
+
+    def test_one_workspace_per_train_call(self, tiny_dataset, monkeypatch):
+        smooth = trainer.smooth_batch
+        first, shared = [], []
+
+        def recorded(volumes, profiles, d_profiles, weight, workspace=None):
+            z, dots = smooth(volumes, profiles, d_profiles, weight, workspace)
+            if not first:
+                first.append(weakref.ref(workspace))
+            shared.append(np.shares_memory(z, first[0]()))
+            return z, dots
+
+        monkeypatch.setattr(trainer, "smooth_batch", recorded)
+        cfg = TrainConfig(max_epochs=2, patience=2, seed=5, width_m=8)
+        train(cfg, tiny_dataset)
+        # every step and validation pass of 2 epochs, then the test pass
+        count = {s: sum(b.split == s for b in tiny_dataset) for s in trainer.SPLITS}
+        assert len(shared) == 2 * (count["train"] + count["validation"]) + count["test"]
+        assert all(shared)
+        # freed on return: a workspace kept for the process holds its pages
+        assert first[0]() is None
+
+    def test_smaller_batch_after_larger_reads_no_stale_rows(self, monkeypatch):
+        dims = (8, 8, 8)
+        big = _make_group("s1", 0.0, "test", 6, dims, seed=1)
+        small = _make_group("s2", 0.1, "test", 4, dims, seed=2)
+        pnw, cw = _init_head(8, 0, dims), classifier.xavier_init(dims, 0)
+        alone = {0.0: evaluate(pnw, cw, [big], "test")["per_noise"][0.0],
+                 0.1: evaluate(pnw, cw, [small], "test")["per_noise"][0.1]}
+        smooth = trainer.smooth_batch
+        workspaces = []
+
+        def recorded(volumes, profiles, d_profiles, weight, workspace=None):
+            workspaces.append(workspace)
+            return smooth(volumes, profiles, d_profiles, weight, workspace)
+
+        monkeypatch.setattr(trainer, "smooth_batch", recorded)
+        assert evaluate(pnw, cw, [big, small], "test")["per_noise"] == alone
+        assert workspaces[0] is workspaces[1] and len(workspaces[0]) == big.size + 5
 
 
 class TestTrain:
@@ -591,9 +636,9 @@ class TestTrain:
         step = trainer.batch_loss_and_grads
         calls = []
 
-        def recorded(batch, pnw, cw, cfg, profile=None):
+        def recorded(batch, pnw, cw, cfg, profile=None, workspace=None):
             calls.append((batch, profile))
-            return step(batch, pnw, cw, cfg, profile)
+            return step(batch, pnw, cw, cfg, profile, workspace)
 
         monkeypatch.setattr(trainer, "batch_loss_and_grads", recorded)
         cfg = TrainConfig(max_epochs=3, patience=3, seed=5, width_m=8,
@@ -667,8 +712,8 @@ class TestTrain:
         original = trainer._evaluate_split
         seen = []
 
-        def nan_validation(batches, pnw, cw, cfg, split, profile=None):
-            res = original(batches, pnw, cw, cfg, split, profile)
+        def nan_validation(batches, pnw, cw, cfg, split, profile=None, workspace=None):
+            res = original(batches, pnw, cw, cfg, split, profile, workspace)
             if split == "validation":
                 seen.append((copy.deepcopy(pnw), copy.deepcopy(cw)))
                 res = {**res, "loss": math.nan, "accuracy": len(seen) / 100}
