@@ -6,33 +6,48 @@ with an odd-length profile p of radius r as one dense BLAS product with the
 n x n banded matrix M[i, j] = p[j - i + r] (zero outside the band, which is
 the zero padding) and leaves that axis last, so three passes visit h, w and
 d and end in (h, w, d) order; at the package's volume sizes a dense product
-in BLAS beats a tap loop over the band.  The matrices of one call are built
-once, one stack per distinct axis length.  Two products that read the same
-input run as one broadcast product with a (2, n, n) pair of matrices, which
-numpy computes as one BLAS product per matrix.  `smooth_batch` smooths a
-batch, each volume with its own profile, and in the same chain gives the
-width derivative of each volume given a derivative profile: 8 dense
-products, 3 pairs that read x, a = P_h x and b = P_w a and 2 single passes
-that finish dz = P_d (P_w D_h x + D_w a) + D_d b.  Every pass writes into
-a workspace of N + 5 volume rows (`batch_workspace`) that the caller owns
-and passes to each batch of a run, so no batch page-faults in a fresh
-result; the smoothed batch returned is a view into it, valid until the next
-call overwrites it.  The direct loop over filter taps is the
-reference implementation that tests and benchmark checks compare against.
-Both kernels used in this package (the Gaussian and the Laplacian) are exact
-outer products, and both are symmetric, so correlation equals convolution
-throughout.
+in BLAS beats a tap loop over the band.  Matrices are built once per
+distinct axis length of a call, or of a chunk.  `smooth_batch` smooths a batch,
+each volume with its own profile, and in the same chain gives the width
+derivative of each volume given a derivative profile: 8 dense products, 3
+pairs that read x, a = P_h x and b = P_w a and 2 single passes that finish
+dz = P_d (P_w D_h x + D_w a) + D_d b.  It cuts the batch into chunks of up
+to G volumes of one kind, G from a fixed byte budget (`_chunk_volumes`), and
+each pass of a chunk is one broadcast product over the chunk's stack of
+matrices, a pair pass over its stack of (smoothing, derivative) pairs.
+numpy computes a broadcast product as one BLAS product per matrix, so every
+result keeps the bits of the volume's own product.  The calling thread
+and the pool threads of a `Workspace` take the chunks from one queue; the
+workspace also holds the rows every pass writes into: one per
+`train` or `evaluate` call, so no batch page-faults in a fresh result and
+no thread outlives the call.  The smoothed batch returned is a view into
+it, valid until the next call overwrites it.  The direct loop over filter
+taps is the reference implementation that tests and benchmark checks
+compare against.  Both kernels used in this package (the Gaussian and the
+Laplacian) are exact outer products, and both are symmetric, so correlation
+equals convolution throughout.
 
 All accumulation is in double precision.  Every pass is the one product
-form the BLAS-thread test pins: results depend on the BLAS build but not on
-its thread count.
+form the BLAS-thread test pins, and each volume's passes are the same
+products whichever chunk and thread run them: results depend on the BLAS
+build but not on its thread count, nor on the number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextvars
+import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
 from .errors import DataError
+
+# a chunk's pair pass reads G volumes and writes 2G while G more wait for
+# the next pass: 4G volumes fit the 2 MB L2 of one core
+_CHUNK_BYTES = 2 << 20
 
 
 def _check_cube(q: np.ndarray, dims):
@@ -63,18 +78,17 @@ def convolve(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return z
 
 
-def _matrices(profiles, d_profiles, n: int) -> list:
+def _matrices(profiles, d_profiles, n: int) -> np.ndarray:
     """The correlation with each odd-length profile along an axis of length
-    `n`, the zero-padded banded n x n matrix M[i, j] = p[j - i + r], paired
-    where `d_profiles[i]` is not None with the matrix D of that derivative
-    profile: entry i is M.T or the (2, n, n) pair (M.T, D.T), whose two
-    products `_pass` runs as one.  Each is stored transposed and C-ordered,
-    as the right operand of `_pass`'s product: BLAS reads it faster than a
-    transposed view of M, with the same bits.  A 1-tap entry is its (1, 1)
-    or (2, 1, 1) corner, the scale p[0].  All matrices are one stack, with
-    no rows for a None derivative: row i of M.T is q[i : n + i] reversed, of
-    its profile zero-padded to 2n - 1, so the stack is a view of the padded
-    profiles with column stride -1 element, copied to C order once."""
+    `n`, the zero-padded banded n x n matrix M[i, j] = p[j - i + r], and
+    where `d_profiles[i]` is not None the matrix D of that derivative
+    profile, as one (K, n, n) stack: M.T of volume i, then its D.T if any,
+    then those of volume i + 1, with no rows for a None derivative.  Each
+    is stored transposed and C-ordered, as the right operand of `_pass`'s
+    product: BLAS reads it faster than a transposed view of M, with the
+    same bits.  Row i of M.T is q[i : n + i] reversed, of its profile
+    zero-padded to 2n - 1, so the stack is a view of the padded profiles
+    with column stride -1 element, copied to C order once."""
     flat = [np.asarray(v, dtype=np.float64) for p, dp in zip(profiles, d_profiles)
             for v in ((p,) if dp is None else (p, dp))]
     q = np.zeros((len(flat), 2 * n - 1))
@@ -85,37 +99,75 @@ def _matrices(profiles, d_profiles, n: int) -> list:
             raise DataError(f"profile length {p.size} exceeds dim {n}")
         r = p.size // 2
         q[k, n - 1 - r:n + r] = p
-    stack = np.ndarray((len(flat), n, n), buffer=q, offset=(n - 1) * q.itemsize,
-                       strides=(q.strides[0], q.itemsize, -q.itemsize)).copy()
-    entries, k = [], 0
-    for dp in d_profiles:
-        j = k + 1 if dp is None else k + 2
-        m = stack[k] if dp is None else stack[k:j]
-        entries.append(m[..., :1, :1] if flat[k].size == flat[j - 1].size == 1 else m)
-        k = j
-    return entries
+    return np.ndarray((len(flat), n, n), buffer=q, offset=(n - 1) * q.itemsize,
+                      strides=(q.strides[0], q.itemsize, -q.itemsize)).copy()
+
+
+def _chunk_volumes(dims) -> int:
+    """G, the most volumes of `dims` in one chunk: a fixed byte budget, at
+    least one volume, so an MNI-size volume runs alone."""
+    return max(1, _CHUNK_BYTES // (4 * 8 * math.prod(dims)))
+
+
+def _chunks(profiles, d_profiles, size: int) -> list:
+    """The batch cut into runs of at most `size` consecutive volumes of one
+    kind, as (start, stop, pair, one_tap): the volumes start..stop - 1 are
+    all differentiated (pair) or none is, and all have 1-tap profiles
+    (one_tap), a scale, or none has.  One kind shares one product form."""
+    chunks = []
+    for i, (p, dp) in enumerate(zip(profiles, d_profiles)):
+        kind = [dp is not None, np.size(p) == 1 and (dp is None or np.size(dp) == 1)]
+        if chunks and chunks[-1][2:] == kind and i - chunks[-1][0] < size:
+            chunks[-1][1] = i + 1
+        else:
+            chunks.append([i, i + 1, *kind])
+    return chunks
+
+
+def _operand(stack: np.ndarray, pair: bool, one_tap: bool) -> np.ndarray:
+    """The `_matrices` stack of a chunk's g volumes, all of one kind
+    (`_chunks`), as the right operand of its passes: (g, n, n), or the
+    (2, g, n, n) smoothing and derivative pairs, each cut to its (1, 1)
+    corner, the scale p[0], for 1-tap profiles."""
+    n = stack.shape[-1]
+    m = stack.reshape(-1, 1 + pair, n, n)
+    if one_tap:
+        m = m[..., :1, :1]
+    return m.swapaxes(0, 1) if pair else m[:, 0]
 
 
 def _pass(x: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply the `_matrices` entry `m` along the leading axis of the 3D `x`,
-    moving that axis last: (h, w, d) in, (w, d, h) out, or (2, w, d, h)
-    for a pair, as the C-ordered (rest, n) product with M.T, written into
-    the contiguous `out` if given.  numpy runs a pair's broadcast product
-    as one gemm per matrix, so each result is bit for bit the single
-    product.  Its bits do not depend on the BLAS thread count, where those
+    """Apply `m` along the axis of length n that leads the last three of
+    `x`, moving that axis last: (..., h, w, d) in, (..., w, d, h) out, as
+    the C-ordered (rest, n) product of each volume with its M.T, written
+    into `out` if given.  A volume takes one matrix (n, n); a (g, h, w, d)
+    chunk takes its `_operand`, (g, n, n), or (2, g, n, n) for pairs, out
+    (2, g, w, d, h).  numpy runs a broadcast product as one gemm per
+    matrix, so each result is bit for bit the single product of one
+    volume.  Its bits do not depend on the BLAS thread count, where those
     of `M @ x.reshape(n, -1)` differ between 1 and 2 OpenBLAS threads for
     some n (61 among them), nor on `out`: matmul writes the bits it would
     allocate.  A 1-tap `m` scales and rotates."""
-    n = x.shape[0]
-    rows = x.reshape(n, -1).T
-    lead = m.shape[:-2]
+    n = x.shape[-3]
+    rows = x.reshape(*x.shape[:-3], n, -1).swapaxes(-1, -2)
+    lead = m.shape[:m.ndim - rows.ndim]
     if out is not None:
         out = out.reshape(lead + rows.shape)
     if m.shape[-1] == 1:
         res = np.multiply(rows, m, out=out)
     else:
         res = np.matmul(rows, m, out=out)
-    return res.reshape(lead + x.shape[1:] + (n,))
+    return res.reshape(lead + x.shape[:-3] + x.shape[-2:] + (n,))
+
+
+def _two(rows: np.ndarray, i: int, j: int, g: int) -> np.ndarray:
+    """The g rows from row i and the g rows from row j of the C-ordered
+    `rows` as one (2, g, ...) view, the `out` of a pair pass.  The view
+    spans the rows between them, which must not hold that pass's input:
+    numpy would then write the product into a temporary and copy it."""
+    step = rows.strides[0]
+    return np.ndarray((2, g, *rows.shape[1:]), rows.dtype, rows, i * step,
+                      ((j - i) * step, *rows.strides))
 
 
 def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
@@ -133,7 +185,7 @@ def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
     out = x
     for p, n in zip(profiles, x.shape):
         if (id(p), n) not in built:
-            built[id(p), n] = _matrices([p], [None], n)[0]
+            built[id(p), n] = _operand(_matrices([p], [None], n), False, np.size(p) == 1)[0]
         # each intermediate is freed once the next pass has read it, so its
         # memory, still in cache, is reused: keeping all three alive made
         # the fixed-width training step measurably slower
@@ -141,18 +193,87 @@ def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
     return out
 
 
-def batch_workspace(n_volumes: int, dims) -> np.ndarray:
-    """An uninitialized workspace for `smooth_batch` calls of up to
-    `n_volumes` volumes of `dims`: n_volumes + 5 float64 volume rows."""
-    return np.empty((n_volumes + 5, *dims))
+class Workspace:
+    """The rows and worker threads that the `smooth_batch` calls of one run
+    share, for batches of up to `n_volumes` volumes of `dims`.  It runs
+    `workers` = min(CPUs this process may run on, chunks of n_volumes):
+    the calling thread and a pool of the others.  `rows` is a C-ordered
+    float64 array of n_volumes result rows, then 3 scratch rows per volume
+    of the largest chunk for each worker.  A context manager: the pool
+    threads end with its block, or with `close`; the rows stay valid."""
+
+    def __init__(self, n_volumes: int, dims):
+        size = _chunk_volumes(dims)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        self.workers = max(1, min(cpus, -(-n_volumes // size)))
+        self.rows = np.empty((n_volumes + 3 * min(size, n_volumes) * self.workers, *dims))
+        self._pool = ThreadPoolExecutor(self.workers - 1) if self.workers > 1 else None
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _run(self, tasks):
+        """Run each (fn, *args) of `tasks`, at most `workers`: the first on
+        the calling thread, each other on a pool thread in a copy of the
+        caller's context, where numpy keeps its error state, so a worker
+        raises where the caller's `np.errstate` raises.  Returns once every
+        task has ended, raising the first error."""
+        futures = [self._pool.submit(contextvars.copy_context().run, *task)
+                   for task in tasks[1:]]
+        try:
+            tasks[0][0](*tasks[0][1:])
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
+
+
+def _smooth_chunks(take, volumes, profiles, d_profiles, weight, rows, t0, size, dots):
+    """The passes of `smooth_batch` over each chunk that `take()` hands
+    this worker, until it returns None: it builds the chunk's matrices and
+    writes only the chunk's result rows of `rows` and `dots` slots, and
+    its own 3 `size` scratch rows of `rows` from row t0.  It calls only
+    private helpers and numpy, so it runs on any thread."""
+    dims = volumes.shape[1:]
+    t1, t2 = t0 + size, t0 + 2 * size
+    for start, stop, pair, one_tap in iter(take, None):
+        g = stop - start
+        ops = {n: _operand(_matrices(profiles[start:stop], d_profiles[start:stop], n),
+                           pair, one_tap) for n in set(dims)}
+        mh, mw, md = (ops[n] for n in dims)
+        x, r = volumes[start:stop], rows[start:stop]
+        if not pair:
+            _pass(_pass(_pass(x, mh, r), mw, rows[t0:t0 + g]), md, r)
+            continue
+        # each pass's out spans no row of its input (`_two`): the result
+        # rows come first, then each worker's t0, t1 and t2 rows
+        a = _pass(x, mh, _two(rows, start, t1, g))     # P_h x into r, D_h x
+        b = _pass(a[0], mw, _two(rows, t2, t0, g))     # P_w a, D_w a
+        u = _pass(a[1], mw[0], r)
+        u += b[1]
+        dz = _pass(u, md[0], rows[t1:t1 + g])
+        z = _pass(b[0], md, _two(rows, start, t0, g))  # z = P_d b, D_d b
+        dz += z[1]
+        for i, v in enumerate(dz, start):
+            # einsum, because BLAS dot sums a long vector in per-thread
+            # parts and its bits follow the thread count
+            dots[i] = float(np.einsum("ijk,ijk->", weight, v))
 
 
 def smooth_batch(volumes: np.ndarray, profiles, d_profiles, weight: np.ndarray,
-                 workspace: np.ndarray | None = None):
+                 workspace: Workspace | None = None):
     """Smooth volume i of the (N, H, W, D) batch `volumes` with `profiles[i]`
-    along every axis, the last pass writing into the volume's row of the
-    result.  Where `d_profiles[i]`, that profile's width derivative, is not
-    None, the same chain gives the volume's width derivative
+    along every axis, the last pass writing into the volume's result row.
+    Where `d_profiles[i]`, that profile's width derivative, is not None,
+    the same chain gives the volume's width derivative
 
         dz = P_d (P_w D_h x  +  D_w a)  +  D_d b
 
@@ -163,42 +284,46 @@ def smooth_batch(volumes: np.ndarray, profiles, d_profiles, weight: np.ndarray,
     and derivative products as one pair, so a volume takes 8 dense products,
     3 without a derivative profile.  Only the contraction of dz with the
     (H, W, D) `weight` is kept, None where the derivative profile is.  The
-    operators are built once per batch, with no matrix for a None
-    derivative profile.
+    operators are built once per chunk, by the worker that runs it, with
+    no matrix for a None derivative profile.
 
-    Every pass writes into `workspace`, an (M, H, W, D) float64 array of
-    M >= N + 5 rows that the caller owns (`batch_workspace`) and may pass to
-    every call of a run: 4 scratch rows reused across the volumes, then N + 1
-    result rows.  Nothing is read from it that this call did not write, so
-    its prior contents never matter.  Without one, the call allocates its
-    own.  Returns the smoothed batch, a view into the workspace that the
-    next call given the same workspace overwrites, and the contractions.
+    The batch is cut into chunks of up to G = `_chunk_volumes` consecutive
+    volumes of one kind (`_chunks`), and each pass of a chunk is one
+    broadcast product.  The workspace's workers, at most one per chunk and
+    each with its own scratch rows, take the chunks in order from one
+    queue, so a worker slowed by other load on its CPU takes fewer.  Every
+    volume takes the same products whichever chunk or worker runs it, so
+    the results do not depend on G, on the worker count or on which worker
+    took which chunk.
+
+    Every pass writes into `workspace.rows` (`Workspace`), which the caller
+    owns and may pass to every call of a run: N result rows, then 3 scratch
+    rows per volume of the largest chunk for each worker.  Nothing is read
+    from it that this call did not write, so its prior contents never
+    matter.  Rows that are too few, of other dims, or not C-ordered float64
+    are a `ValueError`.  Without a workspace, the call makes its own.
+    Returns the smoothed batch, a view into the rows that the next call
+    given the same workspace overwrites, and the contractions.
     """
     dims = volumes.shape[1:]
-    ops = {n: _matrices(profiles, d_profiles, n) for n in set(dims)}
     if workspace is None:
-        workspace = batch_workspace(len(volumes), dims)
-    if len(workspace) < len(volumes) + 5 or workspace.shape[1:] != dims:
-        raise ValueError(f"workspace of shape {workspace.shape} is too small for "
-                         f"{len(volumes)} volumes of {dims}")
-    ws = workspace[:4].reshape(4, -1)
-    # one row more than the batch: the last pair pass of volume i writes
-    # D_d b into row i + 1, the next volume's, which is not yet written
-    smoothed = workspace[4:len(volumes) + 5]
-    dots = [None] * len(volumes)
-    for i, x in enumerate(volumes):
-        mh, mw, md = (ops[n][i] for n in dims)
-        if d_profiles[i] is None:
-            _pass(_pass(_pass(x, mh, ws[0]), mw, ws[1]), md, smoothed[i])
-            continue
-        a = _pass(x, mh, ws[:2])            # P_h x, D_h x
-        b = _pass(a[0], mw, ws[2:])         # P_w a, D_w a
-        _pass(b[0], md, smoothed[i:i + 2])  # z = P_d b, D_d b
-        u = _pass(a[1], mw[0], ws[0])
-        u += b[1]
-        dz = _pass(u, md[0], ws[1])
-        dz += smoothed[i + 1]
-        # einsum, because BLAS dot sums a long vector in per-thread
-        # parts and its bits follow the thread count
-        dots[i] = float(np.einsum("ijk,ijk->", weight, dz))
-    return smoothed[:-1], dots
+        with Workspace(len(volumes), dims) as workspace:
+            return smooth_batch(volumes, profiles, d_profiles, weight, workspace)
+    chunks = _chunks(profiles, d_profiles, _chunk_volumes(dims))
+    workers = max(1, min(workspace.workers, len(chunks)))
+    size = max((stop - start for start, stop, *_ in chunks), default=0)
+    rows, n = workspace.rows, len(volumes)
+    if (len(rows) < n + 3 * size * workers or rows.shape[1:] != dims
+            or rows.dtype != np.float64 or not rows.flags.c_contiguous):
+        raise ValueError(f"workspace of shape {rows.shape} is too small for {n} "
+                         f"volumes of {dims}, or not C-ordered float64")
+    dots = [None] * n
+    lock, queue = threading.Lock(), iter(chunks)
+
+    def take():
+        with lock:
+            return next(queue, None)
+
+    workspace._run([(_smooth_chunks, take, volumes, profiles, d_profiles, weight, rows,
+                     n + 3 * size * w, size, dots) for w in range(workers)])
+    return rows[:n], dots

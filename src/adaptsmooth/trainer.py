@@ -3,12 +3,14 @@
 Each mini-batch holds all volumes of one (subject, noise level) group.  The
 adaptive forward pass is one array program per batch: cached noise features
 -> one head call for all widths, each inside the head's range -> the
-profiles of all widths -> the pass matrices, built once per batch ->
-separable smoothing, volume by volume (`conv3d.smooth_batch`); the batch
-then goes through the standardized sigmoid classifier.  Each `train` or
-`evaluate` call smooths all its batches into one workspace, allocated once
-for its largest batch and freed when it returns, so a batch's smoothed
-volumes are valid only until the call smooths its next batch.  A training
+profiles of all widths -> separable smoothing in chunks of volumes, each
+pass of a chunk one broadcast product, the chunks shared by one worker
+per CPU (`conv3d.smooth_batch`); the batch then goes through the
+standardized sigmoid classifier.  Each `train` or `evaluate` call smooths
+all its batches into one `conv3d.Workspace`, made once for its largest
+batch and closed when it returns, so its worker threads end with the call
+and a batch's smoothed volumes are valid only until the call smooths its
+next batch; the weights are the same bits on one CPU or many.  A training
 volume is smoothed and differentiated with respect to its width in one pass
 chain.  Forward contracts that derivative with the classifier
 weight to one number, the logit's width derivative, and backward multiplies
@@ -30,13 +32,14 @@ from __future__ import annotations
 
 import copy
 import math
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import classifier, params_net
-from .conv3d import batch_workspace, convolve_separable, smooth_batch
+from .conv3d import Workspace, convolve_separable, smooth_batch
 from .errors import DataError, NumericalError
 from .gaussian_filter import (
     DEFAULT_TRUNCATION,
@@ -223,7 +226,7 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, training: bool =
     with the width derivative of its filter, in the same pass chain;
     ``fwd["dz"]`` keeps only that derivative's dot product with the
     classifier weight.  The volumes are smoothed into `workspace`
-    (`conv3d.smooth_batch`'s), a fresh one when None, so ``fwd["smoothed"]``
+    (a `conv3d.Workspace`), a fresh one when None, so ``fwd["smoothed"]``
     and the classifier cache's ``x`` are views into it, valid until the
     next batch smoothed into it.  A fixed width classifies the loaded
     volumes in place: the caller passes the weight smoothed with it
@@ -281,9 +284,9 @@ def _evaluate_split(batches, pnw, cw, cfg, split, profile=None, workspace=None):
     with `profile` when given (`train`'s); w does not change during an
     evaluation, so every batch is classified with the same K w.  An
     adaptive width smooths every batch into one workspace, `workspace`
-    when given (`train`'s), else one allocated for this call and sized
-    for the split's largest batch; no smoothed batch outlives the next
-    one, and none is returned.  The first
+    when given (`train`'s), else one made for this call, sized for the
+    split's largest batch and closed, with its threads, when it returns;
+    no smoothed batch outlives the next one, and none is returned.  The first
     operation that overflows float64 ends it with a `NumericalError` naming
     the split."""
     batches = [b for b in batches if b.split == split]
@@ -292,15 +295,15 @@ def _evaluate_split(batches, pnw, cw, cfg, split, profile=None, workspace=None):
     # one record per noise level, and the split's total under the key None
     records = {}
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise"), ExitStack() as owned:
             if cfg.fixed_sigma is not None:
                 dims = batches[0].volumes.shape[1:]
                 if profile is None:
                     profile = _fixed_profile(cfg, dims)
                 cw = _smoothed_weight(cw, profile, dims)
             elif workspace is None:
-                workspace = batch_workspace(max(b.size for b in batches),
-                                            batches[0].volumes.shape[1:])
+                workspace = owned.enter_context(Workspace(
+                    max(b.size for b in batches), batches[0].volumes.shape[1:]))
             for b in batches:
                 fwd = _forward_batch(b, pnw, cw, cfg, workspace=workspace)
                 acc = classifier.accuracy(fwd["probs"], b.labels)
@@ -354,57 +357,58 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     cw = classifier.xavier_init(dims, cfg.seed + 1)
     # a fixed width's filter serves every step and evaluation of the run
     profile = None if cfg.fixed_sigma is None else _fixed_profile(cfg, dims)
-    # and an adaptive width's smoothing workspace every batch of it
-    workspace = None if profile is not None else batch_workspace(
-        max(b.size for b in batches), dims)
     report = TrainReport(config=cfg)
+    # and an adaptive width's smoothing workspace, with its threads, every
+    # batch of it
+    with (nullcontext() if profile is not None
+          else Workspace(max(b.size for b in batches), dims)) as workspace:
+        best = {"loss": math.inf, "epoch": -1, "pnw": None, "cw": None}
 
-    best = {"loss": math.inf, "epoch": -1, "pnw": None, "cw": None}
+        for epoch in range(1, cfg.max_epochs + 1):
+            epoch_loss, n_seen = 0.0, 0
+            # a diverging run overflows float64 before its loss turns
+            # non-finite: the first overflowing operation ends it, naming
+            # the step under way
+            try:
+                with np.errstate(over="raise"):
+                    for batch in make_batches(batches, cfg.seed + epoch):
+                        loss, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg,
+                                                                profile, workspace)
+                        if not math.isfinite(loss):
+                            raise NumericalError(
+                                f"non-finite loss at epoch {epoch} "
+                                f"(subject {batch.subject_id}, noise {batch.noise_level}); "
+                                f"last widths {[round(s, 4) for s in fwd['sigmas']]}")
+                        # plain SGD on every parameter: w, bias, a, b, v, c
+                        for name, g in grads.items():
+                            owner = cw if name in ("w", "bias") else pnw
+                            setattr(owner, name,
+                                    getattr(owner, name) - cfg.learning_rate * g)
+                        epoch_loss += loss * batch.size
+                        n_seen += batch.size
+            except FloatingPointError as exc:
+                raise NumericalError(f"{exc} at epoch {epoch} (subject {batch.subject_id}, "
+                                     f"noise {batch.noise_level})") from None
+            val = _evaluate_split(batches, pnw, cw, cfg, "validation", profile, workspace)
+            train_loss = epoch_loss / n_seen
+            report.epochs.append({"epoch": epoch, "train_loss": train_loss,
+                                  "val_loss": val["loss"],
+                                  "val_accuracy": val["accuracy"]})
+            if val["loss"] < best["loss"]:
+                best = {"loss": val["loss"], "epoch": epoch,
+                        "pnw": copy.deepcopy(pnw), "cw": copy.deepcopy(cw)}
+            # patience counts from the best epoch, or from 0 while none is finite
+            elif epoch - max(best["epoch"], 0) >= cfg.patience:
+                break
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        epoch_loss, n_seen = 0.0, 0
-        # a diverging run overflows float64 before its loss turns non-finite:
-        # the first overflowing operation ends it, naming the step under way
-        try:
-            with np.errstate(over="raise"):
-                for batch in make_batches(batches, cfg.seed + epoch):
-                    loss, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg,
-                                                            profile, workspace)
-                    if not math.isfinite(loss):
-                        raise NumericalError(
-                            f"non-finite loss at epoch {epoch} "
-                            f"(subject {batch.subject_id}, noise {batch.noise_level}); "
-                            f"last widths {[round(s, 4) for s in fwd['sigmas']]}")
-                    # plain SGD on every parameter: w, bias, a, b, v, c
-                    for name, g in grads.items():
-                        owner = cw if name in ("w", "bias") else pnw
-                        setattr(owner, name,
-                                getattr(owner, name) - cfg.learning_rate * g)
-                    epoch_loss += loss * batch.size
-                    n_seen += batch.size
-        except FloatingPointError as exc:
-            raise NumericalError(f"{exc} at epoch {epoch} (subject {batch.subject_id}, "
-                                 f"noise {batch.noise_level})") from None
-        val = _evaluate_split(batches, pnw, cw, cfg, "validation", profile, workspace)
-        train_loss = epoch_loss / n_seen
-        report.epochs.append({"epoch": epoch, "train_loss": train_loss,
-                              "val_loss": val["loss"],
-                              "val_accuracy": val["accuracy"]})
-        if val["loss"] < best["loss"]:
-            best = {"loss": val["loss"], "epoch": epoch,
-                    "pnw": copy.deepcopy(pnw), "cw": copy.deepcopy(cw)}
-        # patience counts from the best epoch, or from 0 while none is finite
-        elif epoch - max(best["epoch"], 0) >= cfg.patience:
-            break
+        if best["pnw"] is not None:
+            pnw, cw = best["pnw"], best["cw"]
+        report.best_epoch = best["epoch"]
+        report.stopped_epoch = report.epochs[-1]["epoch"]
 
-    if best["pnw"] is not None:
-        pnw, cw = best["pnw"], best["cw"]
-    report.best_epoch = best["epoch"]
-    report.stopped_epoch = report.epochs[-1]["epoch"]
-
-    test = _evaluate_split(batches, pnw, cw, cfg, "test", profile, workspace)
-    report.test_accuracy = test["accuracy"]
-    report.per_noise = test["per_noise"]
+        test = _evaluate_split(batches, pnw, cw, cfg, "test", profile, workspace)
+        report.test_accuracy = test["accuracy"]
+        report.per_noise = test["per_noise"]
     return pnw, cw, report
 
 

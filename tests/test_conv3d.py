@@ -136,6 +136,62 @@ def test_output_does_not_depend_on_blas_threads():
     assert digests[0] == digests[1]
 
 
+
+_CPU_DIGESTS = """
+import hashlib, os, sys
+import numpy as np
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+elif sys.argv[1] == "four":
+    # more workers than CPUs, handing the interpreter over every microsecond
+    os.sched_getaffinity = lambda pid: set(range(4))
+    sys.setswitchinterval(1e-6)
+from adaptsmooth import conv3d, params_net, trainer
+from adaptsmooth.gaussian_filter import build_profiles
+dims = (9, 11, 7)
+n = 2 * conv3d._chunk_volumes(dims) + 3  # not a multiple of G
+rng = np.random.default_rng(3)
+volumes, w = rng.normal(size=(n, *dims)), rng.normal(size=dims)
+sigmas = rng.uniform(0.4, 1.6, n)
+sigmas[[5, n - 2]] = 0.1  # 1-tap widths
+_, ps, dps = build_profiles(sigmas, 4.0, min(dims))
+with conv3d.Workspace(n, dims) as workspace:
+    print(workspace.workers)
+    for d_profiles in (dps, [None] * n):  # a training step, an evaluation
+        z, dots = conv3d.smooth_batch(volumes, ps, d_profiles, w, workspace)
+        print(hashlib.sha256(z.tobytes() + repr(dots).encode()).hexdigest())
+batches = []
+for i, split in enumerate(trainer.SPLITS):
+    vols = np.random.default_rng(i).normal(0.5, 0.2, (n, *dims))
+    batches.append(trainer.MiniBatch(f"s{i}", 0.1 * i, split, vols, np.arange(n) % 2.0,
+                                     np.array([params_net.noise_feature(v) for v in vols])))
+pnw, cw, _ = trainer.train(trainer.TrainConfig(max_epochs=2, patience=2, seed=5, width_m=8),
+                           batches)
+h = hashlib.sha256()
+for weights in (pnw.a, pnw.b, pnw.v, pnw.c, cw.w, cw.bias):
+    h.update(np.asarray(weights, dtype=np.float64).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_output_does_not_depend_on_cpu_count():
+    """Smoothing, width derivatives and a 2-epoch training are bit for bit
+    the same on one worker (the process pinned to one CPU), on one per
+    CPU, and on four workers whatever the CPU count."""
+    src = str(Path(adaptsmooth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = {}
+    for mode in ("pinned", "free", "four"):
+        result = subprocess.run([sys.executable, "-c", _CPU_DIGESTS, mode], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        workers, *runs[mode] = result.stdout.split()
+        assert int(workers) == {"pinned": 1, "four": 3}.get(
+            mode, min(3, len(os.sched_getaffinity(0))))
+    assert len(runs["pinned"]) == 3
+    assert runs["pinned"] == runs["free"] == runs["four"]
+
+
 def test_linearity():
     rng = np.random.default_rng(2)
     x, y = rng.normal(size=(6, 6, 6)), rng.normal(size=(6, 6, 6))
@@ -217,32 +273,52 @@ class TestSmoothWithDsigma:
         np.testing.assert_array_equal(z[2], volumes[2])
 
     def test_matrices_only_for_given_derivative_profiles(self):
-        # evaluation passes no derivative profile and builds no matrix for one
+        # evaluation passes no derivative profile and builds no matrix for
+        # one; a chunk holds volumes of one kind, and a 1-tap one's operand
+        # is the scale
         _, ps, dps = build_profiles([1.1, 0.6, 0.1], 4.0)
-        for d_profiles, rows in (([None] * 3, 3), ([dps[0], None, dps[2]], 5)):
-            entries = conv3d._matrices(ps, d_profiles, 9)
-            assert {m.base.shape for m in entries} == {(rows, 9, 9)}
-            assert [m.shape for m in entries] == [(9, 9) if d_profiles[0] is None else (2, 9, 9),
-                                                  (9, 9),
-                                                  (1, 1) if d_profiles[2] is None else (2, 1, 1)]
+        for d_profiles, rows, shapes in (
+                ([None] * 3, 3, [(2, 9, 9), (1, 1, 1)]),
+                ([dps[0], None, dps[2]], 5, [(2, 1, 9, 9), (1, 9, 9), (2, 1, 1, 1)])):
+            assert conv3d._matrices(ps, d_profiles, 9).shape == (rows, 9, 9)
+            operands = [conv3d._operand(conv3d._matrices(ps[i:j], d_profiles[i:j], 9),
+                                        pair, one_tap)
+                        for i, j, pair, one_tap in conv3d._chunks(ps, d_profiles, 3)]
+            assert [m.shape for m in operands] == shapes
 
     def test_prior_workspace_contents_never_read(self):
-        """A reused workspace, here filled with NaN and one row longer than
-        the batch needs, gives the bits of a fresh one; the smoothed batch
-        is a view into it."""
+        """A reused workspace, here filled with NaN and sized for one volume
+        more than the batch, gives the bits of a fresh one; the smoothed
+        batch is a view into it."""
         rng = np.random.default_rng(8)
         dims = (9, 11, 7)
         volumes, w = rng.normal(size=(3, *dims)), rng.normal(size=dims)
         _, ps, dps = build_profiles([1.1, 0.6, 0.1], 4.0)
         for d_profiles in ([None] * 3, [dps[0], None, dps[2]], dps):
             z, dots = smooth_batch(volumes, ps, d_profiles, w)
-            workspace = np.full((len(volumes) + 6, *dims), np.nan)
-            z_reused, dots_reused = smooth_batch(volumes, ps, d_profiles, w, workspace)
-            assert np.shares_memory(z_reused, workspace)
+            with conv3d.Workspace(len(volumes) + 1, dims) as workspace:
+                workspace.rows.fill(np.nan)
+                z_reused, dots_reused = smooth_batch(volumes, ps, d_profiles, w, workspace)
+            assert np.shares_memory(z_reused, workspace.rows)
             assert z_reused.tobytes() == z.tobytes()
             assert dots_reused == dots
-        with pytest.raises(ValueError, match="too small"):
-            smooth_batch(volumes, ps, dps, w, conv3d.batch_workspace(2, dims))
+        with pytest.raises(ValueError, match="too small"), conv3d.Workspace(2, dims) as small:
+            smooth_batch(volumes, ps, dps, w, small)
+
+    def test_rows_not_c_ordered_float64_refused(self):
+        # float32 rows would round every pass, and Fortran-ordered ones
+        # would make `_pass` write into copies of them
+        rng = np.random.default_rng(8)
+        dims = (9, 9, 9)
+        volumes, w = rng.normal(size=(3, *dims)), rng.normal(size=dims)
+        _, ps, dps = build_profiles([1.1, 0.6, 1.6], 4.0)
+        with conv3d.Workspace(len(volumes), dims) as workspace:
+            rows = workspace.rows
+            for bad in (rows.astype(np.float32), np.asfortranarray(rows)):
+                workspace.rows = bad
+                for d_profiles in ([None] * 3, dps):
+                    with pytest.raises(ValueError, match="too small .* or not C-ordered float64"):
+                        smooth_batch(volumes, ps, d_profiles, w, workspace)
 
     def test_bad_profiles_rejected(self):
         x = np.zeros((1, 4, 4, 4))

@@ -1,12 +1,14 @@
 import copy
 import math
 import re
+import threading
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from adaptsmooth import classifier, params_net, phantom, trainer
+from adaptsmooth import classifier, conv3d, params_net, phantom, trainer
 from adaptsmooth.conv3d import convolve_separable
 from adaptsmooth.errors import DataError, NumericalError
 from adaptsmooth.gaussian_filter import (
@@ -572,7 +574,7 @@ class TestWorkspace:
             z, dots = smooth(volumes, profiles, d_profiles, weight, workspace)
             if not first:
                 first.append(weakref.ref(workspace))
-            shared.append(np.shares_memory(z, first[0]()))
+            shared.append(np.shares_memory(z, first[0]().rows))
             return z, dots
 
         monkeypatch.setattr(trainer, "smooth_batch", recorded)
@@ -601,7 +603,98 @@ class TestWorkspace:
 
         monkeypatch.setattr(trainer, "smooth_batch", recorded)
         assert evaluate(pnw, cw, [big, small], "test")["per_noise"] == alone
-        assert workspaces[0] is workspaces[1] and len(workspaces[0]) == big.size + 5
+        assert workspaces[0] is workspaces[1]
+        with conv3d.Workspace(big.size, dims) as sized:
+            assert workspaces[0].rows.shape == sized.rows.shape
+
+
+def _wide_dataset(dims=(9, 11, 7)):
+    """One group per split of 2G + 3 volumes of `dims`, G a chunk's most
+    volumes: 3 chunks a batch, so a batch runs on more than one worker."""
+    n = 2 * conv3d._chunk_volumes(dims) + 3
+    return [_make_group(f"s{i}", 0.1 * i, split, n, dims, seed=i)
+            for i, split in enumerate(trainer.SPLITS)]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two workers per wide batch, whatever the host's CPU count."""
+    monkeypatch.setattr(conv3d.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class TestWorkers:
+    """Pool threads smooth chunks beside the calling thread; they end with
+    the `train` or `evaluate` call that started them, and follow the
+    caller's floating-point error state."""
+
+    def test_no_thread_outlives_train_or_evaluate(self, two_cpus, monkeypatch):
+        chunks = conv3d._smooth_chunks
+        threads = set()
+
+        def recorded(*args):
+            threads.add(threading.current_thread())
+            return chunks(*args)
+
+        monkeypatch.setattr(conv3d, "_smooth_chunks", recorded)
+        batches = _wide_dataset()
+        before = set(threading.enumerate())
+        cfg = TrainConfig(max_epochs=2, patience=2, seed=5, width_m=8)
+        pnw, cw, _ = train(cfg, batches)
+        assert set(threading.enumerate()) == before
+        assert len(threads) == 2
+        threads.clear()
+        evaluate(pnw, cw, batches, "test", cfg)
+        assert set(threading.enumerate()) == before
+        assert len(threads) == 2
+
+    def test_overflow_in_a_worker_is_numerical_error(self, two_cpus, monkeypatch):
+        """The first chunk of each batch holds volumes of 1e308 that
+        profiles scaled by 4 overflow, and a pool thread takes it: the
+        calling thread waits until it has, then smooths the other chunks,
+        which do not overflow."""
+        batches = _wide_dataset()
+        dims = batches[0].volumes.shape[1:]
+        for b in batches:
+            b.volumes[:3] = 1e308
+        build = trainer.build_profiles
+
+        def scaled(*args):
+            radii, profiles, d_profiles = build(*args)
+            return radii, [4 * p for p in profiles], d_profiles
+
+        monkeypatch.setattr(trainer, "build_profiles", scaled)
+        chunks = conv3d._smooth_chunks
+        taken, raised = threading.Event(), []
+
+        def worker_first(take, *args):
+            if threading.current_thread() is threading.main_thread():
+                assert taken.wait(timeout=30)
+                taken.clear()
+                return chunks(take, *args)
+
+            def take_and_tell():
+                chunk = take()
+                taken.set()
+                return chunk
+
+            try:
+                return chunks(take_and_tell, *args)
+            except FloatingPointError:
+                raised.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(conv3d, "_smooth_chunks", worker_first)
+        cfg = TrainConfig(max_epochs=2, patience=2, seed=5, width_m=8)
+        pnw = _init_head(8, 5, dims)
+        cw = classifier.xavier_init(dims, 6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="overflow .* at epoch 1"):
+                train(cfg, batches)
+            with pytest.raises(NumericalError, match="overflow .* evaluating the test split"):
+                evaluate(pnw, cw, batches, "test", cfg)
+        assert len(raised) == 2 and threading.main_thread() not in raised
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestTrain:
