@@ -6,13 +6,14 @@ with an odd-length profile p of radius r as one dense BLAS product with the
 n x n banded matrix M[i, j] = p[j - i + r] (zero outside the band, which is
 the zero padding) and leaves that axis last, so three passes visit h, w and
 d and end in (h, w, d) order; at the package's volume sizes a dense product
-in BLAS beats a tap loop over the band.  Matrices are built once per
-distinct axis length of a call, or of a chunk.  `smooth_batch` smooths a batch,
-each volume with its own profile, and in the same chain gives the width
-derivative of each volume given a derivative profile: 8 dense products, 3
+in BLAS beats a tap loop over the band.  A 1-tap profile is its full matrix
+too, p[0] times the identity.  Matrices are built once per distinct axis
+length of a call, or of a chunk.  `smooth_batch` smooths a batch, each
+volume with its own profile, and when the call gives derivative profiles,
+the width derivative of every volume in the same chain: 8 dense products, 3
 pairs that read x, a = P_h x and b = P_w a and 2 single passes that finish
 dz = P_d (P_w D_h x + D_w a) + D_d b.  It cuts the batch into chunks of up
-to G volumes of one kind, G from a fixed byte budget (`_chunk_volumes`), and
+to G consecutive volumes, G from a fixed byte budget (`_chunk_volumes`), and
 each pass of a chunk is one broadcast product over the chunk's stack of
 matrices, a pair pass over its stack of (smoothing, derivative) pairs.
 numpy computes a broadcast product as one BLAS product per matrix, so every
@@ -78,28 +79,26 @@ def convolve(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return z
 
 
-def _matrices(profiles, d_profiles, n: int) -> np.ndarray:
+def _matrices(profiles, n: int) -> np.ndarray:
     """The correlation with each odd-length profile along an axis of length
-    `n`, the zero-padded banded n x n matrix M[i, j] = p[j - i + r], and
-    where `d_profiles[i]` is not None the matrix D of that derivative
-    profile, as one (K, n, n) stack: M.T of volume i, then its D.T if any,
-    then those of volume i + 1, with no rows for a None derivative.  Each
-    is stored transposed and C-ordered, as the right operand of `_pass`'s
-    product: BLAS reads it faster than a transposed view of M, with the
-    same bits.  Row i of M.T is q[i : n + i] reversed, of its profile
-    zero-padded to 2n - 1, so the stack is a view of the padded profiles
-    with column stride -1 element, copied to C order once."""
-    flat = [np.asarray(v, dtype=np.float64) for p, dp in zip(profiles, d_profiles)
-            for v in ((p,) if dp is None else (p, dp))]
-    q = np.zeros((len(flat), 2 * n - 1))
-    for k, p in enumerate(flat):
-        if p.size % 2 == 0:
-            raise DataError(f"profile length must be odd, got {p.size}")
+    `n`, the zero-padded banded n x n matrix M[i, j] = p[j - i + r], as one
+    (K, n, n) stack of the K profiles' M.T in order.  Each is stored
+    transposed and C-ordered, as the right operand of `_pass`'s product:
+    BLAS reads it faster than a transposed view of M, with the same bits.
+    Row i of M.T is q[i : n + i] reversed, of its profile zero-padded to
+    2n - 1, so the stack is a view of the padded profiles with column
+    stride -1 element, copied to C order once."""
+    q = np.zeros((len(profiles), 2 * n - 1))
+    for k, p in enumerate(profiles):
+        p = np.asarray(p, dtype=np.float64)
+        # None would pass as a 0-d NaN
+        if p.ndim != 1 or p.size % 2 == 0:
+            raise DataError(f"profile must be 1-D of odd length, got shape {p.shape}")
         if p.size > n:
             raise DataError(f"profile length {p.size} exceeds dim {n}")
         r = p.size // 2
         q[k, n - 1 - r:n + r] = p
-    return np.ndarray((len(flat), n, n), buffer=q, offset=(n - 1) * q.itemsize,
+    return np.ndarray((len(profiles), n, n), buffer=q, offset=(n - 1) * q.itemsize,
                       strides=(q.strides[0], q.itemsize, -q.itemsize)).copy()
 
 
@@ -109,54 +108,24 @@ def _chunk_volumes(dims) -> int:
     return max(1, _CHUNK_BYTES // (4 * 8 * math.prod(dims)))
 
 
-def _chunks(profiles, d_profiles, size: int) -> list:
-    """The batch cut into runs of at most `size` consecutive volumes of one
-    kind, as (start, stop, pair, one_tap): the volumes start..stop - 1 are
-    all differentiated (pair) or none is, and all have 1-tap profiles
-    (one_tap), a scale, or none has.  One kind shares one product form."""
-    chunks = []
-    for i, (p, dp) in enumerate(zip(profiles, d_profiles)):
-        kind = [dp is not None, np.size(p) == 1 and (dp is None or np.size(dp) == 1)]
-        if chunks and chunks[-1][2:] == kind and i - chunks[-1][0] < size:
-            chunks[-1][1] = i + 1
-        else:
-            chunks.append([i, i + 1, *kind])
-    return chunks
-
-
-def _operand(stack: np.ndarray, pair: bool, one_tap: bool) -> np.ndarray:
-    """The `_matrices` stack of a chunk's g volumes, all of one kind
-    (`_chunks`), as the right operand of its passes: (g, n, n), or the
-    (2, g, n, n) smoothing and derivative pairs, each cut to its (1, 1)
-    corner, the scale p[0], for 1-tap profiles."""
-    n = stack.shape[-1]
-    m = stack.reshape(-1, 1 + pair, n, n)
-    if one_tap:
-        m = m[..., :1, :1]
-    return m.swapaxes(0, 1) if pair else m[:, 0]
-
-
 def _pass(x: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply `m` along the axis of length n that leads the last three of
     `x`, moving that axis last: (..., h, w, d) in, (..., w, d, h) out, as
     the C-ordered (rest, n) product of each volume with its M.T, written
     into `out` if given.  A volume takes one matrix (n, n); a (g, h, w, d)
-    chunk takes its `_operand`, (g, n, n), or (2, g, n, n) for pairs, out
+    chunk takes its (g, n, n) stack, or a (2, g, n, n) stack of pairs, out
     (2, g, w, d, h).  numpy runs a broadcast product as one gemm per
     matrix, so each result is bit for bit the single product of one
     volume.  Its bits do not depend on the BLAS thread count, where those
     of `M @ x.reshape(n, -1)` differ between 1 and 2 OpenBLAS threads for
     some n (61 among them), nor on `out`: matmul writes the bits it would
-    allocate.  A 1-tap `m` scales and rotates."""
+    allocate."""
     n = x.shape[-3]
     rows = x.reshape(*x.shape[:-3], n, -1).swapaxes(-1, -2)
     lead = m.shape[:m.ndim - rows.ndim]
     if out is not None:
         out = out.reshape(lead + rows.shape)
-    if m.shape[-1] == 1:
-        res = np.multiply(rows, m, out=out)
-    else:
-        res = np.matmul(rows, m, out=out)
+    res = np.matmul(rows, m, out=out)
     return res.reshape(lead + x.shape[:-3] + x.shape[-2:] + (n,))
 
 
@@ -185,7 +154,7 @@ def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
     out = x
     for p, n in zip(profiles, x.shape):
         if (id(p), n) not in built:
-            built[id(p), n] = _operand(_matrices([p], [None], n), False, np.size(p) == 1)[0]
+            built[id(p), n] = _matrices([p], n)[0]
         # each intermediate is freed once the next pass has read it, so its
         # memory, still in cache, is reused: keeping all three alive made
         # the fixed-width training step measurably slower
@@ -237,21 +206,23 @@ class Workspace:
 
 
 def _smooth_chunks(take, volumes, profiles, d_profiles, weight, rows, t0, size, dots):
-    """The passes of `smooth_batch` over each chunk that `take()` hands
-    this worker, until it returns None: it builds the chunk's matrices and
-    writes only the chunk's result rows of `rows` and `dots` slots, and
-    its own 3 `size` scratch rows of `rows` from row t0.  It calls only
-    private helpers and numpy, so it runs on any thread."""
+    """The passes of `smooth_batch` over the chunk from each start that
+    `take()` hands this worker, until it returns None: it builds the chunk's
+    matrices and writes only the chunk's result rows of `rows` and `dots`
+    slots, and its own 3 `size` scratch rows of `rows` from row t0.  It
+    calls only private helpers and numpy, so it runs on any thread."""
     dims = volumes.shape[1:]
     t1, t2 = t0 + size, t0 + 2 * size
-    for start, stop, pair, one_tap in iter(take, None):
-        g = stop - start
-        ops = {n: _operand(_matrices(profiles[start:stop], d_profiles[start:stop], n),
-                           pair, one_tap) for n in set(dims)}
+    pair = d_profiles is not None
+    for start in iter(take, None):
+        stop = min(start + size, len(volumes))
+        g, x, r = stop - start, volumes[start:stop], rows[start:stop]
+        # pairs are (2, g, n, n): the g smoothing matrices, then their derivatives
+        chunk = [*profiles[start:stop], *(d_profiles[start:stop] if pair else ())]
+        ops = {n: _matrices(chunk, n).reshape(1 + pair, g, n, n) for n in set(dims)}
         mh, mw, md = (ops[n] for n in dims)
-        x, r = volumes[start:stop], rows[start:stop]
         if not pair:
-            _pass(_pass(_pass(x, mh, r), mw, rows[t0:t0 + g]), md, r)
+            _pass(_pass(_pass(x, mh[0], r), mw[0], rows[t0:t0 + g]), md[0], r)
             continue
         # each pass's out spans no row of its input (`_two`): the result
         # rows come first, then each worker's t0, t1 and t2 rows
@@ -272,8 +243,8 @@ def smooth_batch(volumes: np.ndarray, profiles, d_profiles, weight: np.ndarray,
                  workspace: Workspace | None = None):
     """Smooth volume i of the (N, H, W, D) batch `volumes` with `profiles[i]`
     along every axis, the last pass writing into the volume's result row.
-    Where `d_profiles[i]`, that profile's width derivative, is not None,
-    the same chain gives the volume's width derivative
+    Given `d_profiles`, one width derivative of its profile per volume, the
+    same chain gives each volume's width derivative
 
         dz = P_d (P_w D_h x  +  D_w a)  +  D_d b
 
@@ -282,19 +253,18 @@ def smooth_batch(volumes: np.ndarray, profiles, d_profiles, weight: np.ndarray,
     dz = (1, 1, P_d) u + (P_h, P_w, D_d) x of `convolve_separable` calls, 1
     the identity.  The passes that read x, a and b each run their smoothing
     and derivative products as one pair, so a volume takes 8 dense products,
-    3 without a derivative profile.  Only the contraction of dz with the
-    (H, W, D) `weight` is kept, None where the derivative profile is.  The
-    operators are built once per chunk, by the worker that runs it, with
-    no matrix for a None derivative profile.
+    3 when `d_profiles` is None, as in an evaluation.  Only the contraction
+    of dz with the (H, W, D) `weight` is kept.  The operators are built
+    once per chunk, by the worker that runs it.  A `profiles`, or given
+    `d_profiles`, without one entry per volume is a `ValueError`.
 
     The batch is cut into chunks of up to G = `_chunk_volumes` consecutive
-    volumes of one kind (`_chunks`), and each pass of a chunk is one
-    broadcast product.  The workspace's workers, at most one per chunk and
-    each with its own scratch rows, take the chunks in order from one
-    queue, so a worker slowed by other load on its CPU takes fewer.  Every
-    volume takes the same products whichever chunk or worker runs it, so
-    the results do not depend on G, on the worker count or on which worker
-    took which chunk.
+    volumes, and each pass of a chunk is one broadcast product.  The
+    workspace's workers, at most one per chunk and each with its own
+    scratch rows, take the chunks in order from one queue, so a worker
+    slowed by other load on its CPU takes fewer.  Every volume takes the
+    same products whichever chunk or worker runs it, so the results do not
+    depend on G, on the worker count or on which worker took which chunk.
 
     Every pass writes into `workspace.rows` (`Workspace`), which the caller
     owns and may pass to every call of a run: N result rows, then 3 scratch
@@ -303,21 +273,25 @@ def smooth_batch(volumes: np.ndarray, profiles, d_profiles, weight: np.ndarray,
     matter.  Rows that are too few, of other dims, or not C-ordered float64
     are a `ValueError`.  Without a workspace, the call makes its own.
     Returns the smoothed batch, a view into the rows that the next call
-    given the same workspace overwrites, and the contractions.
+    given the same workspace overwrites, and the list of contractions, or
+    None without `d_profiles`.
     """
-    dims = volumes.shape[1:]
+    dims, n = volumes.shape[1:], len(volumes)
+    if len(profiles) != n or (d_profiles is not None and len(d_profiles) != n):
+        raise ValueError(f"{n} volumes need one profile each, and one derivative "
+                         "profile each or None")
     if workspace is None:
-        with Workspace(len(volumes), dims) as workspace:
+        with Workspace(n, dims) as workspace:
             return smooth_batch(volumes, profiles, d_profiles, weight, workspace)
-    chunks = _chunks(profiles, d_profiles, _chunk_volumes(dims))
+    chunks = range(0, n, _chunk_volumes(dims))
     workers = max(1, min(workspace.workers, len(chunks)))
-    size = max((stop - start for start, stop, *_ in chunks), default=0)
-    rows, n = workspace.rows, len(volumes)
+    size = min(chunks.step, n)
+    rows = workspace.rows
     if (len(rows) < n + 3 * size * workers or rows.shape[1:] != dims
             or rows.dtype != np.float64 or not rows.flags.c_contiguous):
         raise ValueError(f"workspace of shape {rows.shape} is too small for {n} "
                          f"volumes of {dims}, or not C-ordered float64")
-    dots = [None] * n
+    dots = None if d_profiles is None else [None] * n
     lock, queue = threading.Lock(), iter(chunks)
 
     def take():

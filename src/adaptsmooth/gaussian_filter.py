@@ -73,13 +73,16 @@ def filter_radius(sigma_f: float, t: float) -> int:
 
 
 def width_range(dims, t: float) -> tuple[float, float]:
-    """(lo, hi): lo = 1.5 / t is the smallest width of radius 1, and hi the
-    largest whose filter fits a volume of `dims`, side 2r + 1 <= min dim."""
+    """(lo, hi): lo, about 1.5 / t, is the smallest width of radius 1, and
+    hi the largest whose filter fits a volume of `dims`, side 2r + 1 <= min dim."""
     if min(dims) < 3:
         raise DataError(f"no filter of radius 1 fits volumes of dims {tuple(dims)}; "
                         "every dim must be >= 3")
     r_max = (min(dims) - 1) // 2
-    return 1.5 / t, (2.0 * r_max + 1.4) / t
+    lo = 1.5 / t
+    while filter_radius(lo, t) < 1:  # t * (1.5 / t) rounds below 1.5 for some t
+        lo = math.nextafter(lo, math.inf)
+    return lo, (2.0 * r_max + 1.4) / t
 
 
 def build_profiles(sigmas, t: float = DEFAULT_TRUNCATION, max_side: int | None = None):

@@ -225,10 +225,10 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, training: bool =
     batch with `cw`.  In a training step each volume is also convolved
     with the width derivative of its filter, in the same pass chain;
     ``fwd["dz"]`` keeps only that derivative's dot product with the
-    classifier weight.  The volumes are smoothed into `workspace`
-    (a `conv3d.Workspace`), a fresh one when None, so ``fwd["smoothed"]``
-    and the classifier cache's ``x`` are views into it, valid until the
-    next batch smoothed into it.  A fixed width classifies the loaded
+    classifier weight; an evaluation leaves it None.  The volumes are
+    smoothed into `workspace` (a `conv3d.Workspace`), a fresh one when
+    None, so the classifier cache's ``x`` is a view into it, valid until
+    the next batch smoothed into it.  A fixed width classifies the loaded
     volumes in place: the caller passes the weight smoothed with it
     (`_smoothed_weight`).  Returns everything backward needs."""
     if cfg.fixed_sigma is not None:
@@ -242,10 +242,9 @@ def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, training: bool =
         sigmas = params_net.map_to_sigmas(batch.features, pnw)
         _, profiles, d_profiles = build_profiles(sigmas, cfg.truncation, min(dims))
         # dlogit_i/dsigma_i = w . dz_i is the one number backward needs
-        smoothed, dz = smooth_batch(batch.volumes, profiles,
-                                    d_profiles if training else [None] * batch.size,
+        smoothed, dz = smooth_batch(batch.volumes, profiles, d_profiles if training else None,
                                     cw.w.reshape(dims), workspace)
-        fwd = {"sigmas": sigmas.tolist(), "smoothed": smoothed, "dz": dz}
+        fwd = {"sigmas": sigmas.tolist(), "dz": dz}
         probs, cache = classifier.forward(smoothed, cw)
     return {**fwd, "probs": probs, "cache": cache,
             "data_loss": classifier.bce_loss(probs, batch.labels)}

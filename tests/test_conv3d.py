@@ -115,7 +115,7 @@ loss, grads, fwd = trainer.batch_loss_and_grads(
     batch, params_net.init_weights(8, 43, 0.375, 5.85),
     classifier.xavier_init((24, 24, 24), 44), trainer.TrainConfig(lambda_l2=1e-3, seed=1))
 assert len(fwd["dz"]) == 6 and all(isinstance(dz, float) for dz in fwd["dz"])
-h = hashlib.sha256(np.float64(loss).tobytes() + fwd["smoothed"].tobytes())
+h = hashlib.sha256(np.float64(loss).tobytes() + fwd["cache"]["x"].tobytes())
 for name in ("w", "bias", "a", "b", "v", "c"):
     h.update(np.asarray(grads[name], dtype=np.float64).tobytes())
 print(h.hexdigest())
@@ -157,7 +157,7 @@ sigmas[[5, n - 2]] = 0.1  # 1-tap widths
 _, ps, dps = build_profiles(sigmas, 4.0, min(dims))
 with conv3d.Workspace(n, dims) as workspace:
     print(workspace.workers)
-    for d_profiles in (dps, [None] * n):  # a training step, an evaluation
+    for d_profiles in (dps, None):  # a training step, an evaluation
         z, dots = conv3d.smooth_batch(volumes, ps, d_profiles, w, workspace)
         print(hashlib.sha256(z.tobytes() + repr(dots).encode()).hexdigest())
 batches = []
@@ -244,9 +244,9 @@ class TestSmoothWithDsigma:
             assert np.max(np.abs(dz - convolve(x, f.d_weights_d_sigma))) < 1e-12
 
     def test_dense_products_per_volume(self, monkeypatch):
-        """One call runs 8 dense products for a volume it differentiates, 3
-        for one it only smooths, and none for a radius-0 width, whose
-        width derivative stays 0."""
+        """One call runs 8 dense products per volume when it differentiates
+        and 3 when it only smooths, for a radius-0 width too, whose width
+        derivative stays 0."""
         products = []
         matmul = np.matmul
 
@@ -259,32 +259,30 @@ class TestSmoothWithDsigma:
         volumes, w = rng.normal(size=(3, 9, 11, 7)), rng.normal(size=(9, 11, 7))
         radii, ps, dps = build_profiles([1.1, 0.6, 0.1], 4.0)
         assert radii == [2, 1, 0]
-        for d_profiles, want in (([None, None, None], [3, 3, 0]),
-                                 ([dps[0], None, dps[2]], [8, 3, 0])):
-            for i, dp in enumerate(d_profiles):
+        for d_profiles, per_volume in ((None, 3), (dps, 8)):
+            for i in range(3):
                 products.clear()
-                smooth_batch(volumes[i:i + 1], ps[i:i + 1], [dp], w)
-                assert sum(products) == want[i]
+                smooth_batch(volumes[i:i + 1], ps[i:i + 1],
+                             None if d_profiles is None else d_profiles[i:i + 1], w)
+                assert sum(products) == per_volume
             products.clear()
             z, dots = smooth_batch(volumes, ps, d_profiles, w)
-            assert sum(products) == sum(want)
-            assert [dot is None for dot in dots] == [dp is None for dp in d_profiles]
+            assert sum(products) == 3 * per_volume
+            assert (dots is None) == (d_profiles is None)
         assert dots[2] == 0.0
         np.testing.assert_array_equal(z[2], volumes[2])
 
     def test_matrices_only_for_given_derivative_profiles(self):
         # evaluation passes no derivative profile and builds no matrix for
-        # one; a chunk holds volumes of one kind, and a 1-tap one's operand
-        # is the scale
+        # one; a training chunk's stack holds its smoothing matrices, then
+        # their derivatives; a 1-tap profile's matrix is p[0] times the identity
         _, ps, dps = build_profiles([1.1, 0.6, 0.1], 4.0)
-        for d_profiles, rows, shapes in (
-                ([None] * 3, 3, [(2, 9, 9), (1, 1, 1)]),
-                ([dps[0], None, dps[2]], 5, [(2, 1, 9, 9), (1, 9, 9), (2, 1, 1, 1)])):
-            assert conv3d._matrices(ps, d_profiles, 9).shape == (rows, 9, 9)
-            operands = [conv3d._operand(conv3d._matrices(ps[i:j], d_profiles[i:j], 9),
-                                        pair, one_tap)
-                        for i, j, pair, one_tap in conv3d._chunks(ps, d_profiles, 3)]
-            assert [m.shape for m in operands] == shapes
+        assert conv3d._matrices(ps, 9).shape == (3, 9, 9)
+        pairs = conv3d._matrices([*ps, *dps], 9).reshape(2, 3, 9, 9)
+        for p, dp, m in zip(ps, dps, pairs.swapaxes(0, 1)):
+            np.testing.assert_array_equal(m, conv3d._matrices([p, dp], 9))
+        np.testing.assert_array_equal(conv3d._matrices([np.array([0.25])], 9)[0],
+                                      0.25 * np.eye(9))
 
     def test_prior_workspace_contents_never_read(self):
         """A reused workspace, here filled with NaN and sized for one volume
@@ -294,7 +292,7 @@ class TestSmoothWithDsigma:
         dims = (9, 11, 7)
         volumes, w = rng.normal(size=(3, *dims)), rng.normal(size=dims)
         _, ps, dps = build_profiles([1.1, 0.6, 0.1], 4.0)
-        for d_profiles in ([None] * 3, [dps[0], None, dps[2]], dps):
+        for d_profiles in (None, dps):
             z, dots = smooth_batch(volumes, ps, d_profiles, w)
             with conv3d.Workspace(len(volumes) + 1, dims) as workspace:
                 workspace.rows.fill(np.nan)
@@ -316,9 +314,23 @@ class TestSmoothWithDsigma:
             rows = workspace.rows
             for bad in (rows.astype(np.float32), np.asfortranarray(rows)):
                 workspace.rows = bad
-                for d_profiles in ([None] * 3, dps):
+                for d_profiles in (None, dps):
                     with pytest.raises(ValueError, match="too small .* or not C-ordered float64"):
                         smooth_batch(volumes, ps, d_profiles, w, workspace)
+
+    def test_one_profile_per_volume_required(self):
+        # too few profiles left a result row unwritten, too few derivative
+        # profiles a volume unsmoothed, and a None would pass as a NaN 1-tap
+        x = np.zeros((3, 5, 5, 5))
+        _, ps, dps = build_profiles([1.1, 0.6, 0.9], 4.0)
+        for profiles, d_profiles in ((ps[:2], None), (ps[:2], dps), (ps, dps[:2]),
+                                     ([*ps, ps[0]], None), (ps, [*dps, dps[0]])):
+            with pytest.raises(ValueError, match="need one profile each"):
+                smooth_batch(x, profiles, d_profiles, x[0])
+        for profiles, d_profiles in (([ps[0], None, ps[2]], None),
+                                     ([ps[0], None, ps[2]], dps), (ps, [dps[0], None, dps[2]])):
+            with pytest.raises(DataError, match="1-D of odd length"):
+                smooth_batch(x, profiles, d_profiles, x[0])
 
     def test_bad_profiles_rejected(self):
         x = np.zeros((1, 4, 4, 4))

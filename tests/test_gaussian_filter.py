@@ -191,18 +191,23 @@ class TestWidthRange:
 
     @pytest.mark.parametrize("t", T)
     def test_lo_is_the_smallest_width_of_radius_one(self, t):
-        # up to the rounding of t * lo itself, which the next test shows
+        # 1.5 / t, or the next float up where t * (1.5 / t) rounds below
+        # 1.5, as it does for 2.19, 2.35, 2.7 and 4.38
         lo, _ = width_range((24, 24, 24), t)
-        assert lo == 1.5 / t
+        assert lo in (1.5 / t, math.nextafter(1.5 / t, math.inf))
+        assert filter_radius(lo, t) == 1
         assert filter_radius(lo * (1 - 1e-12), t) == 0
         assert filter_radius(lo * (1 + 1e-12), t) == 1
 
-    def test_lo_itself_may_round_to_the_single_cell(self):
-        # t * (1.5 / t) rounds below 1.5 for these t: a width saturated at
-        # lo gets radius 0, and neither it nor its neighbours have a gradient
-        for t in (2.19, 2.35, 2.7, 4.38):
-            assert filter_radius(width_range((8, 8, 8), t)[0], t) == 0
-        assert filter_radius(width_range((8, 8, 8), 4.0)[0], 4.0) == 1
+    def test_lo_has_radius_one_and_hi_the_largest_that_fits(self):
+        # a width saturated at lo must not get the single cell, which has
+        # no gradient; lo stays exactly 1.5 / t where that has radius 1
+        for t in np.linspace(0.5, 8.0, 7501).tolist() + [0.59, 0.65, 0.66, 0.68, 0.72]:
+            for dims in ((3, 3, 3), (9, 16, 11), (24, 24, 24)):
+                lo, hi = width_range(dims, t)
+                assert filter_radius(lo, t) == 1, t
+                assert filter_radius(hi, t) == (min(dims) - 1) // 2, (t, dims)
+        assert width_range((24, 24, 24), 4.0)[0] == 0.375
 
     @pytest.mark.parametrize("dims", [(3, 3, 3), (4, 4, 4), (9, 16, 11), (24, 24, 24)])
     @pytest.mark.parametrize("t", T)

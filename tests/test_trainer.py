@@ -267,7 +267,7 @@ class TestJointPassChain:
         smooth = trainer.smooth_batch
 
         def counted(volumes, profiles, d_profiles, weight, workspace=None):
-            calls.extend(dp for dp in d_profiles if dp is not None)
+            calls.extend(d_profiles or [])
             return smooth(volumes, profiles, d_profiles, weight, workspace)
 
         monkeypatch.setattr(trainer, "smooth_batch", counted)
@@ -298,9 +298,10 @@ class TestJointPassChain:
 
     def test_classifier_reads_smoothed_volumes_in_place(self):
         batch, pnw, cw, cfg = TestGradients()._setup()
-        _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
-        assert fwd["smoothed"].shape == (batch.size, 8, 8, 8)
-        assert np.shares_memory(fwd["cache"]["x"], fwd["smoothed"])
+        with conv3d.Workspace(batch.size, batch.volumes.shape[1:]) as workspace:
+            _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, workspace=workspace)
+        assert fwd["cache"]["x"].shape == (batch.size, 8 * 8 * 8)
+        assert np.shares_memory(fwd["cache"]["x"], workspace.rows)
 
 
 class TestBatchStep:
@@ -356,7 +357,7 @@ class TestBatchStep:
         assert {filter_radius(s, cfg.truncation) for s in sigmas} == \
             set(range(1, (min(dims) - 1) // 2 + 1))
         assert fwd["sigmas"] == sigmas
-        assert fwd["smoothed"].tobytes() == smoothed.tobytes()
+        assert fwd["cache"]["x"].tobytes() == smoothed.tobytes()
         assert fwd["dz"] == dz
         for name in "abvc":
             np.testing.assert_array_equal(grads[name], head[name])
@@ -528,14 +529,14 @@ class TestStepMode:
         smooth = trainer.smooth_batch
 
         def forward_only(volumes, profiles, d_profiles, weight, workspace=None):
-            assert all(dp is None for dp in d_profiles)  # no joint chain
+            assert d_profiles is None  # no joint chain
             return smooth(volumes, profiles, d_profiles, weight, workspace)
 
         monkeypatch.setattr(trainer, "smooth_batch", forward_only)
         fwd = trainer._forward_batch(batch, pnw, cw, cfg)
-        assert fwd["dz"] == [None] * batch.size
+        assert fwd["dz"] is None
         assert fwd["sigmas"] == trained["sigmas"]
-        assert fwd["smoothed"].tobytes() == trained["smoothed"].tobytes()
+        assert fwd["cache"]["x"].tobytes() == trained["cache"]["x"].tobytes()
 
     def test_evaluation_computes_no_penalty(self, tiny_dataset, monkeypatch):
         # only a training step reads the L2 penalty and its gradient
