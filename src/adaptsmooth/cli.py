@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
@@ -187,6 +188,9 @@ def _cmd_inspect_filter(args):
     return 0
 
 
+# built once per process: a process that runs several commands, as the
+# benchmark's evaluate sweep does, pays for it once; parsing leaves it unchanged
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="adaptsmooth",
                      description="Adaptive Gaussian smoothing experiments on 3D volumes")

@@ -1,24 +1,27 @@
-"""Truncated, renormalized discrete 3D Gaussian filters.
+"""Gaussian filters: the truncated filter and the Dirichlet heat kernel.
 
-The filter is isotropic, sampled on an integer grid of radius
+The truncated filter is isotropic, sampled on an integer grid of radius
 ``r = floor((t * sigma_f + 0.5) / 2)`` and renormalized to sum 1.  It is the
 outer product of a renormalized 1D profile, which is all that separable
 smoothing reads.  A batch of widths is built at once (`build_profiles`), all
-widths of one radius together, as the profiles and their analytic
-derivatives with respect to sigma_f at fixed support, which is what
-backpropagation into the width-predicting network consumes; `build_filter`
-is the one-width case, which keeps the profile alone.
+widths of one radius together; `build_filter` is the one-width case.  The
+`smooth` and `inspect-filter` commands smooth with it and print it.
 
-The 3D weight cube and its derivative are built on first read.  Because the
-raw sample at (x, y, z) depends only on the integer squared radius
-x^2 + y^2 + z^2, they are built through a lookup over squared radii: all 48
-octant/permutation symmetries then hold to the exact floating-point value.
+Its 3D weight cube is built on first read.  Because the raw sample at
+(x, y, z) depends only on the integer squared radius x^2 + y^2 + z^2, it is
+built through a lookup over squared radii: all 48 octant/permutation
+symmetries then hold to the exact floating-point value.  At radius 0 the
+filter degenerates to the identity cell [1.0].
 
-At radius 0 the filter degenerates to the identity cell [1.0];
-renormalization cancels sigma_f there, so the derivative is identically
-zero.  `width_range` gives the widths a trained width may take: from the
-smallest of radius 1, which still has a gradient, to the largest whose
-filter fits the volume.
+Training and evaluation smooth with the discrete Gaussian of scale-space
+theory (Lindeberg 1990) instead: per axis of length n the heat kernel
+K_sigma = exp(sigma^2 L / 2), L the zero-padded [1, -2, 1] matrix, whose
+variance is sigma^2 away from the edges.  The orthonormal DST-I matrix S
+(`sine_basis`) diagonalizes L, so K_sigma = S diag(e) S with the gains
+e = exp(sigma^2 lam / 2) (`heat_gains`), and dK_sigma/dsigma = sigma L
+K_sigma exactly.  `width_range` gives the widths a trained width may take:
+from the smallest whose truncated filter has radius 1 to the largest whose
+truncated filter fits the volume.
 """
 
 from __future__ import annotations
@@ -43,29 +46,16 @@ class GaussianFilter:
     radius: int
     profile_1d: np.ndarray       # (2r+1,) renormalized 1D profile
 
-    def _raw_cube(self):
-        """Raw samples and their sigma_f derivative, keyed by integer squared
-        radius so symmetric cells share the exact same float.  The
-        1/(sqrt(2pi) sigma)^3 prefactor cancels in the renormalization and in
-        the quotient-rule derivative."""
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(2r+1, 2r+1, 2r+1) cube, sums to 1: raw samples keyed by integer
+        squared radius, so symmetric cells share the exact same float.  The
+        1/(sqrt(2pi) sigma)^3 prefactor cancels in the renormalization."""
         r, sigma_f = self.radius, self.sigma_f
         sq = np.arange(-r, r + 1) ** 2
         s3 = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
         g = np.exp(-np.arange(3 * r * r + 1) * (1.0 / (2.0 * sigma_f * sigma_f)))[s3]
-        return g, g * (s3 / sigma_f ** 3)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """(2r+1, 2r+1, 2r+1) cube, sums to 1."""
-        g, _ = self._raw_cube()
         return g / g.sum()
-
-    @cached_property
-    def d_weights_d_sigma(self) -> np.ndarray:
-        """d(weights)/d(sigma_f), same shape, sums to 0."""
-        g, gp = self._raw_cube()
-        total = g.sum()
-        return (gp * total - g * gp.sum()) / (total * total)
 
 
 def filter_radius(sigma_f: float, t: float) -> int:
@@ -85,60 +75,96 @@ def width_range(dims, t: float) -> tuple[float, float]:
     return lo, (2.0 * r_max + 1.4) / t
 
 
-def build_profiles(sigmas, t: float = DEFAULT_TRUNCATION, max_side: int | None = None):
-    """The profiles of the widths `sigmas` and their sigma_f derivatives,
-    computed at once for all widths of one radius.
+def check_width(sigma_f: float, t: float = DEFAULT_TRUNCATION,
+                max_side: int | None = None) -> int:
+    """The radius of the truncated filter of width `sigma_f` at truncation
+    `t`, once the width is checked: finite and positive, with a finite
+    extent t * sigma_f, a side 2r + 1 of at most `max_side` when given, and
+    the float64 range the filter's sigma_f derivative needed.  A width that
+    fails is a `DataError` naming it, before any array is made."""
+    # the comparisons are false for NaN, so NaN fails every range check
+    if not 0 < sigma_f < math.inf:
+        raise DataError(f"sigma_f must be finite and positive, got {sigma_f}")
+    if not 0 < t < math.inf:
+        raise DataError(f"truncation t must be finite and positive, got {t}")
+    if not t * sigma_f < math.inf:
+        raise DataError(f"filter extent t * sigma_f overflows: t={t}, sigma_f={sigma_f}")
+    r = filter_radius(sigma_f, t)
+    if max_side is not None and 2 * r + 1 > max_side:
+        raise DataError(f"sigma_f {sigma_f} at t={t}: filter side {2 * r + 1} "
+                        f"exceeds {max_side}")
+    # squared radius / sigma_f^3 must fit float64 up to the cube's corner,
+    # 3r^2, as the derivative the filter once carried needed; every command
+    # still refuses these widths, and the rule keeps 1 / (2 sigma_f^2) and
+    # every exponent of the profile finite
+    cube = sigma_f ** 3
+    if not (cube > 0 and 3.0 * r * r / cube < math.inf):
+        raise DataError(f"sigma_f {sigma_f} at t={t}: the filter derivative "
+                        "does not fit float64")
+    return r
 
-    Returns (radii, profiles, d_profiles), one entry per width in order;
-    each profile is a row of its radius group's array.  With `max_side`, a
-    width whose filter side 2r + 1 exceeds it is refused before any array
-    is made.  The cube sigma_f^3 is a Python float power per width: numpy's
-    array power rounds differently for some widths.
+
+def build_profiles(sigmas, t: float = DEFAULT_TRUNCATION, max_side: int | None = None):
+    """The profiles of the widths `sigmas`, computed at once for all widths
+    of one radius.
+
+    Returns (radii, profiles), one entry per width in order; each profile
+    is a row of its radius group's array.  Every width is checked
+    (`check_width`, with `max_side`) before any array is made.
     """
-    radii = []
-    groups = {}  # radius -> its widths' indices, 1 / (2 sigma_f^2) and sigma_f^3
-    for i, sigma_f in enumerate(np.asarray(sigmas, dtype=np.float64).tolist()):
-        # the comparisons are false for NaN, so NaN fails every range check
-        if not 0 < sigma_f < math.inf:
-            raise DataError(f"sigma_f must be finite and positive, got {sigma_f}")
-        if not 0 < t < math.inf:
-            raise DataError(f"truncation t must be finite and positive, got {t}")
-        if not t * sigma_f < math.inf:
-            raise DataError(f"filter extent t * sigma_f overflows: t={t}, sigma_f={sigma_f}")
-        r = filter_radius(sigma_f, t)
-        if max_side is not None and 2 * r + 1 > max_side:
-            raise DataError(f"sigma_f {sigma_f} at t={t}: filter side {2 * r + 1} "
-                            f"exceeds {max_side}")
-        # squared radius / sigma_f^3 must fit float64 up to the cube's corner, 3r^2
-        cube = sigma_f ** 3
-        if not (cube > 0 and 3.0 * r * r / cube < math.inf):
-            raise DataError(f"sigma_f {sigma_f} at t={t}: the filter derivative "
-                            "does not fit float64")
-        radii.append(r)
-        rows, inv, cubes = groups.setdefault(r, ([], [], []))
+    sigmas = np.asarray(sigmas, dtype=np.float64).tolist()
+    radii = [check_width(sigma_f, t, max_side) for sigma_f in sigmas]
+    groups = {}  # radius -> its widths' indices and 1 / (2 sigma_f^2)
+    for i, (r, sigma_f) in enumerate(zip(radii, sigmas)):
+        rows, inv = groups.setdefault(r, ([], []))
         rows.append(i)
         inv.append(1.0 / (2.0 * sigma_f * sigma_f))
-        cubes.append(cube)
-    profiles, d_profiles = [None] * len(radii), [None] * len(radii)
-    for r, (rows, inv, cubes) in groups.items():
+    profiles = [None] * len(radii)
+    for r, (rows, inv) in groups.items():
         sq = np.arange(-r, r + 1) ** 2
         g1 = np.exp(-sq * np.array(inv)[:, None])
-        g1p = g1 * (sq / np.array(cubes)[:, None])
-        s1 = np.add.reduce(g1, axis=1, keepdims=True)
-        s1p = np.add.reduce(g1p, axis=1, keepdims=True)
-        group = g1 / s1
-        d_group = (g1p * s1 - g1 * s1p) / (s1 * s1)
+        group = g1 / np.add.reduce(g1, axis=1, keepdims=True)
         for k, i in enumerate(rows):
-            profiles[i], d_profiles[i] = group[k], d_group[k]
-    return radii, profiles, d_profiles
+            profiles[i] = group[k]
+    return radii, profiles
 
 
 def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION,
                  max_side: int | None = None) -> GaussianFilter:
     """The filter of width `sigma_f` at truncation `t`: the one-width case
     of `build_profiles`, with the same `max_side` check."""
-    (r,), (profile,), _ = build_profiles([sigma_f], t, max_side)
+    (r,), (profile,) = build_profiles([sigma_f], t, max_side)
     return GaussianFilter(sigma_f, t, r, profile)
+
+
+def sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, lam) of an axis of length `n`: the orthonormal DST-I matrix
+    S[j, k] = sqrt(2 / (n + 1)) sin(pi (j + 1)(k + 1) / (n + 1)), which is
+    symmetric and its own inverse, and the eigenvalues
+    lam_k = -4 sin^2(pi (k + 1) / (2 (n + 1))) of the zero-padded
+    [1, -2, 1] matrix, L = S diag(lam) S.  The sine has period 2 (n + 1) in
+    the integer m = (j + 1)(k + 1), so S is read from one table of it, each
+    argument below 2 pi."""
+    k, period = np.arange(1, n + 1), 2 * (n + 1)
+    table = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * (math.pi / (n + 1)))
+    return table[np.outer(k, k) % period], -4.0 * np.sin(k * (math.pi / period)) ** 2
+
+
+def heat_gains(sigmas, lam: np.ndarray) -> np.ndarray:
+    """exp(sigma^2 lam / 2) of each width of `sigmas` (a row of gains per
+    width, or one row for a scalar) and each eigenvalue of `lam`
+    (`sine_basis`): the heat kernel of width sigma along the axis is
+    K_sigma = S diag(gains) S, so smoothing multiplies each sine
+    coefficient by its gain."""
+    s = np.asarray(sigmas, dtype=np.float64)
+    return np.exp(np.multiply.outer(0.5 * s * s, lam))
+
+
+def heat_kernel(sigma_f: float, n: int) -> np.ndarray:
+    """K_sigma = S diag(exp(sigma_f^2 lam / 2)) S of an axis of length `n`,
+    the n x n matrix of the heat kernel (`sine_basis`, `heat_gains`)."""
+    s, lam = sine_basis(n)
+    return (s * heat_gains(sigma_f, lam)) @ s
 
 
 def sigma_to_fwhm_mm(sigma_f: float, voxel_size_mm: float) -> float:

@@ -1,51 +1,58 @@
 """End-to-end mini-batch SGD over the composed smoothing/classification graph.
 
-Each mini-batch holds all volumes of one (subject, noise level) group.  The
-adaptive forward pass is one array program per batch: cached noise features
--> one head call for all widths, each inside the head's range -> the
-profiles of all widths -> separable smoothing in chunks of volumes, each
-pass of a chunk one broadcast product, the chunks shared by one worker
-per CPU (`conv3d.smooth_batch`); the batch then goes through the
-standardized sigmoid classifier.  Each `train` or `evaluate` call smooths
-all its batches into one `conv3d.Workspace`, made once for its largest
-batch and closed when it returns, so its worker threads end with the call
-and a batch's smoothed volumes are valid only until the call smooths its
-next batch; the weights are the same bits on one CPU or many.  A training
-volume is smoothed and differentiated with respect to its width in one pass
-chain.  Forward contracts that derivative with the classifier
-weight to one number, the logit's width derivative, and backward multiplies
-the stored number by the logit's gradient; the head's gradient is one sum
-over the batch's gradient rows.  A fixed width smooths the classifier
+Each mini-batch holds all volumes of one (subject, noise level) group.
+Training and evaluation smooth with the heat kernel, the discrete Gaussian
+K_sigma = exp(sigma^2 L / 2) per axis (`gaussian_filter`), in its eigenbasis:
+a dataset loaded with noise features holds each volume as its sine
+coefficients x^ = (S kron S kron S) x, transformed once at load, where
+smoothing is one gain per coefficient.  The adaptive forward pass is one
+array program per batch: cached noise features -> one head call for all
+widths, each inside the head's range -> each volume's coefficients times the
+gains e_h kron e_w kron e_d of its width, written into one buffer per
+`train` or `evaluate` call, so a batch's smoothed coefficients are valid
+only until the call smooths its next batch; the batch then goes through the
+standardized sigmoid classifier.  The classifier weight stays in voxels and
+meets the coefficients as w^ = S_3 w, with S_3 = S kron S kron S orthogonal,
+so the logits are those of the smoothed voxels, and a gradient returns to w
+through S_3.  Since dK_sigma/dsigma = sigma L K_sigma, each logit's width
+derivative is sigma_i (Lam . w^) . z^_i, Lam the Laplacian's eigenvalue of
+each coefficient: one matrix-vector product per training batch, and
+backward multiplies it by the logit's gradient; the head's gradient is one
+sum over the batch's gradient rows.  A fixed width smooths the classifier
 weight instead of every volume: the smoothing is a symmetric linear map, so
-a training step takes 2 smoothings (the weight forward, the summed gradient
-backward) and an evaluation 1, since the weight does not change during it;
-its filter is built once per `train` or `evaluate` call.  The one training
-step, `batch_loss_and_grads`, is what `train` runs and the gradient tests
-check; only it adds the L2 penalty, and its backward pass is the exact
-chain rule down to the width-predicting weights.  `train` makes plain SGD
-updates with validation-based early stopping; an optional logarithmic grid
-search runs over (lr, lambda).  An epoch or evaluation whose arithmetic
-overflows float64 ends the training or evaluation with a `NumericalError`.
+a training step takes 2 weight products (the weight forward, the summed
+gradient backward) and an evaluation 1, since the weight does not change
+during it.  On coefficients the fixed width is a gain on w^; a dataset
+loaded without features stays in voxels, and a fixed width multiplies w by
+K_sigma along each axis there; its kernel is built once per `train` or
+`evaluate` call.  The one training step, `batch_loss_and_grads`, is what
+`train` runs and the gradient tests check; only it adds the L2 penalty, and
+its backward pass is the exact chain rule down to the width-predicting
+weights.  `train` makes plain SGD updates with validation-based early
+stopping; an optional logarithmic grid search runs over (lr, lambda).  An
+epoch or evaluation whose arithmetic overflows float64 ends the training or
+evaluation with a `NumericalError`.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import classifier, params_net
-from .conv3d import Workspace, convolve_separable, smooth_batch
+from .conv3d import separable_product
 from .errors import DataError, NumericalError
 from .gaussian_filter import (
     DEFAULT_TRUNCATION,
-    build_filter,
-    build_profiles,
+    check_width,
+    heat_gains,
+    heat_kernel,
     sigma_to_fwhm_mm,
+    sine_basis,
     width_range,
 )
 from .volume_io import SPLITS, read_manifest, read_volume
@@ -60,6 +67,7 @@ class TrainConfig:
     lambda_l2: float = 0.0
     max_epochs: int = 200
     patience: int = 10
+    # sets the head's width range (`width_range`) and which fixed widths fit
     truncation: float = DEFAULT_TRUNCATION
     seed: int = 0
     width_m: int = 50
@@ -90,7 +98,9 @@ class MiniBatch:
     subject_id: str
     noise_level: float
     split: str
-    volumes: np.ndarray  # always one C-contiguous float64 (N, H, W, D) array
+    # always one C-contiguous float64 (N, H, W, D) array: the volumes' sine
+    # coefficients when `features` is given (`load_dataset`), else the voxels
+    volumes: np.ndarray
     labels: np.ndarray
     features: np.ndarray | None  # noise features, one per volume, or None
     voxel_size_mm: float = 3.0
@@ -156,9 +166,13 @@ def load_dataset(manifest_path, split: str | None = None,
     """Read a manifest and the volumes beside it into per-(subject, noise)
     groups, each file converted straight into its row of the group's batch
     array.  With `split`, only that split's volumes are read.  With
-    `features`, each volume's noise feature is computed here; without, none
-    is and ``MiniBatch.features`` is None, which only a fixed-width forward
-    pass accepts.  A group of fewer than 2 volumes is refused (`MiniBatch`)."""
+    `features`, each volume's noise feature is computed here, from the
+    voxels, and each volume is then replaced in place by its sine
+    coefficients, one separable product per volume, so a volume's
+    coefficients do not depend on which other volumes were loaded; without,
+    no feature is computed, ``MiniBatch.features`` is None and the volumes
+    stay voxels, which only a fixed-width forward pass accepts.  A group of
+    fewer than 2 volumes is refused (`MiniBatch`)."""
     manifest = read_manifest(manifest_path)
     entries = manifest.entries
     if split is not None:
@@ -169,7 +183,7 @@ def load_dataset(manifest_path, split: str | None = None,
     for e in entries:
         groups.setdefault((e.subject_id, e.noise_level), []).append(e)
     batches = []
-    dims = voxel = None
+    dims = voxel = basis = None
     for (sid, noise), group in sorted(groups.items()):
         vols = None
 
@@ -190,7 +204,14 @@ def load_dataset(manifest_path, split: str | None = None,
 
         for i, e in enumerate(group):
             read_volume(Path(manifest_path).parent / e.path, row)
-        feats = np.array([params_net.noise_feature(x) for x in vols]) if features else None
+        feats = None
+        if features:
+            feats = np.array([params_net.noise_feature(x) for x in vols])
+            if basis is None:
+                basis = [sine_basis(n)[0] for n in dims]
+            for x in vols:
+                # in place: no batch holds voxels beside coefficients
+                separable_product(x, basis, out=x)
         batches.append(MiniBatch(sid, noise, manifest.split[sid], vols,
                                  np.array([e.label for e in group], dtype=np.float64),
                                  feats, voxel))
@@ -204,107 +225,148 @@ def make_batches(batches: list[MiniBatch], seed: int) -> list[MiniBatch]:
     return [selected[i] for i in order]
 
 
-def _fixed_profile(cfg: TrainConfig, dims):
-    """The 1D profile of the fixed width's filter for volumes of `dims`."""
-    return build_filter(cfg.fixed_sigma, cfg.truncation, min(dims)).profile_1d
+class _Smoothing:
+    """How one `train` or `evaluate` call smooths its batches, built once
+    for the call.  The classifier weight w meets a batch as
+    (M_h kron M_w kron M_d) w (`weight`), and a gradient with respect to that
+    weight returns to w through the transposes (`gradient`); `mats` holds
+    each axis's M.T and `adjoint` its M, as `separable_product` reads them:
+
+    - on sine coefficients (batches with features) M = S for an adaptive
+      width, whose volumes each take their own gains instead (`smooth`),
+      into `out`, one row per volume of the call's largest batch, with
+      `eig` holding Lam = lam_h + lam_w + lam_d, the Laplacian's eigenvalue
+      of each coefficient, for the logits' width derivatives; a fixed
+      width's gains E = e_h kron e_w kron e_d are separable, so there
+      M = diag(e) S;
+    - on voxels (batches without features), only at a fixed width,
+      M = K_sigma.
+
+    A fixed width whose truncated filter does not fit the volumes is
+    refused, as the `smooth` command refuses it; so is a call whose batches
+    mix coefficients and voxels."""
+
+    def __init__(self, cfg: TrainConfig, batches):
+        self.dims = dims = batches[0].volumes.shape[1:]
+        sine = batches[0].features is not None
+        if any((b.features is not None) != sine for b in batches):
+            raise DataError("batches with and without noise features, which hold "
+                            "sine coefficients and voxels, cannot be mixed")
+        fixed = cfg.fixed_sigma
+        if fixed is not None:
+            check_width(fixed, cfg.truncation, min(dims))
+        elif not sine:
+            raise DataError("the width network needs noise features; "
+                            "the batch was loaded without them")
+        if not sine:
+            kernels = {n: heat_kernel(fixed, n) for n in set(dims)}
+            self.mats = self.adjoint = [kernels[n] for n in dims]
+            return
+        bases = {n: sine_basis(n) for n in set(dims)}
+        self.lams = [bases[n][1] for n in dims]
+        self.mats = self.adjoint = [bases[n][0] for n in dims]
+        if fixed is not None:
+            gains = {n: heat_gains(fixed, lam) for n, (_, lam) in bases.items()}
+            self.mats = [bases[n][0] * gains[n] for n in dims]
+            self.adjoint = [gains[n][:, None] * bases[n][0] for n in dims]
+        else:
+            lam_h, lam_w, lam_d = self.lams
+            self.eig = (lam_h[:, None, None] + lam_w[:, None] + lam_d).ravel()
+            self.out = np.empty((max(b.size for b in batches), *dims))
+
+    def weight(self, cw):
+        """A copy of `cw` whose weight is the one the batches are classified
+        with."""
+        mapped = copy.copy(cw)
+        mapped.w = separable_product(cw.w.reshape(self.dims), self.mats).ravel()
+        return mapped
+
+    def gradient(self, g):
+        """The gradient with respect to w of one with respect to the weight
+        the batches are classified with."""
+        return separable_product(g.reshape(self.dims), self.adjoint).ravel()
+
+    def smooth(self, volumes, sigmas):
+        """Each volume's coefficients times the gains of its own width,
+        written into `out`: a view of its first rows."""
+        e_h, e_w, e_d = (heat_gains(sigmas, lam) for lam in self.lams)
+        n, h = volumes.shape[:2]
+        z = self.out[:n]
+        # each volume's (w, d) plane of gains, then e_h per plane: both
+        # products run along whole rows of w d coefficients
+        rows = z.reshape(n, h, -1)
+        np.multiply(volumes.reshape(n, h, -1),
+                    (e_w[:, :, None] * e_d[:, None, :]).reshape(n, 1, -1), out=rows)
+        rows *= e_h[:, :, None]
+        return z
 
 
-def _smoothed_weight(cw, profile, dims):
-    """A copy of `cw` whose weight is smoothed with the fixed width's
-    `profile`.  Zero-padded same-size smoothing K with a symmetric profile
-    is a symmetric matrix, so w . (K x) = (K w) . x: the raw volumes are
-    classified with K w, in place."""
-    smoothed_cw = copy.copy(cw)
-    smoothed_cw.w = convolve_separable(cw.w.reshape(dims), profile).ravel()
-    return smoothed_cw
-
-
-def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, training: bool = False,
-                   workspace=None):
-    """Smooth every volume with its own predicted width, then classify the
-    batch with `cw`.  In a training step each volume is also convolved
-    with the width derivative of its filter, in the same pass chain;
-    ``fwd["dz"]`` keeps only that derivative's dot product with the
-    classifier weight; an evaluation leaves it None.  The volumes are
-    smoothed into `workspace` (a `conv3d.Workspace`), a fresh one when
-    None, so the classifier cache's ``x`` is a view into it, valid until
-    the next batch smoothed into it.  A fixed width classifies the loaded
-    volumes in place: the caller passes the weight smoothed with it
-    (`_smoothed_weight`).  Returns everything backward needs."""
+def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, smoothing: _Smoothing,
+                   training: bool = False):
+    """Classify the batch with `cw`, the classifier as the batch meets it
+    (`_Smoothing.weight`).  A fixed width classifies the loaded volumes in
+    place: the weight carries the smoothing.  An adaptive width smooths
+    each volume with its own predicted width into the call's buffer, so
+    the classifier cache's ``x`` is a view into it, valid until the next
+    batch of the call; a head whose range does not fit the volumes is
+    refused first.  In a training step ``fwd["dlogit_dsigma"]`` holds each
+    logit's width derivative; an evaluation leaves it None.  Returns
+    everything backward needs."""
     if cfg.fixed_sigma is not None:
         fwd = {"sigmas": [cfg.fixed_sigma] * batch.size}
         probs, cache = classifier.forward(batch.volumes, cw)
     else:
-        if batch.features is None:
-            raise DataError("the width network needs noise features; "
-                            "the batch was loaded without them")
-        dims = batch.volumes.shape[1:]
         sigmas = params_net.map_to_sigmas(batch.features, pnw)
-        _, profiles, d_profiles = build_profiles(sigmas, cfg.truncation, min(dims))
-        # dlogit_i/dsigma_i = w . dz_i is the one number backward needs
-        smoothed, dz = smooth_batch(batch.volumes, profiles, d_profiles if training else None,
-                                    cw.w.reshape(dims), workspace)
-        fwd = {"sigmas": sigmas.tolist(), "dz": dz}
-        probs, cache = classifier.forward(smoothed, cw)
+        check_width(float(sigmas.max()), cfg.truncation, min(smoothing.dims))
+        probs, cache = classifier.forward(smoothing.smooth(batch.volumes, sigmas), cw)
+        fwd = {"sigmas": sigmas.tolist(), "dlogit_dsigma": None}
+        if training:
+            # dz_i/dsigma_i = sigma_i Lam z_i, so dlogit_i/dsigma_i = sigma_i (Lam w) . z_i
+            fwd["dlogit_dsigma"] = sigmas * (cache["x"] @ (smoothing.eig * cw.w))
     return {**fwd, "probs": probs, "cache": cache,
             "data_loss": classifier.bce_loss(probs, batch.labels)}
 
 
-def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig, profile=None,
-                         workspace=None):
+def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig,
+                         smoothing: _Smoothing | None = None):
     """One training step over a batch: the loss with its L2 penalty, the
-    gradient of every trainable weight, and the forward pass's record.  A
-    fixed width smooths the weight with `profile`, by default its filter's
-    (`_fixed_profile`); an adaptive one smooths the volumes into
-    `workspace` (`_forward_batch`)."""
-    dims = batch.volumes.shape[1:]
-    fixed = cfg.fixed_sigma is not None
-    if fixed and profile is None:
-        profile = _fixed_profile(cfg, dims)
-    fwd = _forward_batch(batch, pnw, _smoothed_weight(cw, profile, dims) if fixed else cw,
-                         cfg, training=True, workspace=workspace)
+    gradient of every trainable weight, and the forward pass's record.  It
+    smooths as `smoothing` says, the calling `train`'s, or one made for
+    this batch when None."""
+    if smoothing is None:
+        smoothing = _Smoothing(cfg, [batch])
+    fwd = _forward_batch(batch, pnw, smoothing.weight(cw), cfg, smoothing, training=True)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
     dl_dw, dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
-    if fixed:
-        # the logits are (K w) . x_i, so dL/dw = K (sum_i dl_i x_i)
-        dl_dw = convolve_separable(dl_dw.reshape(dims), profile).ravel()
-    grads = {"w": dl_dw + pen_grad, "bias": dl_dbias}
-    if not fixed:
+    grads = {"w": smoothing.gradient(dl_dw) + pen_grad, "bias": dl_dbias}
+    if cfg.fixed_sigma is None:
         head = params_net.map_to_sigmas_backward(batch.features, pnw,
-                                                 dl_dlogit * np.array(fwd["dz"]))
+                                                 dl_dlogit * fwd["dlogit_dsigma"])
         grads.update(zip("abvc", head))
     return fwd["data_loss"] + penalty, grads, fwd
 
 
-def _evaluate_split(batches, pnw, cw, cfg, split, profile=None, workspace=None):
+def _evaluate_split(batches, pnw, cw, cfg, split, smoothing=None):
     """Loss/accuracy per noise level, using batch statistics at evaluation
     time as well (deliberate deviation from running-average batch norm).
-    A fixed width smooths the classifier weight once for the whole split,
-    with `profile` when given (`train`'s); w does not change during an
-    evaluation, so every batch is classified with the same K w.  An
-    adaptive width smooths every batch into one workspace, `workspace`
-    when given (`train`'s), else one made for this call, sized for the
-    split's largest batch and closed, with its threads, when it returns;
-    no smoothed batch outlives the next one, and none is returned.  The first
-    operation that overflows float64 ends it with a `NumericalError` naming
-    the split."""
+    It smooths as `smoothing` says, `train`'s when given, else as one made
+    for this call: w does not change during an evaluation, so every batch
+    meets the same weight, computed once, and an adaptive width smooths
+    every batch into the one buffer, so no smoothed batch outlives the next
+    one, and none is returned.  The first operation that overflows float64
+    ends it with a `NumericalError` naming the split."""
     batches = [b for b in batches if b.split == split]
     if not batches:
         raise DataError(f"split {split!r} is empty")
     # one record per noise level, and the split's total under the key None
     records = {}
     try:
-        with np.errstate(over="raise"), ExitStack() as owned:
-            if cfg.fixed_sigma is not None:
-                dims = batches[0].volumes.shape[1:]
-                if profile is None:
-                    profile = _fixed_profile(cfg, dims)
-                cw = _smoothed_weight(cw, profile, dims)
-            elif workspace is None:
-                workspace = owned.enter_context(Workspace(
-                    max(b.size for b in batches), batches[0].volumes.shape[1:]))
+        with np.errstate(over="raise"):
+            if smoothing is None:
+                smoothing = _Smoothing(cfg, batches)
+            cw = smoothing.weight(cw)
             for b in batches:
-                fwd = _forward_batch(b, pnw, cw, cfg, workspace=workspace)
+                fwd = _forward_batch(b, pnw, cw, cfg, smoothing)
                 acc = classifier.accuracy(fwd["probs"], b.labels)
                 for key in (b.noise_level, None):
                     rec = records.setdefault(key, {"n": 0, "correct": 0.0,
@@ -354,60 +416,56 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
 
     pnw = params_net.init_weights(cfg.width_m, cfg.seed, *width_range(dims, cfg.truncation))
     cw = classifier.xavier_init(dims, cfg.seed + 1)
-    # a fixed width's filter serves every step and evaluation of the run
-    profile = None if cfg.fixed_sigma is None else _fixed_profile(cfg, dims)
+    # one smoothing, with its kernel or buffer, serves every step and
+    # evaluation of the run
+    smoothing = _Smoothing(cfg, batches)
     report = TrainReport(config=cfg)
-    # and an adaptive width's smoothing workspace, with its threads, every
-    # batch of it
-    with (nullcontext() if profile is not None
-          else Workspace(max(b.size for b in batches), dims)) as workspace:
-        best = {"loss": math.inf, "epoch": -1, "pnw": None, "cw": None}
+    best = {"loss": math.inf, "epoch": -1, "pnw": None, "cw": None}
 
-        for epoch in range(1, cfg.max_epochs + 1):
-            epoch_loss, n_seen = 0.0, 0
-            # a diverging run overflows float64 before its loss turns
-            # non-finite: the first overflowing operation ends it, naming
-            # the step under way
-            try:
-                with np.errstate(over="raise"):
-                    for batch in make_batches(batches, cfg.seed + epoch):
-                        loss, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg,
-                                                                profile, workspace)
-                        if not math.isfinite(loss):
-                            raise NumericalError(
-                                f"non-finite loss at epoch {epoch} "
-                                f"(subject {batch.subject_id}, noise {batch.noise_level}); "
-                                f"last widths {[round(s, 4) for s in fwd['sigmas']]}")
-                        # plain SGD on every parameter: w, bias, a, b, v, c
-                        for name, g in grads.items():
-                            owner = cw if name in ("w", "bias") else pnw
-                            setattr(owner, name,
-                                    getattr(owner, name) - cfg.learning_rate * g)
-                        epoch_loss += loss * batch.size
-                        n_seen += batch.size
-            except FloatingPointError as exc:
-                raise NumericalError(f"{exc} at epoch {epoch} (subject {batch.subject_id}, "
-                                     f"noise {batch.noise_level})") from None
-            val = _evaluate_split(batches, pnw, cw, cfg, "validation", profile, workspace)
-            train_loss = epoch_loss / n_seen
-            report.epochs.append({"epoch": epoch, "train_loss": train_loss,
-                                  "val_loss": val["loss"],
-                                  "val_accuracy": val["accuracy"]})
-            if val["loss"] < best["loss"]:
-                best = {"loss": val["loss"], "epoch": epoch,
-                        "pnw": copy.deepcopy(pnw), "cw": copy.deepcopy(cw)}
-            # patience counts from the best epoch, or from 0 while none is finite
-            elif epoch - max(best["epoch"], 0) >= cfg.patience:
-                break
+    for epoch in range(1, cfg.max_epochs + 1):
+        epoch_loss, n_seen = 0.0, 0
+        # a diverging run overflows float64 before its loss turns
+        # non-finite: the first overflowing operation ends it, naming
+        # the step under way
+        try:
+            with np.errstate(over="raise"):
+                for batch in make_batches(batches, cfg.seed + epoch):
+                    loss, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, smoothing)
+                    if not math.isfinite(loss):
+                        raise NumericalError(
+                            f"non-finite loss at epoch {epoch} "
+                            f"(subject {batch.subject_id}, noise {batch.noise_level}); "
+                            f"last widths {[round(s, 4) for s in fwd['sigmas']]}")
+                    # plain SGD on every parameter: w, bias, a, b, v, c
+                    for name, g in grads.items():
+                        owner = cw if name in ("w", "bias") else pnw
+                        setattr(owner, name,
+                                getattr(owner, name) - cfg.learning_rate * g)
+                    epoch_loss += loss * batch.size
+                    n_seen += batch.size
+        except FloatingPointError as exc:
+            raise NumericalError(f"{exc} at epoch {epoch} (subject {batch.subject_id}, "
+                                 f"noise {batch.noise_level})") from None
+        val = _evaluate_split(batches, pnw, cw, cfg, "validation", smoothing)
+        train_loss = epoch_loss / n_seen
+        report.epochs.append({"epoch": epoch, "train_loss": train_loss,
+                              "val_loss": val["loss"],
+                              "val_accuracy": val["accuracy"]})
+        if val["loss"] < best["loss"]:
+            best = {"loss": val["loss"], "epoch": epoch,
+                    "pnw": copy.deepcopy(pnw), "cw": copy.deepcopy(cw)}
+        # patience counts from the best epoch, or from 0 while none is finite
+        elif epoch - max(best["epoch"], 0) >= cfg.patience:
+            break
 
-        if best["pnw"] is not None:
-            pnw, cw = best["pnw"], best["cw"]
-        report.best_epoch = best["epoch"]
-        report.stopped_epoch = report.epochs[-1]["epoch"]
+    if best["pnw"] is not None:
+        pnw, cw = best["pnw"], best["cw"]
+    report.best_epoch = best["epoch"]
+    report.stopped_epoch = report.epochs[-1]["epoch"]
 
-        test = _evaluate_split(batches, pnw, cw, cfg, "test", profile, workspace)
-        report.test_accuracy = test["accuracy"]
-        report.per_noise = test["per_noise"]
+    test = _evaluate_split(batches, pnw, cw, cfg, "test", smoothing)
+    report.test_accuracy = test["accuracy"]
+    report.per_noise = test["per_noise"]
     return pnw, cw, report
 
 

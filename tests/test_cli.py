@@ -678,8 +678,10 @@ def saved_model(request, trained, tmp_path_factory):
     out = root / "model"
     assert run(["train", "--config", str(cfg), "--data", str(data),
                 "--out", str(out), "--seed", "43"]) == 0
-    batches = trainer.load_dataset(data / "manifest.csv")
     config = read_config(out / "config.txt", trainer.TrainConfig)
+    # loaded as `train` loads it: a fixed width's data stays in voxels
+    batches = trainer.load_dataset(data / "manifest.csv",
+                                   features=config.fixed_sigma is None)
     return data, out, batches, config, trainer.train(config, batches)
 
 
@@ -770,6 +772,29 @@ class TestFeaturesOnlyWhereRead:
 
 
 class TestParsing:
+    def test_one_parser_serves_a_sequence_of_commands(self, trained, capsys):
+        # one process parses each command with the parser it built first: a
+        # usage error, then two commands, give the exit codes and output of
+        # a fresh process each
+        data, model = trained
+        argvs = [["evaluate", "--weights", str(model)],
+                 ["inspect-filter", "--sigma-f", "0.6"],
+                 ["evaluate", "--weights", str(model), "--data", str(data)]]
+        src = str(Path(adaptsmooth.__file__).resolve().parents[1])
+        alone = []
+        for argv in argvs:
+            result = subprocess.run([sys.executable, "-m", "adaptsmooth.cli", *argv],
+                                    env={**os.environ, "PYTHONPATH": src},
+                                    capture_output=True, text=True, timeout=120)
+            alone.append((result.returncode, result.stdout, result.stderr))
+        together = []
+        for argv in argvs:
+            code = run(argv)
+            out = capsys.readouterr()
+            together.append((code, out.out, out.err))
+        assert [code for code, _, _ in together] == [1, 0, 0]
+        assert together == alone
+
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
         assert "ERROR 1" in capsys.readouterr().err

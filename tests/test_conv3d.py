@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -9,10 +8,9 @@ import numpy as np
 import pytest
 
 import adaptsmooth
-from adaptsmooth import conv3d
-from adaptsmooth.conv3d import convolve, convolve_separable, smooth_batch
+from adaptsmooth.conv3d import convolve, convolve_separable, separable_product
 from adaptsmooth.errors import DataError
-from adaptsmooth.gaussian_filter import build_filter, build_profiles
+from adaptsmooth.gaussian_filter import build_filter
 
 
 def test_impulse_response_places_filter():
@@ -87,38 +85,52 @@ class TestMatrixPasses:
 
 
 _DIGESTS = """
-import hashlib
+import hashlib, sys, tempfile
+from pathlib import Path
 import numpy as np
-from adaptsmooth.conv3d import convolve_separable, smooth_batch
-from adaptsmooth.gaussian_filter import build_filter, build_profiles
+from adaptsmooth import classifier, params_net, phantom, trainer
+from adaptsmooth.conv3d import convolve_separable, separable_product
+from adaptsmooth.gaussian_filter import build_filter, heat_kernel, sine_basis
 f = build_filter(1.6, 4.0)
-p, dp = f.profile_1d, build_profiles([1.6], 4.0)[2][0]
 for dims in [(24, 24, 24), (9, 11, 7), (61, 73, 61)]:
-    rng = np.random.default_rng(0)
-    x, w = rng.normal(size=dims), rng.normal(size=dims)
-    z, (dot,) = smooth_batch(x[None], [p], [dp], w)
-    three_terms = (convolve_separable(x, (dp, p, p)) + convolve_separable(x, (p, dp, p))
-                   + convolve_separable(x, (p, p, dp)))
-    for out in (convolve_separable(x, p), np.append(z, dot), three_terms):
+    x = np.random.default_rng(0).normal(size=dims)
+    sine = separable_product(x, [sine_basis(n)[0] for n in dims])
+    heat = separable_product(x, [heat_kernel(1.6, n) for n in dims])
+    for out in (convolve_separable(x, f.profile_1d), sine, heat):
         print(hashlib.sha256(out.tobytes()).hexdigest())
 x = np.random.default_rng(1).normal(size=(9, 11, 7))
 out = convolve_separable(x, (f.profile_1d[1:-1], np.ones(1) / 3, f.profile_1d))
 print(hashlib.sha256(out.tobytes()).hexdigest())
-# one adaptive training step: widths, profiles, matrices, passes and gradients
-from adaptsmooth import classifier, params_net, trainer
+# one training step on sine coefficients (adaptive, then a fixed width) and
+# one on voxels (a fixed width): widths, gains, products and gradients
 rng = np.random.default_rng(2)
 vols = np.stack([s * rng.normal(size=(24, 24, 24)) + 0.5
                  for s in (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)])
-batch = trainer.MiniBatch("s0", 0.1, "train", vols, np.arange(6) % 2.0,
-                          np.array([params_net.noise_feature(v) for v in vols]))
-loss, grads, fwd = trainer.batch_loss_and_grads(
-    batch, params_net.init_weights(8, 43, 0.375, 5.85),
-    classifier.xavier_init((24, 24, 24), 44), trainer.TrainConfig(lambda_l2=1e-3, seed=1))
-assert len(fwd["dz"]) == 6 and all(isinstance(dz, float) for dz in fwd["dz"])
-h = hashlib.sha256(np.float64(loss).tobytes() + fwd["cache"]["x"].tobytes())
-for name in ("w", "bias", "a", "b", "v", "c"):
-    h.update(np.asarray(grads[name], dtype=np.float64).tobytes())
-print(h.hexdigest())
+feats = np.array([params_net.noise_feature(v) for v in vols])
+basis = [sine_basis(24)[0]] * 3
+coeffs = np.stack([separable_product(v, basis) for v in vols])
+pnw = params_net.init_weights(8, 43, 0.375, 5.85)
+cw = classifier.xavier_init((24, 24, 24), 44)
+for volumes, features, fixed in ((coeffs, feats, None), (coeffs, feats, 1.3), (vols, None, 1.3)):
+    batch = trainer.MiniBatch("s0", 0.1, "train", volumes, np.arange(6) % 2.0, features)
+    cfg = trainer.TrainConfig(lambda_l2=1e-3, seed=1, fixed_sigma=fixed)
+    loss, grads, fwd = trainer.batch_loss_and_grads(batch, pnw, cw, cfg)
+    h = hashlib.sha256(np.float64(loss).tobytes() + fwd["cache"]["x"].tobytes())
+    for name in grads:
+        h.update(np.asarray(grads[name], dtype=np.float64).tobytes())
+    if fixed is None:
+        h.update(fwd["dlogit_dsigma"].tobytes())
+    print(h.hexdigest())
+# the sine coefficients load_dataset stores, from a full and a test-split load
+with tempfile.TemporaryDirectory() as tmp:
+    spec = phantom.PhantomSpec(dims=(9, 16, 11), n_subjects=3, volumes_per_subject_per_class=2,
+                               center_offset_x=3, blob_radius=1.3, noise_levels=(0.0, 0.2),
+                               split_counts=(1, 1, 1))
+    phantom.generate(spec, tmp, seed=5)
+    for split in (None, "test"):
+        batches = trainer.load_dataset(Path(tmp) / "manifest.csv", split)
+        test = [b.volumes for b in batches if b.split == "test"]
+        print(hashlib.sha256(np.concatenate(test).tobytes()).hexdigest())
 """
 
 
@@ -132,9 +144,10 @@ def test_output_does_not_depend_on_blas_threads():
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         digests.append(result.stdout.split())
-    assert len(digests[0]) == 11
+    assert len(digests[0]) == 15
     assert digests[0] == digests[1]
-
+    # a full load and a split load store a volume's coefficients bit for bit
+    assert digests[0][-2] == digests[0][-1]
 
 
 _CPU_DIGESTS = """
@@ -142,54 +155,59 @@ import hashlib, os, sys
 import numpy as np
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-elif sys.argv[1] == "four":
-    # more workers than CPUs, handing the interpreter over every microsecond
-    os.sched_getaffinity = lambda pid: set(range(4))
-    sys.setswitchinterval(1e-6)
-from adaptsmooth import conv3d, params_net, trainer
-from adaptsmooth.gaussian_filter import build_profiles
-dims = (9, 11, 7)
-n = 2 * conv3d._chunk_volumes(dims) + 3  # not a multiple of G
-rng = np.random.default_rng(3)
-volumes, w = rng.normal(size=(n, *dims)), rng.normal(size=dims)
-sigmas = rng.uniform(0.4, 1.6, n)
-sigmas[[5, n - 2]] = 0.1  # 1-tap widths
-_, ps, dps = build_profiles(sigmas, 4.0, min(dims))
-with conv3d.Workspace(n, dims) as workspace:
-    print(workspace.workers)
-    for d_profiles in (dps, None):  # a training step, an evaluation
-        z, dots = conv3d.smooth_batch(volumes, ps, d_profiles, w, workspace)
-        print(hashlib.sha256(z.tobytes() + repr(dots).encode()).hexdigest())
-batches = []
+from adaptsmooth import params_net, trainer
+from adaptsmooth.conv3d import separable_product
+from adaptsmooth.gaussian_filter import sine_basis
+dims, n = (9, 11, 7), 11
+basis = [sine_basis(k)[0] for k in dims]
+coeffs, voxels = [], []
 for i, split in enumerate(trainer.SPLITS):
     vols = np.random.default_rng(i).normal(0.5, 0.2, (n, *dims))
-    batches.append(trainer.MiniBatch(f"s{i}", 0.1 * i, split, vols, np.arange(n) % 2.0,
-                                     np.array([params_net.noise_feature(v) for v in vols])))
-pnw, cw, _ = trainer.train(trainer.TrainConfig(max_epochs=2, patience=2, seed=5, width_m=8),
-                           batches)
-h = hashlib.sha256()
-for weights in (pnw.a, pnw.b, pnw.v, pnw.c, cw.w, cw.bias):
-    h.update(np.asarray(weights, dtype=np.float64).tobytes())
-print(h.hexdigest())
+    feats = np.array([params_net.noise_feature(v) for v in vols])
+    voxels.append(trainer.MiniBatch(f"s{i}", 0.1 * i, split, vols.copy(), np.arange(n) % 2.0,
+                                    None))
+    for v in vols:
+        separable_product(v, basis, out=v)
+    coeffs.append(trainer.MiniBatch(f"s{i}", 0.1 * i, split, vols, np.arange(n) % 2.0, feats))
+for batches, fixed in ((coeffs, None), (coeffs, 0.9), (voxels, 0.9)):
+    cfg = trainer.TrainConfig(max_epochs=2, patience=2, seed=5, width_m=8, fixed_sigma=fixed)
+    pnw, cw, _ = trainer.train(cfg, batches)
+    h = hashlib.sha256()
+    for weights in (pnw.a, pnw.b, pnw.v, pnw.c, cw.w, cw.bias):
+        h.update(np.asarray(weights, dtype=np.float64).tobytes())
+    print(h.hexdigest())
 """
 
 
 def test_output_does_not_depend_on_cpu_count():
-    """Smoothing, width derivatives and a 2-epoch training are bit for bit
-    the same on one worker (the process pinned to one CPU), on one per
-    CPU, and on four workers whatever the CPU count."""
+    """2-epoch trainings, adaptive and at a fixed width on sine coefficients
+    and at a fixed width on voxels, are bit for bit the same with the
+    process pinned to one CPU and free on every CPU it may use: the BLAS
+    build may size its thread pool by the CPUs it sees."""
     src = str(Path(adaptsmooth.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     runs = {}
-    for mode in ("pinned", "free", "four"):
+    for mode in ("pinned", "free"):
         result = subprocess.run([sys.executable, "-c", _CPU_DIGESTS, mode], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        workers, *runs[mode] = result.stdout.split()
-        assert int(workers) == {"pinned": 1, "four": 3}.get(
-            mode, min(3, len(os.sched_getaffinity(0))))
+        runs[mode] = result.stdout.split()
     assert len(runs["pinned"]) == 3
-    assert runs["pinned"] == runs["free"] == runs["four"]
+    assert runs["pinned"] == runs["free"]
+
+
+def test_separable_product_in_place():
+    # `load_dataset` transforms each volume into its own memory: the bits
+    # of a fresh result, and each axis multiplied by its own matrix
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(9, 11, 7))
+    mats = [rng.normal(size=(n, n)) for n in x.shape]
+    fresh = separable_product(x, mats)
+    np.testing.assert_allclose(fresh, np.einsum("ia,jb,kc,ijk->abc", *mats, x),
+                               rtol=1e-12, atol=1e-12)
+    y = x.copy()
+    separable_product(y, mats, out=y)
+    assert y.tobytes() == fresh.tobytes()
 
 
 def test_linearity():
@@ -211,134 +229,6 @@ class TestValidation:
             convolve(np.zeros((4, 4, 4)), np.zeros((5, 5, 5)))
         with pytest.raises(DataError):
             convolve_separable(np.zeros((4, 4, 4)), np.ones(5))
-
-
-def _dz_reference(x, p, dp):
-    """The width derivative of smoothing `x` by p(x)p(y)p(z), summed as
-    `smooth_batch` sums it: the two product-rule terms that end in the
-    d-axis smoothing first, as u, through 1-tap identity axes."""
-    one = np.ones(1)
-    u = convolve_separable(x, (dp, p, one)) + convolve_separable(x, (p, dp, one))
-    return convolve_separable(u, (one, one, p)) + convolve_separable(x, (p, p, dp))
-
-
-class TestSmoothWithDsigma:
-    """`smooth_batch` smooths with the passes of `convolve_separable` and
-    sums the width derivative in the order of `_dz_reference`, bit for
-    bit."""
-
-    @pytest.mark.parametrize("dims", [(8, 8, 8), (9, 11, 7)])
-    @pytest.mark.parametrize("sigma, radius", [(0.6, 1), (1.1, 2), (1.6, 3)])
-    def test_bitwise_equal_to_separate_convolutions(self, sigma, radius, dims):
-        rng = np.random.default_rng(radius)
-        # two volumes, so the second reuses the first one's scratch rows
-        volumes, w = rng.normal(size=(2, *dims)), rng.normal(size=dims)
-        f = build_filter(sigma, 4.0)
-        assert f.radius == radius
-        p, dp = f.profile_1d, build_profiles([sigma], 4.0)[2][0]
-        z, dots = smooth_batch(volumes, [p, p], [dp, dp], w)
-        for x, z_i, dot in zip(volumes, z, dots):
-            np.testing.assert_array_equal(z_i, convolve_separable(x, p))
-            dz = _dz_reference(x, p, dp)
-            assert dot == float(np.einsum("ijk,ijk->", w, dz))
-            assert np.max(np.abs(dz - convolve(x, f.d_weights_d_sigma))) < 1e-12
-
-    def test_dense_products_per_volume(self, monkeypatch):
-        """One call runs 8 dense products per volume when it differentiates
-        and 3 when it only smooths, for a radius-0 width too, whose width
-        derivative stays 0."""
-        products = []
-        matmul = np.matmul
-
-        def counted(a, b, **kwargs):
-            products.append(math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])))
-            return matmul(a, b, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", counted)
-        rng = np.random.default_rng(5)
-        volumes, w = rng.normal(size=(3, 9, 11, 7)), rng.normal(size=(9, 11, 7))
-        radii, ps, dps = build_profiles([1.1, 0.6, 0.1], 4.0)
-        assert radii == [2, 1, 0]
-        for d_profiles, per_volume in ((None, 3), (dps, 8)):
-            for i in range(3):
-                products.clear()
-                smooth_batch(volumes[i:i + 1], ps[i:i + 1],
-                             None if d_profiles is None else d_profiles[i:i + 1], w)
-                assert sum(products) == per_volume
-            products.clear()
-            z, dots = smooth_batch(volumes, ps, d_profiles, w)
-            assert sum(products) == 3 * per_volume
-            assert (dots is None) == (d_profiles is None)
-        assert dots[2] == 0.0
-        np.testing.assert_array_equal(z[2], volumes[2])
-
-    def test_matrices_only_for_given_derivative_profiles(self):
-        # evaluation passes no derivative profile and builds no matrix for
-        # one; a training chunk's stack holds its smoothing matrices, then
-        # their derivatives; a 1-tap profile's matrix is p[0] times the identity
-        _, ps, dps = build_profiles([1.1, 0.6, 0.1], 4.0)
-        assert conv3d._matrices(ps, 9).shape == (3, 9, 9)
-        pairs = conv3d._matrices([*ps, *dps], 9).reshape(2, 3, 9, 9)
-        for p, dp, m in zip(ps, dps, pairs.swapaxes(0, 1)):
-            np.testing.assert_array_equal(m, conv3d._matrices([p, dp], 9))
-        np.testing.assert_array_equal(conv3d._matrices([np.array([0.25])], 9)[0],
-                                      0.25 * np.eye(9))
-
-    def test_prior_workspace_contents_never_read(self):
-        """A reused workspace, here filled with NaN and sized for one volume
-        more than the batch, gives the bits of a fresh one; the smoothed
-        batch is a view into it."""
-        rng = np.random.default_rng(8)
-        dims = (9, 11, 7)
-        volumes, w = rng.normal(size=(3, *dims)), rng.normal(size=dims)
-        _, ps, dps = build_profiles([1.1, 0.6, 0.1], 4.0)
-        for d_profiles in (None, dps):
-            z, dots = smooth_batch(volumes, ps, d_profiles, w)
-            with conv3d.Workspace(len(volumes) + 1, dims) as workspace:
-                workspace.rows.fill(np.nan)
-                z_reused, dots_reused = smooth_batch(volumes, ps, d_profiles, w, workspace)
-            assert np.shares_memory(z_reused, workspace.rows)
-            assert z_reused.tobytes() == z.tobytes()
-            assert dots_reused == dots
-        with pytest.raises(ValueError, match="too small"), conv3d.Workspace(2, dims) as small:
-            smooth_batch(volumes, ps, dps, w, small)
-
-    def test_rows_not_c_ordered_float64_refused(self):
-        # float32 rows would round every pass, and Fortran-ordered ones
-        # would make `_pass` write into copies of them
-        rng = np.random.default_rng(8)
-        dims = (9, 9, 9)
-        volumes, w = rng.normal(size=(3, *dims)), rng.normal(size=dims)
-        _, ps, dps = build_profiles([1.1, 0.6, 1.6], 4.0)
-        with conv3d.Workspace(len(volumes), dims) as workspace:
-            rows = workspace.rows
-            for bad in (rows.astype(np.float32), np.asfortranarray(rows)):
-                workspace.rows = bad
-                for d_profiles in (None, dps):
-                    with pytest.raises(ValueError, match="too small .* or not C-ordered float64"):
-                        smooth_batch(volumes, ps, d_profiles, w, workspace)
-
-    def test_one_profile_per_volume_required(self):
-        # too few profiles left a result row unwritten, too few derivative
-        # profiles a volume unsmoothed, and a None would pass as a NaN 1-tap
-        x = np.zeros((3, 5, 5, 5))
-        _, ps, dps = build_profiles([1.1, 0.6, 0.9], 4.0)
-        for profiles, d_profiles in ((ps[:2], None), (ps[:2], dps), (ps, dps[:2]),
-                                     ([*ps, ps[0]], None), (ps, [*dps, dps[0]])):
-            with pytest.raises(ValueError, match="need one profile each"):
-                smooth_batch(x, profiles, d_profiles, x[0])
-        for profiles, d_profiles in (([ps[0], None, ps[2]], None),
-                                     ([ps[0], None, ps[2]], dps), (ps, [dps[0], None, dps[2]])):
-            with pytest.raises(DataError, match="1-D of odd length"):
-                smooth_batch(x, profiles, d_profiles, x[0])
-
-    def test_bad_profiles_rejected(self):
-        x = np.zeros((1, 4, 4, 4))
-        for bad, match in ((np.ones(2), "odd"), (np.ones(5), "exceeds")):
-            with pytest.raises(DataError, match=match):
-                smooth_batch(x, [np.ones(3)], [bad], x[0])
-            with pytest.raises(DataError, match=match):
-                smooth_batch(x, [bad], [np.ones(3)], x[0])
 
 
 class TestSymmetricSmoothing:

@@ -5,14 +5,19 @@ import re
 import numpy as np
 import pytest
 
+from adaptsmooth.conv3d import separable_product
 from adaptsmooth.errors import DataError
 from adaptsmooth.gaussian_filter import (
     build_filter,
     build_profiles,
+    check_width,
     dump_filter,
     filter_radius,
     fwhm_mm_to_sigma,
+    heat_gains,
+    heat_kernel,
     sigma_to_fwhm_mm,
+    sine_basis,
     width_range,
 )
 
@@ -31,16 +36,11 @@ def brute_force_weights(sigma, r):
     return q / q.sum()
 
 
-def support_stable(sigma, t, h):
-    return filter_radius(sigma - h, t) == filter_radius(sigma + h, t)
-
-
 class TestBuildFilter:
     def test_single_cell_regime(self):
         f = build_filter(0.3, 4.0)
         assert f.radius == 0
         np.testing.assert_array_equal(f.weights, np.ones((1, 1, 1)))
-        np.testing.assert_array_equal(f.d_weights_d_sigma, np.zeros((1, 1, 1)))
 
     def test_sigma_one_against_brute_force(self):
         f = build_filter(1.0, 4.0)
@@ -52,7 +52,6 @@ class TestBuildFilter:
         for sigma in np.logspace(np.log10(0.4), np.log10(4.0), 25):
             f = build_filter(float(sigma), 4.0)
             assert abs(f.weights.sum() - 1.0) < 1e-9
-            assert abs(f.d_weights_d_sigma.sum()) < 1e-9
 
     def test_symmetries_exact(self):
         f = build_filter(1.3, 4.0)
@@ -96,8 +95,6 @@ class TestBuildFilter:
     def test_tiny_width_within_float64_accepted(self, sigma, t):
         f = build_filter(sigma, t)
         assert f.profile_1d[f.radius] == 1.0 and f.profile_1d.sum() == 1.0
-        assert not build_profiles([sigma], t)[2][0].any()
-
 
     def test_max_side_refused_before_any_array(self):
         assert build_filter(1.0, 4.0, max_side=5).radius == 2
@@ -115,15 +112,11 @@ class TestBuildFilter:
         assert 2 * f.radius + 1 == side
 
 
-def one_width_profiles(sigma, t):
-    """The profile and its sigma_f derivative of one width, each sum over
-    that width's own taps."""
+def one_width_profile(sigma, t):
+    """The profile of one width, summed over that width's own taps."""
     r = filter_radius(sigma, t)
-    sq = np.arange(-r, r + 1) ** 2
-    g1 = np.exp(-sq * (1.0 / (2.0 * sigma * sigma)))
-    g1p = g1 * (sq / sigma ** 3)
-    s1, s1p = g1.sum(), g1p.sum()
-    return g1 / s1, (g1p * s1 - g1 * s1p) / (s1 * s1)
+    g1 = np.exp(-np.arange(-r, r + 1) ** 2 * (1.0 / (2.0 * sigma * sigma)))
+    return g1 / g1.sum()
 
 
 class TestBuildProfiles:
@@ -143,15 +136,13 @@ class TestBuildProfiles:
     @pytest.mark.parametrize("t", [4.0, 2.7])
     def test_rows_equal_one_width_formula(self, t):
         sigmas = self._widths(t)
-        radii, profiles, d_profiles = build_profiles(sigmas, t)
+        radii, profiles = build_profiles(sigmas, t)
         assert set(radii) == set(range(12))
-        for sigma, r, p, dp in zip(sigmas.tolist(), radii, profiles, d_profiles):
-            want_p, want_dp = one_width_profiles(sigma, t)
+        for sigma, r, p in zip(sigmas.tolist(), radii, profiles):
+            want = one_width_profile(sigma, t)
             f = build_filter(sigma, t)
-            assert r == f.radius == filter_radius(sigma, t)
-            for got, want in ((p, want_p), (dp, want_dp), (f.profile_1d, want_p),
-                              (build_profiles([sigma], t)[2][0], want_dp)):
-                assert got.tobytes() == want.tobytes()
+            assert r == f.radius == filter_radius(sigma, t) == check_width(sigma, t)
+            assert p.tobytes() == f.profile_1d.tobytes() == want.tobytes()
 
     def test_first_bad_width_is_named(self):
         with pytest.raises(DataError, match="got nan"):
@@ -160,30 +151,78 @@ class TestBuildProfiles:
             build_profiles([0.1, 0.6], 4.0, max_side=1)
 
 
+def _laplacian(n):
+    """The zero-padded [1, -2, 1] matrix of an axis of length n."""
+    return -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+
+
+def _eigh_kernel(sigma, n):
+    """exp(sigma^2 L / 2) from `np.linalg.eigh` of L: a reference for the
+    heat kernel that does not use the closed-form sine basis."""
+    lam, v = np.linalg.eigh(_laplacian(n))
+    return (v * np.exp(0.5 * sigma * sigma * lam)) @ v.T
+
+
+class TestHeatKernel:
+    """The discrete Gaussian exp(sigma^2 L / 2) per axis, through the sine
+    basis, against a dense eigendecomposition of L."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 9, 11, 24, 109])
+    def test_sine_basis_is_orthonormal_and_its_own_inverse(self, n):
+        s, lam = sine_basis(n)
+        np.testing.assert_array_equal(s, s.T)
+        assert np.max(np.abs(s @ s - np.eye(n))) < 1e-14
+        # it diagonalizes L, with L's eigenvalues in increasing magnitude
+        assert np.max(np.abs((s * lam) @ s - _laplacian(n))) < 1e-14
+        assert np.all(np.diff(lam) < 0) and np.all((-4 < lam) & (lam < 0))
+
+    def test_smoothing_in_the_sine_basis_matches_dense_reference(self):
+        # a non-cubic volume: transform, one gain per coefficient, transform back
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(9, 11, 7))
+        for sigma in (0.375, 1.3, 4.0):
+            bases = [sine_basis(n) for n in x.shape]
+            gains = [heat_gains(sigma, lam) for _, lam in bases]
+            mats = [s for s, _ in bases]
+            coeffs = separable_product(x, mats)
+            z = separable_product(coeffs * np.einsum("i,j,k", *gains), mats)
+            ref = np.einsum("ai,bj,ck,ijk->abc",
+                            *(_eigh_kernel(sigma, n) for n in x.shape), x)
+            assert np.max(np.abs(z - ref)) < 1e-12 * np.max(np.abs(ref))
+            for n in set(x.shape):
+                k = heat_kernel(sigma, n)
+                assert np.max(np.abs(k - _eigh_kernel(sigma, n))) < 1e-14
+
+    def test_edge_rows_lose_mass(self):
+        # Dirichlet edges: at sigma 1.5 the first row keeps about half its
+        # mass, as the eigh reference does; an interior row keeps all of it
+        k, ref = heat_kernel(1.5, 24), _eigh_kernel(1.5, 24)
+        lost = 1.0 - k.sum(axis=1)
+        np.testing.assert_allclose(lost[[0, -1]], (1.0 - ref.sum(axis=1))[[0, -1]],
+                                   rtol=1e-12)
+        assert lost[0] == pytest.approx(0.5014, abs=1e-4)
+        assert lost[-1] == pytest.approx(lost[0], rel=1e-12)
+        assert abs(lost[12]) < 1e-6
+
+
 class TestDerivative:
+    """The width derivative of the heat kernel the trainer differentiates,
+    dK/dsigma = sigma L K, the logit derivative's rule."""
+
     def test_matches_finite_differences(self):
         h = 1e-5
         rng = np.random.default_rng(9)
-        checked = 0
-        while checked < 20:
-            sigma = float(rng.uniform(0.45, 4.0))
-            if not support_stable(sigma, 4.0, h):
-                continue
-            f = build_filter(sigma, 4.0)
-            if f.radius == 0:
-                continue
-            qp = build_filter(sigma + h, 4.0).weights
-            qm = build_filter(sigma - h, 4.0).weights
-            fd = (qp - qm) / (2 * h)
-            an = f.d_weights_d_sigma
-            denom = np.maximum(np.abs(fd), 1e-10)
-            assert np.max(np.abs(fd - an) / denom) < 1e-5
-            checked += 1
+        for n in (9, 24):
+            lap = _laplacian(n)
+            for sigma in rng.uniform(*width_range((n, n, n), 4.0), 10):
+                fd = (heat_kernel(sigma + h, n) - heat_kernel(sigma - h, n)) / (2 * h)
+                an = sigma * lap @ heat_kernel(sigma, n)
+                assert np.max(np.abs(fd - an)) < 1e-7 * np.max(np.abs(an))
 
     def test_center_derivative_negative(self):
-        f = build_filter(1.2, 4.0)
-        r = f.radius
-        assert f.d_weights_d_sigma[r, r, r] < 0  # widening flattens the peak
+        k = heat_kernel(1.2, 9)
+        # widening flattens the peak
+        assert (_laplacian(9) @ k)[4, 4] * 1.2 < 0
 
 
 class TestWidthRange:

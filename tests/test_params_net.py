@@ -214,7 +214,7 @@ class TestBoundedMap:
         assert lo <= sigmas.min() and sigmas.max() <= hi
         assert sigmas[0] == lo and sigmas[-1] == hi
         # every filter fits: build_profiles refuses a side above min(dims)
-        radii, _, _ = build_profiles(sigmas, t, max_side=min(dims))
+        radii, _ = build_profiles(sigmas, t, max_side=min(dims))
         assert max(radii) == (min(dims) - 1) // 2
 
     @pytest.mark.parametrize("dims", DIMS)

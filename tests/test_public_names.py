@@ -26,8 +26,6 @@ BENCH = PACKAGE.parents[1] / "bench"
 TEST_REFERENCES = {
     # the oracle weight vector that shows the phantom is linearly separable
     ("phantom", "separability_weights"),
-    # the direct-convolution reference for the d(sigma) chain
-    ("gaussian_filter", "GaussianFilter.d_weights_d_sigma"),
 }
 
 

@@ -1,22 +1,17 @@
 import copy
+import dataclasses
 import math
 import re
 import threading
-import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from adaptsmooth import classifier, conv3d, params_net, phantom, trainer
-from adaptsmooth.conv3d import convolve_separable
+from adaptsmooth import classifier, params_net, phantom, trainer
+from adaptsmooth.conv3d import separable_product
 from adaptsmooth.errors import DataError, NumericalError
-from adaptsmooth.gaussian_filter import (
-    build_filter,
-    build_profiles,
-    filter_radius,
-    width_range,
-)
+from adaptsmooth.gaussian_filter import heat_gains, heat_kernel, sine_basis, width_range
 from adaptsmooth.phantom import PhantomSpec
 from adaptsmooth.trainer import (
     MiniBatch,
@@ -40,6 +35,11 @@ from adaptsmooth.volume_io import (
 def _init_head(m, seed, dims=(16, 16, 16)):
     """`train`'s initial head for volumes of `dims` at the default truncation."""
     return params_net.init_weights(m, seed, *width_range(dims, TrainConfig().truncation))
+
+
+def _basis(dims):
+    """The sine basis of each axis of volumes of `dims`."""
+    return [sine_basis(n)[0] for n in dims]
 
 
 def _make_group(sid, noise, split, n, dims=(4, 4, 4), seed=0):
@@ -71,15 +71,21 @@ def test_load_dataset_reads_each_group_into_one_array(tmp_path):
     groups = {}
     for e in read_manifest(tmp_path / "manifest.csv").entries:
         groups.setdefault((e.subject_id, e.noise_level), []).append(e.path)
-    batches = load_dataset(tmp_path / "manifest.csv")
-    assert len(batches) == len(groups) == 6
-    for b in batches:
+    bare = load_dataset(tmp_path / "manifest.csv", features=False)
+    full = load_dataset(tmp_path / "manifest.csv")
+    assert len(bare) == len(full) == len(groups) == 6
+    basis = _basis((9, 16, 11))
+    for b, f in zip(bare, full):
         paths = groups[(b.subject_id, b.noise_level)]
-        assert isinstance(b.volumes, np.ndarray)
-        assert b.volumes.dtype == np.float64 and b.volumes.flags.c_contiguous
-        assert b.volumes.shape == (len(paths), 9, 16, 11)
+        for batch in (b, f):
+            assert isinstance(batch.volumes, np.ndarray)
+            assert batch.volumes.dtype == np.float64 and batch.volumes.flags.c_contiguous
+            assert batch.volumes.shape == (len(paths), 9, 16, 11)
+        voxels = np.stack([read_volume(tmp_path / path).data for path in paths])
+        np.testing.assert_array_equal(b.volumes, voxels)
+        # with features, each volume is stored as its sine coefficients
         np.testing.assert_array_equal(
-            b.volumes, np.stack([read_volume(tmp_path / path).data for path in paths]))
+            f.volumes, np.stack([separable_product(v, basis) for v in voxels]))
 
 
 def _three_subject_phantom(out):
@@ -120,9 +126,12 @@ def test_load_dataset_without_features(tmp_path, monkeypatch):
     bare = load_dataset(manifest, features=False)
     assert [(b.subject_id, b.noise_level, b.split) for b in bare] == \
         [(b.subject_id, b.noise_level, b.split) for b in full]
+    basis = _basis((9, 16, 11))
     for b, f in zip(bare, full):
         assert b.features is None
-        np.testing.assert_array_equal(b.volumes, f.volumes)
+        # the bare load stays in voxels, the full one holds their coefficients
+        np.testing.assert_array_equal(
+            f.volumes, np.stack([separable_product(v, basis) for v in b.volumes]))
         np.testing.assert_array_equal(b.labels, f.labels)
         assert b.voxel_size_mm == f.voxel_size_mm
 
@@ -132,12 +141,20 @@ def test_featureless_batches_evaluate_fixed_width_only(tmp_path):
     full, bare = load_dataset(manifest), load_dataset(manifest, features=False)
     pnw = _init_head(5, 0, (9, 16, 11))
     cw = classifier.xavier_init((9, 16, 11), 1)
-    assert evaluate(pnw, cw, bare, "test", fixed_sigma=0.8) == \
-        evaluate(pnw, cw, full, "test", fixed_sigma=0.8)
+    # the same kernel on voxels (K w) and on coefficients (E S w): the same
+    # accuracies, losses equal to rounding
+    on_voxels = evaluate(pnw, cw, bare, "test", fixed_sigma=0.8)
+    on_coefficients = evaluate(pnw, cw, full, "test", fixed_sigma=0.8)
+    assert on_voxels["accuracy"] == on_coefficients["accuracy"]
+    assert on_voxels["loss"] == pytest.approx(on_coefficients["loss"], rel=1e-12)
+    for noise, row in on_voxels["per_noise"].items():
+        assert row["accuracy"] == on_coefficients["per_noise"][noise]["accuracy"]
     with pytest.raises(DataError, match="noise features"):
         evaluate(pnw, cw, bare, "test")
     with pytest.raises(DataError, match="noise features"):
         train(TrainConfig(max_epochs=1, width_m=5), bare)
+    with pytest.raises(DataError, match="cannot be mixed"):
+        evaluate(pnw, cw, [*bare, *full], "test", fixed_sigma=0.8)
 
 
 def test_load_dataset_split_keeps_only_that_split(tmp_path):
@@ -256,79 +273,66 @@ class TestGradients:
 
 
 class TestJointPassChain:
-    """Every training volume takes the joint smoothing/dσ pass chain;
-    evaluation never does."""
+    """A training step takes the joint pass over its batch: each volume's
+    coefficients times its own width's gains, into the call's buffer, which
+    the classifier reads in place, then every logit's width derivative;
+    evaluation only smooths."""
 
-    @pytest.fixture()
-    def joint_calls(self, monkeypatch):
-        """One entry per volume that a batch smoothing also differentiates
-        with respect to its width, in the joint pass chain."""
-        calls = []
-        smooth = trainer.smooth_batch
+    def test_evaluation_never_takes_joint_path(self, tiny_dataset, monkeypatch):
+        forward, derivatives = trainer._forward_batch, []
 
-        def counted(volumes, profiles, d_profiles, weight, workspace=None):
-            calls.extend(d_profiles or [])
-            return smooth(volumes, profiles, d_profiles, weight, workspace)
+        def recorded(*args, **kwargs):
+            fwd = forward(*args, **kwargs)
+            derivatives.append(fwd["dlogit_dsigma"])
+            return fwd
 
-        monkeypatch.setattr(trainer, "smooth_batch", counted)
-        return calls
-
-    def test_evaluation_never_takes_joint_path(self, tiny_dataset, joint_calls):
+        monkeypatch.setattr(trainer, "_forward_batch", recorded)
         pnw = _init_head(8, 0)
         cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
         for split in ("validation", "test"):
             evaluate(pnw, cw, tiny_dataset, split)
             trainer._evaluate_split(tiny_dataset, pnw, cw, TrainConfig(), split)
-        assert joint_calls == []
-
-    def test_one_call_per_gradient_carrying_volume(self, joint_calls, monkeypatch):
-        batch, pnw, cw, cfg = TestGradients()._setup()
-        _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
-        assert len(joint_calls) == batch.size
-        # a single-cell width (sigma 0.1) takes the chain too: its width
-        # derivative is 0; the largest width that fits (1.85) has one
-        monkeypatch.setattr(params_net, "map_to_sigmas",
-                            lambda *args: np.array([1.0, 0.1, 1.85, 1.2]))
-        joint_calls.clear()
-        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
-        assert fwd["sigmas"] == [1.0, 0.1, 1.85, 1.2]
-        assert len(joint_calls) == batch.size
-        assert [dz == 0.0 for dz in fwd["dz"]] == [False, True, False, False]
-        assert np.isfinite(grads["a"]).all()
+        count = sum(b.split in ("validation", "test") for b in tiny_dataset)
+        assert len(derivatives) == 2 * count
+        assert all(d is None for d in derivatives)
 
     def test_classifier_reads_smoothed_volumes_in_place(self):
         batch, pnw, cw, cfg = TestGradients()._setup()
-        with conv3d.Workspace(batch.size, batch.volumes.shape[1:]) as workspace:
-            _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, workspace=workspace)
+        smoothing = trainer._Smoothing(cfg, [batch])
+        _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, smoothing)
         assert fwd["cache"]["x"].shape == (batch.size, 8 * 8 * 8)
-        assert np.shares_memory(fwd["cache"]["x"], workspace.rows)
+        assert np.shares_memory(fwd["cache"]["x"], smoothing.out)
+        assert fwd["dlogit_dsigma"].shape == (batch.size,)
 
 
 class TestBatchStep:
-    """An adaptive training step builds the widths, filters and pass
-    matrices once per batch; it equals the step taken volume by volume
-    bit for bit."""
+    """An adaptive training step maps the batch's widths, gains and logit
+    derivatives at once; it equals the step taken volume by volume: the
+    smoothed coefficients bit for bit, the derivatives and head gradients to
+    rounding."""
 
     @staticmethod
     def _reference(batch, pnw, cw, cfg):
-        """Widths, smoothed volumes, dz contractions and head gradients, one
-        volume at a time."""
+        """Widths, smoothed coefficients, logit width derivatives and head
+        gradients, one volume at a time."""
         dims = batch.volumes.shape[1:]
-        w = cw.w.reshape(dims)
+        bases = [sine_basis(n) for n in dims]
+        w_hat = separable_product(cw.w.reshape(dims), [s for s, _ in bases])
+        lam_h, lam_w, lam_d = (lam for _, lam in bases)
+        eig = lam_h[:, None, None] + lam_w[:, None] + lam_d
         sigmas, smoothed, dz = [], [], []
         for x, feat in zip(batch.volumes, batch.features):
             sigma = params_net.map_to_sigma(float(feat), pnw)
-            p = build_filter(sigma, cfg.truncation).profile_1d
-            dp = build_profiles([sigma], cfg.truncation)[2][0]
-            # the product rule summed in smooth_batch's order, 1-tap axes
-            # the identity
-            one = np.ones(1)
-            u = convolve_separable(x, (dp, p, one)) + convolve_separable(x, (p, dp, one))
-            dz_i = convolve_separable(u, (one, one, p)) + convolve_separable(x, (p, p, dp))
-            dz.append(float(np.einsum("ijk,ijk->", w, dz_i)))
+            e_h, e_w, e_d = (heat_gains(sigma, lam) for _, lam in bases)
+            # the trainer's order: the (w, d) plane of gains, then e_h
+            z = (x.reshape(dims[0], -1) * np.outer(e_w, e_d).ravel()
+                 * e_h[:, None]).reshape(dims)
+            # dK/dsigma = sigma L K in every axis: sigma Lam z
+            dz.append(sigma * float(np.sum(eig * w_hat * z)))
             sigmas.append(sigma)
-            smoothed.append(convolve_separable(x, p))
-        probs, cache = classifier.forward(np.stack(smoothed), cw)
+            smoothed.append(z)
+        cw_hat = classifier.ClassifierWeights(w_hat, cw.bias)
+        _, cache = classifier.forward(np.stack(smoothed), cw_hat)
         _, _, dl_dlogit = classifier.backward(cache, batch.labels)
         head = [np.zeros(pnw.m), np.zeros(pnw.m), np.zeros(pnw.m), 0.0]
         for feat, dz_i, dl in zip(batch.features, dz, dl_dlogit):
@@ -352,35 +356,47 @@ class TestBatchStep:
         cfg = TrainConfig(lambda_l2=1e-3, seed=2)
         _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         sigmas, smoothed, dz, head = self._reference(batch, pnw, cw, cfg)
-        # the batch spans every radius from 1 (at lo) to the largest that fits
         assert min(sigmas) == lo and max(sigmas) == hi
-        assert {filter_radius(s, cfg.truncation) for s in sigmas} == \
-            set(range(1, (min(dims) - 1) // 2 + 1))
         assert fwd["sigmas"] == sigmas
-        assert fwd["cache"]["x"].tobytes() == smoothed.tobytes()
-        assert fwd["dz"] == dz
+        assert fwd["cache"]["x"].tobytes() == smoothed.reshape(n, -1).tobytes()
+        np.testing.assert_allclose(fwd["dlogit_dsigma"], dz, rtol=1e-12, atol=0)
         for name in "abvc":
-            np.testing.assert_array_equal(grads[name], head[name])
+            np.testing.assert_allclose(grads[name], head[name], rtol=1e-10, atol=0)
             assert np.any(grads[name])
+
+
+    def test_two_weight_products_per_step(self, monkeypatch):
+        # the weight forward and the gradient back through S: no volume
+        # takes a product, its smoothing is one gain per coefficient
+        batch, pnw, cw, cfg = TestGradients()._setup()
+        calls = []
+        product = trainer.separable_product
+        monkeypatch.setattr(trainer, "separable_product",
+                            lambda x, mats, out=None: calls.append(x) or product(x, mats, out))
+        batch_loss_and_grads(batch, pnw, cw, cfg)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], cw.w.reshape(batch.volumes[0].shape))
 
 
 class TestFixedWidth:
     """A fixed width smooths the classifier weight instead of every volume:
-    twice per training step and once per evaluation, with one filter built
-    per `train` or `evaluate` call; the step must match smoothing the
-    volumes themselves."""
+    twice per training step and once per evaluation, with one kernel built
+    per `train` or `evaluate` call; on sine coefficients and on voxels the
+    step must match smoothing the voxels themselves."""
 
     SIGMA = 1.1
 
     def _setup(self):
+        """A voxel batch and the coefficient batch of the same volumes."""
         rng = np.random.default_rng(8)
         dims = (7, 8, 9)
-        vols = [rng.normal(0.4, 0.1, dims) for _ in range(6)]
-        batch = MiniBatch("s0", 0.1, "train", np.stack(vols), np.arange(6) % 2.0,
-                          np.zeros(6))
+        vols = np.stack([rng.normal(0.4, 0.1, dims) for _ in range(6)])
+        coeffs = np.stack([separable_product(v, _basis(dims)) for v in vols])
+        voxels = MiniBatch("s0", 0.1, "train", vols, np.arange(6) % 2.0, None)
+        batch = MiniBatch("s0", 0.1, "train", coeffs, np.arange(6) % 2.0, np.zeros(6))
         cw = classifier.xavier_init(dims, 3)
         cfg = TrainConfig(fixed_sigma=self.SIGMA, lambda_l2=1e-3)
-        return batch, cw, cfg
+        return batch, cw, cfg, voxels
 
     @staticmethod
     def _rel(a, b, scale=None):
@@ -388,25 +404,27 @@ class TestFixedWidth:
         return float(np.max(np.abs(a - b))) / (scale or float(np.max(np.abs(b))))
 
     def test_training_step_matches_smoothed_batch_reference(self):
-        batch, cw, cfg = self._setup()
-        loss, grads, fwd = batch_loss_and_grads(batch, None, cw, cfg)
-        # reference: smooth every volume, classify, add the L2 term
-        p = build_filter(self.SIGMA, cfg.truncation).profile_1d
+        batch, cw, cfg, voxels = self._setup()
+        # reference: smooth every voxel volume with the heat kernel, classify,
+        # add the L2 term
+        kernel = [heat_kernel(self.SIGMA, n) for n in voxels.volumes.shape[1:]]
         probs, cache = classifier.forward(
-            [convolve_separable(x, p) for x in batch.volumes], cw)
+            [separable_product(x, kernel) for x in voxels.volumes], cw)
         penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
         ref_loss = classifier.bce_loss(probs, batch.labels) + penalty
         dw, dbias, dl_dlogit = classifier.backward(cache, batch.labels)
-        assert self._rel(fwd["probs"], probs) < 1e-12
-        assert self._rel(loss, ref_loss) < 1e-12
-        assert self._rel(grads["w"], dw + pen_grad) < 1e-12
-        # dL/dbias is the sum of the logit gradients, which cancels to ~0,
-        # so it is compared on the scale of those gradients
-        assert self._rel(grads["bias"], dbias, np.abs(dl_dlogit).sum()) < 1e-12
-        assert set(grads) == {"w", "bias"}
+        for b in (batch, voxels):
+            loss, grads, fwd = batch_loss_and_grads(b, None, cw, cfg)
+            assert self._rel(fwd["probs"], probs) < 1e-12
+            assert self._rel(loss, ref_loss) < 1e-12
+            assert self._rel(grads["w"], dw + pen_grad) < 1e-12
+            # dL/dbias is the sum of the logit gradients, which cancels to ~0,
+            # so it is compared on the scale of those gradients
+            assert self._rel(grads["bias"], dbias, np.abs(dl_dlogit).sum()) < 1e-12
+            assert set(grads) == {"w", "bias"}
 
     def test_weight_gradient_vs_finite_differences(self):
-        batch, cw, cfg = self._setup()
+        batch, cw, cfg, _ = self._setup()
         _, grads, _ = batch_loss_and_grads(batch, None, cw, cfg)
         h = 1e-6
         rng = np.random.default_rng(1)
@@ -421,47 +439,52 @@ class TestFixedWidth:
     @pytest.fixture()
     def smoothings(self, monkeypatch):
         calls = []
-        smooth = trainer.convolve_separable
+        product = trainer.separable_product
 
-        def counted(x, p):
+        def counted(x, mats, out=None):
             calls.append(x)
-            return smooth(x, p)
+            return product(x, mats, out)
 
-        monkeypatch.setattr(trainer, "convolve_separable", counted)
-        monkeypatch.setattr(trainer, "smooth_batch", None)  # must not be called
+        monkeypatch.setattr(trainer, "separable_product", counted)
         return calls
 
     def test_two_smoothings_per_training_batch(self, smoothings):
-        batch, cw, cfg = self._setup()
-        batch_loss_and_grads(batch, None, cw, cfg)
-        assert len(smoothings) == 2
-        np.testing.assert_array_equal(smoothings[0], cw.w.reshape(batch.volumes[0].shape))
-        assert not any(np.shares_memory(x, v) for x in smoothings for v in batch.volumes)
+        batch, cw, cfg, voxels = self._setup()
+        for b in (batch, voxels):
+            smoothings.clear()
+            batch_loss_and_grads(b, None, cw, cfg)
+            assert len(smoothings) == 2
+            np.testing.assert_array_equal(smoothings[0], cw.w.reshape(b.volumes[0].shape))
+            assert not any(np.shares_memory(x, b.volumes) for x in smoothings)
 
     def test_one_smoothing_per_forward_pass_without_rng(self, smoothings):
         # the caller smooths the weight once; the forward pass smooths nothing
-        batch, cw, cfg = self._setup()
+        batch, cw, cfg, _ = self._setup()
         dims = batch.volumes.shape[1:]
-        smoothed_cw = trainer._smoothed_weight(cw, trainer._fixed_profile(cfg, dims), dims)
+        smoothing = trainer._Smoothing(cfg, [batch])
+        smoothed_cw = smoothing.weight(cw)
         assert len(smoothings) == 1
         np.testing.assert_array_equal(smoothings[0], cw.w.reshape(dims))
         smoothings.clear()
-        trainer._forward_batch(batch, None, smoothed_cw, cfg)
+        trainer._forward_batch(batch, None, smoothed_cw, cfg, smoothing)
         assert smoothings == []
 
     @pytest.fixture()
     def builds(self, monkeypatch):
+        """One entry per kernel built for an axis length: its gains on sine
+        coefficients, its matrix on voxels."""
         calls = []
-        build = trainer.build_filter
-        monkeypatch.setattr(trainer, "build_filter",
-                            lambda *args: calls.append(args) or build(*args))
+        for name in ("heat_gains", "heat_kernel"):
+            build = getattr(trainer, name)
+            monkeypatch.setattr(trainer, name, lambda *args, build=build:
+                                calls.append(args) or build(*args))
         return calls
 
     def test_filter_built_once_per_evaluation(self, tiny_dataset, builds):
         cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
         assert sum(b.split == "test" for b in tiny_dataset) >= 2
         evaluate(None, cw, tiny_dataset, "test", fixed_sigma=1.13)
-        assert len(builds) == 1
+        assert len(builds) == 1  # 16^3: one axis length
 
     def test_filter_built_once_per_training(self, tiny_dataset, builds):
         cfg = TrainConfig(fixed_sigma=self.SIGMA, max_epochs=3, patience=3)
@@ -480,16 +503,14 @@ class TestFixedWidth:
     def test_evaluation_equals_per_batch_reference(self, tiny_dataset):
         cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
         cfg = TrainConfig(fixed_sigma=1.13)
-        dims = tiny_dataset[0].volumes.shape[1:]
-        profile = trainer._fixed_profile(cfg, dims)
         # reference: each batch smooths the weight again, in a lone forward
         # pass; each noise level of the test split is one batch
         per_noise, loss, correct, n = {}, 0.0, 0.0, 0
         for b in tiny_dataset:
             if b.split != "test":
                 continue
-            fwd = trainer._forward_batch(b, None, trainer._smoothed_weight(cw, profile, dims),
-                                         cfg)
+            smoothing = trainer._Smoothing(cfg, [b])
+            fwd = trainer._forward_batch(b, None, smoothing.weight(cw), cfg, smoothing)
             acc = classifier.accuracy(fwd["probs"], b.labels)
             assert b.noise_level not in per_noise
             per_noise[b.noise_level] = {"accuracy": acc * b.size / b.size,
@@ -505,36 +526,36 @@ class TestFixedWidth:
         batch = tiny_dataset[0]
         cw = classifier.xavier_init(batch.volumes[0].shape, 0)
         cfg = TrainConfig(fixed_sigma=1.0)
-        dims = batch.volumes.shape[1:]
-        profile = trainer._fixed_profile(cfg, dims)
-        fwd = trainer._forward_batch(batch, None, trainer._smoothed_weight(cw, profile, dims),
-                                     cfg)
+        smoothing = trainer._Smoothing(cfg, [batch])
+        fwd = trainer._forward_batch(batch, None, smoothing.weight(cw), cfg, smoothing)
         assert np.shares_memory(fwd["cache"]["x"], batch.volumes)
 
 
+def _forward(batch, pnw, cw, cfg, training=False):
+    """`_forward_batch` with the weight and the smoothing of a call over
+    this batch alone."""
+    smoothing = trainer._Smoothing(cfg, [batch])
+    return trainer._forward_batch(batch, pnw, smoothing.weight(cw), cfg, smoothing, training)
+
+
 class TestStepMode:
-    """A training forward pass also differentiates every volume with respect
-    to its width; an evaluation differentiates none, and smooths with the
-    same widths."""
+    """A training forward pass also differentiates every logit with respect
+    to its volume's width; an evaluation differentiates none, and smooths
+    with the same widths."""
 
     def test_training_step_differentiates_every_volume(self):
         batch, pnw, cw, cfg = TestGradients()._setup()
-        fwd = trainer._forward_batch(batch, pnw, cw, cfg, training=True)
-        assert len(fwd["dz"]) == batch.size
-        assert all(isinstance(dz, float) and dz != 0.0 for dz in fwd["dz"])
+        fwd = _forward(batch, pnw, cw, cfg, training=True)
+        assert fwd["dlogit_dsigma"].shape == (batch.size,)
+        assert all(dz != 0.0 for dz in fwd["dlogit_dsigma"])
 
-    def test_evaluation_computes_no_width_derivative(self, monkeypatch):
+    def test_evaluation_computes_no_width_derivative(self):
         batch, pnw, cw, cfg = TestGradients()._setup()
-        trained = trainer._forward_batch(batch, pnw, cw, cfg, training=True)
-        smooth = trainer.smooth_batch
-
-        def forward_only(volumes, profiles, d_profiles, weight, workspace=None):
-            assert d_profiles is None  # no joint chain
-            return smooth(volumes, profiles, d_profiles, weight, workspace)
-
-        monkeypatch.setattr(trainer, "smooth_batch", forward_only)
-        fwd = trainer._forward_batch(batch, pnw, cw, cfg)
-        assert fwd["dz"] is None
+        trained = _forward(batch, pnw, cw, cfg, training=True)
+        smoothing = trainer._Smoothing(cfg, [batch])
+        smoothing.eig = None  # an evaluation must not read the eigenvalues
+        fwd = trainer._forward_batch(batch, pnw, smoothing.weight(cw), cfg, smoothing)
+        assert fwd["dlogit_dsigma"] is None
         assert fwd["sigmas"] == trained["sigmas"]
         assert fwd["cache"]["x"].tobytes() == trained["cache"]["x"].tobytes()
 
@@ -550,42 +571,46 @@ class TestStepMode:
         for split in ("validation", "test"):
             evaluate(pnw, cw, tiny_dataset, split, cfg)
             evaluate(pnw, cw, tiny_dataset, split, cfg, fixed_sigma=1.13)
-        fwd = trainer._forward_batch(tiny_dataset[0], pnw, cw, cfg)
+        fwd = _forward(tiny_dataset[0], pnw, cw, cfg)
         assert "loss" not in fwd and "pen_grad" not in fwd
 
     def test_head_too_wide_for_the_volumes_refused(self):
         # a head whose range was set for larger volumes is refused before
-        # any filter is built
+        # any volume is smoothed
         batch, _, cw, cfg = TestGradients()._setup()
         pnw = _init_head(5, 0, (24, 24, 24))
         pnw.c = 1e3  # every width saturates at hi = 5.85, radius 11
         with pytest.raises(DataError, match="filter side 23 exceeds 8"):
-            trainer._forward_batch(batch, pnw, cw, cfg)
+            _forward(batch, pnw, cw, cfg)
 
 
 class TestWorkspace:
-    """Each `train` or `evaluate` call smooths all its batches into one
-    workspace and frees it on return."""
+    """Each adaptive `train` or `evaluate` call smooths all its batches into
+    one buffer, which the classifier reads in place, and frees it on
+    return."""
 
     def test_one_workspace_per_train_call(self, tiny_dataset, monkeypatch):
-        smooth = trainer.smooth_batch
+        smooth = trainer._Smoothing.smooth
         first, shared = [], []
 
-        def recorded(volumes, profiles, d_profiles, weight, workspace=None):
-            z, dots = smooth(volumes, profiles, d_profiles, weight, workspace)
+        def recorded(smoothing, volumes, sigmas):
+            z = smooth(smoothing, volumes, sigmas)
             if not first:
-                first.append(weakref.ref(workspace))
-            shared.append(np.shares_memory(z, first[0]().rows))
-            return z, dots
+                first.append(weakref.ref(smoothing))
+            shared.append(np.shares_memory(z, first[0]().out))
+            return z
 
-        monkeypatch.setattr(trainer, "smooth_batch", recorded)
+        monkeypatch.setattr(trainer._Smoothing, "smooth", recorded)
+        forward, read = classifier.forward, []
+        monkeypatch.setattr(classifier, "forward", lambda batch, weights: read.append(
+            np.shares_memory(batch, first[0]().out)) or forward(batch, weights))
         cfg = TrainConfig(max_epochs=2, patience=2, seed=5, width_m=8)
         train(cfg, tiny_dataset)
         # every step and validation pass of 2 epochs, then the test pass
         count = {s: sum(b.split == s for b in tiny_dataset) for s in trainer.SPLITS}
         assert len(shared) == 2 * (count["train"] + count["validation"]) + count["test"]
-        assert all(shared)
-        # freed on return: a workspace kept for the process holds its pages
+        assert all(shared) and read == shared
+        # freed on return: a buffer kept for the process holds its pages
         assert first[0]() is None
 
     def test_smaller_batch_after_larger_reads_no_stale_rows(self, monkeypatch):
@@ -595,107 +620,73 @@ class TestWorkspace:
         pnw, cw = _init_head(8, 0, dims), classifier.xavier_init(dims, 0)
         alone = {0.0: evaluate(pnw, cw, [big], "test")["per_noise"][0.0],
                  0.1: evaluate(pnw, cw, [small], "test")["per_noise"][0.1]}
-        smooth = trainer.smooth_batch
-        workspaces = []
+        smooth = trainer._Smoothing.smooth
+        used = []
 
-        def recorded(volumes, profiles, d_profiles, weight, workspace=None):
-            workspaces.append(workspace)
-            return smooth(volumes, profiles, d_profiles, weight, workspace)
+        def recorded(smoothing, volumes, sigmas):
+            used.append(smoothing)
+            return smooth(smoothing, volumes, sigmas)
 
-        monkeypatch.setattr(trainer, "smooth_batch", recorded)
+        monkeypatch.setattr(trainer._Smoothing, "smooth", recorded)
         assert evaluate(pnw, cw, [big, small], "test")["per_noise"] == alone
-        assert workspaces[0] is workspaces[1]
-        with conv3d.Workspace(big.size, dims) as sized:
-            assert workspaces[0].rows.shape == sized.rows.shape
-
-
-def _wide_dataset(dims=(9, 11, 7)):
-    """One group per split of 2G + 3 volumes of `dims`, G a chunk's most
-    volumes: 3 chunks a batch, so a batch runs on more than one worker."""
-    n = 2 * conv3d._chunk_volumes(dims) + 3
-    return [_make_group(f"s{i}", 0.1 * i, split, n, dims, seed=i)
-            for i, split in enumerate(trainer.SPLITS)]
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two workers per wide batch, whatever the host's CPU count."""
-    monkeypatch.setattr(conv3d.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert used[0] is used[1]
+        assert used[0].out.shape == (big.size, *dims)
 
 
 class TestWorkers:
-    """Pool threads smooth chunks beside the calling thread; they end with
-    the `train` or `evaluate` call that started them, and follow the
-    caller's floating-point error state."""
+    """Training and evaluation run on the calling thread alone."""
 
-    def test_no_thread_outlives_train_or_evaluate(self, two_cpus, monkeypatch):
-        chunks = conv3d._smooth_chunks
-        threads = set()
-
-        def recorded(*args):
-            threads.add(threading.current_thread())
-            return chunks(*args)
-
-        monkeypatch.setattr(conv3d, "_smooth_chunks", recorded)
-        batches = _wide_dataset()
+    def test_no_thread_outlives_train_or_evaluate(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        batches = [_make_group(f"s{i}", 0.1 * i, split, 11, (9, 11, 7), seed=i)
+                   for i, split in enumerate(trainer.SPLITS)]
         before = set(threading.enumerate())
         cfg = TrainConfig(max_epochs=2, patience=2, seed=5, width_m=8)
         pnw, cw, _ = train(cfg, batches)
-        assert set(threading.enumerate()) == before
-        assert len(threads) == 2
-        threads.clear()
         evaluate(pnw, cw, batches, "test", cfg)
         assert set(threading.enumerate()) == before
-        assert len(threads) == 2
+        assert started == []
 
-    def test_overflow_in_a_worker_is_numerical_error(self, two_cpus, monkeypatch):
-        """The first chunk of each batch holds volumes of 1e308 that
-        profiles scaled by 4 overflow, and a pool thread takes it: the
-        calling thread waits until it has, then smooths the other chunks,
-        which do not overflow."""
-        batches = _wide_dataset()
-        dims = batches[0].volumes.shape[1:]
-        for b in batches:
-            b.volumes[:3] = 1e308
-        build = trainer.build_profiles
 
-        def scaled(*args):
-            radii, profiles, d_profiles = build(*args)
-            return radii, [4 * p for p in profiles], d_profiles
+class TestRepresentation:
+    """Sine coefficients are made once, at load: nothing in training or
+    evaluation converts or changes a batch."""
 
-        monkeypatch.setattr(trainer, "build_profiles", scaled)
-        chunks = conv3d._smooth_chunks
-        taken, raised = threading.Event(), []
+    def test_train_and_evaluate_leave_inputs_byte_identical(self, tiny_dataset):
+        batches = copy.deepcopy(tiny_dataset)
+        bare = [dataclasses.replace(b, volumes=b.volumes.copy(), features=None)
+                for b in batches]
+        def contents():
+            return [(b.volumes.tobytes(), b.labels.tobytes(),
+                     None if b.features is None else b.features.tobytes())
+                    for b in batches + bare]
 
-        def worker_first(take, *args):
-            if threading.current_thread() is threading.main_thread():
-                assert taken.wait(timeout=30)
-                taken.clear()
-                return chunks(take, *args)
+        before = contents()
+        for fixed in (None, 1.1):
+            cfg = TrainConfig(max_epochs=2, patience=2, seed=3, width_m=8, fixed_sigma=fixed)
+            pnw, cw, _ = train(cfg, batches)
+            evaluate(pnw, cw, batches, "test", cfg)
+        train(TrainConfig(max_epochs=2, patience=2, width_m=8, fixed_sigma=1.1), bare)
+        evaluate(pnw, cw, bare, "test", fixed_sigma=1.1)
+        assert contents() == before
 
-            def take_and_tell():
-                chunk = take()
-                taken.set()
-                return chunk
-
-            try:
-                return chunks(take_and_tell, *args)
-            except FloatingPointError:
-                raised.append(threading.current_thread())
-                raise
-
-        monkeypatch.setattr(conv3d, "_smooth_chunks", worker_first)
-        cfg = TrainConfig(max_epochs=2, patience=2, seed=5, width_m=8)
-        pnw = _init_head(8, 5, dims)
-        cw = classifier.xavier_init(dims, 6)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(NumericalError, match="overflow .* at epoch 1"):
-                train(cfg, batches)
-            with pytest.raises(NumericalError, match="overflow .* evaluating the test split"):
-                evaluate(pnw, cw, batches, "test", cfg)
-        assert len(raised) == 2 and threading.main_thread() not in raised
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    def test_replaced_batch_is_not_transformed_again(self, tmp_path):
+        # the folds of tools/mechanism.py re-split batches with
+        # dataclasses.replace, which runs __post_init__ again
+        manifest = _three_subject_phantom(tmp_path)
+        full = load_dataset(manifest)
+        for b in full:
+            moved = dataclasses.replace(b, split="validation" if b.split == "test" else "test")
+            assert moved.volumes is b.volumes and moved.features is b.features
+            assert moved.volumes.tobytes() == b.volumes.tobytes()
+        cfg = TrainConfig(max_epochs=1, patience=1, seed=1, width_m=8)
+        folds = [dataclasses.replace(b, split={"test": "validation", "validation": "test"}
+                                     .get(b.split, b.split)) for b in full]
+        _, _, report = train(cfg, folds)
+        assert report.epochs and math.isfinite(report.epochs[0]["train_loss"])
 
 
 class TestTrain:
@@ -730,9 +721,9 @@ class TestTrain:
         step = trainer.batch_loss_and_grads
         calls = []
 
-        def recorded(batch, pnw, cw, cfg, profile=None, workspace=None):
-            calls.append((batch, profile))
-            return step(batch, pnw, cw, cfg, profile, workspace)
+        def recorded(batch, pnw, cw, cfg, smoothing=None):
+            calls.append((batch, smoothing))
+            return step(batch, pnw, cw, cfg, smoothing)
 
         monkeypatch.setattr(trainer, "batch_loss_and_grads", recorded)
         cfg = TrainConfig(max_epochs=3, patience=3, seed=5, width_m=8,
@@ -740,9 +731,9 @@ class TestTrain:
         _, _, report = train(cfg, tiny_dataset)
         order = [b for epoch in (1, 2, 3) for b in make_batches(tiny_dataset, cfg.seed + epoch)]
         assert len(calls) == len(order) and all(c[0] is b for c, b in zip(calls, order))
-        # a fixed width's one filter serves every step
-        assert all(c[1] is calls[0][1] for c in calls)
-        assert (calls[0][1] is None) == (fixed_sigma is None)
+        # one smoothing, the fixed width's kernel or the adaptive buffer,
+        # serves every step
+        assert calls[0][1] is not None and all(c[1] is calls[0][1] for c in calls)
 
     def test_early_stopping_restores_best_weights(self, tiny_dataset):
         cfg = TrainConfig(learning_rate=0.3, max_epochs=60, patience=5,
@@ -806,8 +797,8 @@ class TestTrain:
         original = trainer._evaluate_split
         seen = []
 
-        def nan_validation(batches, pnw, cw, cfg, split, profile=None, workspace=None):
-            res = original(batches, pnw, cw, cfg, split, profile, workspace)
+        def nan_validation(batches, pnw, cw, cfg, split, smoothing=None):
+            res = original(batches, pnw, cw, cfg, split, smoothing)
             if split == "validation":
                 seen.append((copy.deepcopy(pnw), copy.deepcopy(cw)))
                 res = {**res, "loss": math.nan, "accuracy": len(seen) / 100}
