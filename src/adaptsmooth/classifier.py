@@ -1,9 +1,12 @@
-"""Flattened-volume linear classifier with mini-batch standardization.
+"""Linear classifier with mini-batch standardization.
 
-Logits are standardized by the current batch's mean and (population) standard
-deviation before the sigmoid, at training and evaluation alike; the batch
-statistics are part of the differentiated graph, so the gradients of all
-batch members are coupled.
+The classifier is a weight over flattened volumes and a bias; the trainer
+forms each batch's logits, x . w + b, in the batches' own basis
+(`trainer._Smoothing`), and this module takes it from the logits on.
+Logits are standardized by the current batch's mean and (population)
+standard deviation before the sigmoid, at training and evaluation alike;
+the batch statistics are part of the differentiated graph, so the gradients
+of all batch members are coupled.
 """
 
 from __future__ import annotations
@@ -39,26 +42,22 @@ def xavier_init(dims, seed: int = 0) -> ClassifierWeights:
     return ClassifierWeights(rng.uniform(-limit, limit, fan_in), 0.0)
 
 
-def forward(batch, weights: ClassifierWeights):
-    """Compute sigmoid probabilities for a batch of volume arrays, one per
-    leading index (a float64 array is flattened as a view, not a copy).
+def forward(logits):
+    """Sigmoid probabilities of a batch's logits, one per member,
+    standardized by the batch's mean and population std.
 
     Returns (probabilities, cache); the cache, which holds the batch's
     logit `mean` and `std`, feeds `backward`.
     Batches of size 1 are rejected: the standardization needs a variance.
     """
-    x = np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
-    if x.shape[0] < 2:
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.size < 2:
         raise DataError("batch size must be >= 2 for batch standardization")
-    if x.shape[1] != weights.w.size:
-        raise DataError(f"volume size {x.shape[1]} != weight size {weights.w.size}")
-    logits = x @ weights.w + weights.bias
     mean = float(logits.mean())
     std = float(np.sqrt(np.mean((logits - mean) ** 2)))  # population std
     s = (logits - mean) / (std + EPSILON)
     probs = 1.0 / (1.0 + np.exp(-s))
-    cache = {"x": x, "logits": logits, "s": s, "probs": probs, "mean": mean,
-             "std": std}
+    cache = {"logits": logits, "s": s, "probs": probs, "mean": mean, "std": std}
     return probs, cache
 
 
@@ -71,11 +70,11 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 def backward(cache, labels):
     """Exact gradient of bce_loss(forward(...)) through the batch statistics.
 
-    Returns (dL/dw, dL/dbias, dL/dlogit) with one logit gradient per batch
-    member; the gradient of the loss with respect to member i's flattened
-    input is ``dl_dlogit[i] * w``.
+    Returns (dL/dbias, dL/dlogit) with one logit gradient per batch member;
+    the gradient with respect to the weight is ``dl_dlogit @ x`` of the
+    batch's flattened inputs x, and with respect to member i's input
+    ``dl_dlogit[i] * w``.
     """
-    x = cache["x"]
     logits = cache["logits"]
     probs = cache["probs"]
     std = cache["std"]
@@ -94,9 +93,7 @@ def backward(cache, labels):
     if std > 0.0:
         dl_dlogit -= centered * float(np.dot(dl_ds, centered)) / (n * std * denom * denom)
 
-    dl_dw = dl_dlogit @ x
-    dl_dbias = float(dl_dlogit.sum())
-    return dl_dw, dl_dbias, dl_dlogit
+    return float(dl_dlogit.sum()), dl_dlogit
 
 
 def l2_penalty(weights: ClassifierWeights, lam: float):

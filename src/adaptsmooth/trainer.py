@@ -5,33 +5,25 @@ Training and evaluation smooth with the heat kernel, the discrete Gaussian
 K_sigma = exp(sigma^2 L / 2) per axis (`gaussian_filter`), in its eigenbasis:
 a dataset loaded with noise features holds each volume as its sine
 coefficients x^ = (S kron S kron S) x, transformed once at load, where
-smoothing is one gain per coefficient.  The adaptive forward pass is one
-array program per batch: cached noise features -> one head call for all
-widths, each inside the head's range -> each volume's coefficients times the
-gains e_h kron e_w kron e_d of its width, written into one buffer per
-`train` or `evaluate` call, so a batch's smoothed coefficients are valid
-only until the call smooths its next batch; the batch then goes through the
-standardized sigmoid classifier.  The classifier weight stays in voxels and
-meets the coefficients as w^ = S_3 w, with S_3 = S kron S kron S orthogonal,
-so the logits are those of the smoothed voxels, and a gradient returns to w
-through S_3.  Since dK_sigma/dsigma = sigma L K_sigma, each logit's width
-derivative is sigma_i (Lam . w^) . z^_i, Lam the Laplacian's eigenvalue of
-each coefficient: one matrix-vector product per training batch, and
-backward multiplies it by the logit's gradient; the head's gradient is one
-sum over the batch's gradient rows.  A fixed width smooths the classifier
-weight instead of every volume: the smoothing is a symmetric linear map, so
-a training step takes 2 weight products (the weight forward, the summed
-gradient backward) and an evaluation 1, since the weight does not change
-during it.  On coefficients the fixed width is a gain on w^; a dataset
-loaded without features stays in voxels, and a fixed width multiplies w by
-K_sigma along each axis there; its kernel is built once per `train` or
-`evaluate` call.  The one training step, `batch_loss_and_grads`, is what
-`train` runs and the gradient tests check; only it adds the L2 penalty, and
-its backward pass is the exact chain rule down to the width-predicting
-weights.  `train` makes plain SGD updates with validation-based early
-stopping; an optional logarithmic grid search runs over (lr, lambda).  An
-epoch or evaluation whose arithmetic overflows float64 ends the training or
-evaluation with a `NumericalError`.
+smoothing is one gain per coefficient.  A `train` call holds the classifier
+weight in its batches' basis for the whole call: w^ = S_3 w on coefficients
+(S_3 = S kron S kron S is orthogonal, so the logits are those of the
+smoothed voxels), w itself on voxels.  The map from a batch to its logits
+is the trainer's (`_Smoothing`), and the classifier takes it from the
+logits on.  An adaptive batch is one array program: cached noise features
+-> one head call for all widths, each inside the head's range -> one
+batched product per direction over the batch's coefficients times their
+(w, d) gains, written into one buffer per call; the smoothed coefficients
+are never formed.  A fixed width smooths the classifier weight instead of
+every volume: a gain on w^ on coefficients, K_sigma along each axis of w on
+voxels (a dataset loaded without features).  The one training step,
+`batch_loss_and_grads`, is what `train` runs and the gradient tests check;
+only it adds the L2 penalty, lambda |w^|^2, and its backward pass is the
+exact chain rule down to the width-predicting weights.  `train` makes plain
+SGD updates with validation-based early stopping; an optional logarithmic
+grid search runs over (lr, lambda).  An epoch or evaluation whose
+arithmetic overflows float64 ends the training or evaluation with a
+`NumericalError`.
 """
 
 from __future__ import annotations
@@ -226,25 +218,33 @@ def make_batches(batches: list[MiniBatch], seed: int) -> list[MiniBatch]:
 
 
 class _Smoothing:
-    """How one `train` or `evaluate` call smooths its batches, built once
-    for the call.  The classifier weight w meets a batch as
-    (M_h kron M_w kron M_d) w (`weight`), and a gradient with respect to that
-    weight returns to w through the transposes (`gradient`); `mats` holds
-    each axis's M.T and `adjoint` its M, as `separable_product` reads them:
+    """How one `train` or `evaluate` call smooths and classifies its
+    batches, built once for the call.  The call holds the classifier weight
+    in its batches' basis (`held`): w^ = S_3 w on sine coefficients (batches
+    with features), w itself on voxels (batches without).  `operand` gives
+    what a batch is multiplied by for that weight, `logits` the batch's
+    logits, and `gradient` the gradient with respect to the held weight of
+    the gradient with respect to the logits, for the batch of the last
+    `logits` call:
 
-    - on sine coefficients (batches with features) M = S for an adaptive
-      width, whose volumes each take their own gains instead (`smooth`),
-      into `out`, one row per volume of the call's largest batch, with
-      `eig` holding Lam = lam_h + lam_w + lam_d, the Laplacian's eigenvalue
-      of each coefficient, for the logits' width derivatives; a fixed
-      width's gains E = e_h kron e_w kron e_d are separable, so there
-      M = diag(e) S;
-    - on voxels (batches without features), only at a fixed width,
-      M = K_sigma.
+    - an adaptive width, on coefficients only: each batch's coefficients
+      times the gains e_w kron e_d of each volume's width, written as
+      Y = (N, H, W D) rows into `out`, one per volume of the call's
+      largest batch; the rows r and r' of one batched product of Y's h
+      slices with [w^_h | lam_wd w^_h] give logit_i = sum_h e_h[i, h] r_i[h]
+      + b and, since dK_sigma/dsigma = sigma L K_sigma,
+      dlogit_i/dsigma_i = sigma_i sum_h e_h[i, h] (lam_h r_i[h] + r'_i[h]),
+      lam the Laplacian's eigenvalues (`sine_basis`, lam_wd = lam_w + lam_d);
+      backward is one batched product, dL/dw^_h = sum_i c_i e_h[i, h] Y_i[h];
+    - a fixed width on coefficients: the gains E = e_h kron e_w kron e_d on
+      the weight, E . w^ forward and E . g backward;
+    - a fixed width on voxels: K_sigma along each axis of the weight, K w
+      forward and K g backward, K symmetric.
 
     A fixed width whose truncated filter does not fit the volumes is
     refused, as the `smooth` command refuses it; so is a call whose batches
-    mix coefficients and voxels."""
+    mix coefficients and voxels, and a weight whose size is not the
+    volumes'."""
 
     def __init__(self, cfg: TrainConfig, batches):
         self.dims = dims = batches[0].volumes.shape[1:]
@@ -252,77 +252,136 @@ class _Smoothing:
         if any((b.features is not None) != sine for b in batches):
             raise DataError("batches with and without noise features, which hold "
                             "sine coefficients and voxels, cannot be mixed")
-        fixed = cfg.fixed_sigma
+        self.fixed = fixed = cfg.fixed_sigma
         if fixed is not None:
             check_width(fixed, cfg.truncation, min(dims))
         elif not sine:
             raise DataError("the width network needs noise features; "
                             "the batch was loaded without them")
+        self.basis = None
         if not sine:
             kernels = {n: heat_kernel(fixed, n) for n in set(dims)}
-            self.mats = self.adjoint = [kernels[n] for n in dims]
+            self.kernels = [kernels[n] for n in dims]
             return
         bases = {n: sine_basis(n) for n in set(dims)}
+        self.basis = [bases[n][0] for n in dims]
         self.lams = [bases[n][1] for n in dims]
-        self.mats = self.adjoint = [bases[n][0] for n in dims]
         if fixed is not None:
             gains = {n: heat_gains(fixed, lam) for n, (_, lam) in bases.items()}
-            self.mats = [bases[n][0] * gains[n] for n in dims]
-            self.adjoint = [gains[n][:, None] * bases[n][0] for n in dims]
+            e_h, e_w, e_d = (gains[n] for n in dims)
+            self.gains = (e_h[:, None, None] * e_w[:, None] * e_d).ravel()
         else:
-            lam_h, lam_w, lam_d = self.lams
-            self.eig = (lam_h[:, None, None] + lam_w[:, None] + lam_d).ravel()
-            self.out = np.empty((max(b.size for b in batches), *dims))
+            _, lam_w, lam_d = self.lams
+            self.lam_wd = (lam_w[:, None] + lam_d).ravel()
+            self.out = np.empty((max(b.size for b in batches), dims[0], dims[1] * dims[2]))
 
-    def weight(self, cw):
-        """A copy of `cw` whose weight is the one the batches are classified
-        with."""
-        mapped = copy.copy(cw)
-        mapped.w = separable_product(cw.w.reshape(self.dims), self.mats).ravel()
-        return mapped
+    def _check(self, w):
+        size = math.prod(self.dims)
+        if w.size != size:
+            raise DataError(f"volume size {size} != weight size {w.size}")
 
-    def gradient(self, g):
-        """The gradient with respect to w of one with respect to the weight
-        the batches are classified with."""
-        return separable_product(g.reshape(self.dims), self.adjoint).ravel()
+    def held(self, cw):
+        """A copy of the classifier `cw`, whose weight is in voxels, with
+        its weight in the batches' basis."""
+        self._check(cw.w)
+        held = copy.copy(cw)
+        held.w = self.converted(cw.w)
+        return held
 
-    def smooth(self, volumes, sigmas):
-        """Each volume's coefficients times the gains of its own width,
-        written into `out`: a view of its first rows."""
+    def converted(self, v):
+        """A weight or gradient `v` carried between voxels and the batches'
+        basis, either way: S_3 v on coefficients, S_3 being symmetric and
+        its own inverse, and `v` itself on voxels."""
+        if self.basis is None:
+            return v
+        return separable_product(v.reshape(self.dims), self.basis).ravel()
+
+    def returned(self, cw0, start, cw):
+        """The voxel classifier of the held `cw`, trained from `start`, the
+        held form of `cw0`: on coefficients w0 + S_3 (w^ - w^0), so a
+        weight that did not move comes back bit for bit."""
+        if self.basis is None:
+            return cw
+        out = copy.copy(cw)
+        out.w = cw0.w + self.converted(cw.w - start.w)
+        return out
+
+    def operand(self, w, training: bool = False):
+        """What a batch is multiplied by for the held weight `w`: K w on
+        voxels, E . w^ at a fixed width on coefficients, and at an adaptive
+        width the (H, W D, 1) rows w^_h, or for a training step the
+        (H, W D, 2) rows [w^_h | lam_wd w^_h], which also give the width
+        derivatives."""
+        self._check(w)
+        if self.basis is None:
+            return separable_product(w.reshape(self.dims), self.kernels).ravel()
+        if self.fixed is not None:
+            return self.gains * w
+        rows = w.reshape(self.dims[0], -1)
+        if not training:
+            return rows[:, :, None]
+        return np.stack((rows, self.lam_wd * rows), axis=-1)
+
+    def logits(self, volumes, sigmas, op, bias: float):
+        """The logits of the batch `volumes` for the operand `op`, and each
+        logit's width derivative when `op` is a training step's at an
+        adaptive width, else None; `sigmas` holds the adaptive widths, one
+        per volume, and is None at a fixed width.  An adaptive batch's rows
+        Y are valid until the next call."""
+        n = len(volumes)
+        if sigmas is None:
+            # the gains are on the weight: no h gain for `gradient`
+            self.rows = volumes.reshape(n, self.dims[0], -1)
+            self.e_h = np.ones((n, self.dims[0]))
+            return volumes.reshape(n, -1) @ op + bias, None
         e_h, e_w, e_d = (heat_gains(sigmas, lam) for lam in self.lams)
-        n, h = volumes.shape[:2]
-        z = self.out[:n]
-        # each volume's (w, d) plane of gains, then e_h per plane: both
-        # products run along whole rows of w d coefficients
-        rows = z.reshape(n, h, -1)
-        np.multiply(volumes.reshape(n, h, -1),
-                    (e_w[:, :, None] * e_d[:, None, :]).reshape(n, 1, -1), out=rows)
-        rows *= e_h[:, :, None]
-        return z
+        self.e_h = e_h
+        y = self.rows = self.out[:n]
+        np.multiply(volumes.reshape(n, self.dims[0], -1),
+                    (e_w[:, :, None] * e_d[:, None, :]).reshape(n, 1, -1), out=y)
+        # one (N, W D) x (W D, k) product per h slice of Y, in place
+        r = np.matmul(y.transpose(1, 0, 2), op)
+        logits = np.sum(e_h * r[:, :, 0].T, axis=1) + bias
+        if op.shape[2] == 1:
+            return logits, None
+        lam_h = self.lams[0]
+        return logits, sigmas * np.sum(e_h * (lam_h[:, None] * r[:, :, 0]
+                                              + r[:, :, 1]).T, axis=1)
+
+    def gradient(self, c):
+        """dL/d(held weight) of the logits' gradient `c` of the batch of the
+        last `logits` call: one (1, N) x (N, W D) product per h slice of its
+        rows, whose bits do not depend on the BLAS thread count, where those
+        of one (N,) x (N, H W D) product differ between 1 and 2 OpenBLAS
+        threads at 61 x 73 x 61."""
+        a = np.ascontiguousarray((c[:, None] * self.e_h).T)[:, None, :]
+        g = np.matmul(a, self.rows.transpose(1, 0, 2)).ravel()
+        if self.fixed is None:
+            return g
+        if self.basis is None:
+            return separable_product(g.reshape(self.dims), self.kernels).ravel()
+        return self.gains * g
 
 
-def _forward_batch(batch: MiniBatch, pnw, cw, cfg: TrainConfig, smoothing: _Smoothing,
-                   training: bool = False):
-    """Classify the batch with `cw`, the classifier as the batch meets it
-    (`_Smoothing.weight`).  A fixed width classifies the loaded volumes in
-    place: the weight carries the smoothing.  An adaptive width smooths
-    each volume with its own predicted width into the call's buffer, so
-    the classifier cache's ``x`` is a view into it, valid until the next
-    batch of the call; a head whose range does not fit the volumes is
-    refused first.  In a training step ``fwd["dlogit_dsigma"]`` holds each
+def _forward_batch(batch: MiniBatch, pnw, op, bias: float, cfg: TrainConfig,
+                   smoothing: _Smoothing, training: bool = False):
+    """Classify the batch with the operand `op` of the held weight
+    (`_Smoothing.operand`, a training step's when `training`) and `bias`.
+    A fixed width reads the loaded volumes in place: the weight carries the
+    smoothing.  An adaptive width predicts each volume's width, refusing
+    first a head whose range does not fit the volumes, and smooths into the
+    call's buffer.  In a training step ``fwd["dlogit_dsigma"]`` holds each
     logit's width derivative; an evaluation leaves it None.  Returns
     everything backward needs."""
     if cfg.fixed_sigma is not None:
+        sigmas = None
         fwd = {"sigmas": [cfg.fixed_sigma] * batch.size}
-        probs, cache = classifier.forward(batch.volumes, cw)
     else:
         sigmas = params_net.map_to_sigmas(batch.features, pnw)
         check_width(float(sigmas.max()), cfg.truncation, min(smoothing.dims))
-        probs, cache = classifier.forward(smoothing.smooth(batch.volumes, sigmas), cw)
-        fwd = {"sigmas": sigmas.tolist(), "dlogit_dsigma": None}
-        if training:
-            # dz_i/dsigma_i = sigma_i Lam z_i, so dlogit_i/dsigma_i = sigma_i (Lam w) . z_i
-            fwd["dlogit_dsigma"] = sigmas * (cache["x"] @ (smoothing.eig * cw.w))
+        fwd = {"sigmas": sigmas.tolist()}
+    logits, fwd["dlogit_dsigma"] = smoothing.logits(batch.volumes, sigmas, op, bias)
+    probs, cache = classifier.forward(logits)
     return {**fwd, "probs": probs, "cache": cache,
             "data_loss": classifier.bce_loss(probs, batch.labels)}
 
@@ -331,14 +390,21 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig,
                          smoothing: _Smoothing | None = None):
     """One training step over a batch: the loss with its L2 penalty, the
     gradient of every trainable weight, and the forward pass's record.  It
-    smooths as `smoothing` says, the calling `train`'s, or one made for
-    this batch when None."""
-    if smoothing is None:
+    smooths as `smoothing` says, the calling `train`'s, with `cw` and its
+    gradient in that call's basis (`_Smoothing.held`); when `smoothing` is
+    None it makes one for this batch, and `cw` and its gradient are in
+    voxels.  The penalty is lambda |w|^2 of the held weight, the same as of
+    w, S_3 being orthogonal."""
+    in_voxels = smoothing is None
+    if in_voxels:
         smoothing = _Smoothing(cfg, [batch])
-    fwd = _forward_batch(batch, pnw, smoothing.weight(cw), cfg, smoothing, training=True)
+        cw = smoothing.held(cw)
+    fwd = _forward_batch(batch, pnw, smoothing.operand(cw.w, training=True), cw.bias,
+                         cfg, smoothing, training=True)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
-    dl_dw, dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
-    grads = {"w": smoothing.gradient(dl_dw) + pen_grad, "bias": dl_dbias}
+    dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
+    dl_dw = smoothing.gradient(dl_dlogit) + pen_grad
+    grads = {"w": smoothing.converted(dl_dw) if in_voxels else dl_dw, "bias": dl_dbias}
     if cfg.fixed_sigma is None:
         head = params_net.map_to_sigmas_backward(batch.features, pnw,
                                                  dl_dlogit * fwd["dlogit_dsigma"])
@@ -349,12 +415,13 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig,
 def _evaluate_split(batches, pnw, cw, cfg, split, smoothing=None):
     """Loss/accuracy per noise level, using batch statistics at evaluation
     time as well (deliberate deviation from running-average batch norm).
-    It smooths as `smoothing` says, `train`'s when given, else as one made
-    for this call: w does not change during an evaluation, so every batch
-    meets the same weight, computed once, and an adaptive width smooths
-    every batch into the one buffer, so no smoothed batch outlives the next
-    one, and none is returned.  The first operation that overflows float64
-    ends it with a `NumericalError` naming the split."""
+    It smooths as `smoothing` says, `train`'s when given, with `cw` in that
+    call's basis; else as one made for this call, with `cw` in voxels.  w
+    does not change during an evaluation, so every batch meets the same
+    operand, computed once, and an adaptive width smooths every batch into
+    the one buffer, so no smoothed batch outlives the next one, and none is
+    returned.  The first operation that overflows float64 ends it with a
+    `NumericalError` naming the split."""
     batches = [b for b in batches if b.split == split]
     if not batches:
         raise DataError(f"split {split!r} is empty")
@@ -364,9 +431,10 @@ def _evaluate_split(batches, pnw, cw, cfg, split, smoothing=None):
         with np.errstate(over="raise"):
             if smoothing is None:
                 smoothing = _Smoothing(cfg, batches)
-            cw = smoothing.weight(cw)
+                cw = smoothing.held(cw)
+            op = smoothing.operand(cw.w)
             for b in batches:
-                fwd = _forward_batch(b, pnw, cw, cfg, smoothing)
+                fwd = _forward_batch(b, pnw, op, cw.bias, cfg, smoothing)
                 acc = classifier.accuracy(fwd["probs"], b.labels)
                 for key in (b.noise_level, None):
                     rec = records.setdefault(key, {"n": 0, "correct": 0.0,
@@ -404,7 +472,12 @@ def evaluate(pnw, cw, batches, split: str, cfg: TrainConfig | None = None,
 
 
 def train(cfg: TrainConfig, batches: list[MiniBatch]):
-    """SGD with validation-based early stopping.  Deterministic per seed."""
+    """SGD with validation-based early stopping.  Deterministic per seed.
+    The classifier weight is held in the batches' basis for the whole call
+    (`_Smoothing.held`) and returned in voxels: on coefficients as
+    w0 + S_3 (w^ - w^0), w0 the initial weight, on voxels as trained.  The
+    test evaluation classifies with the returned weight held again, as
+    `evaluate` holds it, so the report is what `evaluate` gives for it."""
     cfg.validate()
     for split in SPLITS:
         if not any(b.split == split for b in batches):
@@ -415,10 +488,12 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
             raise DataError(f"dim mismatch: {b.volumes.shape[1:]} vs {dims}")
 
     pnw = params_net.init_weights(cfg.width_m, cfg.seed, *width_range(dims, cfg.truncation))
-    cw = classifier.xavier_init(dims, cfg.seed + 1)
+    cw0 = classifier.xavier_init(dims, cfg.seed + 1)
     # one smoothing, with its kernel or buffer, serves every step and
-    # evaluation of the run
+    # evaluation of the run, which holds the classifier in its basis
     smoothing = _Smoothing(cfg, batches)
+    start = smoothing.held(cw0)
+    cw = copy.copy(start)
     report = TrainReport(config=cfg)
     best = {"loss": math.inf, "epoch": -1, "pnw": None, "cw": None}
 
@@ -460,10 +535,11 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
 
     if best["pnw"] is not None:
         pnw, cw = best["pnw"], best["cw"]
+    cw = smoothing.returned(cw0, start, cw)
     report.best_epoch = best["epoch"]
     report.stopped_epoch = report.epochs[-1]["epoch"]
 
-    test = _evaluate_split(batches, pnw, cw, cfg, "test", smoothing)
+    test = _evaluate_split(batches, pnw, smoothing.held(cw), cfg, "test", smoothing)
     report.test_accuracy = test["accuracy"]
     report.per_noise = test["per_noise"]
     return pnw, cw, report

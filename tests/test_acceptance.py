@@ -133,17 +133,20 @@ def test_criterion_4_gradient_suite():
         rhs = float(np.sum(x * convolve(u, q[::-1, ::-1, ::-1])))
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-7
 
-        # (c) classifier Jacobian on a 4-volume batch of 4^3 inputs
+        # (c) classifier Jacobian on a 4-volume batch of 4^3 inputs: the
+        # logits x . w + b, the weight gradient dl_dlogit @ x
         vols = [rng.normal(0, 1, (4, 4, 4)) for _ in range(4)]
         labels = np.array([0.0, 1.0, 1.0, 0.0])
         cw = classifier.xavier_init((4, 4, 4), seed=2)
-        _, cache = classifier.forward(vols, cw)
-        dw, dbias, dl_dlogit = classifier.backward(cache, labels)
+        x = np.stack(vols).reshape(4, -1)
+        _, cache = classifier.forward(x @ cw.w + cw.bias)
+        _, dl_dlogit = classifier.backward(cache, labels)
+        dw = dl_dlogit @ x
         hh = 1e-6
 
         def cls_loss(weights, batch=vols):
-            probs, _ = classifier.forward(batch, weights)
-            return classifier.bce_loss(probs, labels)
+            logits = np.stack(batch).reshape(4, -1) @ weights.w + weights.bias
+            return classifier.bce_loss(classifier.forward(logits)[0], labels)
 
         for i in rng.choice(cw.w.size, size=10, replace=False):
             wp = classifier.ClassifierWeights(cw.w.copy(), cw.bias)

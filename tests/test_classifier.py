@@ -17,65 +17,42 @@ from adaptsmooth.classifier import (
 from adaptsmooth.errors import DataError
 
 
-def _batch_from_logits(logits):
-    """One-voxel volumes with unit weight reproduce the requested logits."""
-    w = ClassifierWeights(np.array([1.0]), 0.0)
-    vols = [np.full((1, 1, 1), v) for v in logits]
-    return vols, w
-
-
 class TestForward:
     def test_equal_logits_degenerate_batch(self):
-        vols, w = _batch_from_logits([0.8, 0.8, 0.8])
-        probs, cache = forward(vols, w)
+        probs, cache = forward(np.full(3, 0.8))
         assert cache["std"] < 1e-12
         np.testing.assert_allclose(probs, 0.5, atol=1e-9)
 
     def test_plus_minus_one_logits(self):
-        vols, w = _batch_from_logits([-1.0, 1.0])
-        probs, cache = forward(vols, w)
+        probs, cache = forward(np.array([-1.0, 1.0]))
         assert cache["std"] == pytest.approx(1.0)  # population std
         np.testing.assert_allclose(probs, [0.2689, 0.7311], atol=1e-4)
 
     def test_standardized_mean_zero(self):
-        rng = np.random.default_rng(0)
-        vols = [rng.normal(size=(3, 3, 3)) for _ in range(6)]
-        w = ClassifierWeights(rng.normal(size=27), 0.3)
-        _, cache = forward(vols, w)
+        logits = np.random.default_rng(0).normal(size=6)
+        _, cache = forward(logits)
         assert abs(cache["s"].mean()) < 1e-9
 
     def test_shift_invariance(self):
-        rng = np.random.default_rng(1)
-        vols = [rng.normal(size=(3, 3, 3)) for _ in range(5)]
-        w1 = ClassifierWeights(rng.normal(size=27), 0.0)
-        w2 = ClassifierWeights(w1.w.copy(), 7.3)
-        p1, _ = forward(vols, w1)
-        p2, _ = forward(vols, w2)
+        logits = np.random.default_rng(1).normal(size=5)
+        p1, _ = forward(logits)
+        p2, _ = forward(logits + 7.3)
         np.testing.assert_allclose(p1, p2, rtol=1e-12)
 
     def test_scale_invariance(self):
-        rng = np.random.default_rng(2)
-        vols = [rng.normal(size=(3, 3, 3)) for _ in range(5)]
-        w1 = ClassifierWeights(rng.normal(size=27), 0.4)
-        w2 = ClassifierWeights(3.0 * w1.w, 3.0 * w1.bias)
-        p1, _ = forward(vols, w1)
-        p2, _ = forward(vols, w2)
+        logits = np.random.default_rng(2).normal(size=5)
+        p1, _ = forward(logits)
+        p2, _ = forward(3.0 * logits)
         np.testing.assert_allclose(p1, p2, atol=1e-4)  # epsilon breaks exactness
 
     def test_probabilities_in_open_interval(self):
-        rng = np.random.default_rng(3)
-        vols = [rng.normal(scale=50, size=(2, 2, 2)) for _ in range(4)]
-        probs, _ = forward(vols, ClassifierWeights(rng.normal(size=8), 0.0))
+        probs, _ = forward(np.random.default_rng(3).normal(scale=50, size=4))
         assert np.all(probs > 0) and np.all(probs < 1)
 
     def test_batch_of_one_rejected(self):
-        vols, w = _batch_from_logits([1.0])
-        with pytest.raises(DataError):
-            forward(vols, w)
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            forward([np.zeros((2, 2, 2))] * 2, ClassifierWeights(np.zeros(9), 0.0))
+        for logits in ([1.0], []):
+            with pytest.raises(DataError, match="batch size must be >= 2"):
+                forward(np.array(logits))
 
 
 class TestBceLoss:
@@ -95,58 +72,37 @@ class TestBceLoss:
 
 class TestBackward:
     def test_symmetric_batch_zero_bias_gradient(self):
-        vols, w = _batch_from_logits([-0.7, 0.7])
-        _, cache = forward(vols, w)
-        _, dbias, _ = backward(cache, np.array([0, 1]))
+        _, cache = forward(np.array([-0.7, 0.7]))
+        dbias, _ = backward(cache, np.array([0, 1]))
         assert abs(dbias) < 1e-12
 
     def test_full_jacobian_vs_finite_differences(self):
         rng = np.random.default_rng(4)
-        vols = [rng.normal(0, 1, (4, 4, 4)) for _ in range(4)]
-        labels = np.array([0, 1, 1, 0])
-        w = xavier_init((4, 4, 4), seed=2)
-        _, cache = forward(vols, w)
-        dw, dbias, dl_dlogit = backward(cache, labels)
+        logits = rng.normal(0, 1, 5)
+        labels = np.array([0, 1, 1, 0, 1])
+        _, cache = forward(logits)
+        dbias, dl_dlogit = backward(cache, labels)
+
+        def loss_with(z):
+            return bce_loss(forward(z)[0], labels)
 
         h = 1e-6
-
-        def loss_with(weights, batch=vols):
-            probs, _ = forward(batch, weights)
-            return bce_loss(probs, labels)
-
-        idxs = rng.choice(w.w.size, size=12, replace=False)
-        for i in idxs:
-            wp = ClassifierWeights(w.w.copy(), w.bias)
-            wm = ClassifierWeights(w.w.copy(), w.bias)
-            wp.w[i] += h
-            wm.w[i] -= h
-            fd = (loss_with(wp) - loss_with(wm)) / (2 * h)
-            assert abs(fd - dw[i]) / max(abs(fd), 1e-10) < 1e-5
-
-        wp = ClassifierWeights(w.w.copy(), w.bias + h)
-        wm = ClassifierWeights(w.w.copy(), w.bias - h)
-        fd = (loss_with(wp) - loss_with(wm)) / (2 * h)
-        assert abs(fd - dbias) / max(abs(fd), 1e-10) < 1e-5
-
-        # per-volume input gradients dl_dlogit[i] * w, coupled through the
-        # batch statistics
-        for vi in (0, 2):
-            flat = vols[vi].ravel()
-            for j in rng.choice(flat.size, size=5, replace=False):
-                bp = [v.copy() for v in vols]
-                bm = [v.copy() for v in vols]
-                bp[vi].ravel()[j] += h
-                bm[vi].ravel()[j] -= h
-                fd = (loss_with(w, bp) - loss_with(w, bm)) / (2 * h)
-                an = dl_dlogit[vi] * w.w[j]
-                assert abs(fd - an) / max(abs(fd), 1e-10) < 1e-5
+        for i in range(logits.size):
+            zp, zm = logits.copy(), logits.copy()
+            zp[i] += h
+            zm[i] -= h
+            fd = (loss_with(zp) - loss_with(zm)) / (2 * h)
+            # coupled through the batch statistics: every logit moves them
+            assert abs(fd - dl_dlogit[i]) / max(abs(fd), 1e-10) < 1e-5
+        fd = (loss_with(logits + h) - loss_with(logits - h)) / (2 * h)
+        assert abs(fd - dbias) < 1e-9  # a shared shift leaves the loss unchanged
+        assert dbias == pytest.approx(dl_dlogit.sum(), abs=1e-15)
 
     def test_degenerate_batch_zero_weight_gradient(self):
-        vols = [np.full((2, 2, 2), 0.3)] * 3
-        w = ClassifierWeights(np.ones(8), 0.0)
-        _, cache = forward(vols, w)
-        dw, _, _ = backward(cache, np.array([1, 1, 1]))
-        np.testing.assert_allclose(dw, 0.0, atol=1e-15)
+        # equal logits: no logit gradient, so no weight gradient either
+        _, cache = forward(np.full(3, 0.3))
+        _, dl_dlogit = backward(cache, np.array([1, 1, 1]))
+        np.testing.assert_allclose(dl_dlogit, 0.0, atol=1e-15)
 
 
 class TestL2Penalty:
@@ -189,17 +145,6 @@ def test_accuracy_ties_count_as_incorrect():
     probs = np.array([0.5, 0.6, 0.4])
     labels = np.array([1, 1, 0])
     assert accuracy(probs, labels) == pytest.approx(2 / 3)
-
-
-def test_array_batch_is_flattened_as_a_view():
-    rng = np.random.default_rng(3)
-    vols = rng.normal(size=(4, 3, 2, 5))
-    w = xavier_init((3, 2, 5), 1)
-    probs, cache = forward(vols, w)
-    assert np.shares_memory(cache["x"], vols)
-    probs_list, cache_list = forward(list(vols), w)
-    np.testing.assert_array_equal(cache["x"], cache_list["x"])
-    np.testing.assert_array_equal(probs, probs_list)
 
 
 def test_checkpoint_round_trip(tmp_path):

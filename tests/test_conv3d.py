@@ -90,7 +90,7 @@ from pathlib import Path
 import numpy as np
 from adaptsmooth import classifier, params_net, phantom, trainer
 from adaptsmooth.conv3d import convolve_separable, separable_product
-from adaptsmooth.gaussian_filter import build_filter, heat_kernel, sine_basis
+from adaptsmooth.gaussian_filter import build_filter, heat_kernel, sine_basis, width_range
 f = build_filter(1.6, 4.0)
 for dims in [(24, 24, 24), (9, 11, 7), (61, 73, 61)]:
     x = np.random.default_rng(0).normal(size=dims)
@@ -102,25 +102,30 @@ x = np.random.default_rng(1).normal(size=(9, 11, 7))
 out = convolve_separable(x, (f.profile_1d[1:-1], np.ones(1) / 3, f.profile_1d))
 print(hashlib.sha256(out.tobytes()).hexdigest())
 # one training step on sine coefficients (adaptive, then a fixed width) and
-# one on voxels (a fixed width): widths, gains, products and gradients
-rng = np.random.default_rng(2)
-vols = np.stack([s * rng.normal(size=(24, 24, 24)) + 0.5
-                 for s in (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)])
-feats = np.array([params_net.noise_feature(v) for v in vols])
-basis = [sine_basis(24)[0]] * 3
-coeffs = np.stack([separable_product(v, basis) for v in vols])
-pnw = params_net.init_weights(8, 43, 0.375, 5.85)
-cw = classifier.xavier_init((24, 24, 24), 44)
-for volumes, features, fixed in ((coeffs, feats, None), (coeffs, feats, 1.3), (vols, None, 1.3)):
-    batch = trainer.MiniBatch("s0", 0.1, "train", volumes, np.arange(6) % 2.0, features)
-    cfg = trainer.TrainConfig(lambda_l2=1e-3, seed=1, fixed_sigma=fixed)
-    loss, grads, fwd = trainer.batch_loss_and_grads(batch, pnw, cw, cfg)
-    h = hashlib.sha256(np.float64(loss).tobytes() + fwd["cache"]["x"].tobytes())
-    for name in grads:
-        h.update(np.asarray(grads[name], dtype=np.float64).tobytes())
-    if fixed is None:
-        h.update(fwd["dlogit_dsigma"].tobytes())
-    print(h.hexdigest())
+# one on voxels (a fixed width), with the weight held as `train` holds it, at
+# each size: the logits, the adaptive width derivatives, every gradient
+# (the weight's in the held basis) and the loss
+for dims in [(24, 24, 24), (9, 11, 7), (61, 73, 61)]:
+    rng = np.random.default_rng(2)
+    vols = np.stack([s * rng.normal(size=dims) + 0.5 for s in (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)])
+    feats = np.array([params_net.noise_feature(v) for v in vols])
+    basis = [sine_basis(n)[0] for n in dims]
+    coeffs = np.stack([separable_product(v, basis) for v in vols])
+    pnw = params_net.init_weights(8, 43, *width_range(dims, 4.0))
+    cw = classifier.xavier_init(dims, 44)
+    for volumes, features, fixed in ((coeffs, feats, None), (coeffs, feats, 0.7),
+                                     (vols, None, 0.7)):
+        batch = trainer.MiniBatch("s0", 0.1, "train", volumes, np.arange(6) % 2.0, features)
+        cfg = trainer.TrainConfig(lambda_l2=1e-3, seed=1, fixed_sigma=fixed)
+        smoothing = trainer._Smoothing(cfg, [batch])
+        loss, grads, fwd = trainer.batch_loss_and_grads(batch, pnw, smoothing.held(cw), cfg,
+                                                        smoothing)
+        h = hashlib.sha256(np.float64(loss).tobytes() + fwd["cache"]["logits"].tobytes())
+        for name in grads:
+            h.update(np.asarray(grads[name], dtype=np.float64).tobytes())
+        if fixed is None:
+            h.update(fwd["dlogit_dsigma"].tobytes())
+        print(h.hexdigest())
 # the sine coefficients load_dataset stores, from a full and a test-split load
 with tempfile.TemporaryDirectory() as tmp:
     spec = phantom.PhantomSpec(dims=(9, 16, 11), n_subjects=3, volumes_per_subject_per_class=2,
@@ -144,7 +149,7 @@ def test_output_does_not_depend_on_blas_threads():
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         digests.append(result.stdout.split())
-    assert len(digests[0]) == 15
+    assert len(digests[0]) == 21
     assert digests[0] == digests[1]
     # a full load and a split load store a volume's coefficients bit for bit
     assert digests[0][-2] == digests[0][-1]

@@ -51,7 +51,7 @@ def _make_group(sid, noise, split, n, dims=(4, 4, 4), seed=0):
 
 
 @pytest.fixture(scope="module")
-def tiny_dataset(tmp_path_factory):
+def tiny_manifest(tmp_path_factory):
     """Small but trainable phantom dataset: 4 subjects, 16^3, 2 noise levels."""
     out = tmp_path_factory.mktemp("tinyds")
     spec = phantom.PhantomSpec(dims=(16, 16, 16), n_subjects=4,
@@ -60,7 +60,18 @@ def tiny_dataset(tmp_path_factory):
                                noise_levels=(0.0, 0.2),
                                split_counts=(2, 1, 1))
     phantom.generate(spec, out, seed=3)
-    return load_dataset(out / "manifest.csv")
+    return out / "manifest.csv"
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tiny_manifest):
+    return load_dataset(tiny_manifest)
+
+
+@pytest.fixture(scope="module")
+def tiny_voxels(tiny_manifest):
+    """The same dataset loaded without features: voxels."""
+    return load_dataset(tiny_manifest, features=False)
 
 
 def test_load_dataset_reads_each_group_into_one_array(tmp_path):
@@ -297,48 +308,54 @@ class TestJointPassChain:
         assert all(d is None for d in derivatives)
 
     def test_classifier_reads_smoothed_volumes_in_place(self):
+        # the logits and the weight gradient read the batch's rows Y, its
+        # coefficients times each volume's (w, d) gains, in the call's buffer
         batch, pnw, cw, cfg = TestGradients()._setup()
         smoothing = trainer._Smoothing(cfg, [batch])
-        _, _, fwd = batch_loss_and_grads(batch, pnw, cw, cfg, smoothing)
-        assert fwd["cache"]["x"].shape == (batch.size, 8 * 8 * 8)
-        assert np.shares_memory(fwd["cache"]["x"], smoothing.out)
+        _, _, fwd = batch_loss_and_grads(batch, pnw, smoothing.held(cw), cfg, smoothing)
+        assert smoothing.rows.shape == (batch.size, 8, 8 * 8)
+        assert np.shares_memory(smoothing.rows, smoothing.out)
         assert fwd["dlogit_dsigma"].shape == (batch.size,)
 
 
 class TestBatchStep:
     """An adaptive training step maps the batch's widths, gains and logit
-    derivatives at once; it equals the step taken volume by volume: the
-    smoothed coefficients bit for bit, the derivatives and head gradients to
+    derivatives at once, through the rows Y of the batch, without forming
+    the smoothed coefficients; it equals the step taken volume by volume on
+    them: the rows bit for bit, the logits, derivatives and gradients to
     rounding."""
 
     @staticmethod
-    def _reference(batch, pnw, cw, cfg):
-        """Widths, smoothed coefficients, logit width derivatives and head
-        gradients, one volume at a time."""
+    def _reference(batch, pnw, w_hat, bias, cfg):
+        """Widths, rows Y, logits, logit width derivatives and the gradients
+        of the held weight and the head, one smoothed volume z^ at a time."""
         dims = batch.volumes.shape[1:]
-        bases = [sine_basis(n) for n in dims]
-        w_hat = separable_product(cw.w.reshape(dims), [s for s, _ in bases])
-        lam_h, lam_w, lam_d = (lam for _, lam in bases)
+        lam_h, lam_w, lam_d = (sine_basis(n)[1] for n in dims)
         eig = lam_h[:, None, None] + lam_w[:, None] + lam_d
-        sigmas, smoothed, dz = [], [], []
+        w_hat = w_hat.reshape(dims)
+        sigmas, rows, smoothed, logits, dz = [], [], [], [], []
         for x, feat in zip(batch.volumes, batch.features):
             sigma = params_net.map_to_sigma(float(feat), pnw)
-            e_h, e_w, e_d = (heat_gains(sigma, lam) for _, lam in bases)
-            # the trainer's order: the (w, d) plane of gains, then e_h
-            z = (x.reshape(dims[0], -1) * np.outer(e_w, e_d).ravel()
-                 * e_h[:, None]).reshape(dims)
+            e_h, e_w, e_d = (heat_gains(sigma, lam) for lam in (lam_h, lam_w, lam_d))
+            # the trainer's rows: the (w, d) plane of gains on every h slice
+            y = x.reshape(dims[0], -1) * np.outer(e_w, e_d).ravel()
+            z = e_h[:, None, None] * y.reshape(dims)
+            logits.append(float(np.sum(w_hat * z)) + bias)
             # dK/dsigma = sigma L K in every axis: sigma Lam z
             dz.append(sigma * float(np.sum(eig * w_hat * z)))
             sigmas.append(sigma)
+            rows.append(y)
             smoothed.append(z)
-        cw_hat = classifier.ClassifierWeights(w_hat, cw.bias)
-        _, cache = classifier.forward(np.stack(smoothed), cw_hat)
-        _, _, dl_dlogit = classifier.backward(cache, batch.labels)
+        _, cache = classifier.forward(np.array(logits))
+        _, dl_dlogit = classifier.backward(cache, batch.labels)
+        dw = np.tensordot(dl_dlogit, np.stack(smoothed), axes=1).ravel()
+        dw = dw + 2 * cfg.lambda_l2 * w_hat.ravel()
         head = [np.zeros(pnw.m), np.zeros(pnw.m), np.zeros(pnw.m), 0.0]
         for feat, dz_i, dl in zip(batch.features, dz, dl_dlogit):
             g = params_net.map_to_sigmas_backward([feat], pnw, [float(dl) * dz_i])
             head = [h + gi for h, gi in zip(head, g)]
-        return sigmas, np.stack(smoothed), dz, dict(zip("abvc", head))
+        return (sigmas, np.stack(rows), np.array(logits), dz,
+                {"w": dw, **dict(zip("abvc", head))})
 
     @pytest.mark.parametrize("dims", [(8, 8, 8), (7, 8, 9)])
     def test_equals_per_volume_step(self, dims):
@@ -352,22 +369,27 @@ class TestBatchStep:
         n = feats.size
         batch = MiniBatch("s0", 0.1, "train", rng.normal(0.4, 0.1, (n, *dims)),
                           np.arange(n) % 2.0, feats)
-        cw = classifier.xavier_init(dims, 5)
         cfg = TrainConfig(lambda_l2=1e-3, seed=2)
-        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
-        sigmas, smoothed, dz, head = self._reference(batch, pnw, cw, cfg)
+        smoothing = trainer._Smoothing(cfg, [batch])
+        held = smoothing.held(classifier.xavier_init(dims, 5))
+        held.bias = 0.3
+        _, grads, fwd = batch_loss_and_grads(batch, pnw, held, cfg, smoothing)
+        sigmas, rows, logits, dz, ref = self._reference(batch, pnw, held.w, held.bias, cfg)
         assert min(sigmas) == lo and max(sigmas) == hi
         assert fwd["sigmas"] == sigmas
-        assert fwd["cache"]["x"].tobytes() == smoothed.reshape(n, -1).tobytes()
+        assert smoothing.rows.tobytes() == rows.tobytes()
+        np.testing.assert_allclose(fwd["cache"]["logits"], logits, rtol=1e-12, atol=0)
         np.testing.assert_allclose(fwd["dlogit_dsigma"], dz, rtol=1e-12, atol=0)
-        for name in "abvc":
-            np.testing.assert_allclose(grads[name], head[name], rtol=1e-10, atol=0)
+        for name in "wabvc":
+            np.testing.assert_allclose(grads[name], ref[name], rtol=1e-10,
+                                       atol=1e-13 * np.max(np.abs(ref[name])))
             assert np.any(grads[name])
 
-
     def test_two_weight_products_per_step(self, monkeypatch):
-        # the weight forward and the gradient back through S: no volume
-        # takes a product, its smoothing is one gain per coefficient
+        # a step given a weight in voxels carries it into the sine basis
+        # and its gradient back, S_3 w and S_3 g; a step of `train`, which
+        # holds the weight in that basis, takes none; no volume takes one,
+        # its smoothing is one gain per coefficient
         batch, pnw, cw, cfg = TestGradients()._setup()
         calls = []
         product = trainer.separable_product
@@ -376,6 +398,11 @@ class TestBatchStep:
         batch_loss_and_grads(batch, pnw, cw, cfg)
         assert len(calls) == 2
         np.testing.assert_array_equal(calls[0], cw.w.reshape(batch.volumes[0].shape))
+        smoothing = trainer._Smoothing(cfg, [batch])
+        held = smoothing.held(cw)
+        calls.clear()
+        batch_loss_and_grads(batch, pnw, held, cfg, smoothing)
+        assert calls == []
 
 
 class TestFixedWidth:
@@ -408,11 +435,13 @@ class TestFixedWidth:
         # reference: smooth every voxel volume with the heat kernel, classify,
         # add the L2 term
         kernel = [heat_kernel(self.SIGMA, n) for n in voxels.volumes.shape[1:]]
-        probs, cache = classifier.forward(
-            [separable_product(x, kernel) for x in voxels.volumes], cw)
+        x = np.stack([separable_product(x, kernel) for x in voxels.volumes])
+        x = x.reshape(batch.size, -1)
+        probs, cache = classifier.forward(x @ cw.w + cw.bias)
         penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
         ref_loss = classifier.bce_loss(probs, batch.labels) + penalty
-        dw, dbias, dl_dlogit = classifier.backward(cache, batch.labels)
+        dbias, dl_dlogit = classifier.backward(cache, batch.labels)
+        dw = dl_dlogit @ x
         for b in (batch, voxels):
             loss, grads, fwd = batch_loss_and_grads(b, None, cw, cfg)
             assert self._rel(fwd["probs"], probs) < 1e-12
@@ -449,6 +478,9 @@ class TestFixedWidth:
         return calls
 
     def test_two_smoothings_per_training_batch(self, smoothings):
+        # a step given a weight in voxels: the weight and the gradient each
+        # take one product (K on voxels, S_3 on coefficients); in `train`,
+        # which holds w^ on coefficients, a step takes none there
         batch, cw, cfg, voxels = self._setup()
         for b in (batch, voxels):
             smoothings.clear()
@@ -456,17 +488,25 @@ class TestFixedWidth:
             assert len(smoothings) == 2
             np.testing.assert_array_equal(smoothings[0], cw.w.reshape(b.volumes[0].shape))
             assert not any(np.shares_memory(x, b.volumes) for x in smoothings)
+        for b, count in ((batch, 0), (voxels, 2)):
+            smoothing = trainer._Smoothing(cfg, [b])
+            held = smoothing.held(cw)
+            smoothings.clear()
+            batch_loss_and_grads(b, None, held, cfg, smoothing)
+            assert len(smoothings) == count
 
     def test_one_smoothing_per_forward_pass_without_rng(self, smoothings):
-        # the caller smooths the weight once; the forward pass smooths nothing
+        # the caller maps the weight once, into the sine basis; the
+        # fixed width's gains and the forward pass take no product
         batch, cw, cfg, _ = self._setup()
         dims = batch.volumes.shape[1:]
         smoothing = trainer._Smoothing(cfg, [batch])
-        smoothed_cw = smoothing.weight(cw)
+        held = smoothing.held(cw)
+        op = smoothing.operand(held.w)
         assert len(smoothings) == 1
         np.testing.assert_array_equal(smoothings[0], cw.w.reshape(dims))
         smoothings.clear()
-        trainer._forward_batch(batch, None, smoothed_cw, cfg, smoothing)
+        trainer._forward_batch(batch, None, op, held.bias, cfg, smoothing)
         assert smoothings == []
 
     @pytest.fixture()
@@ -509,8 +549,7 @@ class TestFixedWidth:
         for b in tiny_dataset:
             if b.split != "test":
                 continue
-            smoothing = trainer._Smoothing(cfg, [b])
-            fwd = trainer._forward_batch(b, None, smoothing.weight(cw), cfg, smoothing)
+            fwd = _forward(b, None, cw, cfg)
             acc = classifier.accuracy(fwd["probs"], b.labels)
             assert b.noise_level not in per_noise
             per_noise[b.noise_level] = {"accuracy": acc * b.size / b.size,
@@ -523,19 +562,22 @@ class TestFixedWidth:
             {"loss": loss / n, "accuracy": correct / n, "per_noise": per_noise}
 
     def test_classifier_reads_loaded_volumes_stacked_in_place(self, tiny_dataset):
+        # the logits and the weight gradient read the loaded batch itself
         batch = tiny_dataset[0]
         cw = classifier.xavier_init(batch.volumes[0].shape, 0)
         cfg = TrainConfig(fixed_sigma=1.0)
         smoothing = trainer._Smoothing(cfg, [batch])
-        fwd = trainer._forward_batch(batch, None, smoothing.weight(cw), cfg, smoothing)
-        assert np.shares_memory(fwd["cache"]["x"], batch.volumes)
+        batch_loss_and_grads(batch, None, smoothing.held(cw), cfg, smoothing)
+        assert np.shares_memory(smoothing.rows, batch.volumes)
 
 
 def _forward(batch, pnw, cw, cfg, training=False):
-    """`_forward_batch` with the weight and the smoothing of a call over
-    this batch alone."""
+    """`_forward_batch` with the voxel weight `cw` held and mapped as a call
+    over this batch alone holds and maps it."""
     smoothing = trainer._Smoothing(cfg, [batch])
-    return trainer._forward_batch(batch, pnw, smoothing.weight(cw), cfg, smoothing, training)
+    held = smoothing.held(cw)
+    return trainer._forward_batch(batch, pnw, smoothing.operand(held.w, training),
+                                  held.bias, cfg, smoothing, training)
 
 
 class TestStepMode:
@@ -551,13 +593,19 @@ class TestStepMode:
 
     def test_evaluation_computes_no_width_derivative(self):
         batch, pnw, cw, cfg = TestGradients()._setup()
-        trained = _forward(batch, pnw, cw, cfg, training=True)
         smoothing = trainer._Smoothing(cfg, [batch])
-        smoothing.eig = None  # an evaluation must not read the eigenvalues
-        fwd = trainer._forward_batch(batch, pnw, smoothing.weight(cw), cfg, smoothing)
+        held = smoothing.held(cw)
+        trained = trainer._forward_batch(batch, pnw, smoothing.operand(held.w, True),
+                                         held.bias, cfg, smoothing, True)
+        rows = smoothing.rows.copy()
+        smoothing.lam_wd = None  # an evaluation must not read the eigenvalues
+        fwd = trainer._forward_batch(batch, pnw, smoothing.operand(held.w), held.bias,
+                                     cfg, smoothing)
         assert fwd["dlogit_dsigma"] is None
         assert fwd["sigmas"] == trained["sigmas"]
-        assert fwd["cache"]["x"].tobytes() == trained["cache"]["x"].tobytes()
+        assert smoothing.rows.tobytes() == rows.tobytes()
+        np.testing.assert_allclose(fwd["cache"]["logits"], trained["cache"]["logits"],
+                                   rtol=1e-12)
 
     def test_evaluation_computes_no_penalty(self, tiny_dataset, monkeypatch):
         # only a training step reads the L2 penalty and its gradient
@@ -585,31 +633,33 @@ class TestStepMode:
 
 
 class TestWorkspace:
-    """Each adaptive `train` or `evaluate` call smooths all its batches into
-    one buffer, which the classifier reads in place, and frees it on
-    return."""
+    """Each adaptive `train` or `evaluate` call writes the rows Y of all its
+    batches into one buffer, which the logits and the weight gradient read
+    in place, and frees it on return."""
 
     def test_one_workspace_per_train_call(self, tiny_dataset, monkeypatch):
-        smooth = trainer._Smoothing.smooth
+        logits = trainer._Smoothing.logits
         first, shared = [], []
 
-        def recorded(smoothing, volumes, sigmas):
-            z = smooth(smoothing, volumes, sigmas)
+        def recorded(smoothing, *args):
+            out = logits(smoothing, *args)
             if not first:
                 first.append(weakref.ref(smoothing))
-            shared.append(np.shares_memory(z, first[0]().out))
-            return z
+            shared.append(np.shares_memory(smoothing.rows, first[0]().out))
+            return out
 
-        monkeypatch.setattr(trainer._Smoothing, "smooth", recorded)
+        monkeypatch.setattr(trainer._Smoothing, "logits", recorded)
         forward, read = classifier.forward, []
-        monkeypatch.setattr(classifier, "forward", lambda batch, weights: read.append(
-            np.shares_memory(batch, first[0]().out)) or forward(batch, weights))
+        monkeypatch.setattr(classifier, "forward",
+                            lambda logits: read.append(logits) or forward(logits))
         cfg = TrainConfig(max_epochs=2, patience=2, seed=5, width_m=8)
         train(cfg, tiny_dataset)
         # every step and validation pass of 2 epochs, then the test pass
         count = {s: sum(b.split == s for b in tiny_dataset) for s in trainer.SPLITS}
         assert len(shared) == 2 * (count["train"] + count["validation"]) + count["test"]
-        assert all(shared) and read == shared
+        # the classifier is called once per batch, with its logits alone
+        assert all(shared) and len(read) == len(shared)
+        assert all(r.ndim == 1 for r in read)
         # freed on return: a buffer kept for the process holds its pages
         assert first[0]() is None
 
@@ -620,17 +670,17 @@ class TestWorkspace:
         pnw, cw = _init_head(8, 0, dims), classifier.xavier_init(dims, 0)
         alone = {0.0: evaluate(pnw, cw, [big], "test")["per_noise"][0.0],
                  0.1: evaluate(pnw, cw, [small], "test")["per_noise"][0.1]}
-        smooth = trainer._Smoothing.smooth
+        logits = trainer._Smoothing.logits
         used = []
 
-        def recorded(smoothing, volumes, sigmas):
+        def recorded(smoothing, *args):
             used.append(smoothing)
-            return smooth(smoothing, volumes, sigmas)
+            return logits(smoothing, *args)
 
-        monkeypatch.setattr(trainer._Smoothing, "smooth", recorded)
+        monkeypatch.setattr(trainer._Smoothing, "logits", recorded)
         assert evaluate(pnw, cw, [big, small], "test")["per_noise"] == alone
         assert used[0] is used[1]
-        assert used[0].out.shape == (big.size, *dims)
+        assert used[0].out.shape == (big.size, 8, 8 * 8)
 
 
 class TestWorkers:
@@ -800,6 +850,9 @@ class TestTrain:
         def nan_validation(batches, pnw, cw, cfg, split, smoothing=None):
             res = original(batches, pnw, cw, cfg, split, smoothing)
             if split == "validation":
+                # the weight `train` holds, in voxels as it returns it
+                cw0 = classifier.xavier_init(batches[0].volumes[0].shape, cfg.seed + 1)
+                cw = smoothing.returned(cw0, smoothing.held(cw0), cw)
                 seen.append((copy.deepcopy(pnw), copy.deepcopy(cw)))
                 res = {**res, "loss": math.nan, "accuracy": len(seen) / 100}
             return res
@@ -832,6 +885,86 @@ class TestTrain:
         only_train = [b for b in tiny_dataset if b.split == "train"]
         with pytest.raises(DataError, match="empty"):
             train(TrainConfig(max_epochs=1), only_train)
+
+
+class TestReturnedWeights:
+    """`train` holds the classifier weight in its batches' basis and returns
+    it in voxels, on each of its three paths: an adaptive and a fixed width
+    on sine coefficients, a fixed width on voxels."""
+
+    PATHS = [(None, "tiny_dataset"), (1.1, "tiny_dataset"), (1.1, "tiny_voxels")]
+
+    @pytest.mark.parametrize("fixed_sigma, data", PATHS)
+    def test_unchanged_weight_returned_bit_for_bit(self, fixed_sigma, data, request):
+        batches = request.getfixturevalue(data)
+        cfg = TrainConfig(learning_rate=0.0, max_epochs=2, seed=4, width_m=8,
+                          fixed_sigma=fixed_sigma)
+        _, cw, _ = train(cfg, batches)
+        cw0 = classifier.xavier_init(batches[0].volumes[0].shape, 5)
+        assert cw.w.tobytes() == cw0.w.tobytes() and cw.bias == cw0.bias
+
+    @pytest.mark.parametrize("fixed_sigma, data", PATHS)
+    def test_report_is_evaluate_of_returned_weights(self, fixed_sigma, data, request,
+                                                    monkeypatch):
+        batches = request.getfixturevalue(data)
+        original, tests = trainer._evaluate_split, []
+
+        def recorded(*args):
+            res = original(*args)
+            if args[4] == "test":
+                tests.append(res)
+            return res
+
+        monkeypatch.setattr(trainer, "_evaluate_split", recorded)
+        cfg = TrainConfig(learning_rate=0.3, max_epochs=12, patience=3, seed=2,
+                          width_m=8, fixed_sigma=fixed_sigma)
+        pnw, cw, report = train(cfg, batches)
+        (test,) = tests
+        # the test split's loss, accuracy and per-noise table exactly
+        assert evaluate(pnw, cw, batches, "test", cfg) == test
+        assert report.test_accuracy == test["accuracy"]
+        assert report.per_noise == test["per_noise"]
+        # the validation loss of the returned weights is the best epoch's
+        best_row = min(report.epochs, key=lambda r: r["val_loss"])
+        assert best_row["epoch"] == report.best_epoch
+        val = evaluate(pnw, cw, batches, "validation", cfg)
+        assert abs(val["loss"] - best_row["val_loss"]) <= 1e-12 * best_row["val_loss"]
+
+    @pytest.mark.parametrize("sigma", [1.13, 1.84])
+    def test_fixed_width_on_voxels_and_coefficients_agree(self, tiny_dataset, tiny_voxels,
+                                                          sigma):
+        # the two loads train one kernel in two bases: their weights differ
+        # by rounding alone, a bound stated in README's `fixed_sigma` row
+        cfg = TrainConfig(learning_rate=0.1, lambda_l2=1e-3, max_epochs=14, patience=14,
+                          seed=43, fixed_sigma=sigma)
+        _, on_coefficients, a = train(cfg, tiny_dataset)
+        _, on_voxels, b = train(cfg, tiny_voxels)
+        scale = np.max(np.abs(on_voxels.w))
+        assert np.max(np.abs(on_coefficients.w - on_voxels.w)) <= 1e-10 * scale
+        assert a.test_accuracy == b.test_accuracy
+        assert len(a.epochs) == len(b.epochs) == 14
+
+
+@pytest.mark.parametrize("fixed_sigma, features", [(None, True), (0.4, True), (0.4, False)])
+def test_weight_size_mismatch_rejected(fixed_sigma, features):
+    # the weight meets the batches in the trainer: a weight whose size is
+    # not the volumes' is a data error naming both sizes, on every path
+    batch = _make_group("s1", 0.0, "test", 4, (6, 6, 6))
+    if not features:
+        batch = dataclasses.replace(batch, features=None)
+    cfg = TrainConfig(fixed_sigma=fixed_sigma)
+    pnw = _init_head(5, 0, (6, 6, 6))
+    cw = classifier.xavier_init((6, 6, 7), 1)
+    message = r"^volume size 216 != weight size 252$"
+    with pytest.raises(DataError, match=message):
+        evaluate(pnw, cw, [batch], "test", cfg)
+    with pytest.raises(DataError, match=message):
+        batch_loss_and_grads(batch, pnw, cw, cfg)
+    smoothing = trainer._Smoothing(cfg, [batch])
+    with pytest.raises(DataError, match=message):
+        batch_loss_and_grads(batch, pnw, cw, cfg, smoothing)
+    with pytest.raises(DataError, match=message):
+        trainer._evaluate_split([batch], pnw, cw, cfg, "test", smoothing)
 
 
 class TestEvaluate:
