@@ -51,10 +51,12 @@ def forward(logits):
     Batches of size 1 are rejected: the standardization needs a variance.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.size < 2:
+    n = logits.size
+    if n < 2:
         raise DataError("batch size must be >= 2 for batch standardization")
-    mean = float(logits.mean())
-    std = float(np.sqrt(np.mean((logits - mean) ** 2)))  # population std
+    # each batch mean is np.mean's sum over n, without its dispatch
+    mean = float(np.add.reduce(logits) / n)
+    std = float(np.sqrt(np.add.reduce((logits - mean) ** 2) / n))  # population std
     s = (logits - mean) / (std + EPSILON)
     probs = 1.0 / (1.0 + np.exp(-s))
     cache = {"logits": logits, "s": s, "probs": probs, "mean": mean, "std": std}
@@ -64,7 +66,8 @@ def forward(logits):
 def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     probs = np.clip(np.asarray(probs, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
     labels = np.asarray(labels, dtype=np.float64)
-    return float(-np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)))
+    terms = labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)
+    return float(-(np.add.reduce(terms) / terms.size))
 
 
 def backward(cache, labels):
@@ -89,7 +92,7 @@ def backward(cache, labels):
     centered = logits - cache["mean"]
     # dL/dlogit = (u - mean(u))/denom - centered * <u, centered> / (n*std*denom^2)
     # with u = dL/ds; the std term is defined as zero for a degenerate batch.
-    dl_dlogit = (dl_ds - dl_ds.mean()) / denom
+    dl_dlogit = (dl_ds - np.add.reduce(dl_ds) / n) / denom
     if std > 0.0:
         dl_dlogit -= centered * float(np.dot(dl_ds, centered)) / (n * std * denom * denom)
 

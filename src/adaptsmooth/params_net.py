@@ -7,7 +7,8 @@ weights' range [lo, hi], sigma = lo + (hi - lo) sigmoid(pre + off): every
 width has a gradient and a filter that fits the volume, and the offset puts
 pre = 0 at width 1 (`train` sets the range from `width_range`).  The head
 maps a batch's features in one call (`map_to_sigmas`), and its gradient is
-summed over the batch in one call (`map_to_sigmas_backward`);
+summed over the batch in one call (`map_to_sigmas_backward`), which takes
+the forward pass's state from `head_forward` or recomputes it;
 `map_to_sigma` is the one-feature case of the former.
 """
 
@@ -91,13 +92,14 @@ def noise_feature(x) -> float:
 
 def _preactivations(features, w: ParamsNetWeights):
     """The hidden rows u_i = a f_i + b, one per feature, and the
-    pre-activations v . u_i + c, one np.dot per row (a matrix-vector product
+    pre-activations v . u_i + c in one np.vecdot call, which takes the BLAS
+    dot of each row that np.dot of that row takes (a matrix-vector product
     rounds differently)."""
     u = np.asarray(features, dtype=np.float64).reshape(-1, 1) * w.a + w.b
-    return u, np.array([float(np.dot(w.v, row) + w.c) for row in u])
+    return u, np.vecdot(u, w.v) + w.c
 
 
-def _sigmoids(pre, w: ParamsNetWeights) -> list[float]:
+def _sigmoids(pre, w: ParamsNetWeights) -> np.ndarray:
     """q = sigmoid(pre + off) of each pre-activation, as 0.5 (1 + tanh(x/2)),
     which does not overflow where 1 / (1 + exp(-x)) does; math.tanh per
     width, as np.tanh rounds some widths differently.  The offset
@@ -106,16 +108,24 @@ def _sigmoids(pre, w: ParamsNetWeights) -> list[float]:
     lo, hi = w.lo, w.hi
     s0 = 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)
     off = math.log((s0 - lo) / (hi - s0))
-    return [0.5 * (1.0 + math.tanh(0.5 * (p + off))) for p in pre.tolist()]
+    return np.array([0.5 * (1.0 + math.tanh(0.5 * (p + off))) for p in pre.tolist()])
+
+
+def head_forward(features, w: ParamsNetWeights):
+    """The widths `map_to_sigmas` maps `features` to, and the state that
+    `map_to_sigmas_backward` reads for them: the hidden rows u and the
+    sigmoids q."""
+    features = np.asarray(features, dtype=np.float64)
+    if not np.isfinite(features).all():
+        raise DataError(f"non-finite feature {features[~np.isfinite(features)][0]}")
+    u, pre = _preactivations(features, w)
+    q = _sigmoids(pre, w)
+    return w.lo + (w.hi - w.lo) * q, (u, q)
 
 
 def map_to_sigmas(features, w: ParamsNetWeights) -> np.ndarray:
     """Map each noise feature to a filter width in [w.lo, w.hi]."""
-    features = np.asarray(features, dtype=np.float64)
-    if not np.isfinite(features).all():
-        raise DataError(f"non-finite feature {features[~np.isfinite(features)][0]}")
-    _, pre = _preactivations(features, w)
-    return np.array([w.lo + (w.hi - w.lo) * q for q in _sigmoids(pre, w)])
+    return head_forward(features, w)[0]
 
 
 def map_to_sigma(feature: float, w: ParamsNetWeights) -> float:
@@ -123,19 +133,20 @@ def map_to_sigma(feature: float, w: ParamsNetWeights) -> float:
     return float(map_to_sigmas([feature], w)[0])
 
 
-def map_to_sigmas_backward(features, w: ParamsNetWeights, upstream_dl_dsigma):
+def map_to_sigmas_backward(features, w: ParamsNetWeights, upstream_dl_dsigma, state=None):
     """Gradients of the feature-to-width map, summed over the features.
 
-    `upstream_dl_dsigma` holds dL/dsigma of each feature's width.  Returns
-    (dL/da, dL/db, dL/dv, dL/dc); the feature is a fixed Laplacian
-    response, so nothing upstream of it trains.  dsigma/dpre is
-    (hi - lo) q (1 - q), exactly 0 where the sigmoid saturates.  The sum
-    over features is one axis-0 sum of the per-feature rows, which adds
-    them in order.
+    `upstream_dl_dsigma` holds dL/dsigma of each feature's width, and
+    `state` is `head_forward`'s for the same features and weights, or None
+    to recompute it.  Returns (dL/da, dL/db, dL/dv, dL/dc); the feature is
+    a fixed Laplacian response, so nothing upstream of it trains.
+    dsigma/dpre is (hi - lo) q (1 - q), exactly 0 where the sigmoid
+    saturates.  The sum over features is one axis-0 sum of the per-feature
+    rows, which adds them in order.
     """
     features = np.asarray(features, dtype=np.float64).reshape(-1, 1)
-    u, pre = _preactivations(features, w)
-    slope = np.array([(w.hi - w.lo) * q * (1.0 - q) for q in _sigmoids(pre, w)])
+    u, q = state if state is not None else head_forward(features, w)[1]
+    slope = (w.hi - w.lo) * q * (1.0 - q)
     g = (np.asarray(upstream_dl_dsigma, dtype=np.float64) * slope)[:, None]
     # one row [dL/da | dL/db | dL/dv | dL/dc] per feature
     rows = np.hstack([g * w.v * features, g * w.v, g * u, g])

@@ -265,15 +265,21 @@ class _Smoothing:
             return
         bases = {n: sine_basis(n) for n in set(dims)}
         self.basis = [bases[n][0] for n in dims]
-        self.lams = [bases[n][1] for n in dims]
+        # the eigenvalues of each distinct axis length
+        self.lams = {n: lam for n, (_, lam) in bases.items()}
         if fixed is not None:
-            gains = {n: heat_gains(fixed, lam) for n, (_, lam) in bases.items()}
-            e_h, e_w, e_d = (gains[n] for n in dims)
+            e_h, e_w, e_d = self._gains(fixed)
             self.gains = (e_h[:, None, None] * e_w[:, None] * e_d).ravel()
         else:
-            _, lam_w, lam_d = self.lams
-            self.lam_wd = (lam_w[:, None] + lam_d).ravel()
+            self.lam_wd = (self.lams[dims[1]][:, None] + self.lams[dims[2]]).ravel()
             self.out = np.empty((max(b.size for b in batches), dims[0], dims[1] * dims[2]))
+            self.pair = None  # a training step's operand, made by the first
+
+    def _gains(self, sigmas):
+        """The gains of `sigmas` along each axis, evaluated once per distinct
+        axis length."""
+        gains = {n: heat_gains(sigmas, lam) for n, lam in self.lams.items()}
+        return [gains[n] for n in self.dims]
 
     def _check(self, w):
         size = math.prod(self.dims)
@@ -311,7 +317,8 @@ class _Smoothing:
         voxels, E . w^ at a fixed width on coefficients, and at an adaptive
         width the (H, W D, 1) rows w^_h, or for a training step the
         (H, W D, 2) rows [w^_h | lam_wd w^_h], which also give the width
-        derivatives."""
+        derivatives, written into one buffer that the first training step
+        makes and every later one overwrites."""
         self._check(w)
         if self.basis is None:
             return separable_product(w.reshape(self.dims), self.kernels).ravel()
@@ -320,7 +327,11 @@ class _Smoothing:
         rows = w.reshape(self.dims[0], -1)
         if not training:
             return rows[:, :, None]
-        return np.stack((rows, self.lam_wd * rows), axis=-1)
+        if self.pair is None:
+            self.pair = np.empty((*rows.shape, 2))
+        self.pair[:, :, 0] = rows
+        np.multiply(self.lam_wd, rows, out=self.pair[:, :, 1])
+        return self.pair
 
     def logits(self, volumes, sigmas, op, bias: float):
         """The logits of the batch `volumes` for the operand `op`, and each
@@ -334,7 +345,7 @@ class _Smoothing:
             self.rows = volumes.reshape(n, self.dims[0], -1)
             self.e_h = np.ones((n, self.dims[0]))
             return volumes.reshape(n, -1) @ op + bias, None
-        e_h, e_w, e_d = (heat_gains(sigmas, lam) for lam in self.lams)
+        e_h, e_w, e_d = self._gains(sigmas)
         self.e_h = e_h
         y = self.rows = self.out[:n]
         np.multiply(volumes.reshape(n, self.dims[0], -1),
@@ -344,7 +355,7 @@ class _Smoothing:
         logits = np.sum(e_h * r[:, :, 0].T, axis=1) + bias
         if op.shape[2] == 1:
             return logits, None
-        lam_h = self.lams[0]
+        lam_h = self.lams[self.dims[0]]
         return logits, sigmas * np.sum(e_h * (lam_h[:, None] * r[:, :, 0]
                                               + r[:, :, 1]).T, axis=1)
 
@@ -372,14 +383,15 @@ def _forward_batch(batch: MiniBatch, pnw, op, bias: float, cfg: TrainConfig,
     first a head whose range does not fit the volumes, and smooths into the
     call's buffer.  In a training step ``fwd["dlogit_dsigma"]`` holds each
     logit's width derivative; an evaluation leaves it None.  Returns
-    everything backward needs."""
+    everything backward needs, the head's forward state in ``fwd["head"]``
+    at an adaptive width."""
     if cfg.fixed_sigma is not None:
         sigmas = None
         fwd = {"sigmas": [cfg.fixed_sigma] * batch.size}
     else:
-        sigmas = params_net.map_to_sigmas(batch.features, pnw)
+        sigmas, head = params_net.head_forward(batch.features, pnw)
         check_width(float(sigmas.max()), cfg.truncation, min(smoothing.dims))
-        fwd = {"sigmas": sigmas.tolist()}
+        fwd = {"sigmas": sigmas.tolist(), "head": head}
     logits, fwd["dlogit_dsigma"] = smoothing.logits(batch.volumes, sigmas, op, bias)
     probs, cache = classifier.forward(logits)
     return {**fwd, "probs": probs, "cache": cache,
@@ -403,11 +415,13 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig,
                          cfg, smoothing, training=True)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
     dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
-    dl_dw = smoothing.gradient(dl_dlogit) + pen_grad
+    dl_dw = smoothing.gradient(dl_dlogit)
+    dl_dw += pen_grad
     grads = {"w": smoothing.converted(dl_dw) if in_voxels else dl_dw, "bias": dl_dbias}
     if cfg.fixed_sigma is None:
         head = params_net.map_to_sigmas_backward(batch.features, pnw,
-                                                 dl_dlogit * fwd["dlogit_dsigma"])
+                                                 dl_dlogit * fwd["dlogit_dsigma"],
+                                                 fwd["head"])
         grads.update(zip("abvc", head))
     return fwd["data_loss"] + penalty, grads, fwd
 
@@ -493,7 +507,8 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     # evaluation of the run, which holds the classifier in its basis
     smoothing = _Smoothing(cfg, batches)
     start = smoothing.held(cw0)
-    cw = copy.copy(start)
+    # updated in place: shares no array with `start` or `cw0`
+    cw = copy.deepcopy(start)
     report = TrainReport(config=cfg)
     best = {"loss": math.inf, "epoch": -1, "pnw": None, "cw": None}
 
@@ -511,11 +526,16 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
                             f"non-finite loss at epoch {epoch} "
                             f"(subject {batch.subject_id}, noise {batch.noise_level}); "
                             f"last widths {[round(s, 4) for s in fwd['sigmas']]}")
-                    # plain SGD on every parameter: w, bias, a, b, v, c
+                    # plain SGD on every parameter: w, bias, a, b, v, c, each
+                    # array in place, scaled by the step's own gradient array
                     for name, g in grads.items():
                         owner = cw if name in ("w", "bias") else pnw
-                        setattr(owner, name,
-                                getattr(owner, name) - cfg.learning_rate * g)
+                        if isinstance(g, float):
+                            setattr(owner, name,
+                                    getattr(owner, name) - cfg.learning_rate * g)
+                        else:
+                            param = getattr(owner, name)
+                            param -= np.multiply(g, cfg.learning_rate, out=g)
                     epoch_loss += loss * batch.size
                     n_seen += batch.size
         except FloatingPointError as exc:

@@ -10,6 +10,7 @@ from adaptsmooth.params_net import (
     LAPLACIAN_1D,
     NOISE_CALIBRATION,
     ParamsNetWeights,
+    head_forward,
     init_weights,
     load_weights,
     map_to_sigma,
@@ -289,6 +290,22 @@ class TestBatchHead:
             head = [h + r for h, r in zip(head, row)]
         got = map_to_sigmas_backward(feats, w, upstream)
         for a, b in zip(got, head):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("ends", [(), (-1e4,), (1e4,), (-1e4, 1e4)])
+    def test_gradients_from_saved_state_equal_recomputed(self, ends):
+        # the forward pass's hidden rows and sigmoids give the gradients of
+        # a fresh backward pass bit for bit, with widths inside the range
+        # and saturated at lo, at hi, or at both
+        w, feats, upstream = self._case()
+        feats = np.concatenate([feats[:198], ends])
+        upstream = upstream[:feats.size]
+        sigmas, state = head_forward(feats, w)
+        assert sigmas.tobytes() == map_to_sigmas(feats, w).tobytes()
+        assert ({LO, HI} & set(sigmas.tolist())) == {LO if e < 0 else HI for e in ends}
+        got = map_to_sigmas_backward(feats, w, upstream, state)
+        want = map_to_sigmas_backward(feats, w, upstream)
+        for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_first_non_finite_feature_is_named(self):

@@ -405,6 +405,83 @@ class TestBatchStep:
         assert calls == []
 
 
+class TestStepWork:
+    """An adaptive training step computes each of its quantities once: the
+    gains once per distinct axis length, the operand in one buffer that
+    every step of the call overwrites, and the head's forward pass once,
+    its state reused by the backward pass."""
+
+    @pytest.mark.parametrize("dims, evaluations", [((24, 24, 24), 1), ((9, 11, 7), 3)])
+    def test_gains_once_per_axis_length(self, dims, evaluations, monkeypatch):
+        batch = _make_group("s0", 0.1, "train", 3, dims, seed=6)
+        cfg = TrainConfig(seed=1)
+        smoothing = trainer._Smoothing(cfg, [batch])
+        w = smoothing.held(classifier.xavier_init(dims, 2)).w
+        op = smoothing.operand(w, training=True)
+        sigmas = np.array([0.6, 1.0, 1.7])
+        calls = []
+        monkeypatch.setattr(trainer, "heat_gains",
+                            lambda s, lam: calls.append(lam.size) or heat_gains(s, lam))
+        logits, dz = smoothing.logits(batch.volumes, sigmas, op, 0.25)
+        assert len(calls) == evaluations
+        # the per-axis form: one evaluation of the gains per axis
+        lam_h, lam_w, lam_d = (sine_basis(n)[1] for n in dims)
+        e_h, e_w, e_d = (heat_gains(sigmas, lam) for lam in (lam_h, lam_w, lam_d))
+        y = batch.volumes.reshape(3, dims[0], -1) * (e_w[:, :, None]
+                                                     * e_d[:, None, :]).reshape(3, 1, -1)
+        r = np.matmul(y.transpose(1, 0, 2), np.stack((w.reshape(dims[0], -1),
+                                                      smoothing.lam_wd * w.reshape(dims[0], -1)),
+                                                     axis=-1))
+        want = np.sum(e_h * r[:, :, 0].T, axis=1) + 0.25
+        want_dz = sigmas * np.sum(e_h * (lam_h[:, None] * r[:, :, 0] + r[:, :, 1]).T, axis=1)
+        assert logits.tobytes() == want.tobytes()
+        assert dz.tobytes() == want_dz.tobytes()
+
+    def test_training_steps_share_one_operand_buffer(self, tiny_dataset, monkeypatch):
+        operand, made = trainer._Smoothing.operand, []
+
+        def recorded(smoothing, w, training=False):
+            op = operand(smoothing, w, training)
+            if training:
+                rows = w.reshape(smoothing.dims[0], -1)
+                want = np.stack((rows, smoothing.lam_wd * rows), axis=-1)
+                made.append((op, op.tobytes() == want.tobytes()))
+            return op
+
+        monkeypatch.setattr(trainer._Smoothing, "operand", recorded)
+        train(TrainConfig(max_epochs=2, patience=2, seed=5, width_m=8), tiny_dataset)
+        assert len(made) == 2 * sum(b.split == "train" for b in tiny_dataset)
+        assert all(op is made[0][0] for op, _ in made)
+        assert all(same for _, same in made)
+
+    def test_evaluation_builds_no_operand_buffer(self, tiny_dataset, monkeypatch):
+        logits, used = trainer._Smoothing.logits, []
+
+        def recorded(smoothing, *args):
+            used.append(smoothing)
+            return logits(smoothing, *args)
+
+        monkeypatch.setattr(trainer._Smoothing, "logits", recorded)
+        pnw = _init_head(8, 0)
+        cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
+        evaluate(pnw, cw, tiny_dataset, "test")
+        assert used and all(s.pair is None for s in used)
+
+    def test_one_head_forward_per_training_step(self, monkeypatch):
+        batch, pnw, cw, cfg = TestGradients()._setup()
+        forward, calls = params_net._preactivations, []
+        monkeypatch.setattr(params_net, "_preactivations",
+                            lambda *args: calls.append(1) or forward(*args))
+        _, grads, _ = batch_loss_and_grads(batch, pnw, cw, cfg)
+        assert len(calls) == 1
+        fresh = params_net.map_to_sigmas_backward
+        monkeypatch.setattr(params_net, "map_to_sigmas_backward",
+                            lambda f, w, up, state=None: fresh(f, w, up))
+        _, recomputed, _ = batch_loss_and_grads(batch, pnw, cw, cfg)
+        for name in "abvc":
+            assert np.asarray(grads[name]).tobytes() == np.asarray(recomputed[name]).tobytes()
+
+
 class TestFixedWidth:
     """A fixed width smooths the classifier weight instead of every volume:
     twice per training step and once per evaluation, with one kernel built
@@ -929,6 +1006,47 @@ class TestReturnedWeights:
         assert best_row["epoch"] == report.best_epoch
         val = evaluate(pnw, cw, batches, "validation", cfg)
         assert abs(val["loss"] - best_row["val_loss"]) <= 1e-12 * best_row["val_loss"]
+
+    @pytest.mark.parametrize("fixed_sigma, data", PATHS)
+    def test_in_place_updates_equal_out_of_place_steps(self, fixed_sigma, data, request,
+                                                       monkeypatch):
+        # train updates its weights in place; the same two epochs taken as
+        # out-of-place steps of `batch_loss_and_grads` from the same start
+        # give the same bits.  The caller's initial classifier, handed to
+        # train here as its own, and the head the steps start from are left
+        # as they were
+        batches = request.getfixturevalue(data)
+        cfg = TrainConfig(learning_rate=0.1, lambda_l2=1e-3, max_epochs=2, patience=2,
+                          seed=6, width_m=8, fixed_sigma=fixed_sigma)
+        dims = batches[0].volumes.shape[1:]
+        cw0 = classifier.xavier_init(dims, cfg.seed + 1)
+        pnw0 = _init_head(cfg.width_m, cfg.seed, dims)
+        before = (cw0.w.tobytes(), pnw0.a.tobytes(), pnw0.b.tobytes(), pnw0.v.tobytes())
+        monkeypatch.setattr(classifier, "xavier_init", lambda dims, seed: cw0)
+        pnw, cw, _ = train(cfg, batches)
+
+        smoothing = trainer._Smoothing(cfg, batches)
+        start = smoothing.held(cw0)
+        ref_pnw, ref_cw, best = pnw0, start, (math.inf, None)
+        for epoch in (1, 2):
+            for batch in make_batches(batches, cfg.seed + epoch):
+                _, grads, _ = batch_loss_and_grads(batch, ref_pnw, ref_cw, cfg, smoothing)
+                ref_pnw, ref_cw = copy.copy(ref_pnw), copy.copy(ref_cw)
+                for name, g in grads.items():
+                    owner = ref_cw if name in ("w", "bias") else ref_pnw
+                    setattr(owner, name, getattr(owner, name) - cfg.learning_rate * g)
+            val = trainer._evaluate_split(batches, ref_pnw, ref_cw, cfg, "validation",
+                                          smoothing)
+            if val["loss"] < best[0]:
+                best = (val["loss"], (ref_pnw, ref_cw))
+        ref_pnw, ref_cw = best[1]
+        ref_cw = smoothing.returned(cw0, start, ref_cw)
+        assert cw.w.tobytes() == ref_cw.w.tobytes() and cw.bias == ref_cw.bias
+        for name in "abvc":
+            assert np.asarray(getattr(pnw, name)).tobytes() == \
+                np.asarray(getattr(ref_pnw, name)).tobytes()
+        assert (cw0.w.tobytes(), pnw0.a.tobytes(), pnw0.b.tobytes(),
+                pnw0.v.tobytes()) == before
 
     @pytest.mark.parametrize("sigma", [1.13, 1.84])
     def test_fixed_width_on_voxels_and_coefficients_agree(self, tiny_dataset, tiny_voxels,
