@@ -1,12 +1,14 @@
 """Linear classifier with mini-batch standardization.
 
-The classifier is a weight over flattened volumes and a bias; the trainer
-forms each batch's logits, x . w + b, in the batches' own basis
-(`trainer._Smoothing`), and this module takes it from the logits on.
-Logits are standardized by the current batch's mean and (population)
-standard deviation before the sigmoid, at training and evaluation alike;
-the batch statistics are part of the differentiated graph, so the gradients
-of all batch members are coupled.
+The classifier is a weight over flattened volumes; the trainer forms each
+batch's logits, x . w, in the batches' own basis (`trainer._Smoothing`),
+and this module takes it from the logits on.  Logits are standardized by
+the current batch's mean and (population) standard deviation before the
+sigmoid, at training and evaluation alike; the batch statistics are part of
+the differentiated graph, so the gradients of all batch members are
+coupled.  The standardization cancels any shift of a batch's logits, so
+the classifier has no offset term, and any positive scale of w up to the
+epsilon in std + epsilon, so an L2 penalty on w sets only its norm.
 """
 
 from __future__ import annotations
@@ -26,12 +28,17 @@ PROB_CLAMP = 1e-7
 @dataclass
 class ClassifierWeights:
     w: np.ndarray  # flattened-volume weight vector
-    bias: float
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64).ravel()
-        if not (np.isfinite(self.w).all() and math.isfinite(self.bias)):
+        if not np.isfinite(self.w).all():
             raise DataError("non-finite classifier weight")
+
+    @property
+    def bias(self) -> float:
+        """Always 0.0: only the benchmark's weights digest reads it, and it
+        goes with Benchmark v2 (ROADMAP item 7)."""
+        return 0.0
 
 
 def xavier_init(dims, seed: int = 0) -> ClassifierWeights:
@@ -39,7 +46,7 @@ def xavier_init(dims, seed: int = 0) -> ClassifierWeights:
     fan_in = int(np.prod(dims))
     limit = math.sqrt(6.0 / (fan_in + 1))
     rng = np.random.default_rng(seed)
-    return ClassifierWeights(rng.uniform(-limit, limit, fan_in), 0.0)
+    return ClassifierWeights(rng.uniform(-limit, limit, fan_in))
 
 
 def forward(logits):
@@ -73,10 +80,9 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 def backward(cache, labels):
     """Exact gradient of bce_loss(forward(...)) through the batch statistics.
 
-    Returns (dL/dbias, dL/dlogit) with one logit gradient per batch member;
-    the gradient with respect to the weight is ``dl_dlogit @ x`` of the
-    batch's flattened inputs x, and with respect to member i's input
-    ``dl_dlogit[i] * w``.
+    Returns dL/dlogit, one gradient per batch member; the gradient with
+    respect to the weight is ``dl_dlogit @ x`` of the batch's flattened
+    inputs x, and with respect to member i's input ``dl_dlogit[i] * w``.
     """
     logits = cache["logits"]
     probs = cache["probs"]
@@ -96,11 +102,11 @@ def backward(cache, labels):
     if std > 0.0:
         dl_dlogit -= centered * float(np.dot(dl_ds, centered)) / (n * std * denom * denom)
 
-    return float(dl_dlogit.sum()), dl_dlogit
+    return dl_dlogit
 
 
 def l2_penalty(weights: ClassifierWeights, lam: float):
-    """L2 penalty on the weight vector (bias excluded) and its gradient."""
+    """L2 penalty on the weight vector and its gradient."""
     if lam < 0:
         raise DataError(f"lambda must be >= 0, got {lam}")
     return lam * float(np.dot(weights.w, weights.w)), 2.0 * lam * weights.w
@@ -117,16 +123,16 @@ def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def save_weights(weights: ClassifierWeights, dims, path):
-    """Checkpoint: dims line, then w, then bias."""
-    write_rows(path, dims, weights.w, weights.bias)
+    """Checkpoint: dims line, then w."""
+    write_rows(path, dims, weights.w)
 
 
 def load_weights(path):
-    dims, w, bias = read_rows(path, 3)
+    dims, w = read_rows(path, 2)
     if dims.size != 3 or (dims < 1).any() or (dims % 1).any():
         raise DataError(f"{path}: dims must be three positive integers")
     # the product of Python ints, which cannot overflow as float64 does
     shape = tuple(int(d) for d in dims)
-    if w.size != math.prod(shape) or bias.size != 1:
+    if w.size != math.prod(shape):
         raise DataError(f"{path}: weight length does not match dims")
-    return ClassifierWeights(w, float(bias[0])), shape
+    return ClassifierWeights(w), shape

@@ -103,19 +103,10 @@ def separable_product(x: np.ndarray, mats, out: np.ndarray | None = None) -> np.
     return _pass(x, mats[-1], out)
 
 
-def convolve_separable(x: np.ndarray, profiles) -> np.ndarray:
-    """Fast path for rank-1 kernels.
-
-    `profiles` is either a single 1D profile shared by all three axes or a
-    (p_h, p_w, p_d) triple; each must be odd-length.  Each axis is
-    correlated with its own profile, which for the symmetric kernels of
-    this package equals convolution.
-    """
+def convolve_separable(x: np.ndarray, profile) -> np.ndarray:
+    """Correlate each axis of the volume `x` with the odd-length 1D
+    `profile`, which for the symmetric kernels of this package equals
+    convolution: the rank-1 kernel's fast path."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if isinstance(profiles, np.ndarray) and profiles.ndim == 1:
-        profiles = (profiles, profiles, profiles)
-    built = {}  # one matrix per distinct (profile, axis length)
-    for p, n in zip(profiles, x.shape):
-        if (id(p), n) not in built:
-            built[id(p), n] = _matrix(p, n)
-    return separable_product(x, [built[id(p), n] for p, n in zip(profiles, x.shape)])
+    built = {n: _matrix(profile, n) for n in set(x.shape)}
+    return separable_product(x, [built[n] for n in x.shape])

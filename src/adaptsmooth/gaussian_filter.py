@@ -3,9 +3,8 @@
 The truncated filter is isotropic, sampled on an integer grid of radius
 ``r = floor((t * sigma_f + 0.5) / 2)`` and renormalized to sum 1.  It is the
 outer product of a renormalized 1D profile, which is all that separable
-smoothing reads.  A batch of widths is built at once (`build_profiles`), all
-widths of one radius together; `build_filter` is the one-width case.  The
-`smooth` and `inspect-filter` commands smooth with it and print it.
+smoothing reads (`build_filter`).  The `smooth` and `inspect-filter`
+commands smooth with it and print it.
 
 Its 3D weight cube is built on first read.  Because the raw sample at
 (x, y, z) depends only on the integer squared radius x^2 + y^2 + z^2, it is
@@ -96,45 +95,24 @@ def check_width(sigma_f: float, t: float = DEFAULT_TRUNCATION,
     # squared radius / sigma_f^3 must fit float64 up to the cube's corner,
     # 3r^2, as the derivative the filter once carried needed; every command
     # still refuses these widths, and the rule keeps 1 / (2 sigma_f^2) and
-    # every exponent of the profile finite
-    cube = sigma_f ** 3
-    if not (cube > 0 and 3.0 * r * r / cube < math.inf):
+    # every exponent of the profile finite; a product, as a float power
+    # raises OverflowError where this overflows to inf
+    cube = sigma_f * sigma_f * sigma_f
+    if not (0 < cube < math.inf and 3.0 * r * r / cube < math.inf):
         raise DataError(f"sigma_f {sigma_f} at t={t}: the filter derivative "
                         "does not fit float64")
     return r
 
 
-def build_profiles(sigmas, t: float = DEFAULT_TRUNCATION, max_side: int | None = None):
-    """The profiles of the widths `sigmas`, computed at once for all widths
-    of one radius.
-
-    Returns (radii, profiles), one entry per width in order; each profile
-    is a row of its radius group's array.  Every width is checked
-    (`check_width`, with `max_side`) before any array is made.
-    """
-    sigmas = np.asarray(sigmas, dtype=np.float64).tolist()
-    radii = [check_width(sigma_f, t, max_side) for sigma_f in sigmas]
-    groups = {}  # radius -> its widths' indices and 1 / (2 sigma_f^2)
-    for i, (r, sigma_f) in enumerate(zip(radii, sigmas)):
-        rows, inv = groups.setdefault(r, ([], []))
-        rows.append(i)
-        inv.append(1.0 / (2.0 * sigma_f * sigma_f))
-    profiles = [None] * len(radii)
-    for r, (rows, inv) in groups.items():
-        sq = np.arange(-r, r + 1) ** 2
-        g1 = np.exp(-sq * np.array(inv)[:, None])
-        group = g1 / np.add.reduce(g1, axis=1, keepdims=True)
-        for k, i in enumerate(rows):
-            profiles[i] = group[k]
-    return radii, profiles
-
-
 def build_filter(sigma_f: float, t: float = DEFAULT_TRUNCATION,
                  max_side: int | None = None) -> GaussianFilter:
-    """The filter of width `sigma_f` at truncation `t`: the one-width case
-    of `build_profiles`, with the same `max_side` check."""
-    (r,), (profile,) = build_profiles([sigma_f], t, max_side)
-    return GaussianFilter(sigma_f, t, r, profile)
+    """The filter of width `sigma_f` at truncation `t`, the width checked
+    first (`check_width`, with `max_side`): its profile
+    exp(-x^2 / (2 sigma_f^2)) over x = -r..r, renormalized to sum 1."""
+    sigma_f = float(sigma_f)
+    r = check_width(sigma_f, t, max_side)
+    g1 = np.exp(-np.arange(-r, r + 1) ** 2 * (1.0 / (2.0 * sigma_f * sigma_f)))
+    return GaussianFilter(sigma_f, t, r, g1 / np.add.reduce(g1))
 
 
 def sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -55,6 +55,10 @@ DEFAULT_LAMBDA_GRID = (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
 
 @dataclass
 class TrainConfig:
+    """A training's settings.  The batch standardization makes the loss
+    blind to the scale of the classifier weight w, so `lambda_l2` only sets
+    |w|, and with it the size of each step relative to w: it acts as a step
+    size, not as a limit on capacity."""
     learning_rate: float = 0.1
     lambda_l2: float = 0.0
     max_epochs: int = 200
@@ -232,7 +236,7 @@ class _Smoothing:
       Y = (N, H, W D) rows into `out`, one per volume of the call's
       largest batch; the rows r and r' of one batched product of Y's h
       slices with [w^_h | lam_wd w^_h] give logit_i = sum_h e_h[i, h] r_i[h]
-      + b and, since dK_sigma/dsigma = sigma L K_sigma,
+      and, since dK_sigma/dsigma = sigma L K_sigma,
       dlogit_i/dsigma_i = sigma_i sum_h e_h[i, h] (lam_h r_i[h] + r'_i[h]),
       lam the Laplacian's eigenvalues (`sine_basis`, lam_wd = lam_w + lam_d);
       backward is one batched product, dL/dw^_h = sum_i c_i e_h[i, h] Y_i[h];
@@ -333,7 +337,7 @@ class _Smoothing:
         np.multiply(self.lam_wd, rows, out=self.pair[:, :, 1])
         return self.pair
 
-    def logits(self, volumes, sigmas, op, bias: float):
+    def logits(self, volumes, sigmas, op):
         """The logits of the batch `volumes` for the operand `op`, and each
         logit's width derivative when `op` is a training step's at an
         adaptive width, else None; `sigmas` holds the adaptive widths, one
@@ -344,7 +348,7 @@ class _Smoothing:
             # the gains are on the weight: no h gain for `gradient`
             self.rows = volumes.reshape(n, self.dims[0], -1)
             self.e_h = np.ones((n, self.dims[0]))
-            return volumes.reshape(n, -1) @ op + bias, None
+            return volumes.reshape(n, -1) @ op, None
         e_h, e_w, e_d = self._gains(sigmas)
         self.e_h = e_h
         y = self.rows = self.out[:n]
@@ -352,7 +356,7 @@ class _Smoothing:
                     (e_w[:, :, None] * e_d[:, None, :]).reshape(n, 1, -1), out=y)
         # one (N, W D) x (W D, k) product per h slice of Y, in place
         r = np.matmul(y.transpose(1, 0, 2), op)
-        logits = np.sum(e_h * r[:, :, 0].T, axis=1) + bias
+        logits = np.sum(e_h * r[:, :, 0].T, axis=1)
         if op.shape[2] == 1:
             return logits, None
         lam_h = self.lams[self.dims[0]]
@@ -374,10 +378,10 @@ class _Smoothing:
         return self.gains * g
 
 
-def _forward_batch(batch: MiniBatch, pnw, op, bias: float, cfg: TrainConfig,
+def _forward_batch(batch: MiniBatch, pnw, op, cfg: TrainConfig,
                    smoothing: _Smoothing, training: bool = False):
     """Classify the batch with the operand `op` of the held weight
-    (`_Smoothing.operand`, a training step's when `training`) and `bias`.
+    (`_Smoothing.operand`, a training step's when `training`).
     A fixed width reads the loaded volumes in place: the weight carries the
     smoothing.  An adaptive width predicts each volume's width, refusing
     first a head whose range does not fit the volumes, and smooths into the
@@ -392,7 +396,7 @@ def _forward_batch(batch: MiniBatch, pnw, op, bias: float, cfg: TrainConfig,
         sigmas, head = params_net.head_forward(batch.features, pnw)
         check_width(float(sigmas.max()), cfg.truncation, min(smoothing.dims))
         fwd = {"sigmas": sigmas.tolist(), "head": head}
-    logits, fwd["dlogit_dsigma"] = smoothing.logits(batch.volumes, sigmas, op, bias)
+    logits, fwd["dlogit_dsigma"] = smoothing.logits(batch.volumes, sigmas, op)
     probs, cache = classifier.forward(logits)
     return {**fwd, "probs": probs, "cache": cache,
             "data_loss": classifier.bce_loss(probs, batch.labels)}
@@ -411,13 +415,13 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig,
     if in_voxels:
         smoothing = _Smoothing(cfg, [batch])
         cw = smoothing.held(cw)
-    fwd = _forward_batch(batch, pnw, smoothing.operand(cw.w, training=True), cw.bias,
+    fwd = _forward_batch(batch, pnw, smoothing.operand(cw.w, training=True),
                          cfg, smoothing, training=True)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
-    dl_dbias, dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
+    dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
     dl_dw = smoothing.gradient(dl_dlogit)
     dl_dw += pen_grad
-    grads = {"w": smoothing.converted(dl_dw) if in_voxels else dl_dw, "bias": dl_dbias}
+    grads = {"w": smoothing.converted(dl_dw) if in_voxels else dl_dw}
     if cfg.fixed_sigma is None:
         head = params_net.map_to_sigmas_backward(batch.features, pnw,
                                                  dl_dlogit * fwd["dlogit_dsigma"],
@@ -448,7 +452,7 @@ def _evaluate_split(batches, pnw, cw, cfg, split, smoothing=None):
                 cw = smoothing.held(cw)
             op = smoothing.operand(cw.w)
             for b in batches:
-                fwd = _forward_batch(b, pnw, op, cw.bias, cfg, smoothing)
+                fwd = _forward_batch(b, pnw, op, cfg, smoothing)
                 acc = classifier.accuracy(fwd["probs"], b.labels)
                 for key in (b.noise_level, None):
                     rec = records.setdefault(key, {"n": 0, "correct": 0.0,
@@ -526,10 +530,10 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
                             f"non-finite loss at epoch {epoch} "
                             f"(subject {batch.subject_id}, noise {batch.noise_level}); "
                             f"last widths {[round(s, 4) for s in fwd['sigmas']]}")
-                    # plain SGD on every parameter: w, bias, a, b, v, c, each
+                    # plain SGD on every parameter: w, a, b, v, c, each
                     # array in place, scaled by the step's own gradient array
                     for name, g in grads.items():
-                        owner = cw if name in ("w", "bias") else pnw
+                        owner = cw if name == "w" else pnw
                         if isinstance(g, float):
                             setattr(owner, name,
                                     getattr(owner, name) - cfg.learning_rate * g)

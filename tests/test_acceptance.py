@@ -134,23 +134,23 @@ def test_criterion_4_gradient_suite():
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-7
 
         # (c) classifier Jacobian on a 4-volume batch of 4^3 inputs: the
-        # logits x . w + b, the weight gradient dl_dlogit @ x
+        # logits x . w, the weight gradient dl_dlogit @ x
         vols = [rng.normal(0, 1, (4, 4, 4)) for _ in range(4)]
         labels = np.array([0.0, 1.0, 1.0, 0.0])
         cw = classifier.xavier_init((4, 4, 4), seed=2)
         x = np.stack(vols).reshape(4, -1)
-        _, cache = classifier.forward(x @ cw.w + cw.bias)
-        _, dl_dlogit = classifier.backward(cache, labels)
+        _, cache = classifier.forward(x @ cw.w)
+        dl_dlogit = classifier.backward(cache, labels)
         dw = dl_dlogit @ x
         hh = 1e-6
 
         def cls_loss(weights, batch=vols):
-            logits = np.stack(batch).reshape(4, -1) @ weights.w + weights.bias
+            logits = np.stack(batch).reshape(4, -1) @ weights.w
             return classifier.bce_loss(classifier.forward(logits)[0], labels)
 
         for i in rng.choice(cw.w.size, size=10, replace=False):
-            wp = classifier.ClassifierWeights(cw.w.copy(), cw.bias)
-            wm = classifier.ClassifierWeights(cw.w.copy(), cw.bias)
+            wp = classifier.ClassifierWeights(cw.w.copy())
+            wm = classifier.ClassifierWeights(cw.w.copy())
             wp.w[i] += hh
             wm.w[i] -= hh
             fd = (cls_loss(wp) - cls_loss(wm)) / (2 * hh)
@@ -287,7 +287,6 @@ def test_criterion_8_trainer_mechanics(tiny_dataset):
         loss0, grads, _ = batch_loss_and_grads(batch, pnw, cw, cfg)
         lr = 1e-4
         cw.w = cw.w - lr * grads["w"]
-        cw.bias = cw.bias - lr * grads["bias"]
         pnw.a = pnw.a - lr * grads["a"]
         pnw.b = pnw.b - lr * grads["b"]
         pnw.v = pnw.v - lr * grads["v"]
@@ -312,7 +311,6 @@ def test_criterion_8_trainer_mechanics(tiny_dataset):
         np.testing.assert_array_equal(p1.a, p2.a)
         np.testing.assert_array_equal(p1.v, p2.v)
         np.testing.assert_array_equal(c1.w, c2.w)
-        assert c1.bias == c2.bias
 
 
 def test_criterion_9_fwhm_conversions():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adaptsmooth.classifier import (
+    EPSILON,
     ClassifierWeights,
     accuracy,
     backward,
@@ -45,6 +46,25 @@ class TestForward:
         p2, _ = forward(3.0 * logits)
         np.testing.assert_allclose(p1, p2, atol=1e-4)  # epsilon breaks exactness
 
+    def test_shift_and_scale_leave_probabilities_unchanged(self):
+        # forward(a z + b) = forward(z): the standardization cancels every
+        # shift b, which is why the classifier has no bias, and every scale
+        # a > 0 up to the epsilon in std + epsilon
+        logits = np.random.default_rng(6).normal(size=7)
+        probs, cache = forward(logits)
+        std, s_max = cache["std"], float(np.max(np.abs(cache["s"])))
+        z_max = float(np.max(np.abs(logits)))
+        for a in (1e-3, 0.5, 1.0, 3.0, 7.0, 1e3):
+            for b in (-123.0, -1e-3, 0.0, 0.5, 7.3, 123.0):
+                # a sigmoid's slope is at most 1/4; the scale changes s by
+                # the factor (std + eps) / (std + eps / a), and rounding a z + b
+                # moves it by a few ulps of |b| + a |z| over a std
+                tol = 0.25 * (s_max * EPSILON * abs(1.0 - 1.0 / a) / std
+                              + 8 * np.finfo(float).eps * (abs(b) + a * z_max) / (a * std))
+                got = forward(a * logits + b)[0]
+                np.testing.assert_allclose(got, probs, rtol=0, atol=tol)
+                assert np.array_equal(got > 0.5, probs > 0.5)
+
     def test_probabilities_in_open_interval(self):
         probs, _ = forward(np.random.default_rng(3).normal(scale=50, size=4))
         assert np.all(probs > 0) and np.all(probs < 1)
@@ -71,17 +91,12 @@ class TestBceLoss:
 
 
 class TestBackward:
-    def test_symmetric_batch_zero_bias_gradient(self):
-        _, cache = forward(np.array([-0.7, 0.7]))
-        dbias, _ = backward(cache, np.array([0, 1]))
-        assert abs(dbias) < 1e-12
-
     def test_full_jacobian_vs_finite_differences(self):
         rng = np.random.default_rng(4)
         logits = rng.normal(0, 1, 5)
         labels = np.array([0, 1, 1, 0, 1])
         _, cache = forward(logits)
-        dbias, dl_dlogit = backward(cache, labels)
+        dl_dlogit = backward(cache, labels)
 
         def loss_with(z):
             return bce_loss(forward(z)[0], labels)
@@ -94,28 +109,25 @@ class TestBackward:
             fd = (loss_with(zp) - loss_with(zm)) / (2 * h)
             # coupled through the batch statistics: every logit moves them
             assert abs(fd - dl_dlogit[i]) / max(abs(fd), 1e-10) < 1e-5
-        fd = (loss_with(logits + h) - loss_with(logits - h)) / (2 * h)
-        assert abs(fd - dbias) < 1e-9  # a shared shift leaves the loss unchanged
-        assert dbias == pytest.approx(dl_dlogit.sum(), abs=1e-15)
 
     def test_degenerate_batch_zero_weight_gradient(self):
         # equal logits: no logit gradient, so no weight gradient either
         _, cache = forward(np.full(3, 0.3))
-        _, dl_dlogit = backward(cache, np.array([1, 1, 1]))
+        dl_dlogit = backward(cache, np.array([1, 1, 1]))
         np.testing.assert_allclose(dl_dlogit, 0.0, atol=1e-15)
 
 
 class TestL2Penalty:
     def test_zero_lambda(self):
-        pen, grad = l2_penalty(ClassifierWeights(np.array([1.0, 2.0]), 0.0), 0.0)
+        pen, grad = l2_penalty(ClassifierWeights(np.array([1.0, 2.0])), 0.0)
         assert pen == 0.0 and not grad.any()
 
     def test_hand_value(self):
-        pen, _ = l2_penalty(ClassifierWeights(np.array([1.0, -2.0]), 5.0), 0.5)
-        assert pen == pytest.approx(2.5)  # bias excluded
+        pen, _ = l2_penalty(ClassifierWeights(np.array([1.0, -2.0])), 0.5)
+        assert pen == pytest.approx(2.5)
 
     def test_gradient_vs_finite_differences(self):
-        w = ClassifierWeights(np.array([0.3, -1.1, 2.2]), 0.0)
+        w = ClassifierWeights(np.array([0.3, -1.1, 2.2]))
         lam = 0.37
         _, grad = l2_penalty(w, lam)
         h = 1e-7
@@ -128,7 +140,7 @@ class TestL2Penalty:
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(DataError):
-            l2_penalty(ClassifierWeights(np.zeros(2), 0.0), -0.1)
+            l2_penalty(ClassifierWeights(np.zeros(2)), -0.1)
 
 
 def test_xavier_init_variance():
@@ -149,29 +161,30 @@ def test_accuracy_ties_count_as_incorrect():
 
 def test_checkpoint_round_trip(tmp_path):
     w = xavier_init((3, 4, 5), seed=1)
-    w.bias = -0.25
     p = tmp_path / "cls.txt"
     save_weights(w, (3, 4, 5), p)
     back, dims = load_weights(p)
     assert dims == (3, 4, 5)
     np.testing.assert_array_equal(back.w, w.w)
-    assert back.bias == w.bias
 
 
 GOLDEN_CLASSIFIER = ("1 2 3\n0.10000000000000001 -2.5 9.9999999999999995e-21 3 "
-                     "-0.69999999999999996 7\n-0.33333333333333331\n")
+                     "-0.69999999999999996 7\n")
 
 
 def test_checkpoint_golden_layout(tmp_path):
-    """A dims line, then w, then the bias, every number as %.17g: the layout
-    of every model directory saved so far."""
+    """A dims line, then w, every number as %.17g.  A file of the earlier
+    layout, with a third row for a bias, is refused by its line count."""
     p = tmp_path / "cls.txt"
     w = [0.1, -2.5, 1e-20, 3.0, -0.7, 7.0]
-    save_weights(ClassifierWeights(np.array(w), -1 / 3), (1, 2, 3), p)
+    save_weights(ClassifierWeights(np.array(w)), (1, 2, 3), p)
     assert p.read_text() == GOLDEN_CLASSIFIER
     back, dims = load_weights(p)
     assert dims == (1, 2, 3) and all(type(d) is int for d in dims)
-    assert back.w.tolist() == w and back.bias == -1 / 3
+    assert back.w.tolist() == w
+    p.write_text(GOLDEN_CLASSIFIER + "-0.33333333333333331\n")
+    with pytest.raises(DataError, match="expected 2 lines, got 3"):
+        load_weights(p)
 
 
 def test_checkpoint_weight_row_is_c_order_of_h_w_d(tmp_path):
@@ -180,7 +193,7 @@ def test_checkpoint_weight_row_is_c_order_of_h_w_d(tmp_path):
     w = np.zeros((2, 3, 4))
     w[1, 2, 0] = 1.0
     p = tmp_path / "cls.txt"
-    save_weights(ClassifierWeights(w, 0.0), (2, 3, 4), p)
+    save_weights(ClassifierWeights(w), (2, 3, 4), p)
     row = [float(x) for x in p.read_text().splitlines()[1].split()]
     # C order: (1 * 3 + 2) * 4 + 0 = 20; x-fastest would put it at 2 + 3 * 1 = 5
     assert np.flatnonzero(row).tolist() == [20]
@@ -189,16 +202,18 @@ def test_checkpoint_weight_row_is_c_order_of_h_w_d(tmp_path):
 
 
 @pytest.mark.parametrize("text, match", [
-    ("1 1 2\n1 2\n", "expected 3 lines, got 2"),
-    ("1 1 2\n1 two\n3\n", "could not convert"),
-    ("1 1 2.5\n1 2\n3\n", "dims must be three positive integers"),
-    ("1 2\n1 2\n3\n", "dims must be three positive integers"),
-    ("-1 -1 2\n1 2\n3\n", "dims must be three positive integers"),
-    ("1 1 3\n1 2\n3\n", "weight length does not match dims"),
-    ("1 1 2\n1 2\n3 4\n", "weight length does not match dims"),
+    ("1 1 2\n", "expected 2 lines, got 1"),
+    # the earlier layout's bias row
+    ("1 1 2\n1 2\n3\n", "expected 2 lines, got 3"),
+    ("1 1 2\n1 two\n", "could not convert"),
+    ("1 1 2.5\n1 2\n", "dims must be three positive integers"),
+    ("1 2\n1 2\n", "dims must be three positive integers"),
+    ("-1 -1 2\n1 2\n", "dims must be three positive integers"),
+    ("1 1 3\n1 2\n", "weight length does not match dims"),
+    ("1 1 2\n1 2 3\n", "weight length does not match dims"),
     # dims whose float64 product overflows: no numpy warning before the error
-    ("1e200 1e200 1e200\n1 2\n3\n", "weight length does not match dims"),
-    ("1 1 2\n1 nan\n3\n", "non-finite value"),
+    ("1e200 1e200 1e200\n1 2\n", "weight length does not match dims"),
+    ("1 1 2\n1 nan\n", "non-finite value"),
 ])
 def test_bad_checkpoint_is_data_error_naming_file(tmp_path, text, match):
     p = tmp_path / "cls.txt"

@@ -318,7 +318,7 @@ class TestTrainEvaluate:
         ("params_net.txt", 5, "0 1.85"),      # lo not positive
         ("classifier.txt", 0, "16 16 16.5"),  # non-integer dims
         ("classifier.txt", 0, "16 16 15"),    # dims against the weight count
-        ("classifier.txt", 2, "nan"),
+        ("classifier.txt", 2, "nan"),         # a third row, the earlier layout's bias
     ])
     def test_evaluate_bad_checkpoint_is_data_error(self, trained, tmp_path, capsys,
                                                    name, line, text):
@@ -326,10 +326,8 @@ class TestTrainEvaluate:
         bad = tmp_path / "model"
         shutil.copytree(model, bad)
         lines = (bad / name).read_text().splitlines()
-        if text is None:
-            del lines[line]
-        else:
-            lines[line] = text
+        # delete, replace or, one past the last line, append it
+        lines[line:line + 1] = [] if text is None else [text]
         (bad / name).write_text("\n".join(lines) + "\n")
         assert run(["evaluate", "--weights", str(bad), "--data", str(data)]) == 2
         assert f"ERROR 2: {bad / name}: " in capsys.readouterr().err
@@ -844,6 +842,8 @@ class TestParsing:
         ("train", "fixed_sigma = 1.0\nbump_probability = 1.5"),
         ("train", "fixed_sigma = nan"),
         ("train", "seed = -1"),
+        # the head's range starts at 1.5e300, whose cube overflows float64
+        ("train", "truncation = 1e-300"),
         ("gen-phantom", "dims = 16,16"),
         ("gen-phantom", "split_counts = 2,1,1,0"),
         ("gen-phantom", "jitter_voxels = -1"),

@@ -9,7 +9,6 @@ from adaptsmooth.conv3d import separable_product
 from adaptsmooth.errors import DataError
 from adaptsmooth.gaussian_filter import (
     build_filter,
-    build_profiles,
     check_width,
     dump_filter,
     filter_radius,
@@ -83,10 +82,10 @@ class TestBuildFilter:
                 build_filter(sigma, t)
 
     @pytest.mark.parametrize("sigma, t", [(1e-120, 4.0), (1e-300, 4.0), (1e-100, 1e105),
-                                          (1.0, 1e300)])
+                                          (1.0, 1e300), (1e200, 1e-200)])
     def test_derivative_overflowing_float64_rejected(self, sigma, t):
-        # sigma^3 underflows to 0, or r^2 / sigma^3 overflows: was a NaN
-        # derivative, a ZeroDivisionError or an OverflowError
+        # sigma^3 underflows to 0 or overflows, or r^2 / sigma^3 overflows:
+        # was a NaN derivative, a ZeroDivisionError or an OverflowError
         with pytest.raises(DataError, match=re.escape(
                 f"sigma_f {sigma} at t={t}: the filter derivative does not fit float64")):
             build_filter(sigma, t)
@@ -120,8 +119,8 @@ def one_width_profile(sigma, t):
 
 
 class TestBuildProfiles:
-    """All widths of one radius are computed together; every row equals the
-    one-width formula and `build_filter` bit for bit."""
+    """Every profile `build_filter` builds equals the one-width formula bit
+    for bit."""
 
     @staticmethod
     def _widths(t):
@@ -135,20 +134,13 @@ class TestBuildProfiles:
 
     @pytest.mark.parametrize("t", [4.0, 2.7])
     def test_rows_equal_one_width_formula(self, t):
-        sigmas = self._widths(t)
-        radii, profiles = build_profiles(sigmas, t)
-        assert set(radii) == set(range(12))
-        for sigma, r, p in zip(sigmas.tolist(), radii, profiles):
-            want = one_width_profile(sigma, t)
+        radii = set()
+        for sigma in self._widths(t).tolist():
             f = build_filter(sigma, t)
-            assert r == f.radius == filter_radius(sigma, t) == check_width(sigma, t)
-            assert p.tobytes() == f.profile_1d.tobytes() == want.tobytes()
-
-    def test_first_bad_width_is_named(self):
-        with pytest.raises(DataError, match="got nan"):
-            build_profiles([1.0, math.nan, -1.0])
-        with pytest.raises(DataError, match="filter side 3 exceeds 1"):
-            build_profiles([0.1, 0.6], 4.0, max_side=1)
+            assert f.radius == filter_radius(sigma, t) == check_width(sigma, t)
+            assert f.profile_1d.tobytes() == one_width_profile(sigma, t).tobytes()
+            radii.add(f.radius)
+        assert radii == set(range(12))
 
 
 def _laplacian(n):

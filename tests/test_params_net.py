@@ -5,7 +5,7 @@ import pytest
 
 from adaptsmooth import phantom
 from adaptsmooth.errors import DataError
-from adaptsmooth.gaussian_filter import build_profiles, width_range
+from adaptsmooth.gaussian_filter import check_width, width_range
 from adaptsmooth.params_net import (
     LAPLACIAN_1D,
     NOISE_CALIBRATION,
@@ -214,8 +214,8 @@ class TestBoundedMap:
             sigmas = map_to_sigmas(pre, self._identity_head(lo, hi))
         assert lo <= sigmas.min() and sigmas.max() <= hi
         assert sigmas[0] == lo and sigmas[-1] == hi
-        # every filter fits: build_profiles refuses a side above min(dims)
-        radii, _ = build_profiles(sigmas, t, max_side=min(dims))
+        # every filter fits: check_width refuses a side above min(dims)
+        radii = [check_width(s, t, min(dims)) for s in sigmas.tolist()]
         assert max(radii) == (min(dims) - 1) // 2
 
     @pytest.mark.parametrize("dims", DIMS)

@@ -274,7 +274,6 @@ class TestGradients:
             pn2 = copy.deepcopy(pnw)
             cw2 = copy.deepcopy(cw)
             cw2.w = cw2.w - lr * grads["w"]
-            cw2.bias = cw2.bias - lr * grads["bias"]
             pn2.a = pn2.a - lr * grads["a"]
             pn2.b = pn2.b - lr * grads["b"]
             pn2.v = pn2.v - lr * grads["v"]
@@ -326,7 +325,7 @@ class TestBatchStep:
     rounding."""
 
     @staticmethod
-    def _reference(batch, pnw, w_hat, bias, cfg):
+    def _reference(batch, pnw, w_hat, cfg):
         """Widths, rows Y, logits, logit width derivatives and the gradients
         of the held weight and the head, one smoothed volume z^ at a time."""
         dims = batch.volumes.shape[1:]
@@ -340,14 +339,14 @@ class TestBatchStep:
             # the trainer's rows: the (w, d) plane of gains on every h slice
             y = x.reshape(dims[0], -1) * np.outer(e_w, e_d).ravel()
             z = e_h[:, None, None] * y.reshape(dims)
-            logits.append(float(np.sum(w_hat * z)) + bias)
+            logits.append(float(np.sum(w_hat * z)))
             # dK/dsigma = sigma L K in every axis: sigma Lam z
             dz.append(sigma * float(np.sum(eig * w_hat * z)))
             sigmas.append(sigma)
             rows.append(y)
             smoothed.append(z)
         _, cache = classifier.forward(np.array(logits))
-        _, dl_dlogit = classifier.backward(cache, batch.labels)
+        dl_dlogit = classifier.backward(cache, batch.labels)
         dw = np.tensordot(dl_dlogit, np.stack(smoothed), axes=1).ravel()
         dw = dw + 2 * cfg.lambda_l2 * w_hat.ravel()
         head = [np.zeros(pnw.m), np.zeros(pnw.m), np.zeros(pnw.m), 0.0]
@@ -372,9 +371,8 @@ class TestBatchStep:
         cfg = TrainConfig(lambda_l2=1e-3, seed=2)
         smoothing = trainer._Smoothing(cfg, [batch])
         held = smoothing.held(classifier.xavier_init(dims, 5))
-        held.bias = 0.3
         _, grads, fwd = batch_loss_and_grads(batch, pnw, held, cfg, smoothing)
-        sigmas, rows, logits, dz, ref = self._reference(batch, pnw, held.w, held.bias, cfg)
+        sigmas, rows, logits, dz, ref = self._reference(batch, pnw, held.w, cfg)
         assert min(sigmas) == lo and max(sigmas) == hi
         assert fwd["sigmas"] == sigmas
         assert smoothing.rows.tobytes() == rows.tobytes()
@@ -422,7 +420,7 @@ class TestStepWork:
         calls = []
         monkeypatch.setattr(trainer, "heat_gains",
                             lambda s, lam: calls.append(lam.size) or heat_gains(s, lam))
-        logits, dz = smoothing.logits(batch.volumes, sigmas, op, 0.25)
+        logits, dz = smoothing.logits(batch.volumes, sigmas, op)
         assert len(calls) == evaluations
         # the per-axis form: one evaluation of the gains per axis
         lam_h, lam_w, lam_d = (sine_basis(n)[1] for n in dims)
@@ -432,7 +430,7 @@ class TestStepWork:
         r = np.matmul(y.transpose(1, 0, 2), np.stack((w.reshape(dims[0], -1),
                                                       smoothing.lam_wd * w.reshape(dims[0], -1)),
                                                      axis=-1))
-        want = np.sum(e_h * r[:, :, 0].T, axis=1) + 0.25
+        want = np.sum(e_h * r[:, :, 0].T, axis=1)
         want_dz = sigmas * np.sum(e_h * (lam_h[:, None] * r[:, :, 0] + r[:, :, 1]).T, axis=1)
         assert logits.tobytes() == want.tobytes()
         assert dz.tobytes() == want_dz.tobytes()
@@ -514,20 +512,17 @@ class TestFixedWidth:
         kernel = [heat_kernel(self.SIGMA, n) for n in voxels.volumes.shape[1:]]
         x = np.stack([separable_product(x, kernel) for x in voxels.volumes])
         x = x.reshape(batch.size, -1)
-        probs, cache = classifier.forward(x @ cw.w + cw.bias)
+        probs, cache = classifier.forward(x @ cw.w)
         penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
         ref_loss = classifier.bce_loss(probs, batch.labels) + penalty
-        dbias, dl_dlogit = classifier.backward(cache, batch.labels)
+        dl_dlogit = classifier.backward(cache, batch.labels)
         dw = dl_dlogit @ x
         for b in (batch, voxels):
             loss, grads, fwd = batch_loss_and_grads(b, None, cw, cfg)
             assert self._rel(fwd["probs"], probs) < 1e-12
             assert self._rel(loss, ref_loss) < 1e-12
             assert self._rel(grads["w"], dw + pen_grad) < 1e-12
-            # dL/dbias is the sum of the logit gradients, which cancels to ~0,
-            # so it is compared on the scale of those gradients
-            assert self._rel(grads["bias"], dbias, np.abs(dl_dlogit).sum()) < 1e-12
-            assert set(grads) == {"w", "bias"}
+            assert set(grads) == {"w"}
 
     def test_weight_gradient_vs_finite_differences(self):
         batch, cw, cfg, _ = self._setup()
@@ -583,7 +578,7 @@ class TestFixedWidth:
         assert len(smoothings) == 1
         np.testing.assert_array_equal(smoothings[0], cw.w.reshape(dims))
         smoothings.clear()
-        trainer._forward_batch(batch, None, op, held.bias, cfg, smoothing)
+        trainer._forward_batch(batch, None, op, cfg, smoothing)
         assert smoothings == []
 
     @pytest.fixture()
@@ -654,7 +649,7 @@ def _forward(batch, pnw, cw, cfg, training=False):
     smoothing = trainer._Smoothing(cfg, [batch])
     held = smoothing.held(cw)
     return trainer._forward_batch(batch, pnw, smoothing.operand(held.w, training),
-                                  held.bias, cfg, smoothing, training)
+                                  cfg, smoothing, training)
 
 
 class TestStepMode:
@@ -673,11 +668,10 @@ class TestStepMode:
         smoothing = trainer._Smoothing(cfg, [batch])
         held = smoothing.held(cw)
         trained = trainer._forward_batch(batch, pnw, smoothing.operand(held.w, True),
-                                         held.bias, cfg, smoothing, True)
+                                         cfg, smoothing, True)
         rows = smoothing.rows.copy()
         smoothing.lam_wd = None  # an evaluation must not read the eigenvalues
-        fwd = trainer._forward_batch(batch, pnw, smoothing.operand(held.w), held.bias,
-                                     cfg, smoothing)
+        fwd = trainer._forward_batch(batch, pnw, smoothing.operand(held.w), cfg, smoothing)
         assert fwd["dlogit_dsigma"] is None
         assert fwd["sigmas"] == trained["sigmas"]
         assert smoothing.rows.tobytes() == rows.tobytes()
@@ -944,7 +938,6 @@ class TestTrain:
         for name in "abvc":
             np.testing.assert_array_equal(getattr(pnw, name), getattr(last_pnw, name))
         np.testing.assert_array_equal(cw.w, last_cw.w)
-        assert cw.bias == last_cw.bias
         # grid_search reads the row of those weights: the last one
         seen.clear()
         _, results = grid_search(cfg, tiny_dataset)
@@ -978,7 +971,7 @@ class TestReturnedWeights:
                           fixed_sigma=fixed_sigma)
         _, cw, _ = train(cfg, batches)
         cw0 = classifier.xavier_init(batches[0].volumes[0].shape, 5)
-        assert cw.w.tobytes() == cw0.w.tobytes() and cw.bias == cw0.bias
+        assert cw.w.tobytes() == cw0.w.tobytes()
 
     @pytest.mark.parametrize("fixed_sigma, data", PATHS)
     def test_report_is_evaluate_of_returned_weights(self, fixed_sigma, data, request,
@@ -1008,6 +1001,20 @@ class TestReturnedWeights:
         assert abs(val["loss"] - best_row["val_loss"]) <= 1e-12 * best_row["val_loss"]
 
     @pytest.mark.parametrize("fixed_sigma, data", PATHS)
+    def test_scaled_weight_gets_same_accuracy(self, fixed_sigma, data, request):
+        # the batch standardization divides each logit's offset from the
+        # batch mean by std + eps; scaling w by 7 only scales that quotient
+        # by a positive factor, so every volume keeps its class
+        batches = request.getfixturevalue(data)
+        cfg = TrainConfig(learning_rate=0.3, max_epochs=6, seed=2, width_m=8,
+                          fixed_sigma=fixed_sigma)
+        pnw, cw, report = train(cfg, batches)
+        scaled = evaluate(pnw, classifier.ClassifierWeights(7.0 * cw.w), batches, "test", cfg)
+        assert scaled["accuracy"] == report.test_accuracy
+        assert ({n: r["accuracy"] for n, r in scaled["per_noise"].items()}
+                == {n: r["accuracy"] for n, r in report.per_noise.items()})
+
+    @pytest.mark.parametrize("fixed_sigma, data", PATHS)
     def test_in_place_updates_equal_out_of_place_steps(self, fixed_sigma, data, request,
                                                        monkeypatch):
         # train updates its weights in place; the same two epochs taken as
@@ -1033,7 +1040,7 @@ class TestReturnedWeights:
                 _, grads, _ = batch_loss_and_grads(batch, ref_pnw, ref_cw, cfg, smoothing)
                 ref_pnw, ref_cw = copy.copy(ref_pnw), copy.copy(ref_cw)
                 for name, g in grads.items():
-                    owner = ref_cw if name in ("w", "bias") else ref_pnw
+                    owner = ref_cw if name == "w" else ref_pnw
                     setattr(owner, name, getattr(owner, name) - cfg.learning_rate * g)
             val = trainer._evaluate_split(batches, ref_pnw, ref_cw, cfg, "validation",
                                           smoothing)
@@ -1041,7 +1048,7 @@ class TestReturnedWeights:
                 best = (val["loss"], (ref_pnw, ref_cw))
         ref_pnw, ref_cw = best[1]
         ref_cw = smoothing.returned(cw0, start, ref_cw)
-        assert cw.w.tobytes() == ref_cw.w.tobytes() and cw.bias == ref_cw.bias
+        assert cw.w.tobytes() == ref_cw.w.tobytes()
         for name in "abvc":
             assert np.asarray(getattr(pnw, name)).tobytes() == \
                 np.asarray(getattr(ref_pnw, name)).tobytes()

@@ -13,7 +13,6 @@ lambda 1e-3, at most 120 epochs and patience 10, once per train seed
   weights;
 - the best and stopped epochs, and the test accuracy, overall and per noise
   level;
-- the training's event counts, where its report has them (None otherwise);
 - criterion 7: (i) the learned widths are non-decreasing in the noise
   level, and (ii) the accuracy at every noise level is within 0.05 of the
   best fixed 3/8/13 mm baseline trained at the same seed, and above the
@@ -84,7 +83,6 @@ def seed_record(seed: int, batches, max_epochs: int) -> dict:
     best = [max(f[i] for f in fixed.values()) for i in range(len(noise))]
     ii = (all(a >= b - MARGIN for a, b in zip(acc, best))
           and acc[-1] > min(f[-1] for f in fixed.values()))
-    events = getattr(report, "events", None)
     return {
         "seed": seed,
         "noise_levels": noise,
@@ -96,7 +94,6 @@ def seed_record(seed: int, batches, max_epochs: int) -> dict:
         "stopped_epoch": report.stopped_epoch,
         "test_accuracy": report.test_accuracy,
         "accuracy": acc,
-        "events": None if events is None else dict(events),
         "fixed_accuracy": {f"{fwhm:g} mm": a for fwhm, a in fixed.items()},
         "criterion_7": {"i": non_decreasing(sigma), "ii": ii},
         "seconds": round(time.perf_counter() - t0, 2),
