@@ -66,7 +66,7 @@ def forward(logits):
     std = float(np.sqrt(np.add.reduce((logits - mean) ** 2) / n))  # population std
     s = (logits - mean) / (std + EPSILON)
     probs = 1.0 / (1.0 + np.exp(-s))
-    cache = {"logits": logits, "s": s, "probs": probs, "mean": mean, "std": std}
+    cache = {"logits": logits, "probs": probs, "mean": mean, "std": std}
     return probs, cache
 
 

@@ -34,7 +34,7 @@ def _check_cube(q: np.ndarray, dims):
     side = q.shape[0]
     if side % 2 == 0:
         raise DataError(f"filter side must be odd, got {side}")
-    if dims is not None and side > min(dims):
+    if side > min(dims):
         raise DataError(f"filter side {side} exceeds volume dims {dims}")
     return side // 2
 

@@ -6,10 +6,10 @@ nothing).  A two-layer head then maps that scalar feature to a width in the
 weights' range [lo, hi], sigma = lo + (hi - lo) sigmoid(pre + off): every
 width has a gradient and a filter that fits the volume, and the offset puts
 pre = 0 at width 1 (`train` sets the range from `width_range`).  The head
-maps a batch's features in one call (`map_to_sigmas`), and its gradient is
-summed over the batch in one call (`map_to_sigmas_backward`), which takes
-the forward pass's state from `head_forward` or recomputes it;
-`map_to_sigma` is the one-feature case of the former.
+maps a batch's features in one call (`head_forward`), which also returns the
+state that its gradient, summed over the batch in one call
+(`map_to_sigmas_backward`), reads; `map_to_sigma` is the one-feature case
+of the former.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ def _sigmoids(pre, w: ParamsNetWeights) -> np.ndarray:
 
 
 def head_forward(features, w: ParamsNetWeights):
-    """The widths `map_to_sigmas` maps `features` to, and the state that
-    `map_to_sigmas_backward` reads for them: the hidden rows u and the
-    sigmoids q."""
+    """The widths in [w.lo, w.hi] that `w` maps `features` to, and the
+    state that `map_to_sigmas_backward` reads for them: the hidden rows u
+    and the sigmoids q."""
     features = np.asarray(features, dtype=np.float64)
     if not np.isfinite(features).all():
         raise DataError(f"non-finite feature {features[~np.isfinite(features)][0]}")
@@ -123,29 +123,24 @@ def head_forward(features, w: ParamsNetWeights):
     return w.lo + (w.hi - w.lo) * q, (u, q)
 
 
-def map_to_sigmas(features, w: ParamsNetWeights) -> np.ndarray:
-    """Map each noise feature to a filter width in [w.lo, w.hi]."""
-    return head_forward(features, w)[0]
-
-
 def map_to_sigma(feature: float, w: ParamsNetWeights) -> float:
-    """The width `map_to_sigmas` maps one feature to."""
-    return float(map_to_sigmas([feature], w)[0])
+    """The width `head_forward` maps one feature to."""
+    return float(head_forward([feature], w)[0][0])
 
 
-def map_to_sigmas_backward(features, w: ParamsNetWeights, upstream_dl_dsigma, state=None):
+def map_to_sigmas_backward(features, w: ParamsNetWeights, upstream_dl_dsigma, state):
     """Gradients of the feature-to-width map, summed over the features.
 
     `upstream_dl_dsigma` holds dL/dsigma of each feature's width, and
-    `state` is `head_forward`'s for the same features and weights, or None
-    to recompute it.  Returns (dL/da, dL/db, dL/dv, dL/dc); the feature is
-    a fixed Laplacian response, so nothing upstream of it trains.
+    `state` is `head_forward`'s for the same features and weights.
+    Returns (dL/da, dL/db, dL/dv, dL/dc); the feature is a fixed Laplacian
+    response, so nothing upstream of it trains.
     dsigma/dpre is (hi - lo) q (1 - q), exactly 0 where the sigmoid
     saturates.  The sum over features is one axis-0 sum of the per-feature
     rows, which adds them in order.
     """
     features = np.asarray(features, dtype=np.float64).reshape(-1, 1)
-    u, q = state if state is not None else head_forward(features, w)[1]
+    u, q = state
     slope = (w.hi - w.lo) * q * (1.0 - q)
     g = (np.asarray(upstream_dl_dsigma, dtype=np.float64) * slope)[:, None]
     # one row [dL/da | dL/db | dL/dv | dL/dc] per feature

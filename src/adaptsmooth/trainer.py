@@ -6,23 +6,16 @@ K_sigma = exp(sigma^2 L / 2) per axis (`gaussian_filter`), in its eigenbasis:
 a dataset loaded with noise features holds each volume as its sine
 coefficients x^ = (S kron S kron S) x, transformed once at load, where
 smoothing is one gain per coefficient.  A `train` call holds the classifier
-weight in its batches' basis for the whole call: w^ = S_3 w on coefficients
-(S_3 = S kron S kron S is orthogonal, so the logits are those of the
-smoothed voxels), w itself on voxels.  The map from a batch to its logits
-is the trainer's (`_Smoothing`), and the classifier takes it from the
-logits on.  An adaptive batch is one array program: cached noise features
--> one head call for all widths, each inside the head's range -> one
-batched product per direction over the batch's coefficients times their
-(w, d) gains, written into one buffer per call; the smoothed coefficients
-are never formed.  A fixed width smooths the classifier weight instead of
-every volume: a gain on w^ on coefficients, K_sigma along each axis of w on
-voxels (a dataset loaded without features).  The one training step,
+weight in its batches' basis for the whole call, w^ = S_3 w on coefficients:
+S_3 = S kron S kron S is orthogonal, so the logits are those of the smoothed
+voxels.  The map from a batch to its logits, at an adaptive width or at a
+fixed one on coefficients or on voxels, is `_Smoothing`'s, and the
+classifier takes it from the logits on.  The one training step,
 `batch_loss_and_grads`, is what `train` runs and the gradient tests check;
-only it adds the L2 penalty, lambda |w^|^2, and its backward pass is the
-exact chain rule down to the width-predicting weights.  `train` makes plain
-SGD updates with validation-based early stopping; an optional logarithmic
-grid search runs over (lr, lambda).  An epoch or evaluation whose
-arithmetic overflows float64 ends the training or evaluation with a
+only it adds the L2 penalty, lambda |w^|^2 = lambda |w|^2.  `train` makes
+plain SGD updates with validation-based early stopping; an optional
+logarithmic grid search runs over (lr, lambda).  An epoch or evaluation
+whose arithmetic overflows float64 ends the training or evaluation with a
 `NumericalError`.
 """
 
@@ -115,12 +108,12 @@ class MiniBatch:
 
 @dataclass
 class TrainReport:
+    config: TrainConfig
     epochs: list = field(default_factory=list)  # rows of per-epoch metrics
     best_epoch: int = -1
     stopped_epoch: int = -1
     test_accuracy: float = float("nan")
     per_noise: dict = field(default_factory=dict)  # noise -> dict of metrics
-    config: TrainConfig | None = None
 
     def epochs_csv(self) -> str:
         lines = ["epoch,train_loss,val_loss,val_accuracy"]
@@ -133,7 +126,7 @@ class TrainReport:
         lines = []
         lines.append(f"best epoch: {self.best_epoch}  stopped after epoch: {self.stopped_epoch}")
         lines.append("")
-        fixed = self.config.fixed_sigma if self.config else None
+        fixed = self.config.fixed_sigma
         lines.extend(noise_table(self.per_noise, None if fixed is None
                                  else f"sigma_f {fixed:.4g}"))
         lines.append("")
@@ -239,7 +232,8 @@ class _Smoothing:
       and, since dK_sigma/dsigma = sigma L K_sigma,
       dlogit_i/dsigma_i = sigma_i sum_h e_h[i, h] (lam_h r_i[h] + r'_i[h]),
       lam the Laplacian's eigenvalues (`sine_basis`, lam_wd = lam_w + lam_d);
-      backward is one batched product, dL/dw^_h = sum_i c_i e_h[i, h] Y_i[h];
+      backward is one batched product, dL/dw^_h = sum_i c_i e_h[i, h] Y_i[h],
+      and the smoothed coefficients are never formed;
     - a fixed width on coefficients: the gains E = e_h kron e_w kron e_d on
       the weight, E . w^ forward and E . g backward;
     - a fixed width on voxels: K_sigma along each axis of the weight, K w
@@ -247,11 +241,14 @@ class _Smoothing:
 
     A fixed width whose truncated filter does not fit the volumes is
     refused, as the `smooth` command refuses it; so is a call whose batches
-    mix coefficients and voxels, and a weight whose size is not the
-    volumes'."""
+    differ in dims or mix coefficients and voxels, and a weight whose size
+    is not the volumes'."""
 
     def __init__(self, cfg: TrainConfig, batches):
         self.dims = dims = batches[0].volumes.shape[1:]
+        for b in batches:
+            if b.volumes.shape[1:] != dims:
+                raise DataError(f"dim mismatch: {b.volumes.shape[1:]} vs {dims}")
         sine = batches[0].features is not None
         if any((b.features is not None) != sine for b in batches):
             raise DataError("batches with and without noise features, which hold "
@@ -378,17 +375,15 @@ class _Smoothing:
         return self.gains * g
 
 
-def _forward_batch(batch: MiniBatch, pnw, op, cfg: TrainConfig,
-                   smoothing: _Smoothing, training: bool = False):
+def _forward_batch(batch: MiniBatch, pnw, op, cfg: TrainConfig, smoothing: _Smoothing):
     """Classify the batch with the operand `op` of the held weight
-    (`_Smoothing.operand`, a training step's when `training`).
-    A fixed width reads the loaded volumes in place: the weight carries the
-    smoothing.  An adaptive width predicts each volume's width, refusing
-    first a head whose range does not fit the volumes, and smooths into the
-    call's buffer.  In a training step ``fwd["dlogit_dsigma"]`` holds each
-    logit's width derivative; an evaluation leaves it None.  Returns
-    everything backward needs, the head's forward state in ``fwd["head"]``
-    at an adaptive width."""
+    (`_Smoothing.operand`).  A fixed width reads the loaded volumes in
+    place: the weight carries the smoothing.  An adaptive width predicts
+    each volume's width, refusing first a head whose range does not fit the
+    volumes, and smooths into the call's buffer.  With a training step's
+    operand ``fwd["dlogit_dsigma"]`` holds each logit's width derivative,
+    with an evaluation's it is None.  Returns everything backward needs,
+    the head's forward state in ``fwd["head"]`` at an adaptive width."""
     if cfg.fixed_sigma is not None:
         sigmas = None
         fwd = {"sigmas": [cfg.fixed_sigma] * batch.size}
@@ -415,8 +410,7 @@ def batch_loss_and_grads(batch: MiniBatch, pnw, cw, cfg: TrainConfig,
     if in_voxels:
         smoothing = _Smoothing(cfg, [batch])
         cw = smoothing.held(cw)
-    fwd = _forward_batch(batch, pnw, smoothing.operand(cw.w, training=True),
-                         cfg, smoothing, training=True)
+    fwd = _forward_batch(batch, pnw, smoothing.operand(cw.w, training=True), cfg, smoothing)
     penalty, pen_grad = classifier.l2_penalty(cw, cfg.lambda_l2)
     dl_dlogit = classifier.backward(fwd["cache"], batch.labels)
     dl_dw = smoothing.gradient(dl_dlogit)
@@ -500,16 +494,12 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
     for split in SPLITS:
         if not any(b.split == split for b in batches):
             raise DataError(f"split {split!r} is empty")
-    dims = batches[0].volumes.shape[1:]
-    for b in batches:
-        if b.volumes.shape[1:] != dims:
-            raise DataError(f"dim mismatch: {b.volumes.shape[1:]} vs {dims}")
-
-    pnw = params_net.init_weights(cfg.width_m, cfg.seed, *width_range(dims, cfg.truncation))
-    cw0 = classifier.xavier_init(dims, cfg.seed + 1)
     # one smoothing, with its kernel or buffer, serves every step and
     # evaluation of the run, which holds the classifier in its basis
     smoothing = _Smoothing(cfg, batches)
+    dims = smoothing.dims
+    pnw = params_net.init_weights(cfg.width_m, cfg.seed, *width_range(dims, cfg.truncation))
+    cw0 = classifier.xavier_init(dims, cfg.seed + 1)
     start = smoothing.held(cw0)
     # updated in place: shares no array with `start` or `cw0`
     cw = copy.deepcopy(start)

@@ -103,7 +103,7 @@ def test_criterion_3_degenerate_regime():
         # the head's widths start at the smallest width of radius 1
         lo, hi = width_range((24, 24, 24), 4.0)
         head = params_net.ParamsNetWeights([1.0], [0.0], [1.0], 0.0, lo, hi)
-        widths = params_net.map_to_sigmas(np.linspace(-1e3, 1e3, 2001), head)
+        widths = params_net.head_forward(np.linspace(-1e3, 1e3, 2001), head)[0]
         assert widths.min() == lo == 0.375 and widths.max() == hi
 
 

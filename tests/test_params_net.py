@@ -14,7 +14,6 @@ from adaptsmooth.params_net import (
     init_weights,
     load_weights,
     map_to_sigma,
-    map_to_sigmas,
     map_to_sigmas_backward,
     noise_feature,
     save_weights,
@@ -38,6 +37,12 @@ def _offset(lo, hi):
 def _logistic_width(pre, lo=LO, hi=HI):
     """The documented map, written with the plain logistic function."""
     return lo + (hi - lo) / (1.0 + math.exp(-(pre + _offset(lo, hi))))
+
+
+def _backward(features, w, upstream):
+    """The head's gradients, from the state of its forward pass over the
+    same features."""
+    return map_to_sigmas_backward(features, w, upstream, head_forward(features, w)[1])
 
 
 def test_laplacian_kernel_structure():
@@ -147,14 +152,14 @@ class TestMapToSigma:
 class TestMapToSigmaBackward:
     def test_zero_upstream(self):
         w = init_weights(4, 1, LO, HI)
-        da, db, dv, dc = map_to_sigmas_backward([1.0], w, [0.0])
+        da, db, dv, dc = _backward([1.0], w, [0.0])
         assert not da.any() and not db.any() and not dv.any()
         assert dc == 0.0
 
     def test_zero_weights_dc(self):
         z = np.zeros(3)
         w = _weights(z, z.copy(), z.copy(), 0.0)
-        _, _, _, dc = map_to_sigmas_backward([2.0], w, [1.0])
+        _, _, _, dc = _backward([2.0], w, [1.0])
         # sigma = 1: dsigma/dpre = (hi - lo) q (1 - q), q = (1 - lo) / (hi - lo)
         assert dc == pytest.approx((1.0 - LO) * (HI - 1.0) / (HI - LO), rel=1e-14)
 
@@ -164,7 +169,7 @@ class TestMapToSigmaBackward:
                      rng.normal(0, 0.3, 5), 0.2)
         feat = 1.7
         up = 0.83
-        da, db, dv, dc = map_to_sigmas_backward([feat], w, [up])
+        da, db, dv, dc = _backward([feat], w, [up])
         h = 1e-6
 
         def loss(w2):
@@ -187,7 +192,7 @@ class TestMapToSigmaBackward:
         z = np.zeros(2)
         w = _weights(z, z.copy(), z.copy(), 100.0)
         assert map_to_sigma(1.0, w) == HI
-        da, db, dv, dc = map_to_sigmas_backward([1.0], w, [1.0])
+        da, db, dv, dc = _backward([1.0], w, [1.0])
         assert dc == 0.0 and not dv.any()
 
 
@@ -211,7 +216,7 @@ class TestBoundedMap:
         pre = np.concatenate([np.linspace(-1e3, 1e3, 20001), np.linspace(-40, 40, 8001),
                               [-1e3, -0.0, 0.0, 1e3]])
         with np.errstate(all="raise"):
-            sigmas = map_to_sigmas(pre, self._identity_head(lo, hi))
+            sigmas = head_forward(pre, self._identity_head(lo, hi))[0]
         assert lo <= sigmas.min() and sigmas.max() <= hi
         assert sigmas[0] == lo and sigmas[-1] == hi
         # every filter fits: check_width refuses a side above min(dims)
@@ -233,7 +238,7 @@ class TestBoundedMap:
     def test_slope_matches_central_differences(self, pre):
         w = self._identity_head(LO, HI)
         h = 1e-6
-        _, _, _, dc = map_to_sigmas_backward([pre], w, [1.0])
+        _, _, _, dc = _backward([pre], w, [1.0])
         fd = (map_to_sigma(pre + h, w) - map_to_sigma(pre - h, w)) / (2 * h)
         assert dc > 0
         assert abs(fd - dc) <= 1e-6 * dc + 1e-9
@@ -242,8 +247,8 @@ class TestBoundedMap:
         w = self._identity_head(LO, HI)
         tails = [-1e3, -800.0, -100.0, 100.0, 800.0, 1e3]
         with np.errstate(all="raise"):
-            widths = map_to_sigmas(tails, w)
-            grads = [map_to_sigmas_backward([p], w, [1.0]) for p in tails]
+            widths = head_forward(tails, w)[0]
+            grads = [_backward([p], w, [1.0]) for p in tails]
         assert widths.tolist() == [LO] * 3 + [HI] * 3
         for da, db, dv, dc in grads:
             assert dc == 0.0 and not (da.any() or db.any() or dv.any())
@@ -251,7 +256,7 @@ class TestBoundedMap:
     def test_one_feature_equals_its_row_of_the_batch(self):
         w = init_weights(50, 43, LO, HI)
         feats = np.random.default_rng(3).uniform(-2.0, 5.0, 200)
-        batch = map_to_sigmas(feats, w)
+        batch = head_forward(feats, w)[0]
         assert [map_to_sigma(f, w) for f in feats.tolist()] == batch.tolist()
 
 
@@ -275,42 +280,45 @@ class TestBatchHead:
 
     def test_widths_equal_one_feature_formula(self):
         w, feats, _ = self._case()
-        got = map_to_sigmas(feats, w)
+        got = head_forward(feats, w)[0]
         want = [w.lo + (w.hi - w.lo) * self._q(f, w) for f in feats.tolist()]
         assert got.tolist() == want
         assert sorted(got[-2:].tolist()) == [LO, HI]
 
-    def test_gradient_rows_summed_in_order(self):
-        w, feats, upstream = self._case()
+    @classmethod
+    def _summed_rows(cls, feats, w, upstream):
+        """The head's gradients, one feature's row at a time, added in order."""
         head = [np.zeros(w.m), np.zeros(w.m), np.zeros(w.m), 0.0]
         for f, up in zip(feats.tolist(), upstream.tolist()):
-            q = self._q(f, w)
+            q = cls._q(f, w)
             g = up * ((w.hi - w.lo) * q * (1.0 - q))
             row = (g * w.v * f, g * w.v, g * (w.a * f + w.b), g)
             head = [h + r for h, r in zip(head, row)]
-        got = map_to_sigmas_backward(feats, w, upstream)
-        for a, b in zip(got, head):
+        return head
+
+    def test_gradient_rows_summed_in_order(self):
+        w, feats, upstream = self._case()
+        got = _backward(feats, w, upstream)
+        for a, b in zip(got, self._summed_rows(feats, w, upstream)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     @pytest.mark.parametrize("ends", [(), (-1e4,), (1e4,), (-1e4, 1e4)])
     def test_gradients_from_saved_state_equal_recomputed(self, ends):
-        # the forward pass's hidden rows and sigmoids give the gradients of
-        # a fresh backward pass bit for bit, with widths inside the range
-        # and saturated at lo, at hi, or at both
+        # the forward pass's hidden rows and sigmoids give the gradients
+        # recomputed one feature at a time bit for bit, with widths inside
+        # the range and saturated at lo, at hi, or at both
         w, feats, upstream = self._case()
         feats = np.concatenate([feats[:198], ends])
         upstream = upstream[:feats.size]
         sigmas, state = head_forward(feats, w)
-        assert sigmas.tobytes() == map_to_sigmas(feats, w).tobytes()
         assert ({LO, HI} & set(sigmas.tolist())) == {LO if e < 0 else HI for e in ends}
         got = map_to_sigmas_backward(feats, w, upstream, state)
-        want = map_to_sigmas_backward(feats, w, upstream)
-        for a, b in zip(got, want):
+        for a, b in zip(got, self._summed_rows(feats, w, upstream)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_first_non_finite_feature_is_named(self):
         with pytest.raises(DataError, match="non-finite feature inf"):
-            map_to_sigmas([0.5, math.inf, math.nan], init_weights(4, 0, LO, HI))
+            head_forward([0.5, math.inf, math.nan], init_weights(4, 0, LO, HI))
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.5, 1.0), (1.0, 1.0), (2.0, 1.0),

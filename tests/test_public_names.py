@@ -11,7 +11,10 @@ asks that each definition of `adaptsmooth` appear among them; a method or
 property counts as read when its name does.  Dunder methods are called by
 Python itself and are not checked.  A dataclass field counts as read when
 its name is loaded as a name or an attribute, or passed as a keyword
-argument; being assigned is not being read.
+argument; being assigned is not being read.  Every parameter of every
+function, method and lambda of `adaptsmooth`, ``self`` and ``cls`` aside,
+is loaded as a name in its body: a parameter that nothing reads is a
+calling mode that nothing honours.
 """
 
 import ast
@@ -129,3 +132,31 @@ def test_test_references_are_still_unread_definitions():
     assert TEST_REFERENCES <= set(_public_definitions())
     read = _names_read()
     assert [name for _, name in TEST_REFERENCES if name.split(".")[-1] in read] == []
+
+
+def _unread_parameters(tree):
+    """``function.parameter`` of each parameter of a function or lambda in
+    `tree` that its body never loads; ``self`` and ``cls`` are exempt."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        yield from (f"{name}.{p}" for p in params
+                    if p not in ("self", "cls") and p not in loaded)
+
+
+def test_every_parameter_is_read():
+    # the scan finds what it looks for: stored is not loaded, and a lambda
+    # is a function of its own
+    tree = ast.parse("def f(self, a, b, *c, d=0, **e):\n    b = a + d\n"
+                     "    return lambda x, y: (x, c)\n")
+    assert list(_unread_parameters(tree)) == ["f.b", "f.e", "<lambda>.y"]
+    unread = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in _unread_parameters(ast.parse(path.read_text()))]
+    assert unread == []

@@ -351,7 +351,8 @@ class TestBatchStep:
         dw = dw + 2 * cfg.lambda_l2 * w_hat.ravel()
         head = [np.zeros(pnw.m), np.zeros(pnw.m), np.zeros(pnw.m), 0.0]
         for feat, dz_i, dl in zip(batch.features, dz, dl_dlogit):
-            g = params_net.map_to_sigmas_backward([feat], pnw, [float(dl) * dz_i])
+            g = params_net.map_to_sigmas_backward([feat], pnw, [float(dl) * dz_i],
+                                                  params_net.head_forward([feat], pnw)[1])
             head = [h + gi for h, gi in zip(head, g)]
         return (sigmas, np.stack(rows), np.array(logits), dz,
                 {"w": dw, **dict(zip("abvc", head))})
@@ -470,14 +471,14 @@ class TestStepWork:
         forward, calls = params_net._preactivations, []
         monkeypatch.setattr(params_net, "_preactivations",
                             lambda *args: calls.append(1) or forward(*args))
-        _, grads, _ = batch_loss_and_grads(batch, pnw, cw, cfg)
+        _, grads, fwd = batch_loss_and_grads(batch, pnw, cw, cfg)
         assert len(calls) == 1
-        fresh = params_net.map_to_sigmas_backward
-        monkeypatch.setattr(params_net, "map_to_sigmas_backward",
-                            lambda f, w, up, state=None: fresh(f, w, up))
-        _, recomputed, _ = batch_loss_and_grads(batch, pnw, cw, cfg)
-        for name in "abvc":
-            assert np.asarray(grads[name]).tobytes() == np.asarray(recomputed[name]).tobytes()
+        # the head's gradients are those of a forward pass of its own
+        upstream = classifier.backward(fwd["cache"], batch.labels) * fwd["dlogit_dsigma"]
+        want = params_net.map_to_sigmas_backward(
+            batch.features, pnw, upstream, params_net.head_forward(batch.features, pnw)[1])
+        for name, g in zip("abvc", want):
+            assert np.asarray(grads[name]).tobytes() == np.asarray(g).tobytes()
 
 
 class TestFixedWidth:
@@ -644,12 +645,13 @@ class TestFixedWidth:
 
 
 def _forward(batch, pnw, cw, cfg, training=False):
-    """`_forward_batch` with the voxel weight `cw` held and mapped as a call
-    over this batch alone holds and maps it."""
+    """`_forward_batch` with the voxel weight `cw` held and mapped, for a
+    training step when `training`, as a call over this batch alone holds
+    and maps it."""
     smoothing = trainer._Smoothing(cfg, [batch])
     held = smoothing.held(cw)
     return trainer._forward_batch(batch, pnw, smoothing.operand(held.w, training),
-                                  cfg, smoothing, training)
+                                  cfg, smoothing)
 
 
 class TestStepMode:
@@ -668,7 +670,7 @@ class TestStepMode:
         smoothing = trainer._Smoothing(cfg, [batch])
         held = smoothing.held(cw)
         trained = trainer._forward_batch(batch, pnw, smoothing.operand(held.w, True),
-                                         cfg, smoothing, True)
+                                         cfg, smoothing)
         rows = smoothing.rows.copy()
         smoothing.lam_wd = None  # an evaluation must not read the eigenvalues
         fwd = trainer._forward_batch(batch, pnw, smoothing.operand(held.w), cfg, smoothing)
@@ -1115,6 +1117,19 @@ class TestEvaluate:
         cw = classifier.xavier_init(tiny_dataset[0].volumes[0].shape, 0)
         res = evaluate(pnw, cw, tiny_dataset, "test")
         assert 0.7 not in res["per_noise"]
+
+    @pytest.mark.parametrize("fixed_sigma, features", [(None, True), (0.8, True), (0.8, False)])
+    def test_batch_dims_differ_from_first_rejected(self, fixed_sigma, features):
+        # `train`'s rule, stated once in `_Smoothing`: adaptive, fixed on
+        # sine coefficients and fixed on voxels alike
+        batches = [_make_group("s1", 0.0, "test", 4, dims=(8, 8, 8)),
+                   _make_group("s1", 0.1, "test", 4, dims=(8, 8, 9))]
+        if not features:
+            batches = [dataclasses.replace(b, features=None) for b in batches]
+        pnw = _init_head(5, 0, (8, 8, 8))
+        cw = classifier.xavier_init((8, 8, 8), 0)
+        with pytest.raises(DataError, match=r"^dim mismatch: \(8, 8, 9\) vs \(8, 8, 8\)$"):
+            evaluate(pnw, cw, batches, "test", fixed_sigma=fixed_sigma)
 
 
 class TestGridSearch:
