@@ -138,17 +138,15 @@ def _cmd_grid_search(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "grid_results.csv", "w", newline="", encoding="utf-8") as f:
-        # an error message with a comma is quoted, so every row has 6 fields
+        # an error message with a comma is quoted, so every row has 5 fields
         wr = csv.writer(f, lineterminator="\n")
-        wr.writerow(["learning_rate", "lambda_l2", "val_accuracy", "val_loss",
-                     "test_accuracy", "error"])
+        wr.writerow(["learning_rate", "val_accuracy", "val_loss", "test_accuracy", "error"])
         for r in results:
-            wr.writerow([f"{r['learning_rate']:g}", f"{r['lambda_l2']:g}",
-                         f"{r['val_accuracy']:.6g}", f"{r['val_loss']:.6g}",
-                         f"{r['test_accuracy']:.6g}", r["error"]])
+            wr.writerow([f"{r['learning_rate']:g}", f"{r['val_accuracy']:.6g}",
+                         f"{r['val_loss']:.6g}", f"{r['test_accuracy']:.6g}", r["error"]])
     if best is None:
         raise NumericalError("every grid cell failed")
-    print(f"best: learning_rate={best[0]:g} lambda_l2={best[1]:g}")
+    print(f"best: learning_rate={best:g}")
     return 0
 
 
@@ -225,7 +223,7 @@ def build_parser() -> _Parser:
 
     for name, func, text in (
             ("train", _cmd_train, "train the adaptive smoothing model"),
-            ("grid-search", _cmd_grid_search, "logarithmic (lr, lambda) grid search")):
+            ("grid-search", _cmd_grid_search, "logarithmic learning-rate grid search")):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config")
         p.add_argument("--data", required=True)

@@ -14,7 +14,7 @@ classifier takes it from the logits on.  The one training step,
 `batch_loss_and_grads`, is what `train` runs and the gradient tests check;
 only it adds the L2 penalty, lambda |w^|^2 = lambda |w|^2.  `train` makes
 plain SGD updates with validation-based early stopping; an optional
-logarithmic grid search runs over (lr, lambda).  An epoch or evaluation
+logarithmic grid search runs over the learning rate.  An epoch or evaluation
 whose arithmetic overflows float64 ends the training or evaluation with a
 `NumericalError`.
 """
@@ -43,7 +43,6 @@ from .gaussian_filter import (
 from .volume_io import SPLITS, read_manifest, read_volume
 
 DEFAULT_LR_GRID = (1e-3, 1e-2, 1e-1, 1.0)
-DEFAULT_LAMBDA_GRID = (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
 @dataclass
@@ -62,13 +61,12 @@ class TrainConfig:
     width_m: int = 50
     fixed_sigma: float | None = None  # bypass the width network when set
     lr_grid: tuple = DEFAULT_LR_GRID
-    lambda_grid: tuple = DEFAULT_LAMBDA_GRID
 
     def validate(self):
         # the comparisons are false for NaN, so NaN fails every range check
-        rates = (self.learning_rate, self.lambda_l2, *self.lr_grid, *self.lambda_grid)
+        rates = (self.learning_rate, self.lambda_l2, *self.lr_grid)
         if not all(0 <= x < math.inf for x in rates):
-            raise DataError("learning rates and lambdas, grid values included, "
+            raise DataError("learning rates, grid values included, and lambda "
                             "must be finite and >= 0")
         if min(self.max_epochs, self.patience, self.width_m) < 1:
             raise DataError("max_epochs, patience and width_m must be >= 1")
@@ -78,8 +76,8 @@ class TrainConfig:
             raise DataError("fixed_sigma must be finite and > 0")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
-        if not self.lr_grid or not self.lambda_grid:
-            raise DataError("search grids must be non-empty")
+        if not self.lr_grid:
+            raise DataError("lr_grid must be non-empty")
 
 
 @dataclass
@@ -560,30 +558,32 @@ def train(cfg: TrainConfig, batches: list[MiniBatch]):
 
 
 def grid_search(cfg: TrainConfig, batches: list[MiniBatch]):
-    """Train one model per (lr, lambda) grid point and pick the best by
-    validation accuracy; ties break to lower validation loss then lower lr.
-    Returns the best (lr, lambda), None when every cell failed, and one
-    result row per cell.  A numerical failure is recorded in its cell; a
-    data error ends the search."""
+    """Train one model per `lr_grid` value, at the config's own lambda, and
+    pick the one of least validation loss, the quantity early stopping
+    picks each cell's epoch by; a tie goes to the lower lr, and a cell
+    whose validation loss was never finite ranks last.  A lambda axis
+    would search step sizes again: the batch standardization leaves lambda
+    only |w| to set (`TrainConfig`).  Returns the picked lr, None when
+    every cell failed, and one result row per cell.  A numerical failure is
+    recorded in its cell; a data error ends the search."""
     cfg.validate()
     results = []
     for lr in cfg.lr_grid:
-        for lam in cfg.lambda_grid:
-            cell_cfg = replace(cfg, learning_rate=lr, lambda_l2=lam)
-            row = {"learning_rate": lr, "lambda_l2": lam}
-            try:
-                _, _, report = train(cell_cfg, batches)
-                # the row of the weights train returns: the best epoch's, or
-                # the last epoch's (best_epoch -1) when no validation loss was finite
-                val = report.epochs[max(report.best_epoch, 0) - 1]
-                row.update({"val_accuracy": val["val_accuracy"], "val_loss": val["val_loss"],
-                            "test_accuracy": report.test_accuracy, "error": ""})
-            except NumericalError as exc:
-                row.update({"val_accuracy": float("nan"), "val_loss": float("nan"),
-                            "test_accuracy": float("nan"), "error": str(exc)})
-            results.append(row)
+        row = {"learning_rate": lr}
+        try:
+            _, _, report = train(replace(cfg, learning_rate=lr), batches)
+            # the row of the weights train returns: the best epoch's, or
+            # the last epoch's (best_epoch -1) when no validation loss was finite
+            val = report.epochs[max(report.best_epoch, 0) - 1]
+            row.update({"val_accuracy": val["val_accuracy"], "val_loss": val["val_loss"],
+                        "test_accuracy": report.test_accuracy, "error": ""})
+        except NumericalError as exc:
+            row.update({"val_accuracy": float("nan"), "val_loss": float("nan"),
+                        "test_accuracy": float("nan"), "error": str(exc)})
+        results.append(row)
     ok = [r for r in results if not r["error"]]
     if not ok:
         return None, results
-    best = min(ok, key=lambda r: (-r["val_accuracy"], r["val_loss"], r["learning_rate"]))
-    return (best["learning_rate"], best["lambda_l2"]), results
+    best = min(ok, key=lambda r: (math.inf if math.isnan(r["val_loss"]) else r["val_loss"],
+                                  r["learning_rate"]))
+    return best["learning_rate"], results

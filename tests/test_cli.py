@@ -345,6 +345,30 @@ class TestTrainEvaluate:
         assert f"ERROR 2: {old / 'config.txt'}:" in err
         assert "unknown key 'bump_probability'" in err
 
+    @pytest.mark.parametrize("command", ["train", "grid-search", "evaluate"])
+    def test_deleted_lambda_grid_key_is_data_error(self, trained, tmp_path, capsys,
+                                                   command):
+        # a config file, or a model's config.txt, written while grid-search
+        # still had a lambda axis
+        data, model = trained
+        if command == "evaluate":
+            old = tmp_path / "model"
+            shutil.copytree(model, old)
+            cfg = old / "config.txt"
+            with open(cfg, "a", encoding="utf-8") as f:
+                f.write("lambda_grid = 0.0\n")
+            argv = ["evaluate", "--weights", str(old), "--data", str(data)]
+        else:
+            cfg = tmp_path / "old.cfg"
+            cfg.write_text("max_epochs = 2\nwidth_m = 8\nlambda_grid = 0.0\n")
+            argv = [command, "--config", str(cfg), "--data", str(data),
+                    "--out", str(tmp_path / "out")]
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert re.search(rf"ERROR 2: {re.escape(str(cfg))}:\d+: unknown key 'lambda_grid'\n$",
+                         out.err), out.err
+        assert out.out == "" and not (tmp_path / "out").exists()
+
     def test_evaluate_missing_weights(self, trained, tmp_path, capsys):
         data, _ = trained
         assert run(["evaluate", "--weights", str(tmp_path), "--data",
@@ -524,7 +548,7 @@ class TestTrainEvaluate:
         data, _ = trained
         cfg = tmp_path / "wide.cfg"
         cfg.write_text("max_epochs = 2\nwidth_m = 8\nfixed_sigma = 50\n"
-                       "lr_grid = 0.01,0.1\nlambda_grid = 0.0\n")
+                       "lr_grid = 0.01,0.1\n")
         assert run([command, "--config", str(cfg), "--data", str(data),
                     "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -536,17 +560,16 @@ class TestTrainEvaluate:
         # the overflow message names its step as "(subject ..., noise ...)"
         data, _ = trained
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text("max_epochs = 2\nwidth_m = 8\n"
-                       "lr_grid = 0.1,1e300\nlambda_grid = 0.0\n")
+        cfg.write_text("max_epochs = 2\nwidth_m = 8\nlr_grid = 0.1,1e300\n")
         out = tmp_path / "grid"
         assert run(["grid-search", "--config", str(cfg), "--data", str(data),
                     "--out", str(out), "--seed", "1"]) == 0
         with open(out / "grid_results.csv", newline="") as f:
             rows = list(csv.reader(f))
-        assert [len(row) for row in rows] == [6, 6, 6]
-        assert rows[1][5] == ""
+        assert [len(row) for row in rows] == [5, 5, 5]
+        assert rows[1][4] == ""
         assert re.fullmatch(r"overflow encountered in \w+ at epoch 1 "
-                            r"\(subject \w+, noise [\d.]+\)", rows[2][5]), rows[2]
+                            r"\(subject \w+, noise [\d.]+\)", rows[2][4]), rows[2]
         # a row without an error is written as before, unquoted
         assert '"' not in (out / "grid_results.csv").read_text().splitlines()[1]
 
@@ -554,17 +577,17 @@ class TestTrainEvaluate:
         # with no cell left to pick from, the file still holds each cell's error
         data, _ = trained
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text("max_epochs = 2\nlr_grid = 1e300\nlambda_grid = 0.0,0.001\n")
+        cfg.write_text("max_epochs = 2\nlr_grid = 1e300,1e301\n")
         out = tmp_path / "grid"
         assert run(["grid-search", "--config", str(cfg), "--data", str(data),
                     "--out", str(out), "--seed", "1"]) == 3
         assert capsys.readouterr().err.endswith("ERROR 3: every grid cell failed\n")
         with open(out / "grid_results.csv", newline="") as f:
             header, *rows = csv.reader(f)
-        assert header == ["learning_rate", "lambda_l2", "val_accuracy", "val_loss",
-                          "test_accuracy", "error"]
-        assert [row[:2] for row in rows] == [["1e+300", "0"], ["1e+300", "0.001"]]
-        assert all(row[5] for row in rows)
+        assert header == ["learning_rate", "val_accuracy", "val_loss", "test_accuracy",
+                          "error"]
+        assert [row[0] for row in rows] == ["1e+300", "1e+301"]
+        assert all(row[4] for row in rows)
 
     @pytest.mark.parametrize("split", ["train", "validation", "test"])
     def test_one_volume_group_refused_before_training(self, trained, tmp_path, capsys,
@@ -594,24 +617,27 @@ class TestTrainEvaluate:
     def test_grid_search_writes_results(self, trained, tmp_path, capsys):
         data, _ = trained
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text("max_epochs = 3\nwidth_m = 8\n"
-                       "lr_grid = 0.01,0.1\nlambda_grid = 0.0\n")
+        cfg.write_text("max_epochs = 3\nwidth_m = 8\nlr_grid = 0.01,0.1\n")
         out = tmp_path / "grid"
         assert run(["grid-search", "--config", str(cfg), "--data", str(data),
                     "--out", str(out), "--seed", "1"]) == 0
         lines = (out / "grid_results.csv").read_text().splitlines()
-        assert lines[0].startswith("learning_rate,lambda_l2,")
+        assert lines[0] == "learning_rate,val_accuracy,val_loss,test_accuracy,error"
         assert len(lines) == 3
-        assert "best: learning_rate=" in capsys.readouterr().out
         # the validation columns are those of each cell's best epoch
         batches = trainer.load_dataset(data / "manifest.csv")
+        losses = {}
         for line, lr in zip(lines[1:], (0.01, 0.1)):
             cfg = trainer.TrainConfig(learning_rate=lr, max_epochs=3, width_m=8, seed=1)
             _, _, report = trainer.train(cfg, batches)
             best = report.epochs[report.best_epoch - 1]
             assert best["epoch"] == report.best_epoch
-            assert line.split(",")[2:4] == [f"{best['val_accuracy']:.6g}",
+            assert line.split(",")[1:3] == [f"{best['val_accuracy']:.6g}",
                                             f"{best['val_loss']:.6g}"]
+            losses[lr] = best["val_loss"]
+        # the cell of least validation loss is picked
+        assert capsys.readouterr().out == \
+            f"best: learning_rate={min(losses, key=losses.get):g}\n"
 
 
 class TestTextInputs:
@@ -860,7 +886,6 @@ class TestParsing:
         ("grid-search", "lr_grid = 0.1,nan"),
         ("grid-search", "lr_grid = 0.1,-1"),
         ("grid-search", "lr_grid = nan"),
-        ("grid-search", "lambda_grid = 0,inf"),
     ])
     def test_bad_config_value_is_data_error(self, trained, tmp_path, capsys,
                                             command, line):

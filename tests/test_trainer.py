@@ -932,7 +932,7 @@ class TestTrain:
 
         monkeypatch.setattr(trainer, "_evaluate_split", nan_validation)
         cfg = TrainConfig(learning_rate=0.1, max_epochs=20, patience=4, seed=2,
-                          width_m=8, lr_grid=(0.1,), lambda_grid=(0.0,))
+                          width_m=8, lr_grid=(0.1,))
         pnw, cw, report = train(cfg, tiny_dataset)
         assert [row["epoch"] for row in report.epochs] == [1, 2, 3, 4]
         assert report.stopped_epoch == cfg.patience and report.best_epoch == -1
@@ -1134,26 +1134,84 @@ class TestEvaluate:
 
 class TestGridSearch:
     def test_grid_shape_and_determinism(self, tiny_dataset):
-        cfg = TrainConfig(max_epochs=4, seed=1, width_m=8,
-                          lr_grid=(0.01, 0.1), lambda_grid=(0.0, 1e-3))
+        # each cell is the training at its lr and the config's own lambda
+        cfg = TrainConfig(max_epochs=4, seed=1, width_m=8, lambda_l2=1e-3,
+                          lr_grid=(0.01, 0.1))
         best, results = grid_search(cfg, tiny_dataset)
-        assert len(results) == 4
-        assert best[0] in cfg.lr_grid and best[1] in cfg.lambda_grid
+        assert best in cfg.lr_grid
+        assert [r["learning_rate"] for r in results] == [0.01, 0.1]
+        for row in results:
+            _, _, report = train(dataclasses.replace(cfg, learning_rate=row["learning_rate"]),
+                                 tiny_dataset)
+            val = report.epochs[report.best_epoch - 1]
+            assert row == {"learning_rate": row["learning_rate"],
+                           "val_accuracy": val["val_accuracy"], "val_loss": val["val_loss"],
+                           "test_accuracy": report.test_accuracy, "error": ""}
         # duplicated grid point reproduces the same cell
-        cfg2 = TrainConfig(max_epochs=4, seed=1, width_m=8,
-                           lr_grid=(0.1, 0.1), lambda_grid=(0.0,))
-        _, res2 = grid_search(cfg2, tiny_dataset)
-        assert res2[0]["val_accuracy"] == res2[1]["val_accuracy"]
-        assert res2[0]["val_loss"] == res2[1]["val_loss"]
+        _, res2 = grid_search(dataclasses.replace(cfg, lr_grid=(0.1, 0.1)), tiny_dataset)
+        assert res2[0] == res2[1] == results[1]
 
-    def test_tie_breaks_prefer_lower_lr(self, tiny_dataset):
-        cfg = TrainConfig(max_epochs=1, seed=1, width_m=8,
-                          lr_grid=(0.1, 0.0), lambda_grid=(0.0,))
-        # lr=0 keeps init weights; any tie must resolve to the lower lr
-        best, results = grid_search(cfg, tiny_dataset)
-        accs = {r["learning_rate"]: (r["val_accuracy"], r["val_loss"]) for r in results}
-        if accs[0.0] == accs[0.1]:
-            assert best[0] == 0.0
+    @staticmethod
+    def _search(monkeypatch, cells):
+        """`grid_search` over the lrs of `cells`, in their order, with
+        `train` returning for each lr a report whose best epoch holds the
+        cell's (val_loss, val_accuracy), or raising `NumericalError` where
+        the cell is None.  Returns the pick, the rows and the configs `train`
+        was called with."""
+        calls = []
+
+        def canned_train(cfg, batches):
+            calls.append(cfg)
+            if cells[cfg.learning_rate] is None:
+                raise NumericalError(f"overflow at lr {cfg.learning_rate:g}")
+            loss, acc = cells[cfg.learning_rate]
+            report = trainer.TrainReport(config=cfg, best_epoch=2, test_accuracy=acc / 2)
+            report.epochs = [
+                {"epoch": 1, "train_loss": 1.0, "val_loss": 9.0, "val_accuracy": 0.0},
+                {"epoch": 2, "train_loss": 1.0, "val_loss": loss, "val_accuracy": acc},
+                {"epoch": 3, "train_loss": 1.0, "val_loss": 9.5, "val_accuracy": 1.0}]
+            return None, None, report
+
+        monkeypatch.setattr(trainer, "train", canned_train)
+        cfg = TrainConfig(lambda_l2=1e-3, lr_grid=tuple(cells))
+        best, results = grid_search(cfg, [])
+        return best, results, calls
+
+    def test_least_validation_loss_wins(self, monkeypatch):
+        # not the cell of best validation accuracy
+        best, results, calls = self._search(
+            monkeypatch, {1e-3: (0.5, 0.9), 1e-2: (0.3, 0.6), 1e-1: (0.4, 0.7)})
+        assert best == 1e-2
+        assert [(c.learning_rate, c.lambda_l2) for c in calls] == \
+            [(1e-3, 1e-3), (1e-2, 1e-3), (1e-1, 1e-3)]
+        assert results[1] == {"learning_rate": 1e-2, "val_accuracy": 0.6, "val_loss": 0.3,
+                              "test_accuracy": 0.3, "error": ""}
+
+    def test_tie_breaks_prefer_lower_lr(self, monkeypatch):
+        # the lower lr, not the first cell searched
+        best, _, _ = self._search(monkeypatch,
+                                  {1.0: (0.3, 0.9), 0.1: (0.3, 0.5), 0.01: (0.4, 1.0)})
+        assert best == 0.1
+
+    def test_non_finite_validation_loss_ranks_last(self, monkeypatch):
+        for cells in ({0.01: (math.nan, 1.0), 0.1: (0.5, 0.5)},
+                      {0.1: (0.5, 0.5), 0.01: (math.nan, 1.0)}):
+            assert self._search(monkeypatch, cells)[0] == 0.1
+        assert self._search(monkeypatch, {0.1: (math.nan, 1.0), 0.01: (math.nan, 0.5)})[0] \
+            == 0.01
+
+    def test_failed_cell_recorded_and_skipped(self, monkeypatch):
+        best, results, _ = self._search(monkeypatch, {0.01: None, 0.1: (0.4, 0.5)})
+        assert best == 0.1
+        failed = results[0]
+        assert failed["learning_rate"] == 0.01 and failed["error"] == "overflow at lr 0.01"
+        assert all(math.isnan(failed[k]) for k in ("val_accuracy", "val_loss", "test_accuracy"))
+
+    def test_none_when_every_cell_fails(self, monkeypatch):
+        best, results, _ = self._search(monkeypatch, {0.1: None, 1.0: None})
+        assert best is None
+        assert [(r["learning_rate"], r["error"]) for r in results] == \
+            [(0.1, "overflow at lr 0.1"), (1.0, "overflow at lr 1")]
 
 
 class TestConfigFile:

@@ -204,8 +204,7 @@ class TestVol1:
 @pytest.mark.parametrize("config", [
     TrainConfig(),
     TrainConfig(learning_rate=0.37, lambda_l2=1e-3, max_epochs=7, truncation=2.5,
-                seed=43, fixed_sigma=1.1324296062514016, lr_grid=(0.5,),
-                lambda_grid=(0.0, 1e-05)),
+                seed=43, fixed_sigma=1.1324296062514016, lr_grid=(0.5, 0.0, 1e-05)),
     PhantomSpec(dims=(16, 12, 20), noise_levels=(0.0, 0.2), split_counts=(6, 1, 1),
                 amplitude=0.05, voxel_size_mm=2.5),
 ], ids=["train-default", "train-fixed-sigma", "phantom"])
